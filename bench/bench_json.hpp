@@ -47,7 +47,7 @@ inline std::string bench_context_json() {
   // The fault plan active in this process — or merely present in the
   // environment, since a bench that never arms it still ran under an
   // operator who intended fault injection. Non-empty means the numbers are
-  // contaminated: check_regression.py refuses such a fresh run outright.
+  // contaminated and must not be compared with clean runs.
   std::string plan = lc::fault::active_plan();
   if (plan.empty()) {
     for (const char* var : {"LC_FAULT_PLAN", "LC_FAULT_POINT"}) {

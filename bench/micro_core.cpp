@@ -1,78 +1,35 @@
 // Micro-benchmarks of the core kernels (google-benchmark): Algorithm-1
 // similarity construction, the MERGE procedure's chain traversal, the §VI-B
 // corrected array merge, and the text pipeline's stemmer/tokenizer.
-// With `--json <path>` the binary skips google-benchmark and instead times
-// the full build -> sort -> sweep hot path plus the coarse sweep at 1/2/4/8
-// threads on a fixed seeded graph, checks both dendrograms are identical
-// across thread counts, and writes a BENCH_micro_core.json record (workload,
-// threads, wall_ms, peak_bytes, per-phase extras) for cross-commit
-// comparison. wall_ms covers build + sort + fine sweep + coarse sweep — the
-// four phases every record times; the T=1-only side legs (checkpoint
-// overhead, sharded/thresholded builds, lazy backend, R-MAT) report their
-// own extra fields and are excluded from every wall_ms.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include <filesystem>
-
-#include "bench_json.hpp"
-#include "core/checkpoint.hpp"
 #include "core/cluster_array.hpp"
-#include "core/link_clusterer.hpp"
-#include "core/coarse.hpp"
-#include "core/dendrogram.hpp"
+#include "core/edge_index.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
-#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
-#include "parallel/thread_pool.hpp"
-#include "serve/run_supervisor.hpp"
 #include "text/porter.hpp"
 #include "text/tokenizer.hpp"
-#include "util/memory.hpp"
 #include "util/rng.hpp"
-#include "workloads.hpp"
-#include "util/run_context.hpp"
-#include "util/stopwatch.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
-void BM_SimilarityBuildHash(benchmark::State& state) {
+void BM_SimilarityBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto graph = lc::graph::erdos_renyi(n, 0.1, {3, lc::graph::WeightPolicy::kUniform});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lc::core::build_similarity_map(graph, {lc::core::PairMapKind::kHash}));
+    benchmark::DoNotOptimize(lc::core::build_similarity_map(graph));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(lc::graph::count_incident_edge_pairs(graph)));
 }
-BENCHMARK(BM_SimilarityBuildHash)->Arg(200)->Arg(600)->Arg(1200);
-
-void BM_SimilarityBuildFlat(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto graph = lc::graph::erdos_renyi(n, 0.1, {3, lc::graph::WeightPolicy::kUniform});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lc::core::build_similarity_map(graph, {lc::core::PairMapKind::kFlat}));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(lc::graph::count_incident_edge_pairs(graph)));
-}
-BENCHMARK(BM_SimilarityBuildFlat)->Arg(200)->Arg(600)->Arg(1200);
+BENCHMARK(BM_SimilarityBuild)->Arg(200)->Arg(600)->Arg(1200);
 
 void BM_SweepFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -131,462 +88,6 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
-/// FNV-1a over the merge-event stream: any difference in merge order,
-/// partners, or heights across thread counts changes the digest.
-std::uint64_t dendrogram_digest(const lc::core::Dendrogram& dendrogram) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (byte * 8)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const lc::core::MergeEvent& event : dendrogram.events()) {
-    mix((static_cast<std::uint64_t>(event.level) << 32) | event.from);
-    mix(event.into);
-    mix(std::bit_cast<std::uint64_t>(event.similarity));
-  }
-  return h;
-}
-
-/// The --json mode: end-to-end build + sort + sweep per thread count.
-int run_json_mode(const std::string& path) {
-  constexpr std::size_t kVertices = 3000;
-  constexpr double kEdgeProb = 0.01;
-  const auto graph =
-      lc::graph::erdos_renyi(kVertices, kEdgeProb, {7, lc::graph::WeightPolicy::kUniform});
-  const lc::core::EdgeIndex index(graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
-  const std::string workload = lc::strprintf("erdos_renyi(n=%zu, p=%g, seed=7), %zu edges",
-                                             kVertices, kEdgeProb, graph.edge_count());
-  std::printf("== micro_core --json: build+sort+sweep on %s ==\n", workload.c_str());
-
-  std::vector<lc::bench::BenchRun> runs;
-  std::size_t t1_key_count = 0;
-  double t1_build_ms = 0.0;
-  std::uint64_t reference_digest = 0;
-  std::uint64_t reference_coarse = 0;
-  bool digests_match = true;
-  bool coarse_match = true;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    lc::parallel::ThreadPool pool(threads);
-    lc::core::BuildStats build_stats;
-    lc::core::SimilarityMapOptions map_options;
-    map_options.stats = &build_stats;
-    lc::Stopwatch watch;
-    lc::core::SimilarityMap map =
-        lc::core::build_similarity_map_parallel(graph, pool, nullptr, map_options);
-    const double build_ms = watch.lap() * 1e3;
-    if (threads == 1) {
-      t1_key_count = map.key_count();
-      t1_build_ms = build_ms;
-    }
-    map.sort_by_score(&pool);
-    const double sort_ms = watch.lap() * 1e3;
-    const lc::core::SweepResult result = lc::core::sweep(graph, map, index);
-    const double sweep_ms = watch.lap() * 1e3;
-    // Checkpoint-overhead legs (T=1 only). Two measurements, two purposes:
-    //
-    //  * "armed idle": a checkpointer whose interval never elapses mid-sweep
-    //    (the production default is 30 s against a 60 ms sweep). This is the
-    //    always-on tax of having checkpointing enabled — the due() polls and
-    //    branches on the hot path — and is what the regression gate holds to
-    //    a few percent of the plain sweep.
-    //  * "armed writing": a 20 ms cadence that forces real snapshots out, so
-    //    checkpoint_ms / snapshot_bytes report the measured cost of a write.
-    //    That cost (serialize + fsync + the cache refill after streaming a
-    //    megabyte) is the insurance premium the interval knob scales; it is
-    //    reported, not gated.
-    //
-    // Single-shot wall times swing double digits on shared boxes, so every
-    // side of the comparison is a min over repetitions.
-    std::string checkpoint_extra;
-    if (threads == 1) {
-      const std::filesystem::path dir =
-          std::filesystem::temp_directory_path() / "lc_bench_checkpoint";
-      lc::core::RunFingerprint fp;
-      fp.graph_digest = lc::core::graph_fingerprint(graph);
-      // Plain and armed-idle reps run as adjacent pairs, and the reported
-      // overhead is the smaller of two drift-robust estimators: the median
-      // per-pair delta (pairing cancels box drift, the median shrugs off
-      // reps an interrupt lands on) and min-idle minus min-plain (mins
-      // converge to the true time from above, since noise only slows). On a
-      // shared box each estimator alone still flakes; a real regression
-      // inflates both, noise rarely does.
-      lc::core::CheckpointPolicy idle_policy;
-      idle_policy.directory = dir.string();
-      idle_policy.interval_ms = 3'600'000;
-      double plain_min_ms = sweep_ms;
-      double idle_min_ms = std::numeric_limits<double>::infinity();
-      std::vector<double> idle_delta_ms;
-      for (int rep = 0; rep < 9; ++rep) {
-        watch.lap();
-        const lc::core::SweepResult again = lc::core::sweep(graph, map, index);
-        const double plain_rep_ms = watch.lap() * 1e3;
-        plain_min_ms = std::min(plain_min_ms, plain_rep_ms);
-        if (dendrogram_digest(again.dendrogram) != dendrogram_digest(result.dendrogram)) {
-          std::printf("plain sweep rerun changed the dendrogram: FAIL\n");
-          return 1;
-        }
-        lc::core::Checkpointer checkpointer(idle_policy, fp);
-        watch.lap();
-        const lc::core::SweepResult armed =
-            lc::core::sweep(graph, map, index, {},
-                            -std::numeric_limits<double>::infinity(), nullptr,
-                            &checkpointer);
-        const double idle_rep_ms = watch.lap() * 1e3;
-        idle_min_ms = std::min(idle_min_ms, idle_rep_ms);
-        idle_delta_ms.push_back(idle_rep_ms - plain_rep_ms);
-        if (dendrogram_digest(armed.dendrogram) != dendrogram_digest(result.dendrogram)) {
-          std::printf("idle checkpointing changed the dendrogram: FAIL\n");
-          return 1;
-        }
-      }
-      std::nth_element(idle_delta_ms.begin(),
-                       idle_delta_ms.begin() + idle_delta_ms.size() / 2,
-                       idle_delta_ms.end());
-      // The true overhead (a due() poll per chunk) is well under the box's
-      // timing noise floor, so either estimator can come out slightly
-      // negative on a quiet run. A negative tax is unphysical and made the
-      // regression gate's baseline drift; clamp at zero — "too small to
-      // measure" is the honest reading.
-      const double idle_overhead_ms =
-          std::max(0.0, std::min(idle_delta_ms[idle_delta_ms.size() / 2],
-                                 idle_min_ms - plain_min_ms));
-      lc::core::CheckpointPolicy write_policy;
-      write_policy.directory = dir.string();
-      write_policy.interval_ms = 20;
-      double armed_min_ms = std::numeric_limits<double>::infinity();
-      double write_ms = 0.0;
-      std::uint64_t snapshot_bytes = 0;
-      std::uint64_t writes = 0;
-      std::uint64_t write_failures = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        lc::core::Checkpointer checkpointer(write_policy, fp);
-        watch.lap();
-        const lc::core::SweepResult armed =
-            lc::core::sweep(graph, map, index, {},
-                            -std::numeric_limits<double>::infinity(), nullptr,
-                            &checkpointer);
-        const double sweep_ckpt_ms = watch.lap() * 1e3;
-        if (dendrogram_digest(armed.dendrogram) != dendrogram_digest(result.dendrogram)) {
-          std::printf("checkpointing changed the dendrogram: FAIL\n");
-          return 1;
-        }
-        if (checkpointer.snapshots_written() == 0) continue;
-        if (sweep_ckpt_ms < armed_min_ms) {
-          armed_min_ms = sweep_ckpt_ms;
-          write_ms = checkpointer.write_seconds_total() * 1e3;
-          snapshot_bytes = checkpointer.last_snapshot_bytes();
-          writes = checkpointer.snapshots_written();
-          write_failures = checkpointer.write_failures();
-        }
-      }
-      checkpoint_extra = lc::strprintf(
-          ", \"sweep_plain_ms\": %.3f, \"ckpt_idle_overhead_ms\": %.3f, "
-          "\"sweep_ckpt_ms\": %.3f, \"checkpoint_ms\": %.3f, "
-          "\"snapshot_bytes\": %llu, \"checkpoint_writes\": %llu, "
-          "\"checkpoint_write_failures\": %llu",
-          plain_min_ms, idle_overhead_ms, armed_min_ms, write_ms,
-          static_cast<unsigned long long>(snapshot_bytes),
-          static_cast<unsigned long long>(writes),
-          static_cast<unsigned long long>(write_failures));
-      std::error_code cleanup_error;
-      std::filesystem::remove_all(dir, cleanup_error);
-    }
-    // Coarse phase, timed separately with a fresh context so the charged
-    // high-water mark isolates the coarse transient footprint (the shared
-    // parent array + journals — O(|E|), not the old T-copies' O(T * |E|)).
-    lc::RunContext coarse_ctx;
-    watch.lap();
-    const lc::core::CoarseResult coarse = lc::core::coarse_sweep(
-        graph, map, index, {}, &pool, nullptr, &coarse_ctx);
-    const double coarse_ms = watch.lap() * 1e3;
-
-    const std::uint64_t digest = dendrogram_digest(result.dendrogram);
-    const std::uint64_t coarse_digest = dendrogram_digest(coarse.dendrogram);
-    if (runs.empty()) {
-      reference_digest = digest;
-      reference_coarse = coarse_digest;
-    }
-    if (digest != reference_digest) digests_match = false;
-    if (coarse_digest != reference_coarse) coarse_match = false;
-
-    lc::bench::BenchRun run;
-    run.threads = threads;
-    // All four timed phases; the checkpoint legs above deliberately stay out
-    // (they are overhead measurements, not part of the hot path).
-    run.wall_ms = build_ms + sort_ms + sweep_ms + coarse_ms;
-    run.peak_bytes = lc::read_memory_usage().rss_peak_kb * 1024;
-    run.extra = lc::strprintf(
-        "\"build_ms\": %.3f, \"build_pass1_ms\": %.3f, \"build_pass2_ms\": %.3f, "
-        "\"build_pass3_ms\": %.3f, \"pairs_single\": %llu, \"pairs_exact\": %llu, "
-        "\"pairs_pruned\": %llu, \"sort_ms\": %.3f, \"sweep_ms\": %.3f, "
-        "\"coarse_ms\": %.3f, \"coarse_peak_bytes\": %llu, "
-        "\"merges\": %llu, \"dendrogram_fnv\": \"%016llx\", "
-        "\"coarse_fnv\": \"%016llx\"",
-        build_ms, build_stats.pass1_ms, build_stats.pass2_ms, build_stats.pass3_ms,
-        static_cast<unsigned long long>(build_stats.pairs_single),
-        static_cast<unsigned long long>(build_stats.pairs_exact),
-        static_cast<unsigned long long>(build_stats.pairs_pruned),
-        sort_ms, sweep_ms, coarse_ms,
-        static_cast<unsigned long long>(coarse_ctx.memory_peak()),
-        static_cast<unsigned long long>(result.stats.merges_effective),
-        static_cast<unsigned long long>(digest),
-        static_cast<unsigned long long>(coarse_digest));
-    run.extra += checkpoint_extra;
-    runs.push_back(run);
-    std::printf(
-        "threads=%zu  total=%8.1fms  (build %.1f, sort %.1f, sweep %.1f, "
-        "coarse %.1f)  fnv=%016llx  coarse_fnv=%016llx\n",
-        threads, run.wall_ms, build_ms, sort_ms, sweep_ms, coarse_ms,
-        static_cast<unsigned long long>(digest),
-        static_cast<unsigned long long>(coarse_digest));
-  }
-  // A/B legs for the gather-vs-sharded regression gate, run after the last
-  // peak_bytes sample so the extra resident map (two full similarity maps
-  // are alive during the sharded leg) cannot inflate any row's RSS column —
-  // /proc peak RSS is process-monotone. The sharded build is the prior
-  // baseline formulation (kept selectable); the thresholded leg shows what
-  // the pSCAN-style bound buys when a caller only wants scores >= 0.08 — a
-  // few hundred keys on this graph, whose score range tops out near 0.16,
-  // and a threshold high enough that the c·wmax bound proves most low-count
-  // keys out without an intersection (the gather/sharded equivalence itself
-  // is the property suite's job — here only K1 is cross-checked).
-  {
-    lc::parallel::ThreadPool pool(1);
-    lc::Stopwatch watch;
-    lc::core::SimilarityMapOptions sharded_options;
-    sharded_options.strategy = lc::core::BuildStrategy::kSharded;
-    watch.lap();
-    const lc::core::SimilarityMap sharded_map =
-        lc::core::build_similarity_map_parallel(graph, pool, nullptr, sharded_options);
-    const double build_sharded_ms = watch.lap() * 1e3;
-    if (sharded_map.key_count() != t1_key_count) {
-      std::printf("sharded build changed K1: FAIL\n");
-      return 1;
-    }
-    lc::core::BuildStats thresh_stats;
-    lc::core::SimilarityMapOptions thresh_options;
-    thresh_options.min_score = 0.08;
-    thresh_options.stats = &thresh_stats;
-    watch.lap();
-    const lc::core::SimilarityMap thresh_map =
-        lc::core::build_similarity_map_parallel(graph, pool, nullptr, thresh_options);
-    const double build_thresh_ms = watch.lap() * 1e3;
-    runs.front().extra += lc::strprintf(
-        ", \"build_sharded_ms\": %.3f, \"build_thresh_ms\": %.3f, "
-        "\"thresh_keys\": %zu, \"thresh_pairs_pruned\": %llu, "
-        "\"thresh_pairs_exact\": %llu",
-        build_sharded_ms, build_thresh_ms, thresh_map.key_count(),
-        static_cast<unsigned long long>(thresh_stats.pairs_pruned),
-        static_cast<unsigned long long>(thresh_stats.pairs_exact));
-    std::printf("gather vs sharded (T=1): %.1fms vs %.1fms; thresholded (>=0.08): %.1fms\n",
-                t1_build_ms, build_sharded_ms, build_thresh_ms);
-  }
-  // Lazy-backend A/B legs (--sweep-backend lazy): the same fine and coarse
-  // hot paths per thread count through a BucketSweepSource instead of the
-  // up-front sort_by_score. Placed after every main-loop RSS sample for the
-  // same reason as the sharded leg — a second similarity map is alive here
-  // and /proc peak RSS is process-monotone. The per-T lazy fields land on
-  // the matching per-T record. sort_partition_ms + sort_blocked_ms is the
-  // lazy backend's sort-attributable critical path (what replaces sort_ms);
-  // the rest of sort_bucket_ms overlapped the sweep on the prefetch thread.
-  {
-    std::size_t row = 0;
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-      lc::parallel::ThreadPool pool(threads);
-      lc::Stopwatch watch;
-      lc::core::SimilarityMap lazy_map =
-          lc::core::build_similarity_map_parallel(graph, pool);
-      const double lazy_build_ms = watch.lap() * 1e3;
-      lc::core::BucketSweepSource::Options bucket_options;
-      bucket_options.pool = &pool;
-      lc::core::BucketSweepSource fine_source(lazy_map, bucket_options);
-      watch.lap();
-      const lc::core::SweepResult lazy_result =
-          lc::core::sweep(graph, lazy_map, fine_source, index);
-      const double lazy_sweep_ms = watch.lap() * 1e3;
-      if (dendrogram_digest(lazy_result.dendrogram) != reference_digest) {
-        std::printf("lazy fine sweep changed the dendrogram: FAIL\n");
-        return 1;
-      }
-      const lc::core::SweepSourceStats fine_lazy = fine_source.stats();
-      // Coarse leg on a fresh unsorted map: the phi stop must leave the tail
-      // of L unsorted, so buckets_skipped > 0 is part of the contract.
-      lc::core::SimilarityMap coarse_map =
-          lc::core::build_similarity_map_parallel(graph, pool);
-      lc::core::BucketSweepSource coarse_source(coarse_map, bucket_options);
-      watch.lap();
-      const lc::core::CoarseResult lazy_coarse = lc::core::coarse_sweep(
-          graph, coarse_map, coarse_source, index, {}, &pool);
-      const double lazy_coarse_ms = watch.lap() * 1e3;
-      if (dendrogram_digest(lazy_coarse.dendrogram) != reference_coarse) {
-        std::printf("lazy coarse sweep changed the dendrogram: FAIL\n");
-        return 1;
-      }
-      const lc::core::SweepSourceStats coarse_lazy = coarse_source.stats();
-      if (coarse_lazy.buckets_skipped == 0) {
-        std::printf("lazy coarse sweep sorted every bucket (phi stop skipped nothing): FAIL\n");
-        return 1;
-      }
-      runs[row].extra += lc::strprintf(
-          ", \"lazy_build_ms\": %.3f, \"sort_partition_ms\": %.3f, "
-          "\"sort_bucket_ms\": %.3f, \"sort_blocked_ms\": %.3f, "
-          "\"buckets_sorted\": %llu, \"buckets_skipped\": %llu, "
-          "\"lazy_sweep_ms\": %.3f, \"lazy_coarse_ms\": %.3f, "
-          "\"coarse_buckets_skipped\": %llu",
-          lazy_build_ms, fine_lazy.partition_ms, fine_lazy.bucket_sort_ms,
-          fine_lazy.blocked_ms,
-          static_cast<unsigned long long>(fine_lazy.buckets_sorted),
-          static_cast<unsigned long long>(fine_lazy.buckets_skipped),
-          lazy_sweep_ms, lazy_coarse_ms,
-          static_cast<unsigned long long>(coarse_lazy.buckets_skipped));
-      std::printf(
-          "lazy T=%zu: build %.1f, partition %.1f, sweep %.1f (blocked %.1f, "
-          "bucket sorts %.1f over %llu buckets), coarse %.1f "
-          "(skipped %llu buckets)\n",
-          threads, lazy_build_ms, fine_lazy.partition_ms, lazy_sweep_ms,
-          fine_lazy.blocked_ms, fine_lazy.bucket_sort_ms,
-          static_cast<unsigned long long>(fine_lazy.buckets_sorted),
-          lazy_coarse_ms,
-          static_cast<unsigned long long>(coarse_lazy.buckets_skipped));
-      ++row;
-    }
-  }
-  // Workload-diversity leg: an R-MAT power-law graph (bench/workloads.hpp),
-  // whose hub-heavy degree distribution concentrates scores into few radix
-  // bins — the adversarial case for score-range bucketing. T=1, sorted vs
-  // lazy, digests must agree. Fields ride on the T=1 record: a fifth run
-  // record would collide with the per-thread keying in check_regression.py.
-  {
-    const lc::graph::WeightedGraph rmat = lc::bench::rmat_graph();
-    const lc::core::EdgeIndex rmat_index(rmat.edge_count(),
-                                         lc::core::EdgeOrder::kShuffled, 42);
-    lc::Stopwatch watch;
-    lc::core::SimilarityMap sorted_map = lc::core::build_similarity_map(rmat);
-    const double rmat_build_ms = watch.lap() * 1e3;
-    sorted_map.sort_by_score();
-    const double rmat_sort_ms = watch.lap() * 1e3;
-    const lc::core::SweepResult rmat_sorted = lc::core::sweep(rmat, sorted_map, rmat_index);
-    const double rmat_sweep_ms = watch.lap() * 1e3;
-    lc::core::SimilarityMap rmat_lazy_map = lc::core::build_similarity_map(rmat);
-    watch.lap();
-    lc::core::BucketSweepSource rmat_source(rmat_lazy_map);
-    const lc::core::SweepResult rmat_lazy =
-        lc::core::sweep(rmat, rmat_lazy_map, rmat_source, rmat_index);
-    const double rmat_lazy_ms = watch.lap() * 1e3;  // partition + sorts + sweep
-    if (dendrogram_digest(rmat_lazy.dendrogram) !=
-        dendrogram_digest(rmat_sorted.dendrogram)) {
-      std::printf("rmat: lazy dendrogram differs from sorted: FAIL\n");
-      return 1;
-    }
-    const lc::core::SweepSourceStats rmat_stats = rmat_source.stats();
-    runs.front().extra += lc::strprintf(
-        ", \"rmat_edges\": %zu, \"rmat_k1\": %zu, \"rmat_build_ms\": %.3f, "
-        "\"rmat_sort_ms\": %.3f, \"rmat_sweep_ms\": %.3f, "
-        "\"rmat_lazy_ms\": %.3f, \"rmat_partition_ms\": %.3f, "
-        "\"rmat_blocked_ms\": %.3f, \"rmat_fnv\": \"%016llx\"",
-        rmat.edge_count(), sorted_map.key_count(), rmat_build_ms, rmat_sort_ms,
-        rmat_sweep_ms, rmat_lazy_ms, rmat_stats.partition_ms, rmat_stats.blocked_ms,
-        static_cast<unsigned long long>(dendrogram_digest(rmat_sorted.dendrogram)));
-    std::printf(
-        "rmat (|E|=%zu, K1=%zu, T=1): sorted %.1f+%.1f+%.1f ms, lazy sweep "
-        "%.1f ms (partition %.1f, blocked %.1f)\n",
-        rmat.edge_count(), sorted_map.key_count(), rmat_build_ms, rmat_sort_ms,
-        rmat_sweep_ms, rmat_lazy_ms, rmat_stats.partition_ms, rmat_stats.blocked_ms);
-  }
-  // Serve-overhead leg (T=1): the same full fine run through the supervised
-  // serving boundary (serve/run_supervisor.hpp — worker thread, RunContext,
-  // RunReport bookkeeping) vs a direct LinkClusterer::run(). The supervisor
-  // is pure orchestration, so its tax must stay within noise of the direct
-  // call; check_regression.py holds supervised to a few percent of direct.
-  // Both sides are a min over repetitions, and the supervised dendrogram
-  // must stay bitwise identical to the direct one.
-  {
-    lc::core::LinkClusterer::Config serve_config;
-    serve_config.threads = 1;
-    const auto shared_graph =
-        std::make_shared<const lc::graph::WeightedGraph>(graph);
-    lc::Stopwatch watch;
-    lc::serve::RunSupervisor supervisor;
-    double direct_min_ms = std::numeric_limits<double>::infinity();
-    double serve_min_ms = std::numeric_limits<double>::infinity();
-    std::vector<double> serve_delta_ms;
-    std::uint64_t direct_digest = 0;
-    // Direct and supervised reps run as adjacent pairs, and the reported
-    // overhead is the smaller of the median per-pair delta and min-minus-min
-    // (the same drift-robust estimator pair as the checkpoint idle leg
-    // above): box slowdowns land on both sides of the comparison, and a
-    // single interrupted rep cannot fake a regression.
-    for (int rep = 0; rep < 5; ++rep) {
-      watch.lap();
-      const lc::StatusOr<lc::core::ClusterResult> direct =
-          lc::core::LinkClusterer(serve_config).run(graph);
-      const double direct_rep_ms = watch.lap() * 1e3;
-      if (!direct.ok()) {
-        std::printf("serve leg: direct run failed (%s): FAIL\n",
-                    direct.status().message().c_str());
-        return 1;
-      }
-      direct_min_ms = std::min(direct_min_ms, direct_rep_ms);
-      direct_digest = dendrogram_digest(direct->dendrogram);
-
-      lc::serve::RunSpec spec;
-      spec.config = serve_config;
-      spec.graph = shared_graph;
-      watch.lap();
-      const lc::Status launched = supervisor.launch(std::move(spec));
-      supervisor.wait(0);
-      const double serve_rep_ms = watch.lap() * 1e3;
-      if (!launched.ok() ||
-          supervisor.report().state != lc::serve::RunState::kDone) {
-        std::printf("serve leg: supervised run did not finish kDone: FAIL\n");
-        return 1;
-      }
-      serve_min_ms = std::min(serve_min_ms, serve_rep_ms);
-      serve_delta_ms.push_back(serve_rep_ms - direct_rep_ms);
-    }
-    std::nth_element(serve_delta_ms.begin(),
-                     serve_delta_ms.begin() +
-                         static_cast<std::ptrdiff_t>(serve_delta_ms.size() / 2),
-                     serve_delta_ms.end());
-    const double serve_overhead_ms =
-        std::max(0.0, std::min(serve_delta_ms[serve_delta_ms.size() / 2],
-                               serve_min_ms - direct_min_ms));
-    const std::shared_ptr<const lc::core::ClusterResult> supervised =
-        supervisor.result();
-    if (supervised == nullptr ||
-        dendrogram_digest(supervised->dendrogram) != direct_digest) {
-      std::printf("serve leg: supervised dendrogram differs from direct: FAIL\n");
-      return 1;
-    }
-    runs.front().extra += lc::strprintf(
-        ", \"direct_run_ms\": %.3f, \"serve_run_ms\": %.3f, "
-        "\"serve_overhead_ms\": %.3f",
-        direct_min_ms, serve_min_ms, serve_overhead_ms);
-    std::printf(
-        "serve overhead (T=1): direct %.1fms, supervised %.1fms, "
-        "overhead %+.1fms\n",
-        direct_min_ms, serve_min_ms, serve_overhead_ms);
-  }
-  std::printf("dendrogram identical across thread counts: %s\n", digests_match ? "yes" : "NO");
-  std::printf("coarse dendrogram identical across thread counts: %s\n",
-              coarse_match ? "yes" : "NO");
-  digests_match = digests_match && coarse_match;
-  if (!lc::bench::write_bench_json(path, "micro_core", workload, runs)) return 1;
-  std::printf("wrote %s\n", path.c_str());
-  return digests_match ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return run_json_mode(argv[i + 1]);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

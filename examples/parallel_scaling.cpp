@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     lc::core::SimilarityMap map =
         lc::core::build_similarity_map_parallel(graph, pool, &init_ledger);
     const double init_wall = watch.seconds();
-    map.sort_by_score(&pool);
+    map.sort_by_score();
 
     lc::sim::WorkLedger sweep_ledger;
     lc::core::coarse_sweep(graph, map, index, {}, &pool, &sweep_ledger);

@@ -81,11 +81,6 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   flags.add_int("phi", 100, "coarse: stop threshold");
   flags.add_int("delta0", 1000, "coarse: initial chunk size");
   flags.add_int("seed", 42, "edge enumeration seed");
-  flags.add_string("build-strategy", "gather",
-                   "pass-2 formulation: gather | sharded (identical output)");
-  flags.add_string("sweep-backend", "lazy",
-                   "how L reaches the sweep: lazy (bucketed just-in-time "
-                   "sort) | sorted (up-front global sort); identical output");
   flags.add_string("newick", "", "write the dendrogram as Newick to this path");
   flags.add_string("merges", "", "write the merge list to this path");
   flags.add_int("deadline-ms", -1,
@@ -101,8 +96,8 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
                 "(exponential backoff)");
   flags.add_bool("resume", false, "continue from the snapshot in --checkpoint-dir");
   flags.add_string("min-similarity", "",
-                   "drop merges below this similarity; under the gather build "
-                   "the pruned pairs are never materialized");
+                   "drop merges below this similarity; the pruned pairs are "
+                   "never materialized");
   if (!flags.parse(argc, argv) || flags.get_string("input").empty()) {
     err << "usage: linkcluster cluster --input graph.edges [--mode fine|coarse] ...\n";
     return 1;
@@ -116,16 +111,6 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
     err << "error: --resume requires --checkpoint-dir\n";
     return 1;
   }
-  const std::string build_strategy = flags.get_string("build-strategy");
-  if (build_strategy != "gather" && build_strategy != "sharded") {
-    err << "error: --build-strategy must be gather or sharded\n";
-    return 1;
-  }
-  const std::string sweep_backend = flags.get_string("sweep-backend");
-  if (sweep_backend != "lazy" && sweep_backend != "sorted") {
-    err << "error: --sweep-backend must be lazy or sorted\n";
-    return 1;
-  }
   const auto graph = load_graph(flags.get_string("input"), err);
   if (!graph.has_value()) return 2;
 
@@ -133,10 +118,6 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   config.mode = mode == "fine" ? core::ClusterMode::kFine : core::ClusterMode::kCoarse;
   config.threads = static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("threads")));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.build_strategy = build_strategy == "sharded" ? core::BuildStrategy::kSharded
-                                                      : core::BuildStrategy::kGatherSimd;
-  config.sweep_backend = sweep_backend == "sorted" ? core::SweepBackend::kSorted
-                                                   : core::SweepBackend::kLazyBucket;
   config.coarse.gamma = flags.get_double("gamma");
   config.coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
   config.coarse.delta0 = static_cast<std::uint64_t>(std::max<std::int64_t>(1, flags.get_int("delta0")));

@@ -4,7 +4,6 @@
 //   linkcluster stats       --input graph.edges
 //   linkcluster cluster     --input graph.edges [--mode fine|coarse]
 //                           [--threads N] [--gamma G --phi P --delta0 D]
-//                           [--build-strategy gather|sharded]
 //                           [--newick tree.nwk] [--merges merges.txt]
 //                           [--deadline-ms MS] [--max-memory-mb MB]
 //   linkcluster communities --input graph.edges [--top N]

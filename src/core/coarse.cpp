@@ -134,11 +134,17 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
   ConcurrentDsu::Journal chunk_journal;
   std::vector<ConcurrentDsu::Journal> block_journals(threads);
 
-  // Instrumentation totals (Theorem 2 metrics): parent slots visited and
-  // parent entries rewritten, including work later undone by a rollback, as
-  // the paper's cost analysis does.
+  // Instrumentation totals (Theorem 2 metrics, defined in core/sweep.hpp):
+  // derived from each chunk's pair list and union count only, never from the
+  // DSU's CAS retries or path-halving writes, so they are identical at every
+  // thread count. Work later undone by a rollback is included, as the
+  // paper's cost analysis does.
   std::uint64_t total_accesses = 0;
   std::uint64_t total_changes = 0;
+  auto count_c_traffic = [&](std::size_t pairs, std::size_t unions) {
+    total_accesses += 2 * static_cast<std::uint64_t>(pairs) + unions;
+    total_changes += unions;
+  };
 
   auto release_saved = [&](SavedState& saved) {
     if (ctx != nullptr && saved.charged_bytes > 0) {
@@ -267,12 +273,10 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
         LC_FAULT_POINT("coarse.cas_union");
         work += dsu.unite(pair.a, pair.b, chunk_journal);
       }
-      total_accesses += work;
       result.stats.pairs_processed += pairs.size();
       if (ledger != nullptr) ledger->add_serial(work);
     } else {
       if (ledger != nullptr) ledger->begin_round(threads);
-      std::vector<std::uint64_t> block_work(threads, 0);
       const auto run_block = [&](std::size_t block, std::size_t begin,
                                  std::size_t end) {
         LC_FAULT_POINT("coarse.apply");
@@ -284,7 +288,6 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
           LC_FAULT_POINT("coarse.cas_union");
           work += dsu.unite(pairs[i].a, pairs[i].b, journal);
         }
-        block_work[block] = work;
         if (ledger != nullptr) ledger->add_work(block, work);
       };
       // The T-way block split fixes the journals and the ledger round (the
@@ -302,7 +305,6 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
         parallel::parallel_for_blocks_indexed(*pool, pairs.size(), run_block);
       }
       for (std::size_t t = 0; t < threads; ++t) {
-        total_accesses += block_work[t];
         chunk_journal.insert(chunk_journal.end(), block_journals[t].begin(),
                              block_journals[t].end());
         block_journals[t].clear();
@@ -310,7 +312,6 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       result.stats.pairs_processed += pairs.size();
     }
     LC_FAULT_POINT("coarse.journal");
-    total_changes += chunk_journal.size();
   };
 
   // Emits the dendrogram events of an accepted level from the journal: every
@@ -394,6 +395,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     // union count (each successful CAS removes one root) — an O(changes)
     // walk replacing the paper's O(|E|) scan.
     const std::size_t unions = journal_union_count(chunk_journal);
+    count_c_traffic(chunk_pairs.size(), unions);
     const std::size_t beta_new = beta - unions;
     if (ledger != nullptr) {
       ledger->add_serial(static_cast<std::uint64_t>(chunk_journal.size()) + 1);
@@ -499,8 +501,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
           ticker.checkpoint();
           work += dsu.unite(edge.a, edge.b, chunk_journal);
         }
-        total_accesses += work;
-        total_changes += chunk_journal.size();
+        count_c_traffic(jump.edges.size(), journal_union_count(chunk_journal));
         if (ledger != nullptr) ledger->add_serial(work);
       }
       LC_DCHECK(beta - journal_union_count(chunk_journal) == jump.beta);

@@ -1,6 +1,6 @@
 #include "core/link_clusterer.hpp"
 
-#include <limits>
+#include <cmath>
 #include <new>
 #include <optional>
 
@@ -18,10 +18,9 @@ LinkClusterer::LinkClusterer(Config config) : config_(std::move(config)) {
 
 RunFingerprint LinkClusterer::fingerprint(const graph::WeightedGraph& graph,
                                           const Config& config) {
-  // Thread count, map kind, build strategy, sweep backend, and pool shape
-  // are deliberately absent: the output is bitwise-invariant to them, so a
-  // snapshot may resume under a different parallel configuration than the
-  // one that wrote it.
+  // Thread count and pool shape are deliberately absent: the output is
+  // bitwise-invariant to them, so a snapshot may resume under a different
+  // thread count than the one that wrote it.
   RunFingerprint fp;
   fp.graph_digest = graph_fingerprint(graph);
   fp.mode = static_cast<std::uint8_t>(config.mode);
@@ -68,37 +67,23 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
 
   Stopwatch watch;
   SimilarityMap map;
-  SimilarityMapOptions map_options{config_.map_kind, config_.measure};
+  SimilarityMapOptions map_options;
+  map_options.measure = config_.measure;
   map_options.ctx = config_.ctx;
-  map_options.strategy = config_.build_strategy;
-  // An armed similarity floor prunes the build itself under the gather
-  // strategy (min_score is gather-only; sharded/flat build the full map and
-  // the fine sweep's cut below is the backstop).
-  if (config_.min_similarity > -std::numeric_limits<double>::infinity() &&
-      config_.build_strategy == BuildStrategy::kGatherSimd) {
-    map_options.min_score = config_.min_similarity;
-  }
+  // An armed similarity floor prunes the build itself; the fine sweep's cut
+  // below stops at the same score.
+  if (std::isfinite(config_.min_similarity)) map_options.min_score = config_.min_similarity;
   if (pool != nullptr) {
     map = build_similarity_map_parallel(graph, *pool, config_.ledger, map_options);
   } else {
     map = build_similarity_map(graph, map_options);
   }
   check_stop(config_.ctx);
-  // Order L behind the backend seam: the sorted backend pays the full
-  // radix/merge sort here; the lazy backend pays only the O(|L|) bucket
-  // partition and sorts each bucket as the sweep reaches it (buckets past a
-  // stop are never sorted at all). Both feed the sweeps the identical
-  // descending-score sequence.
-  std::unique_ptr<SweepSource> source;
-  if (config_.sweep_backend == SweepBackend::kSorted) {
-    map.sort_by_score(pool.get());  // pool-parallel radix sort when threads > 1
-    source = std::make_unique<SortedSweepSource>(map);
-  } else {
-    BucketSweepSource::Options bucket_options;
-    bucket_options.bucket_count = config_.sweep_buckets;
-    bucket_options.pool = pool.get();
-    source = std::make_unique<BucketSweepSource>(map, bucket_options);
-  }
+  // Order L: pay only the O(|L|) bucket partition here; each bucket is
+  // sorted as the sweep reaches it, and buckets past a stop never are.
+  BucketSweepSource::Options source_options;
+  source_options.pool = pool.get();
+  BucketSweepSource source(map, source_options);
   result.timings.initialization_seconds = watch.lap();
   result.k1 = map.key_count();
   result.k2 = map.incident_pair_count();
@@ -121,7 +106,7 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     const FineCheckpoint* fine_resume =
         loaded.has_value() && loaded->fine.has_value() ? &*loaded->fine : nullptr;
     SweepResult sweep_result =
-        sweep(graph, map, *source, result.edge_index, {},
+        sweep(graph, map, source, result.edge_index, {},
               config_.min_similarity, config_.ctx, ckpt, fine_resume);
     result.timings.sweeping_seconds = watch.lap();
     result.dendrogram = std::move(sweep_result.dendrogram);
@@ -131,7 +116,7 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     const CoarseCheckpoint* coarse_resume =
         loaded.has_value() && loaded->coarse.has_value() ? &*loaded->coarse : nullptr;
     CoarseResult coarse_result =
-        coarse_sweep(graph, map, *source, result.edge_index, config_.coarse,
+        coarse_sweep(graph, map, source, result.edge_index, config_.coarse,
                      pool.get(), config_.ledger, config_.ctx, ckpt, coarse_resume);
     result.timings.sweeping_seconds = watch.lap();
     result.dendrogram = coarse_result.dendrogram;  // copy; full detail kept below
@@ -139,7 +124,7 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     result.stats = coarse_result.stats;
     result.coarse = std::move(coarse_result);
   }
-  result.sweep_source = source->stats();
+  result.sweep_source = source.stats();
   if (ckpt != nullptr) {
     CheckpointRunStats stats;
     stats.snapshots_written = ckpt->snapshots_written();

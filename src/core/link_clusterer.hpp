@@ -38,9 +38,8 @@ enum class ClusterMode {
 };
 
 struct ClusterTimings {
-  /// Algorithm 1 (similarity map) plus ordering L: the full sort on the
-  /// sorted backend, only the O(|L|) bucket partition on the lazy one —
-  /// lazy bucket sorts land in sweeping_seconds as the sweep reaches them.
+  /// Algorithm 1 (similarity map) plus the O(|L|) bucket partition of L;
+  /// the per-bucket sorts land in sweeping_seconds as the sweep reaches them.
   double initialization_seconds = 0.0;
   double sweeping_seconds = 0.0;        ///< Algorithm 2 or coarse sweep
   [[nodiscard]] double total_seconds() const {
@@ -49,8 +48,8 @@ struct ClusterTimings {
 };
 
 /// What checkpointing cost (and lost) during one run — the Checkpointer's
-/// counters, surfaced so callers (the serve health command, micro_core's
-/// checkpoint_write_failures column) can see silent snapshot loss.
+/// counters, surfaced so callers (the serve health command) can see silent
+/// snapshot loss.
 struct CheckpointRunStats {
   std::uint64_t snapshots_written = 0;
   std::uint64_t write_failures = 0;   ///< snapshots lost after retries
@@ -68,7 +67,7 @@ struct ClusterResult {
   ClusterTimings timings;
   std::size_t k1 = 0;                 ///< similarity-map keys
   std::uint64_t k2 = 0;               ///< incident edge pairs
-  SweepSourceStats sweep_source;      ///< lazy-backend sort accounting
+  SweepSourceStats sweep_source;      ///< bucketed ordering of L
   std::optional<CoarseResult> coarse; ///< populated in coarse mode
   std::optional<CheckpointRunStats> ckpt;  ///< populated when checkpointing ran
 };
@@ -81,24 +80,12 @@ class LinkClusterer {
     std::size_t threads = 1;            ///< > 1 enables §VI parallelization
     EdgeOrder edge_order = EdgeOrder::kShuffled;
     std::uint64_t seed = 42;            ///< edge-enumeration seed
-    PairMapKind map_kind = PairMapKind::kHash;
     SimilarityMeasure measure = SimilarityMeasure::kTanimoto;
-    /// Pass-2 formulation for the kHash map kind. Every strategy yields
-    /// byte-identical maps, so this is a pure performance knob and is
-    /// excluded from the checkpoint fingerprint.
-    BuildStrategy build_strategy = BuildStrategy::kGatherSimd;
-    /// How the sorted pair list L reaches the sweep (core/sweep_source.hpp).
-    /// Every backend consumes the identical order, so this too is a pure
-    /// performance knob, excluded from the checkpoint fingerprint — a
-    /// snapshot written under one backend resumes under the other.
-    SweepBackend sweep_backend = SweepBackend::kLazyBucket;
-    /// Lazy-backend bucket target (0 = LC_SWEEP_BUCKETS env / auto).
-    std::size_t sweep_buckets = 0;
     /// Similarity floor. Fine mode stops the sweep at the first entry below
-    /// it (the dendrogram simply ends at the threshold); under the gather
-    /// build strategy it additionally arms the pSCAN-style min_score bound
-    /// so pruned pairs are never materialized — the memory-degradation path
-    /// (serve --degrade-on-oom, DESIGN.md §14) relies on exactly that.
+    /// it (the dendrogram simply ends at the threshold); when finite it also
+    /// arms the build's pSCAN-style min_score bound so pruned pairs are never
+    /// materialized — the memory-degradation path (serve --degrade-on-oom,
+    /// DESIGN.md §14) relies on exactly that.
     /// Part of the checkpoint fingerprint: a thresholded run is a different
     /// run. Default -inf keeps historical digests and snapshots unchanged.
     double min_similarity = -std::numeric_limits<double>::infinity();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "numeric/set_intersect.hpp"
@@ -19,191 +18,8 @@ using graph::EdgeId;
 using graph::VertexId;
 using graph::WeightedGraph;
 
-constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
 std::uint64_t pair_key(VertexId a, VertexId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-/// splitmix64 finalizer — mixes the packed key so linear probing does not
-/// degenerate on the strongly clustered (u, v) patterns of real graphs, and
-/// so the shard partition of the key space is balanced.
-std::uint64_t hash_key(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// Which of the `shard_count` key-space shards owns the packed key. A fixed
-/// function of the key alone, so every pass routes a key the same way.
-std::size_t shard_of(std::uint64_t key, std::size_t shard_count) {
-  return static_cast<std::size_t>(hash_key(key) % shard_count);
-}
-
-/// Open-addressing map from packed (u, v) key to a uint32 entry index.
-/// Key 0 marks an empty slot — safe because every real key has u < v, so the
-/// low word (v) is at least 1. Linear probing, power-of-two capacity, grows
-/// at ~65% load; reserve-sized by the caller so the common case never
-/// rehashes. reset() reuses the allocation across shards.
-class PairTable {
- public:
-  explicit PairTable(std::size_t expected) { rehash(capacity_for(expected)); }
-
-  /// Clears the table, keeping (or growing to) capacity for `expected` keys.
-  void reset(std::size_t expected) {
-    const std::size_t cap = capacity_for(expected);
-    if (cap > keys_.size()) {
-      keys_.assign(cap, 0);
-      values_.assign(cap, 0);
-      mask_ = cap - 1;
-    } else {
-      std::fill(keys_.begin(), keys_.end(), 0);
-    }
-    size_ = 0;
-  }
-
-  /// Returns (slot value pointer, inserted). On insertion the slot holds
-  /// `fresh`.
-  std::pair<std::uint32_t*, bool> insert(std::uint64_t key, std::uint32_t fresh) {
-    if ((size_ + 1) * 20 > keys_.size() * 13) rehash(keys_.size() * 2);
-    std::size_t slot = hash_key(key) & mask_;
-    while (true) {
-      if (keys_[slot] == 0) {
-        keys_[slot] = key;
-        values_[slot] = fresh;
-        ++size_;
-        return {&values_[slot], true};
-      }
-      if (keys_[slot] == key) return {&values_[slot], false};
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  [[nodiscard]] const std::uint32_t* find(std::uint64_t key) const {
-    std::size_t slot = hash_key(key) & mask_;
-    while (true) {
-      if (keys_[slot] == 0) return nullptr;
-      if (keys_[slot] == key) return &values_[slot];
-      slot = (slot + 1) & mask_;
-    }
-  }
-
- private:
-  static std::size_t capacity_for(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap * 13 < expected * 20) cap <<= 1;
-    return cap;
-  }
-
-  void rehash(std::size_t new_cap) {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<std::uint32_t> old_values = std::move(values_);
-    keys_.assign(new_cap, 0);
-    values_.assign(new_cap, 0);
-    mask_ = new_cap - 1;
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == 0) continue;
-      std::size_t slot = hash_key(old_keys[i]) & mask_;
-      while (keys_[slot] != 0) slot = (slot + 1) & mask_;
-      keys_[slot] = old_keys[i];
-      values_[slot] = old_values[i];
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> values_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
-};
-
-/// One pass-2 contribution of the serial builder: the product w_uk * w_vk
-/// plus the two incident edge ids, chained per entry through `prev` (newest
-/// first). Contributions for one entry arrive with ascending common vertex,
-/// so a backward chain walk recovers ascending order without sorting.
-struct Contrib {
-  double product = 0.0;
-  EdgeId e1 = 0;  ///< edge (u, common)
-  EdgeId e2 = 0;  ///< edge (v, common)
-  VertexId common = 0;
-  std::uint32_t prev = kNone;
-};
-
-/// One staged pass-2 tuple of the sharded parallel builder. Deliberately
-/// without default member initializers: the staging arena is allocated
-/// uninitialized (it is K2 tuples — zero-filling it would be a full extra
-/// memory pass) and every field is written before it is read: key..common by
-/// the fill pass, prev by the shard aggregation.
-struct ShardContrib {
-  std::uint64_t key;   ///< packed (u, v) — needed by the aggregation pass
-  double product;
-  EdgeId e1;
-  EdgeId e2;
-  VertexId common;
-  std::uint32_t prev;  ///< chain to the previous tuple of the same key
-};
-
-/// One map key under construction, shared by the serial and sharded builders:
-/// `head` starts a newest-first chain through the contribution store's `prev`
-/// links.
-struct BuildEntry {
-  VertexId u = 0;
-  VertexId v = 0;
-  std::uint32_t head = kNone;
-  std::uint32_t count = 0;
-  double pass3 = 0.0;  ///< the coordinate-u/v inner-product terms (pass 3)
-};
-
-/// Serial accumulation map for passes 2-3.
-struct BuildMap {
-  PairTable table;
-  std::vector<BuildEntry> entries;
-
-  explicit BuildMap(std::size_t expected_keys) : table(expected_keys) {
-    entries.reserve(expected_keys);
-  }
-
-  void accumulate(VertexId u, VertexId v, double product, VertexId common, EdgeId e1,
-                  EdgeId e2, std::vector<Contrib>& contribs) {
-    const auto contrib_idx = static_cast<std::uint32_t>(contribs.size());
-    const auto [slot, inserted] =
-        table.insert(pair_key(u, v), static_cast<std::uint32_t>(entries.size()));
-    if (inserted) {
-      BuildEntry entry;
-      entry.u = u;
-      entry.v = v;
-      entry.head = contrib_idx;
-      entry.count = 1;
-      contribs.push_back(Contrib{product, e1, e2, common, kNone});
-      entries.push_back(entry);
-    } else {
-      BuildEntry& entry = entries[*slot];
-      contribs.push_back(Contrib{product, e1, e2, common, entry.head});
-      entry.head = contrib_idx;
-      ++entry.count;
-    }
-  }
-};
-
-/// K2 restricted to the strided vertex slice {start, start+stride, ...}.
-std::uint64_t count_pairs_slice(const WeightedGraph& graph, std::size_t start,
-                                std::size_t stride) {
-  std::uint64_t k2 = 0;
-  const std::size_t end = graph.vertex_count();
-  for (std::size_t v = start; v < end; v += stride) {
-    const std::uint64_t d = graph.degree(static_cast<VertexId>(v));
-    if (d > 1) k2 += d * (d - 1) / 2;
-  }
-  return k2;
-}
-
-/// Table reserve size: K1 is bounded by both K2 and the number of vertex
-/// pairs; cap the up-front reservation so dense graphs (K2 >> K1) do not
-/// over-allocate — the table grows on demand past the estimate.
-std::size_t expected_key_count(const WeightedGraph& graph, std::uint64_t k2) {
-  const std::uint64_t n = graph.vertex_count();
-  const std::uint64_t all_pairs = (n > 1) ? n * (n - 1) / 2 : 0;
-  return static_cast<std::size_t>(std::min({k2, all_pairs, std::uint64_t{1} << 22}));
 }
 
 /// Pass 1 (lines 1-5): H1 and H2 for vertices {start, start+stride, ...}.
@@ -232,33 +48,6 @@ void pass1_range(const WeightedGraph& graph, std::size_t start, std::size_t stri
   }
 }
 
-/// Pass 2 (lines 6-20), serial: for each neighbor pair (j, k) of i,
-/// accumulate w_ij * w_ik into M(j, k) together with the two incident edge
-/// ids — neighbor_edge_ids(i) is parallel to neighbors(i), so the pair
-/// (e_uk, e_vk) that the sweep will merge is available for free here, where
-/// find_edge would later have to binary-search for it.
-void pass2_build(const WeightedGraph& graph, BuildMap& map, std::vector<Contrib>& contribs,
-                 RunContext* ctx) {
-  LC_FAULT_POINT("sim.pass2.serial");
-  PollTicker ticker(ctx);
-  const std::size_t end = graph.vertex_count();
-  for (std::size_t vi = 0; vi < end; ++vi) {
-    const auto i = static_cast<VertexId>(vi);
-    const std::span<const VertexId> adj = graph.neighbors(i);
-    ticker.checkpoint(1 + adj.size());
-    const std::span<const double> weights = graph.neighbor_weights(i);
-    const std::span<const EdgeId> eids = graph.neighbor_edge_ids(i);
-    const std::size_t d = adj.size();
-    for (std::size_t a = 0; a < d; ++a) {
-      for (std::size_t b = a + 1; b < d; ++b) {
-        // Neighbors are sorted, so (adj[a], adj[b]) is already (min, max).
-        map.accumulate(adj[a], adj[b], weights[a] * weights[b], i, eids[a], eids[b],
-                       contribs);
-      }
-    }
-  }
-}
-
 /// Jaccard of inclusive neighborhoods from the entry's own statistics:
 /// |N+(u) ∩ N+(v)| = |common| + 2·[u ~ v]; |N+| = degree + 1.
 double jaccard_score(const WeightedGraph& graph, VertexId u, VertexId v,
@@ -267,140 +56,6 @@ double jaccard_score(const WeightedGraph& graph, VertexId u, VertexId v,
   const double total = static_cast<double>(graph.degree(u) + 1 + graph.degree(v) + 1) - both;
   LC_DCHECK(total > 0.0);
   return both / total;
-}
-
-/// Writes one entry's arena slice (commons ascending, pairs parallel) and its
-/// final score. The `prev` chain is newest-first and contributions arrive in
-/// ascending common order in every builder, so a backward fill lands
-/// ascending without a sort. Summation order is canonical — products by
-/// ascending common, then the pass-3 term — so every build path produces
-/// bitwise-equal scores.
-template <typename ContribT>
-void fill_entry(const BuildEntry& be, std::uint64_t offset, const ContribT* contribs,
-                const WeightedGraph& graph, const std::vector<double>& h2,
-                SimilarityMeasure measure, std::vector<double>& products,
-                SimilarityMap& out, SimilarityEntry& dst) {
-  dst.u = be.u;
-  dst.v = be.v;
-  dst.offset = offset;
-  dst.count = be.count;
-  const std::size_t count = be.count;
-  products.resize(count);
-  std::size_t idx = count;
-  for (std::uint32_t h = be.head; h != kNone; h = contribs[h].prev) {
-    --idx;
-    const ContribT& c = contribs[h];
-    out.common_arena[offset + idx] = c.common;
-    out.pair_arena[offset + idx] = EdgePairRef{c.e1, c.e2};
-    products[idx] = c.product;
-  }
-  LC_DCHECK(idx == 0);
-  if (measure == SimilarityMeasure::kJaccard) {
-    dst.score = jaccard_score(graph, be.u, be.v, count);
-    return;
-  }
-  double p = 0.0;
-  for (std::size_t k = 0; k < count; ++k) p += products[k];
-  p += be.pass3;
-  const double denom = h2[be.u] + h2[be.v] - p;
-  LC_DCHECK(denom > 0.0);
-  dst.score = p / denom;
-}
-
-/// Final step (lines 26-28): lays out the CSR arenas from the (key-sorted)
-/// build entries and finalizes the scores. Runs on the pool when given one;
-/// entry slices are disjoint, so workers write without synchronization.
-template <typename ContribT>
-SimilarityMap assemble_map(const WeightedGraph& graph, std::vector<BuildEntry>& build_entries,
-                           const ContribT* contribs, const std::vector<double>& h2,
-                           SimilarityMeasure measure, parallel::ThreadPool* pool,
-                           sim::WorkLedger* ledger, RunContext* ctx) {
-  SimilarityMap out;
-  const std::size_t k1 = build_entries.size();
-  out.entries.resize(k1);
-  std::vector<std::uint64_t> offsets(k1);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < k1; ++i) {
-    offsets[i] = total;
-    total += build_entries[i].count;
-  }
-  // The CSR arenas live on in the result: their charge is committed (never
-  // released by this function) so a budget covers the run's output too.
-  MemoryCharge arena_charge(
-      ctx,
-      k1 * sizeof(SimilarityEntry) +
-          total * (sizeof(graph::VertexId) + sizeof(EdgePairRef)),
-      "sim.arenas");
-  arena_charge.commit();
-  out.common_arena.resize(total);
-  out.pair_arena.resize(total);
-
-  if (pool == nullptr) {
-    PollTicker ticker(ctx);
-    std::vector<double> products;
-    for (std::size_t i = 0; i < k1; ++i) {
-      ticker.checkpoint(1 + build_entries[i].count);
-      fill_entry(build_entries[i], offsets[i], contribs, graph, h2, measure, products,
-                 out, out.entries[i]);
-    }
-  } else {
-    const std::size_t t_count = pool->thread_count();
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.finalize");
-      ledger->begin_round(t_count);
-    }
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        LC_FAULT_POINT("sim.assemble");
-        PollTicker ticker(ctx);
-        std::vector<double> products;
-        std::uint64_t work = 0;
-        for (std::size_t i = t; i < k1; i += t_count) {
-          ticker.checkpoint(1 + build_entries[i].count);
-          fill_entry(build_entries[i], offsets[i], contribs, graph, h2, measure,
-                     products, out, out.entries[i]);
-          work += 1 + build_entries[i].count;
-        }
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool->run_batch(tasks);
-  }
-  out.set_keys_sorted(true);
-  return out;
-}
-
-bool by_pair_key(const BuildEntry& a, const BuildEntry& b) {
-  return pair_key(a.u, a.v) < pair_key(b.u, b.v);
-}
-
-/// Pass 3 (lines 21-25) against *key-sorted* build entries: for edges owned
-/// by slice `start` of `stride` (by first/smaller endpoint, round-robin),
-/// binary-search the entry of (u, v) and add the coordinate-u/v inner-product
-/// terms. Each key has at most one edge, so writes are disjoint across
-/// slices even though a slice's hits land outside its own entry range.
-/// Returns edges matched.
-std::uint64_t pass3_sorted(const WeightedGraph& graph, std::size_t start, std::size_t stride,
-                           const std::vector<double>& h1,
-                           std::vector<BuildEntry>& entries, RunContext* ctx) {
-  LC_FAULT_POINT("sim.pass3");
-  PollTicker ticker(ctx);
-  std::uint64_t work = 0;
-  for (const graph::Edge& e : graph.edges()) {
-    ticker.checkpoint();
-    if (e.u % stride != start) continue;
-    const std::uint64_t key = pair_key(e.u, e.v);
-    const auto it = std::lower_bound(entries.begin(), entries.end(), key,
-                                     [](const BuildEntry& entry, std::uint64_t k) {
-                                       return pair_key(entry.u, entry.v) < k;
-                                     });
-    if (it != entries.end() && pair_key(it->u, it->v) == key) {
-      it->pass3 += (h1[e.u] + h1[e.v]) * e.weight;
-      ++work;
-    }
-  }
-  return work;
 }
 
 /// Cuts [0, n) into `parts` contiguous blocks balanced by `weight_of(i)`
@@ -424,498 +79,8 @@ std::vector<std::size_t> balanced_blocks(std::size_t n, std::size_t parts,
   return bounds;
 }
 
-/// Auto shard count: a power of two targeting a few thousand staged tuples
-/// per shard (so each shard's table stays cache-resident during
-/// aggregation), floored at a multiple of the pool width for balance.
-std::size_t auto_shard_count(std::uint64_t k2, std::size_t t_count) {
-  std::size_t s = 1;
-  while (s < 4096 && s * 4096 < k2) s <<= 1;
-  return std::max(s, std::min<std::size_t>(4 * t_count, 4096));
-}
-
-/// The key-sharded parallel pass-2/3 build. The key space is partitioned
-/// into S shards by a fixed hash of the packed (u, v) word; every shard's
-/// tuples are staged contiguously (grouped by shard, ordered by emitting
-/// thread block, which makes them ascending in the common vertex because the
-/// vertex blocks are contiguous and ascending), then aggregated by exactly
-/// one thread through a small reusable open-addressing table. No state is
-/// replicated per thread and nothing is merged — the staging arena is K2
-/// tuples regardless of T.
-SimilarityMap build_sharded(const WeightedGraph& graph, const std::vector<double>& h1,
-                            const std::vector<double>& h2, SimilarityMeasure measure,
-                            parallel::ThreadPool& pool, sim::WorkLedger* ledger,
-                            std::size_t shard_count, RunContext* ctx,
-                            BuildStats* stats = nullptr) {
-  Stopwatch watch;
-  const std::size_t n = graph.vertex_count();
-  const std::size_t t_count = pool.thread_count();
-  const std::uint64_t k2 = count_pairs_slice(graph, 0, 1);
-  LC_CHECK_MSG(k2 < kNone, "sharded build indexes staged tuples with uint32");
-  const std::size_t s_count =
-      shard_count > 0 ? shard_count : auto_shard_count(k2, t_count);
-
-  // Vertex blocks balanced by pair count: block boundaries depend on T, but
-  // blocks are contiguous and ascending, which is what the canonical
-  // common-ascending staging order relies on.
-  const std::vector<std::size_t> vertex_bounds =
-      balanced_blocks(n, t_count, [&graph](std::size_t v) {
-        const std::uint64_t d = graph.degree(static_cast<VertexId>(v));
-        return d > 1 ? d * (d - 1) / 2 : 0;
-      });
-
-  // Count pass: per-(thread, shard) tuple counts. The matrix doubles as the
-  // write cursors of the fill pass once converted to absolute offsets.
-  std::vector<std::vector<std::uint32_t>> cursors(t_count);
-  if (ledger != nullptr) {
-    ledger->begin_phase("init.pass2.count");
-    ledger->begin_round(t_count);
-  }
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        LC_FAULT_POINT("sim.pass2.count");
-        PollTicker ticker(ctx);
-        std::vector<std::uint32_t>& counts = cursors[t];
-        counts.assign(s_count, 0);
-        std::uint64_t work = 0;
-        for (std::size_t vi = vertex_bounds[t]; vi < vertex_bounds[t + 1]; ++vi) {
-          const std::span<const VertexId> adj = graph.neighbors(static_cast<VertexId>(vi));
-          const std::size_t d = adj.size();
-          ticker.checkpoint(1 + d);
-          for (std::size_t a = 0; a < d; ++a) {
-            for (std::size_t b = a + 1; b < d; ++b) {
-              ++counts[shard_of(pair_key(adj[a], adj[b]), s_count)];
-              ++work;
-            }
-          }
-        }
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool.run_batch(tasks);
-  }
-
-  // Staging layout: shard-major, thread-minor. Within one shard the slices
-  // of thread 0, 1, ... follow each other, so a forward walk of the shard
-  // sees commons in globally ascending order.
-  std::vector<std::uint32_t> shard_start(s_count + 1, 0);
-  {
-    std::uint32_t offset = 0;
-    for (std::size_t s = 0; s < s_count; ++s) {
-      shard_start[s] = offset;
-      for (std::size_t t = 0; t < t_count; ++t) {
-        const std::uint32_t c = cursors[t][s];
-        cursors[t][s] = offset;
-        offset += c;
-      }
-    }
-    shard_start[s_count] = offset;
-    LC_DCHECK(offset == k2);
-  }
-  // The staging arena is the build's dominant transient allocation (K2
-  // tuples); its charge is released when this function returns and the arena
-  // dies.
-  LC_FAULT_POINT("sim.staging.alloc");
-  MemoryCharge staging_charge(ctx, static_cast<std::uint64_t>(k2) * sizeof(ShardContrib),
-                              "sim.staging");
-  std::unique_ptr<ShardContrib[]> staging(new ShardContrib[static_cast<std::size_t>(k2)]);
-
-  // Fill pass: re-walk the same vertex blocks, emitting each tuple at its
-  // thread's shard cursor. Cursor ranges are disjoint by construction, so
-  // threads write the shared arena without synchronization.
-  if (ledger != nullptr) {
-    ledger->begin_phase("init.pass2.fill");
-    ledger->begin_round(t_count);
-  }
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        LC_FAULT_POINT("sim.pass2.fill");
-        PollTicker ticker(ctx);
-        std::vector<std::uint32_t>& cursor = cursors[t];
-        std::uint64_t work = 0;
-        for (std::size_t vi = vertex_bounds[t]; vi < vertex_bounds[t + 1]; ++vi) {
-          const auto i = static_cast<VertexId>(vi);
-          const std::span<const VertexId> adj = graph.neighbors(i);
-          const std::span<const double> weights = graph.neighbor_weights(i);
-          const std::span<const EdgeId> eids = graph.neighbor_edge_ids(i);
-          const std::size_t d = adj.size();
-          ticker.checkpoint(1 + d);
-          for (std::size_t a = 0; a < d; ++a) {
-            for (std::size_t b = a + 1; b < d; ++b) {
-              const std::uint64_t key = pair_key(adj[a], adj[b]);
-              ShardContrib& c = staging[cursor[shard_of(key, s_count)]++];
-              c.key = key;
-              c.product = weights[a] * weights[b];
-              c.e1 = eids[a];
-              c.e2 = eids[b];
-              c.common = i;
-              ++work;
-            }
-          }
-        }
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool.run_batch(tasks);
-  }
-
-  // Shard aggregation: contiguous shard groups balanced by tuple count, one
-  // group per thread — no two threads ever touch the same shard. Each shard
-  // is keyed through a small reusable table; tuples chain newest-first per
-  // key via `prev`, preserving the ascending-common arrival order for the
-  // backward fill.
-  const std::vector<std::size_t> shard_bounds =
-      balanced_blocks(s_count, t_count, [&shard_start](std::size_t s) {
-        return static_cast<std::uint64_t>(shard_start[s + 1] - shard_start[s]);
-      });
-  // The per-group entry lists and scratch tables are allocated *here*, on
-  // the calling thread, not inside the workers: glibc gives each worker
-  // thread its own malloc arena, and arena memory retained at a worker's
-  // allocation peak stays resident for the life of the process — across
-  // repeated builds (benches loop over thread counts in one process) that
-  // retention used to scale peak RSS with T. Reserving up front (bounded by
-  // the group's tuple count; pages are only touched as entries are written)
-  // keeps every worker allocation-free.
-  std::vector<std::vector<BuildEntry>> group_entries(t_count);
-  std::vector<PairTable> group_tables;
-  group_tables.reserve(t_count);
-  for (std::size_t t = 0; t < t_count; ++t) {
-    std::size_t max_shard = 0;
-    std::uint64_t group_tuples = 0;
-    for (std::size_t s = shard_bounds[t]; s < shard_bounds[t + 1]; ++s) {
-      const std::uint32_t len = shard_start[s + 1] - shard_start[s];
-      max_shard = std::max<std::size_t>(max_shard, len);
-      group_tuples += len;
-    }
-    group_entries[t].reserve(static_cast<std::size_t>(group_tuples));
-    group_tables.emplace_back(max_shard);
-  }
-  if (ledger != nullptr) {
-    ledger->begin_phase("init.pass2.shard");
-    ledger->begin_round(t_count);
-  }
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        LC_FAULT_POINT("sim.pass2.shard");
-        PollTicker ticker(ctx);
-        PairTable& table = group_tables[t];
-        std::vector<BuildEntry>& entries = group_entries[t];
-        std::uint64_t work = 0;
-        for (std::size_t s = shard_bounds[t]; s < shard_bounds[t + 1]; ++s) {
-          ticker.checkpoint(1 + (shard_start[s + 1] - shard_start[s]));
-          table.reset(shard_start[s + 1] - shard_start[s]);
-          for (std::uint32_t i = shard_start[s]; i < shard_start[s + 1]; ++i) {
-            ShardContrib& c = staging[i];
-            const auto [slot, inserted] =
-                table.insert(c.key, static_cast<std::uint32_t>(entries.size()));
-            if (inserted) {
-              BuildEntry entry;
-              entry.u = static_cast<VertexId>(c.key >> 32);
-              entry.v = static_cast<VertexId>(c.key & 0xFFFFFFFFu);
-              entry.head = i;
-              entry.count = 1;
-              c.prev = kNone;
-              entries.push_back(entry);
-            } else {
-              BuildEntry& entry = entries[*slot];
-              c.prev = entry.head;
-              entry.head = i;
-              ++entry.count;
-            }
-            ++work;
-          }
-        }
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool.run_batch(tasks);
-  }
-
-  // Concatenate the per-group entry lists (group order is shard order, but
-  // any order works — the radix sort below imposes the canonical key order),
-  // then sort by packed key: stable LSD radix, byte-identical across thread
-  // counts, with dead key bytes skipped.
-  std::vector<std::size_t> entry_offsets(t_count + 1, 0);
-  for (std::size_t t = 0; t < t_count; ++t) {
-    entry_offsets[t + 1] = entry_offsets[t] + group_entries[t].size();
-  }
-  std::vector<BuildEntry> entries(entry_offsets[t_count]);
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      if (group_entries[t].empty()) continue;
-      tasks.push_back([&, t] {
-        std::copy(group_entries[t].begin(), group_entries[t].end(),
-                  entries.begin() +
-                      static_cast<std::ptrdiff_t>(entry_offsets[t]));
-      });
-    }
-    pool.run_batch(tasks);
-  }
-  if (ledger != nullptr) {
-    ledger->begin_phase("init.sort_keys");
-    ledger->begin_round(t_count);
-    for (std::size_t t = 0; t < t_count; ++t) {
-      ledger->add_work(t, entries.size() / t_count + 1);
-    }
-  }
-  parallel::parallel_radix_sort(pool, entries, [](const BuildEntry& e) {
-    return pair_key(e.u, e.v);
-  });
-  if (stats != nullptr) stats->pass2_ms = watch.lap() * 1e3;
-
-  // Pass 3 against the key-sorted entries, partitioned by first vertex.
-  if (ledger != nullptr) {
-    ledger->begin_phase("init.pass3");
-    ledger->begin_round(t_count);
-  }
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        const std::uint64_t work =
-            pass3_sorted(graph, t, t_count, h1, entries, ctx) + graph.edge_count();
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool.run_batch(tasks);
-  }
-
-  SimilarityMap out = assemble_map(graph, entries, staging.get(), h2, measure, &pool,
-                                   ledger, ctx);
-  if (stats != nullptr) stats->pass3_ms = watch.lap() * 1e3;
-  return out;
-}
-
-/// Flat strategy tuple: one per incident pair, sorted by (key, common) so
-/// entry slices come out contiguous and already in canonical order.
-struct FlatTuple {
-  std::uint64_t key = 0;
-  double product = 0.0;
-  EdgeId e1 = 0;
-  EdgeId e2 = 0;
-  VertexId common = 0;
-};
-
-bool by_key_then_common(const FlatTuple& a, const FlatTuple& b) {
-  if (a.key != b.key) return a.key < b.key;
-  return a.common < b.common;
-}
-
-/// Emits the pass-2 tuples of one strided vertex slice into tuples[out..].
-std::uint64_t emit_tuples_slice(const WeightedGraph& graph, std::size_t start,
-                                std::size_t stride, std::vector<FlatTuple>& tuples,
-                                std::size_t out, RunContext* ctx) {
-  LC_FAULT_POINT("sim.flat.emit");
-  PollTicker ticker(ctx);
-  std::uint64_t work = 0;
-  const std::size_t end = graph.vertex_count();
-  for (std::size_t vi = start; vi < end; vi += stride) {
-    ticker.checkpoint(1 + graph.degree(static_cast<VertexId>(vi)));
-    const auto i = static_cast<VertexId>(vi);
-    const std::span<const VertexId> adj = graph.neighbors(i);
-    const std::span<const double> weights = graph.neighbor_weights(i);
-    const std::span<const EdgeId> eids = graph.neighbor_edge_ids(i);
-    for (std::size_t a = 0; a < adj.size(); ++a) {
-      for (std::size_t b = a + 1; b < adj.size(); ++b) {
-        tuples[out++] = FlatTuple{pair_key(adj[a], adj[b]), weights[a] * weights[b],
-                                  eids[a], eids[b], i};
-        ++work;
-      }
-    }
-  }
-  return work;
-}
-
-/// Sort-and-aggregate build (the kFlat ablation): materialize all K2 tuples,
-/// sort by (key, common), cut runs into CSR entries. Serial when pool is
-/// null; otherwise emission, the sort (parallel_sort), scoring and pass 3
-/// all run on the pool.
-SimilarityMap build_flat(const WeightedGraph& graph, const std::vector<double>& h1,
-                         const std::vector<double>& h2, SimilarityMeasure measure,
-                         parallel::ThreadPool* pool, sim::WorkLedger* ledger,
-                         RunContext* ctx) {
-  const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
-  std::vector<std::uint64_t> slice_sizes(t_count);
-  for (std::size_t t = 0; t < t_count; ++t) {
-    slice_sizes[t] = count_pairs_slice(graph, t, t_count);
-  }
-  std::vector<std::size_t> slice_offsets(t_count + 1, 0);
-  for (std::size_t t = 0; t < t_count; ++t) {
-    slice_offsets[t + 1] = slice_offsets[t] + static_cast<std::size_t>(slice_sizes[t]);
-  }
-  // The tuple buffer (and its sort double-buffer, charged by parallel_sort's
-  // caller here as part of the same figure) dominates the flat build's
-  // transient footprint; released when this function returns.
-  MemoryCharge tuple_charge(
-      ctx, static_cast<std::uint64_t>(slice_offsets[t_count]) * sizeof(FlatTuple),
-      "sim.flat.tuples");
-  std::vector<FlatTuple> tuples(slice_offsets[t_count]);
-
-  // Emission: every slice's size is known exactly, so threads write disjoint
-  // contiguous ranges of the shared buffer.
-  if (pool == nullptr) {
-    emit_tuples_slice(graph, 0, 1, tuples, 0, ctx);
-  } else {
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.pass2.build");
-      ledger->begin_round(t_count);
-    }
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        const std::uint64_t work =
-            emit_tuples_slice(graph, t, t_count, tuples, slice_offsets[t], ctx);
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool->run_batch(tasks);
-  }
-
-  check_stop(ctx);
-  if (pool == nullptr) {
-    std::sort(tuples.begin(), tuples.end(), by_key_then_common);
-  } else {
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.pass2.sort");
-      ledger->begin_round(1);
-      ledger->add_work(0, tuples.size());
-    }
-    parallel::parallel_sort(*pool, tuples.begin(), tuples.end(), by_key_then_common);
-  }
-
-  // Cut runs into entries and project the arenas; slices inherit the sorted
-  // tuple order, which is ascending common within each key. The arenas live
-  // on in the result, so their charge is committed.
-  check_stop(ctx);
-  SimilarityMap map;
-  MemoryCharge arena_charge(
-      ctx,
-      static_cast<std::uint64_t>(tuples.size()) *
-          (sizeof(graph::VertexId) + sizeof(EdgePairRef)),
-      "sim.arenas");
-  arena_charge.commit();
-  map.common_arena.resize(tuples.size());
-  map.pair_arena.resize(tuples.size());
-  PollTicker cut_ticker(ctx);
-  for (std::size_t i = 0; i < tuples.size();) {
-    cut_ticker.checkpoint();
-    std::size_t j = i;
-    while (j < tuples.size() && tuples[j].key == tuples[i].key) ++j;
-    SimilarityEntry entry;
-    entry.u = static_cast<VertexId>(tuples[i].key >> 32);
-    entry.v = static_cast<VertexId>(tuples[i].key & 0xFFFFFFFFu);
-    entry.offset = i;
-    entry.count = static_cast<std::uint32_t>(j - i);
-    map.entries.push_back(entry);
-    i = j;
-  }
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    map.common_arena[i] = tuples[i].common;
-    map.pair_arena[i] = EdgePairRef{tuples[i].e1, tuples[i].e2};
-  }
-
-  // Score accumulation + pass 3 + finalize, strided over entries. Keys are
-  // sorted, so pass 3 binary-searches each edge's key.
-  auto sum_scores = [&](std::size_t start, std::size_t stride) {
-    PollTicker ticker(ctx);
-    for (std::size_t i = start; i < map.entries.size(); i += stride) {
-      ticker.checkpoint(1 + map.entries[i].count);
-      SimilarityEntry& entry = map.entries[i];
-      double p = 0.0;
-      for (std::size_t k = 0; k < entry.count; ++k) p += tuples[entry.offset + k].product;
-      entry.score = p;
-    }
-  };
-  auto pass3_edges = [&](std::size_t start, std::size_t stride) -> std::uint64_t {
-    LC_FAULT_POINT("sim.pass3");
-    PollTicker ticker(ctx);
-    std::uint64_t work = 0;
-    for (const graph::Edge& e : graph.edges()) {
-      ticker.checkpoint();
-      if (e.u % stride != start) continue;
-      const std::uint64_t key = pair_key(e.u, e.v);
-      const auto it = std::lower_bound(map.entries.begin(), map.entries.end(), key,
-                                       [](const SimilarityEntry& entry, std::uint64_t k) {
-                                         return pair_key(entry.u, entry.v) < k;
-                                       });
-      if (it != map.entries.end() && pair_key(it->u, it->v) == key) {
-        it->score += (h1[e.u] + h1[e.v]) * e.weight;
-        ++work;
-      }
-    }
-    return work;
-  };
-  auto finalize = [&](std::size_t start, std::size_t stride) {
-    PollTicker ticker(ctx);
-    for (std::size_t i = start; i < map.entries.size(); i += stride) {
-      ticker.checkpoint();
-      SimilarityEntry& entry = map.entries[i];
-      if (measure == SimilarityMeasure::kJaccard) {
-        entry.score = jaccard_score(graph, entry.u, entry.v, entry.count);
-        continue;
-      }
-      const double p = entry.score;
-      const double denom = h2[entry.u] + h2[entry.v] - p;
-      LC_DCHECK(denom > 0.0);
-      entry.score = p / denom;
-    }
-  };
-
-  if (pool == nullptr) {
-    sum_scores(0, 1);
-    pass3_edges(0, 1);
-    finalize(0, 1);
-  } else {
-    // Two rounds: pass 3 looks entries up by key, so it may touch entries
-    // outside the summing thread's stride — a barrier keeps them disjoint.
-    {
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t t = 0; t < t_count; ++t) {
-        tasks.push_back([&, t] { sum_scores(t, t_count); });
-      }
-      pool->run_batch(tasks);
-    }
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.pass3");
-      ledger->begin_round(t_count);
-    }
-    {
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t t = 0; t < t_count; ++t) {
-        tasks.push_back([&, t] {
-          const std::uint64_t work = pass3_edges(t, t_count) + graph.edge_count();
-          if (ledger != nullptr) ledger->add_work(t, work);
-        });
-      }
-      pool->run_batch(tasks);
-    }
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.finalize");
-      ledger->begin_round(t_count);
-    }
-    {
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t t = 0; t < t_count; ++t) {
-        tasks.push_back([&, t] {
-          finalize(t, t_count);
-          if (ledger != nullptr) ledger->add_work(t, map.entries.size() / t_count + 1);
-        });
-      }
-      pool->run_batch(tasks);
-    }
-  }
-  map.set_keys_sorted(true);
-  return map;
-}
-
 // ---------------------------------------------------------------------------
-// Gather build (BuildStrategy::kGatherSimd, DESIGN.md §12)
+// Gather build (DESIGN.md §12)
 //
 // Pass 2 inverted: instead of every common neighbor k scattering a
 // contribution into the key (u, v), every first vertex u *gathers* its keys.
@@ -927,12 +92,15 @@ SimilarityMap build_flat(const WeightedGraph& graph, const std::vector<double>& 
 // is an edge iff v appears in row u, detected by a two-pointer over the
 // sorted candidate list. Keys emerge in packed-key order by construction
 // (u ascending per block, v ascending within u), so there is no staging
-// arena, no hashing, and no key sort, and every score is summed in the same
-// canonical common-ascending order as fill_entry — bitwise-identical output
-// at every thread count and kernel choice.
+// arena, no hashing, and no key sort, and every score is summed in one
+// canonical order — products by ascending common, then the pass-3 term — so
+// the output is bitwise-identical at every thread count and kernel choice.
 
-/// Per-worker gather state, sized once on the calling thread (see the glibc
-/// arena note above build_sharded) so workers never allocate.
+/// Per-worker gather state, sized once on the calling thread so workers
+/// never allocate: glibc gives each worker thread its own malloc arena, and
+/// arena memory retained at a worker's allocation peak stays resident for
+/// the life of the process, so worker-side allocation would scale peak RSS
+/// with T across repeated builds.
 struct GatherScratch {
   std::vector<std::uint32_t> mark;     ///< epoch (u+1) while v is a live candidate
   std::vector<std::uint32_t> ccount;   ///< |N(u) ∩ N(v)| while marked
@@ -1006,11 +174,9 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
   std::size_t edge_ptr = 0;  // fused pass 3: cursor into row u over sorted candidates
   const auto emit = [&](const VertexId v) {
     while (edge_ptr < row_u.size() && row_u[edge_ptr] < v) ++edge_ptr;
-    // (u, v) is an edge iff v sits in row u. The term reads the identical
-    // operand doubles pass3_sorted reads from the canonical edge list (CSR
-    // weights and edge weights come from the same build), and adding a 0.0
-    // for non-edges is bitwise-neutral on the non-negative sum — exactly
-    // fill_entry's unconditional `p += pass3`.
+    // (u, v) is an edge iff v sits in row u. Adding a 0.0 for non-edges is
+    // bitwise-neutral on the non-negative sum, so every key runs the same
+    // unconditional `p += pass3`.
     double pass3 = 0.0;
     if (edge_ptr < row_u.size() && row_u[edge_ptr] == v) {
       pass3 = (job.h1[u] + job.h1[v]) * w_u[edge_ptr];
@@ -1065,7 +231,7 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
       score = jaccard_score(graph, u, v, c);
     } else {
       const std::span<const double> w_v = graph.neighbor_weights(v);
-      // Products ascending by common — the canonical fill_entry order.
+      // Products ascending by common — the canonical summation order.
       double p = 0.0;
       for (std::size_t x = 0; x < m; ++x) {
         p += w_u[s.matches[x].a_pos] * w_v[s.matches[x].b_pos];
@@ -1361,21 +527,8 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
 
 }  // namespace
 
-void SimilarityMap::sort_by_score(parallel::ThreadPool* pool) {
-  if (pool != nullptr && pool->thread_count() > 1 && keys_sorted_) {
-    // Scores are non-negative, so the raw IEEE bits order like the values and
-    // the flipped bits order descending. The radix sort is stable and the
-    // entries arrive (u, v)-ascending from every builder, which realizes the
-    // comparator's tie-break — the result is the exact permutation the
-    // comparison path below produces, for every thread count.
-    parallel::parallel_radix_sort(*pool, entries, [](const SimilarityEntry& e) {
-      return flipped_score_key(e.score);
-    });
-  } else if (pool != nullptr && pool->thread_count() > 1) {
-    parallel::parallel_sort(*pool, entries.begin(), entries.end(), score_order);
-  } else {
-    std::sort(entries.begin(), entries.end(), score_order);
-  }
+void SimilarityMap::sort_by_score() {
+  std::sort(entries.begin(), entries.end(), score_order);
   keys_sorted_ = false;
 }
 
@@ -1412,36 +565,7 @@ SimilarityMap build_similarity_map(const graph::WeightedGraph& graph,
   std::vector<double> h2(n, 0.0);
   pass1_range(graph, 0, 1, h1, h2, ctx);
   if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
-
-  if (options.map_kind == PairMapKind::kFlat) {
-    // The flat pipeline interleaves emission, sort, and assembly; the whole
-    // thing is reported as pass 2.
-    SimilarityMap map = build_flat(graph, h1, h2, options.measure, nullptr, nullptr, ctx);
-    if (options.stats != nullptr) options.stats->pass2_ms = watch.lap() * 1e3;
-    return map;
-  }
-  if (options.strategy == BuildStrategy::kGatherSimd) {
-    return build_gather(graph, h1, h2, options, nullptr, nullptr, ctx);
-  }
-
-  const std::uint64_t k2 = count_pairs_slice(graph, 0, 1);
-  // The contribution store is the serial build's dominant transient
-  // allocation; released when this function returns.
-  MemoryCharge contrib_charge(ctx, k2 * sizeof(Contrib), "sim.contribs");
-  BuildMap map(expected_key_count(graph, k2));
-  std::vector<Contrib> contribs;
-  contribs.reserve(static_cast<std::size_t>(k2));
-  pass2_build(graph, map, contribs, ctx);
-  check_stop(ctx);
-  std::sort(map.entries.begin(), map.entries.end(), by_pair_key);
-  if (options.stats != nullptr) options.stats->pass2_ms = watch.lap() * 1e3;
-  std::uint64_t matched = 0;
-  matched = pass3_sorted(graph, 0, 1, h1, map.entries, ctx);
-  (void)matched;
-  SimilarityMap out = assemble_map(graph, map.entries, contribs.data(), h2,
-                                   options.measure, nullptr, nullptr, ctx);
-  if (options.stats != nullptr) options.stats->pass3_ms = watch.lap() * 1e3;
-  return out;
+  return build_gather(graph, h1, h2, options, nullptr, nullptr, ctx);
 }
 
 SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
@@ -1478,16 +602,7 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
 
   check_stop(ctx);
   if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
-  if (options.map_kind == PairMapKind::kFlat) {
-    SimilarityMap map = build_flat(graph, h1, h2, options.measure, &pool, ledger, ctx);
-    if (options.stats != nullptr) options.stats->pass2_ms = watch.lap() * 1e3;
-    return map;
-  }
-  if (options.strategy == BuildStrategy::kGatherSimd) {
-    return build_gather(graph, h1, h2, options, &pool, ledger, ctx);
-  }
-  return build_sharded(graph, h1, h2, options.measure, pool, ledger,
-                       options.shard_count, ctx, options.stats);
+  return build_gather(graph, h1, h2, options, &pool, ledger, ctx);
 }
 
 double tanimoto_similarity_bruteforce(const graph::WeightedGraph& graph, graph::VertexId i,

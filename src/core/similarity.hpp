@@ -19,37 +19,29 @@
 // Storage is CSR-style: entries carry (offset, count) into two shared arenas
 // instead of owning per-key heap vectors. `common_arena` holds the shared
 // neighbors k; `pair_arena` holds, for each k, the pre-resolved edge-id pair
-// (e_uk, e_vk). Pass 2 sees both incident edge ids for free (they are
-// parallel to the adjacency slots being enumerated), so consumers of the map
-// — the sweep, the coarse mode machine, the baselines — never need to call
+// (e_uk, e_vk). The build sees both incident edge ids for free (they are
+// parallel to the adjacency slots it enumerates), so consumers of the map —
+// the sweep, the coarse mode machine, the baselines — never need to call
 // graph.find_edge() again. Within every entry the slice is ordered by common
-// neighbor ascending and the inner product is summed in that order, which
-// makes the serial build, the parallel build at any thread count, and the
-// flat (sort-and-aggregate) build produce bitwise-identical maps.
+// neighbor ascending.
 //
-// build_similarity_map_parallel replaces the paper's §VI-A replicated-map +
-// tournament-merge pass 2 with a *key-sharded* build: the packed (u, v) key
-// space is partitioned into S >> T shards by a fixed hash of the packed word,
-// every thread walks its (pair-count-balanced) vertex block twice — a count
-// pass sizing per-(thread, shard) staging slices, then a fill pass emitting
-// tuples into them — and each shard is then aggregated by exactly one thread
-// through a small cache-resident open-addressing table. No per-thread map
-// replication, no merge: peak memory is O(K2) independent of T. Entries are
-// radix-sorted by packed key and the shard chains are emitted straight into
-// the final CSR arenas; pass 3 is partitioned by the first vertex of each
-// edge against the key-sorted entries.
-//
-// BuildStrategy::kGatherSimd (the default; DESIGN.md §12) inverts pass 2 from
-// that scatter into a per-pair *gather*: a wedge walk from each first vertex
-// u discovers every key (u, v) together with its common-neighbor count, pairs
+// Passes 2 and 3 run as one per-pair *gather* (DESIGN.md §12). Instead of
+// every common neighbor k scattering a contribution into the key (u, v),
+// every first vertex u gathers its keys: a wedge walk u -> k -> v (v > u)
+// discovers every key (u, v) together with its common-neighbor count, keys
 // with one common take a direct fast path, and the rest compute their
 // products by intersecting the two sorted CSR rows through the
-// numeric/set_intersect kernel family (scalar / galloping / SSE / AVX2).
-// There is no K2 staging arena, no hashing, and no key sort — keys emerge in
-// packed-key order by construction — yet every score, common list, and arena
-// byte is identical to the sharded and serial builds. An optional min_score
-// threshold prunes pairs whose pSCAN-style score upper bound falls below it
-// without running the kernel.
+// numeric/set_intersect kernel family (scalar / galloping / SSE / AVX2). The
+// pass-3 edge term is fused into the same walk. Keys emerge in packed-key
+// order by construction, so there is no staging arena, no hashing and no key
+// sort. Every score is summed in one canonical order — products by ascending
+// common neighbor, then the pass-3 term — so the serial build and the
+// parallel build at any thread count produce byte-identical maps: entries,
+// score bits and both arenas. The parallel build cuts the vertex range into
+// contiguous blocks balanced by wedge count, one per pool thread, and
+// concatenates the block outputs. An optional min_score threshold prunes
+// pairs whose pSCAN-style score upper bound falls below it without running
+// the kernel.
 #pragma once
 
 #include <bit>
@@ -85,10 +77,10 @@ struct SimilarityEntry {
 };
 
 /// The strict total order sort_by_score() establishes over the pair list L:
-/// score descending, ties broken by (u, v) ascending. Exposed so alternative
-/// sweep backends (core/sweep_source.hpp) can reproduce the exact global
-/// order bucket by bucket — any correct sort under a strict total order
-/// yields the same unique permutation.
+/// score descending, ties broken by (u, v) ascending. Exposed so the bucketed
+/// sweep source (core/sweep_source.hpp) can reproduce the exact global order
+/// bucket by bucket — any correct sort under a strict total order yields the
+/// same unique permutation.
 [[nodiscard]] inline bool score_order(const SimilarityEntry& a, const SimilarityEntry& b) {
   if (a.score != b.score) return a.score > b.score;
   if (a.u != b.u) return a.u < b.u;
@@ -97,18 +89,12 @@ struct SimilarityEntry {
 
 /// The flipped IEEE-754 bits of a (non-negative) score: ascending key order
 /// is exactly descending score order, with -0.0 collapsed onto 0.0 so the
-/// two zero encodings share a key. This is the radix key sort_by_score()
-/// sorts on; the bucketed sweep backend partitions L on the same bits so its
-/// bucket ranges nest inside the sorted order.
+/// two zero encodings share a key. The bucketed sweep source partitions L on
+/// these bits, so its bucket ranges nest inside the sorted order, and radix
+/// sorts each bucket on them.
 [[nodiscard]] inline std::uint64_t flipped_score_key(double score) {
   return ~std::bit_cast<std::uint64_t>(score == 0.0 ? 0.0 : score);
 }
-
-/// How map M is stored while being built (DESIGN.md ablation).
-enum class PairMapKind {
-  kHash,  ///< open-addressing table keyed by packed (u, v) — the paper's O(1) map
-  kFlat,  ///< sort-and-aggregate over a flat tuple buffer
-};
 
 /// Which edge-pair similarity Eq. (1) is instantiated with.
 enum class SimilarityMeasure {
@@ -121,29 +107,13 @@ enum class SimilarityMeasure {
   kJaccard,
 };
 
-/// Which pass-2 formulation the kHash map kind runs (kFlat has its own
-/// sort-and-aggregate pipeline and ignores this). Every strategy produces
-/// byte-identical output at every thread count.
-enum class BuildStrategy {
-  /// Per-pair gather over sorted CSR rows via numeric/set_intersect, with a
-  /// single-common fast path and optional pSCAN-style pruning. O(K1) output
-  /// memory, no staging arena. The default.
-  kGatherSimd,
-  /// The key-sharded scatter build (count + fill into a K2 staging arena,
-  /// per-shard aggregation, key radix sort). Kept selectable for A/B runs
-  /// and as the fallback formulation.
-  kSharded,
-};
-
-/// Sub-phase timings and gather counters, filled by the builders when
+/// Sub-phase timings and gather counters, filled by the builds when
 /// SimilarityMapOptions::stats is set. Timings partition the build:
 ///   pass1_ms: the H1/H2 norm pass.
-///   pass2_ms: the formulation core — wedge walk + intersections (gather) or
-///             count/fill/shard-aggregate/key-sort (sharded) or
-///             emit + sort (flat).
-///   pass3_ms: edge-term application and final CSR assembly.
-/// Counters are gather-only (zero elsewhere): each discovered key is counted
-/// in exactly one bucket.
+///   pass2_ms: the wedge counts and the gather (wedge walk, intersections and
+///             the fused pass-3 edge term).
+///   pass3_ms: concatenation of the per-block outputs into the final CSR map.
+/// Each discovered key is counted in exactly one of the three counters.
 struct BuildStats {
   double pass1_ms = 0.0;
   double pass2_ms = 0.0;
@@ -154,28 +124,20 @@ struct BuildStats {
 };
 
 struct SimilarityMapOptions {
-  PairMapKind map_kind = PairMapKind::kHash;
   SimilarityMeasure measure = SimilarityMeasure::kTanimoto;
-  /// Pass-2 shard count for the parallel kHash kSharded build (0 = auto-sized
-  /// from K2 and the pool). Any value >= 1 produces byte-identical output —
-  /// shards only partition the work, never the result.
-  std::size_t shard_count = 0;
   /// Optional cooperative run control (not owned): cancellation, deadline,
   /// and memory budget are checked at chunk granularity inside every build
   /// pass; a pending stop unwinds the build by throwing lc::StoppedError
   /// (rethrown from worker tasks by the pool). Null = uncontrolled, and the
   /// build is bitwise-identical to one with an idle context.
   lc::RunContext* ctx = nullptr;
-  /// Pass-2 formulation for the kHash map kind (see BuildStrategy).
-  BuildStrategy strategy = BuildStrategy::kGatherSimd;
-  /// Intersect kernel the gather strategy uses (LC_INTERSECT_KERNEL, read
-  /// once per process, overrides this — see numeric/set_intersect.hpp).
+  /// Intersect kernel the gather uses (LC_INTERSECT_KERNEL, read once per
+  /// process, overrides this — see numeric/set_intersect.hpp).
   numeric::IntersectKernel kernel = numeric::IntersectKernel::kAuto;
-  /// Gather-only score threshold: keys provably (by the pSCAN-style upper
-  /// bound) or exactly below it are dropped from the map, making the result
-  /// the exact map filtered to score >= min_score. The default (-inf) keeps
-  /// every key and skips the bound machinery entirely; the sharded and flat
-  /// builds ignore this field.
+  /// Score threshold: keys provably (by the pSCAN-style upper bound) or
+  /// exactly below it are dropped from the map, making the result the exact
+  /// map filtered to score >= min_score. The default (-inf) keeps every key
+  /// and skips the bound machinery entirely.
   double min_score = -std::numeric_limits<double>::infinity();
   /// When non-null, receives sub-phase timings and gather counters.
   BuildStats* stats = nullptr;
@@ -206,16 +168,12 @@ class SimilarityMap {
   /// K1: the number of keys.
   [[nodiscard]] std::size_t key_count() const { return entries.size(); }
 
-  /// Sorts entries by score non-increasing; ties break by (u, v) ascending so
-  /// the sweep is deterministic. This produces the paper's list L. While the
-  /// builder's key order still holds (keys_sorted()), a pool of more than one
-  /// thread runs a stable pool-parallel radix sort on the flipped IEEE bits
-  /// of the score — stability over the key-ascending input supplies the
-  /// (u, v) tie-break for free, so the order is the same strict total order
-  /// the comparison path produces, identical for every thread count. The
-  /// comparison sort (std::sort / pool-parallel merge sort) is kept as the
-  /// fallback for serial calls and already-reordered maps.
-  void sort_by_score(parallel::ThreadPool* pool = nullptr);
+  /// Sorts entries by score_order (score non-increasing, ties by (u, v)
+  /// ascending) with one serial std::sort, producing the paper's list L in
+  /// full. The production pipeline orders L lazily through BucketSweepSource
+  /// (core/sweep_source.hpp) instead; this is the reference order for the
+  /// baselines, the figure benches, the tests and SortedSweepSource.
+  void sort_by_score();
 
   /// Approximate heap bytes held (entries + arenas).
   [[nodiscard]] std::size_t memory_bytes() const;
@@ -226,7 +184,7 @@ class SimilarityMap {
   [[nodiscard]] const SimilarityEntry* find(graph::VertexId u, graph::VertexId v) const;
 
   /// True while entries are ordered by packed key (u << 32 | v) ascending —
-  /// the order every builder produces. Cleared by sort_by_score().
+  /// the order the build produces. Cleared by sort_by_score().
   [[nodiscard]] bool keys_sorted() const { return keys_sorted_; }
   void set_keys_sorted(bool sorted) { keys_sorted_ = sorted; }
 
@@ -234,16 +192,15 @@ class SimilarityMap {
   bool keys_sorted_ = false;
 };
 
-/// Serial Algorithm 1.
+/// Serial Algorithm 1 (the gather build on one block).
 SimilarityMap build_similarity_map(const graph::WeightedGraph& graph,
                                    const SimilarityMapOptions& options = {});
 
-/// Multi-threaded Algorithm 1 via the key-sharded build (see the header
-/// comment). Bitwise-identical to the serial build — entries, scores, and
-/// arena layout — at every thread and shard count: contributions reach each
-/// key in ascending common-neighbor order by construction and are summed in
-/// that canonical order. When `ledger` is non-null, per-round per-thread
-/// work units are recorded for simulated-scaling analysis.
+/// Multi-threaded Algorithm 1: the gather build with one wedge-balanced
+/// vertex block per pool thread (see the header comment). Bitwise-identical
+/// to the serial build — entries, scores, and arena layout — at every thread
+/// count. When `ledger` is non-null, per-round per-thread work units are
+/// recorded for simulated-scaling analysis.
 SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
                                             parallel::ThreadPool& pool,
                                             sim::WorkLedger* ledger = nullptr,

@@ -25,10 +25,23 @@ class Checkpointer;      // core/checkpoint.hpp
 struct FineCheckpoint;   // core/checkpoint.hpp
 class SweepSource;       // core/sweep_source.hpp
 
+/// Work counters of a sweep. The C-traffic pair is defined per mode:
+///   - fine (Algorithm 2 over ClusterArray): c_accesses counts the chain
+///     elements MERGE visits (Theorem 2), c_changes the C entries it rewrites
+///     (Fig. 2(1)).
+///   - coarse (core/coarse.hpp): what the paper's array C would read and
+///     write for the same merges. Each applied incident pair reads two slots
+///     (one per edge), and each union (a cluster the chunk removes, one
+///     sorted journal loser) writes one slot. So c_accesses = 2 * pairs +
+///     unions and c_changes = unions, summed over every applied chunk and
+///     reuse replay, rolled-back ones included. Both come from the chunk's
+///     pair list and its union losers only, never from the concurrent DSU's
+///     CAS retries or path-halving writes, so they are identical at every
+///     thread count.
 struct SweepStats {
   std::uint64_t pairs_processed = 0;  ///< incident edge pairs merged (== K2)
   std::uint64_t merges_effective = 0; ///< dendrogram events (levels in fine mode)
-  std::uint64_t c_accesses = 0;       ///< chain elements visited (Theorem 2 metric)
+  std::uint64_t c_accesses = 0;       ///< C slots read/visited (Theorem 2 metric)
   std::uint64_t c_changes = 0;        ///< C entries rewritten (Fig. 2(1) metric)
 };
 

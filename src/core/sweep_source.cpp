@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
@@ -22,22 +21,12 @@ std::size_t score_bin(const SimilarityEntry& entry) {
   return static_cast<std::size_t>(flipped_score_key(entry.score) >> kBinShift);
 }
 
-/// Requested bucket count: explicit option, else LC_SWEEP_BUCKETS (positive
-/// integer; anything else is ignored), else auto-sized so buckets hold
-/// ~16Ki entries — large enough that scatter bookkeeping is noise, small
-/// enough that the first bucket sorts in a fraction of the old global sort.
+/// Requested bucket count: the explicit option, else auto-sized so buckets
+/// hold ~16Ki entries — large enough that scatter bookkeeping is noise, small
+/// enough that the first bucket sorts in a fraction of a global sort.
 std::size_t resolve_bucket_count(std::size_t requested, std::size_t n) {
-  std::size_t count = requested;
-  if (count == 0) {
-    if (const char* env = std::getenv("LC_SWEEP_BUCKETS")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        count = static_cast<std::size_t>(parsed);
-      }
-    }
-  }
-  if (count == 0) count = std::clamp<std::size_t>(n >> 14, 8, 256);
+  const std::size_t count =
+      requested != 0 ? requested : std::clamp<std::size_t>(n >> 14, 8, 256);
   return std::min(count, kBinCount);
 }
 
@@ -115,20 +104,21 @@ BucketSweepSource::BucketSweepSource(SimilarityMap& map, const Options& options)
   }
   const std::size_t bucket_total = static_cast<std::size_t>(bucket) + 1;
 
-  // Stable scatter into bucket order (same pass structure as the radix
-  // sort); bounds_ are the realized bucket boundaries.
+  // Stable scatter into bucket order (one counting-sort pass); bounds_ are
+  // the realized bucket boundaries.
   bounds_ = parallel::parallel_bucket_scatter(
       options.pool, map_.entries, bucket_total,
       [&bin_bucket](const SimilarityEntry& entry) {
         return static_cast<std::size_t>(bin_bucket[score_bin(entry)]);
       });
   // The scatter's double buffer replaced the entries storage, and the
-  // entries are no longer in the builders' packed-key order.
+  // entries are no longer in the build's packed-key order.
   data_ = map_.entries.data();
   map_.set_keys_sorted(false);
   partition_ms_ = watch.seconds() * 1e3;
 
-  pipeline_ = options.pipeline && bucket_count() > 1;
+  // Prefetch-sort bucket k+1 on a helper thread while the caller sweeps k.
+  pipeline_ = bucket_count() > 1;
   if (pipeline_) prefetcher_ = std::thread([this] { prefetch_loop(); });
 }
 

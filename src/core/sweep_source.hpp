@@ -1,4 +1,4 @@
-// Sweep backends: how the sorted pair list L reaches the sweeps.
+// How the sorted pair list L reaches the sweeps.
 //
 // Both sweeps (core/sweep.hpp, core/coarse.hpp) consume SimilarityMap
 // entries strictly in descending-score order, by position. SweepSource is
@@ -7,18 +7,14 @@
 // is position i of the fully sorted list — and guarantees that everything
 // before ready_end() is already in final order. Keeping the storage in place
 // is what preserves every invariant downstream: checkpoint positions
-// (FineCheckpoint::entry_pos, CoarseCheckpoint::p) index the same list on
-// every backend, map.pairs()/common() keep working (arena offsets travel
-// with the entries), and a completed sweep leaves the map fully sorted.
+// (FineCheckpoint::entry_pos, CoarseCheckpoint::p) index the same list,
+// map.pairs()/common() keep working (arena offsets travel with the entries),
+// and a completed sweep leaves the map fully sorted.
 //
-// Backend #1 — SortedSweepSource — wraps a map that sort_by_score() already
-// ordered: everything is ready at construction, and the constructor asserts
-// sortedness (the check the sweeps used to run themselves).
-//
-// Backend #2 — BucketSweepSource — kills the up-front global sort. One
-// O(|L|) MSD-radix scatter pass partitions L into disjoint descending
-// score-range buckets, keyed on the top bits of the same flipped IEEE score
-// key the radix sort uses; each bucket is then sorted *just in time* as the
+// BucketSweepSource is the production source (LinkClusterer uses it at every
+// thread count). One O(|L|) MSD-radix scatter pass partitions L into
+// disjoint descending score-range buckets, keyed on the top bits of the
+// flipped IEEE score key; each bucket is then sorted *just in time* as the
 // sweep reaches it, with a single helper thread prefetch-sorting bucket k+1
 // while the caller sweeps bucket k — sort latency hides behind sweep time
 // instead of preceding it. Determinism argument (DESIGN.md §13): equal
@@ -29,6 +25,10 @@
 // count. Runs that never reach the tail of L (the coarse phi stop, a fine
 // min_similarity cut, a resume past early buckets) never pay to sort it:
 // those buckets are counted in SweepSourceStats::buckets_skipped.
+//
+// SortedSweepSource wraps a map that sort_by_score() already ordered in
+// full. It is the reference consumer for the baselines, the figure benches
+// and the tests, and backs the sweep overloads that take no source.
 #pragma once
 
 #include <cstddef>
@@ -45,13 +45,7 @@
 
 namespace lc::core {
 
-/// Which SweepSource LinkClusterer builds (CLI --sweep-backend).
-enum class SweepBackend {
-  kSorted,      ///< up-front sort_by_score(), everything ready at once
-  kLazyBucket,  ///< bucketed lazy sort with prefetch pipeline (the default)
-};
-
-/// Where the lazy backend's time went. partition_ms + blocked_ms is the
+/// Where the bucketed source's time went. partition_ms + blocked_ms is the
 /// sort-attributable critical-path cost (what replaces sort_ms); the rest of
 /// bucket_sort_ms overlapped the sweep on the prefetch thread.
 struct SweepSourceStats {
@@ -104,9 +98,8 @@ class SweepSource {
   std::size_t ready_end_;
 };
 
-/// Backend #1: the map was fully sorted up front (sort_by_score()). The
-/// constructor asserts descending score order — the contract the sweeps have
-/// always enforced on this path.
+/// The map was fully sorted up front (sort_by_score()). The constructor
+/// asserts descending score order.
 class SortedSweepSource final : public SweepSource {
  public:
   explicit SortedSweepSource(const SimilarityMap& map);
@@ -116,7 +109,7 @@ class SortedSweepSource final : public SweepSource {
   void materialize(std::size_t i) override;
 };
 
-/// Backend #2: bucketed lazy sort (see the header comment). The map is
+/// Bucketed lazy sort, the production source (see the header comment). The map is
 /// mutated: construction permutes entries into bucket order, and each
 /// bucket's slice is sorted in place on first touch. Positions at or past
 /// the first requested position always read final sorted order; buckets
@@ -125,19 +118,15 @@ class SortedSweepSource final : public SweepSource {
 class BucketSweepSource final : public SweepSource {
  public:
   struct Options {
-    /// Disjoint score-range bucket target; 0 = LC_SWEEP_BUCKETS env or an
-    /// auto size (~|L| / 16Ki, clamped to [8, 256]). The realized count can
-    /// be lower: a bucket never splits a radix bin, so heavily tied score
-    /// distributions yield fewer, larger buckets. Any value produces the
-    /// identical consumed order.
+    /// Disjoint score-range bucket target; 0 = an auto size (~|L| / 16Ki,
+    /// clamped to [8, 256]). The realized count can be lower: a bucket never
+    /// splits a radix bin, so heavily tied score distributions yield fewer,
+    /// larger buckets. Any value produces the identical consumed order.
     std::size_t bucket_count = 0;
     /// Parallelizes the scatter pass (not owned, may be null). Never used
     /// after construction — bucket sorts must not touch the pool, which the
     /// coarse sweep keeps busy applying chunks.
     parallel::ThreadPool* pool = nullptr;
-    /// Prefetch-sort bucket k+1 on a helper thread while the caller sweeps
-    /// bucket k. Off = every bucket sorts synchronously on first touch.
-    bool pipeline = true;
   };
 
   explicit BucketSweepSource(SimilarityMap& map) : BucketSweepSource(map, Options{}) {}
@@ -162,9 +151,9 @@ class BucketSweepSource final : public SweepSource {
   std::vector<std::size_t> bounds_;  ///< bucket b = positions [bounds_[b], bounds_[b+1])
   std::size_t next_bucket_ = 0;      ///< first bucket not yet ready
   bool pipeline_ = false;
-  /// True when the map held builder order (packed keys ascending) before the
+  /// True when the map held build order (packed keys ascending) before the
   /// scatter: then in-bucket ties sit (u, v)-ascending and the bucket sort
-  /// may use the stable radix fast path (same gate as sort_by_score).
+  /// may use the stable radix fast path.
   bool radix_ok_ = false;
   /// Double buffer for the radix bucket sort, grown to the largest bucket.
   /// Shared between the caller and the prefetcher, but never concurrently:

@@ -1,13 +1,13 @@
 // Position-reporting intersection of sorted, duplicate-free uint32 sets.
 //
 // This is the kernel family behind the similarity map's gather build
-// (core/similarity.cpp, BuildStrategy::kGatherSimd): the Tanimoto numerator
+// (core/similarity.cpp): the Tanimoto numerator
 // a_u · a_v needs, for every common neighbor k of a vertex pair, the *slots*
 // of k inside both CSR adjacency rows — the parallel weight and edge-id
 // arrays are indexed by those slots. So unlike a plain set intersection the
 // kernels emit (position-in-a, position-in-b) pairs, in ascending element
 // order, which is exactly the canonical common-ascending summation order the
-// builders rely on for bitwise-reproducible scores.
+// build relies on for bitwise-reproducible scores.
 //
 // Three variants plus a dispatcher:
 //   kScalar:    two-pointer merge; terminates as soon as either side is

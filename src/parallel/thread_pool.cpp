@@ -131,41 +131,4 @@ void parallel_for_blocks_indexed(
   pool.run_batch(tasks);
 }
 
-void tournament_reduce(ThreadPool& pool, std::size_t item_count,
-                       const std::function<void(std::size_t, std::size_t)>& merge_fn,
-                       std::size_t final_fan_in) {
-  LC_CHECK_MSG(final_fan_in >= 1, "final fan-in must be positive");
-  if (item_count <= 1) return;
-  std::vector<std::size_t> active(item_count);
-  for (std::size_t i = 0; i < item_count; ++i) active[i] = i;
-
-  while (active.size() > final_fan_in) {
-    std::vector<std::function<void()>> tasks;
-    std::vector<std::size_t> survivors;
-    survivors.reserve(active.size() / 2 + 1);
-    std::size_t i = 0;
-    for (; i + 1 < active.size(); i += 2) {
-      const std::size_t dst = active[i];
-      const std::size_t src = active[i + 1];
-      survivors.push_back(dst);
-      tasks.push_back([&merge_fn, dst, src] { merge_fn(dst, src); });
-    }
-    if (i < active.size()) survivors.push_back(active[i]);  // odd one carries over
-    pool.run_batch(tasks);
-    active = std::move(survivors);
-  }
-
-  // Final sequential merge of the at-most-final_fan_in survivors into item 0
-  // of the active list (single thread, matching the paper's description).
-  if (active.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    const std::size_t dst = active[0];
-    std::vector<std::size_t> rest(active.begin() + 1, active.end());
-    tasks.push_back([&merge_fn, dst, rest] {
-      for (std::size_t src : rest) merge_fn(dst, src);
-    });
-    pool.run_batch(tasks);
-  }
-}
-
 }  // namespace lc::parallel

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -97,162 +96,20 @@ void parallel_for_blocks_indexed(
 
 /// Worker count that is actually worth using for CPU-bound block work: the
 /// pool width clamped to std::thread::hardware_concurrency(). Pools wider
-/// than the machine (a T=8 bench on a 2-core container) oversubscribe the
-/// sort kernels — BENCH_micro_core showed sort_ms regressing from 151 ms at
-/// T=1 to ~203 ms at T=2–8 on a 1-core machine — without changing any
-/// output, so the extra width is pure loss. 0 from the runtime means
-/// "unknown": keep the pool width.
+/// than the machine (a T=8 run on a 2-core container) oversubscribe block
+/// kernels such as the bucket scatter without changing any output, so the
+/// extra width is pure loss. 0 from the runtime means "unknown": keep the
+/// pool width.
 inline std::size_t clamped_parallelism(const ThreadPool& pool) {
   const std::size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? pool.thread_count() : std::min(pool.thread_count(), hw);
 }
 
-/// Tournament (hierarchical pairwise) reduction driver, the paper's §VI-B
-/// sweep merge structure: in each round, pairs (0,1), (2,3), ... are merged
-/// concurrently via merge_fn(dst_index, src_index) — src is merged into dst
-/// and drops out. When at most `final_fan_in` items remain, a single thread
-/// merges the rest sequentially into item 0 (the paper uses
-/// final_fan_in = 3). `item_count` is the initial number of items. (The
-/// similarity build no longer uses this — pass 2 is key-sharded, see
-/// core/similarity.cpp — but the §VI-B parallel sweep still does.)
-void tournament_reduce(ThreadPool& pool, std::size_t item_count,
-                       const std::function<void(std::size_t, std::size_t)>& merge_fn,
-                       std::size_t final_fan_in = 3);
-
-/// Pool-parallel merge sort of [first, last): the range is cut into one block
-/// per worker, blocks are std::sort-ed concurrently via run_batch, then
-/// adjacent block pairs are joined with std::inplace_merge round by round.
-/// For a strict *total* order (no two elements compare equivalent, e.g. a
-/// comparator with a unique tie-break) the sorted result is unique, so the
-/// output is identical to a serial std::sort for every thread count. Small
-/// ranges and 1-thread pools fall back to serial std::sort. Not reentrant
-/// (uses run_batch, so it must not be called from inside a pool task).
-template <typename RandomIt, typename Compare>
-void parallel_sort(ThreadPool& pool, RandomIt first, RandomIt last, Compare comp) {
-  const auto n = static_cast<std::size_t>(last - first);
-  constexpr std::size_t kSerialCutoff = 4096;
-  // Block count follows the *machine*, not the pool: an oversubscribed pool
-  // only adds merge rounds and scheduling noise (the output is identical for
-  // every block count, so clamping is free).
-  const std::size_t parts = clamped_parallelism(pool);
-  if (parts <= 1 || n <= kSerialCutoff) {
-    std::sort(first, last, comp);
-    return;
-  }
-  const auto at = [first](std::size_t i) {
-    return first + static_cast<typename std::iterator_traits<RandomIt>::difference_type>(i);
-  };
-  std::vector<std::size_t> bounds = split_range(n, parts);
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t + 1 < bounds.size(); ++t) {
-      const std::size_t lo = bounds[t];
-      const std::size_t hi = bounds[t + 1];
-      if (lo >= hi) continue;
-      tasks.push_back([at, lo, hi, comp] { std::sort(at(lo), at(hi), comp); });
-    }
-    pool.run_batch(tasks);
-  }
-  while (bounds.size() > 2) {
-    std::vector<std::size_t> next;
-    std::vector<std::function<void()>> tasks;
-    next.push_back(bounds.front());
-    std::size_t i = 0;
-    for (; i + 2 < bounds.size(); i += 2) {
-      const std::size_t lo = bounds[i];
-      const std::size_t mid = bounds[i + 1];
-      const std::size_t hi = bounds[i + 2];
-      tasks.push_back([at, lo, mid, hi, comp] {
-        std::inplace_merge(at(lo), at(mid), at(hi), comp);
-      });
-      next.push_back(hi);
-    }
-    if (i + 1 < bounds.size()) next.push_back(bounds.back());  // odd block out: carried
-    pool.run_batch(tasks);
-    bounds = std::move(next);
-  }
-}
-
-/// Pool-parallel *stable* LSD radix sort of `items` ascending by the 64-bit
-/// key `key_fn(item)`. Each 8-bit digit is one parallel counting-sort pass:
-/// per-block histograms, a serial (digit, block)-major exclusive scan, then
-/// an in-order scatter into a double buffer — blocks write disjoint slices,
-/// and block order + in-block order preserve stability. Digits on which every
-/// key agrees are skipped entirely (packed keys with dead bytes — vertex ids,
-/// quantized scores — typically sort in 3-5 passes instead of 8).
-///
-/// Stability makes the output the unique stable ascending order, so the
-/// result is byte-identical for every thread count, and identical to
-/// std::stable_sort with `key_fn(a) < key_fn(b)` — which is exactly the
-/// fallback taken for 1-thread pools and small inputs. Not reentrant.
-template <typename T, typename KeyFn>
-void parallel_radix_sort(ThreadPool& pool, std::vector<T>& items, KeyFn key_fn) {
-  const std::size_t n = items.size();
-  constexpr std::size_t kSerialCutoff = 4096;
-  // Same clamp as parallel_sort: the sort is stable for any block count, so
-  // width beyond the hardware is output-neutral and pure overhead.
-  const std::size_t parts = clamped_parallelism(pool);
-  if (parts <= 1 || n <= kSerialCutoff) {
-    std::stable_sort(items.begin(), items.end(),
-                     [&key_fn](const T& a, const T& b) { return key_fn(a) < key_fn(b); });
-    return;
-  }
-  const std::vector<std::size_t> bounds = split_range(n, parts);
-  std::vector<T> buffer(n);
-  std::vector<std::array<std::size_t, 256>> counts(parts);
-
-  for (unsigned pass = 0; pass < 8; ++pass) {
-    const unsigned shift = pass * 8;
-    {
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t b = 0; b < parts; ++b) {
-        tasks.push_back([&, b, shift] {
-          std::array<std::size_t, 256>& h = counts[b];
-          h.fill(0);
-          for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-            ++h[(key_fn(items[i]) >> shift) & 0xFFu];
-          }
-        });
-      }
-      pool.run_batch(tasks);
-    }
-    // Exclusive scan in (digit, block) order; skip passes where every key
-    // shares the digit (one bucket holds all n items).
-    bool trivial = false;
-    std::size_t running = 0;
-    for (std::size_t d = 0; d < 256 && !trivial; ++d) {
-      std::size_t digit_total = 0;
-      for (std::size_t b = 0; b < parts; ++b) digit_total += counts[b][d];
-      if (digit_total == n) trivial = true;
-      for (std::size_t b = 0; b < parts; ++b) {
-        const std::size_t c = counts[b][d];
-        counts[b][d] = running;
-        running += c;
-      }
-    }
-    if (trivial) continue;
-    {
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t b = 0; b < parts; ++b) {
-        tasks.push_back([&, b, shift] {
-          std::array<std::size_t, 256>& offsets = counts[b];
-          for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-            buffer[offsets[(key_fn(items[i]) >> shift) & 0xFFu]++] = std::move(items[i]);
-          }
-        });
-      }
-      pool.run_batch(tasks);
-    }
-    items.swap(buffer);
-  }
-}
-
 /// Pool-parallel *stable* scatter of `items` into `bucket_count` contiguous
 /// groups, ordered by bucket id ascending, where bucket_of(item) must return
 /// a value < bucket_count. Returns the group boundaries (bucket_count + 1
-/// offsets into the permuted vector). This is one counting-sort pass of
-/// parallel_radix_sort generalized to a caller-defined bucket function:
-/// per-block histograms, a serial (bucket, block)-major exclusive scan, and
+/// offsets into the permuted vector). This is one stable counting-sort pass
+/// over a caller-defined bucket function: per-block histograms, a serial (bucket, block)-major exclusive scan, and
 /// an in-order scatter into a double buffer. Blocks write disjoint slices and
 /// block order + in-block order are preserved within every bucket, so the
 /// grouping is the unique stable one — byte-identical for every thread count,

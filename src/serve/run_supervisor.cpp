@@ -292,12 +292,11 @@ void RunSupervisor::worker(RunSpec spec, std::uint64_t run_id) {
   for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     core::LinkClusterer::Config config = spec.config;
     if (attempt >= 2) {
-      // Degradation ladder: arm the similarity floor (gather-build pruning
-      // keeps pairs below it from ever being materialized), then fall back
+      // Degradation ladder: arm the similarity floor (build pruning keeps
+      // pairs below it from ever being materialized), then fall back
       // to the coarse machine. A degraded attempt is a different run with a
       // different fingerprint — never resume the original's snapshot into it.
       config.min_similarity = std::max(config.min_similarity, spec.degrade_min_score);
-      config.build_strategy = core::BuildStrategy::kGatherSimd;
       config.resume = false;
       if (attempt >= 3) config.mode = core::ClusterMode::kCoarse;
     }

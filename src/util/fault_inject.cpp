@@ -54,17 +54,9 @@ std::uint64_t fnv1a64_str(std::string_view text) {
 const std::vector<SiteInfo>& registry_storage() {
   static const std::vector<SiteInfo> instance = {
       {"sim.pass1", SiteClass::kPhase, "degree/neighbor precompute task"},
-      {"sim.pass2.serial", SiteClass::kPhase, "serial similarity-map build"},
-      {"sim.pass2.count", SiteClass::kPhase, "gather build: pair-count pass"},
-      {"sim.pass2.fill", SiteClass::kPhase, "gather build: fill pass"},
-      {"sim.pass2.shard", SiteClass::kPhase, "sharded build: shard task"},
-      {"sim.pass3", SiteClass::kPhase, "similarity finalize pass"},
-      {"sim.assemble", SiteClass::kPhase, "similarity map assembly"},
-      {"sim.staging.alloc", SiteClass::kPhase, "staging buffer allocation"},
-      {"build.gather", SiteClass::kPhase, "gathered SIMD intersection build"},
-      {"sim.flat.emit", SiteClass::kPhase, "flat pair-list emission"},
+      {"build.gather", SiteClass::kPhase, "similarity build: gather block task"},
       {"sweep.entry", SiteClass::kPhase, "fine sweep entry boundary"},
-      {"sweep.bucket", SiteClass::kPhase, "lazy backend bucket sort"},
+      {"sweep.bucket", SiteClass::kPhase, "bucketed sweep source: bucket sort"},
       {"coarse.chunk", SiteClass::kPhase, "coarse chunk boundary"},
       {"coarse.apply", SiteClass::kPhase, "coarse chunk apply task"},
       {"coarse.cas_union", SiteClass::kPhase, "concurrent DSU union"},

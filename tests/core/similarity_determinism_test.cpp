@@ -1,17 +1,16 @@
 // Determinism and CSR-arena guarantees of the similarity map:
-//   - the parallel build + pool-parallel sort produce a byte-identical list L
-//     across 1, 2 and 8 threads (both map kinds), on a seeded Erdős–Rényi
-//     graph and on a barbell graph whose bridge path stresses entries touched
-//     by many strided slices;
+//   - the parallel build sorted into L is byte-identical to the sorted
+//     canonical-order reference build (similarity_reference.hpp) at 1, 2
+//     and 8 threads, on a seeded Erdős–Rényi graph and on a barbell graph
+//     whose bridge path stresses entries near block boundaries;
 //   - arena-backed entries match the serial reference scores and common
 //     lists exactly (bitwise), and the pre-resolved edge pairs agree with a
 //     find_edge oracle;
 //   - sweep() and coarse_sweep() perform zero graph.find_edge() calls;
-//   - find() binary-searches the key order every builder produces.
+//   - find() binary-searches the key order the build produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
+#include "similarity_reference.hpp"
 
 namespace lc::core {
 namespace {
@@ -50,104 +50,19 @@ WeightedGraph barbell_graph() {
   return builder.build();
 }
 
-/// Flattens the full observable state of L — key, score bits, commons, edge
-/// pairs, in list order — so equality means byte-identical output.
-std::vector<std::uint64_t> serialize(const SimilarityMap& map) {
-  std::vector<std::uint64_t> out;
-  for (const SimilarityEntry& e : map.entries) {
-    out.push_back((static_cast<std::uint64_t>(e.u) << 32) | e.v);
-    out.push_back(std::bit_cast<std::uint64_t>(e.score));
-    out.push_back(e.count);
-    for (VertexId k : map.common(e)) out.push_back(k);
-    for (const EdgePairRef& p : map.pairs(e)) {
-      out.push_back((static_cast<std::uint64_t>(p.first) << 32) | p.second);
-    }
-  }
-  return out;
-}
-
-class SimilarityDeterminism : public testing::TestWithParam<PairMapKind> {};
-
-TEST_P(SimilarityDeterminism, ByteIdenticalAcrossThreadCounts) {
+TEST(SimilarityDeterminism, ByteIdenticalAcrossThreadCounts) {
   for (const WeightedGraph& graph : {er_graph(), barbell_graph()}) {
-    SimilarityMap reference = build_similarity_map(graph, {GetParam()});
+    SimilarityMap reference = testing_reference::build_reference_map(graph);
     reference.sort_by_score();
-    const std::vector<std::uint64_t> expected = serialize(reference);
+    const std::vector<std::uint64_t> expected = testing_reference::serialize_map(reference);
     ASSERT_FALSE(expected.empty());
     for (std::size_t threads : {1u, 2u, 8u}) {
       parallel::ThreadPool pool(threads);
-      SimilarityMap map =
-          build_similarity_map_parallel(graph, pool, nullptr, {GetParam()});
-      map.sort_by_score(&pool);
-      EXPECT_EQ(serialize(map), expected)
+      SimilarityMap map = build_similarity_map_parallel(graph, pool);
+      map.sort_by_score();
+      EXPECT_EQ(testing_reference::serialize_map(map), expected)
           << "threads=" << threads << " n=" << graph.vertex_count();
     }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(MapKinds, SimilarityDeterminism,
-                         testing::Values(PairMapKind::kHash, PairMapKind::kFlat),
-                         [](const testing::TestParamInfo<PairMapKind>& param_info) {
-                           return param_info.param == PairMapKind::kHash ? "hash" : "flat";
-                         });
-
-// The shard count partitions pass-2 work but must never leak into the output:
-// entries, scores and raw arena contents must be byte-identical to the serial
-// builder for every (shard, thread) combination, including S=1 (everything in
-// one shard), a prime S, and S well above the pool width. The parallel legs
-// force BuildStrategy::kSharded (the session default is the gather build,
-// which ignores shard_count); the serial reference keeps the default, so this
-// doubles as a gather-vs-sharded equality check.
-TEST(SimilarityDeterminismSharded, ShardCountNeverChangesOutput) {
-  for (const WeightedGraph& graph : {er_graph(), barbell_graph()}) {
-    const SimilarityMap serial = build_similarity_map(graph);
-    const std::vector<std::uint64_t> expected = serialize(serial);
-    ASSERT_FALSE(expected.empty());
-    for (std::size_t shards : {1u, 7u, 64u}) {
-      for (std::size_t threads : {1u, 2u, 8u}) {
-        parallel::ThreadPool pool(threads);
-        SimilarityMapOptions options;
-        options.strategy = BuildStrategy::kSharded;
-        options.shard_count = shards;
-        const SimilarityMap map =
-            build_similarity_map_parallel(graph, pool, nullptr, options);
-        EXPECT_EQ(serialize(map), expected)
-            << "shards=" << shards << " threads=" << threads;
-        // The CSR arenas themselves must also lay out identically: the same
-        // slices at the same offsets, not just equal per-entry views.
-        ASSERT_EQ(map.entries.size(), serial.entries.size());
-        for (std::size_t i = 0; i < serial.entries.size(); ++i) {
-          EXPECT_EQ(map.entries[i].offset, serial.entries[i].offset);
-        }
-        EXPECT_EQ(map.common_arena, serial.common_arena);
-        ASSERT_EQ(map.pair_arena.size(), serial.pair_arena.size());
-        for (std::size_t i = 0; i < serial.pair_arena.size(); ++i) {
-          EXPECT_EQ(map.pair_arena[i].first, serial.pair_arena[i].first);
-          EXPECT_EQ(map.pair_arena[i].second, serial.pair_arena[i].second);
-        }
-      }
-    }
-  }
-}
-
-// sort_by_score's radix path (taken for keys_sorted maps on pools > 1 thread)
-// must produce the exact permutation of the comparison path. ER(300, 0.1)
-// yields well over the 4096-entry serial cutoff, so the radix passes really
-// run; heavy score ties come from the graph's many structurally equivalent
-// pairs.
-TEST(SimilaritySortByScore, RadixPathMatchesComparisonPath) {
-  const WeightedGraph graph =
-      graph::erdos_renyi(300, 0.1, {17, graph::WeightPolicy::kUniform});
-  SimilarityMap reference = build_similarity_map(graph);
-  ASSERT_GT(reference.key_count(), 4096u);
-  reference.sort_by_score();  // serial comparison sort
-  const std::vector<std::uint64_t> expected = serialize(reference);
-  for (std::size_t threads : {2u, 8u}) {
-    parallel::ThreadPool pool(threads);
-    SimilarityMap map = build_similarity_map_parallel(graph, pool);
-    ASSERT_TRUE(map.keys_sorted());
-    map.sort_by_score(&pool);  // radix path
-    EXPECT_EQ(serialize(map), expected) << "threads=" << threads;
   }
 }
 

@@ -1,8 +1,10 @@
-// Property suite for the gather build (BuildStrategy::kGatherSimd):
-//   - gather output is byte-identical to the sharded build on every graph
-//     shape (seeded ER, barbell bridge, hub-skewed star) at T in {1, 2, 8}
-//     and under every intersect kernel forced through the option — including
-//     weights at the edges of double precision (subnormals and 1e150);
+// Property suite for the gather build:
+//   - the build is byte-identical to the canonical-order reference build
+//     (similarity_reference.hpp) — entries, score bits, arena offsets and
+//     both arenas — on every graph shape (seeded ER, barbell bridge,
+//     hub-skewed star) serially and at T in {1, 2, 8}, under every intersect
+//     kernel forced through the option, including weights at the edges of
+//     double precision (subnormals and 1e150);
 //   - the pruned map equals the exact map filtered to score >= min_score,
 //     with the pSCAN-style bound actually skipping kernel work
 //     (pairs_pruned > 0) and never skipping a surviving key;
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/similarity.hpp"
+#include "similarity_reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "numeric/set_intersect.hpp"
@@ -106,52 +109,32 @@ std::vector<WeightedGraph> property_graphs() {
   return graphs;
 }
 
-TEST(SimilarityGather, ByteIdenticalToShardedAcrossThreadsAndKernels) {
+TEST(SimilarityGather, ByteIdenticalToReferenceAcrossThreadsAndKernels) {
   for (const WeightedGraph& graph : property_graphs()) {
-    SimilarityMapOptions sharded;
-    sharded.strategy = BuildStrategy::kSharded;
-    const SimilarityMap reference = build_similarity_map(graph, sharded);
-    const std::vector<std::uint64_t> expected = serialize(reference);
-    ASSERT_FALSE(expected.empty());
-    for (const numeric::IntersectKernel kernel :
-         {numeric::IntersectKernel::kAuto, numeric::IntersectKernel::kScalar,
-          numeric::IntersectKernel::kGalloping, numeric::IntersectKernel::kSimd}) {
-      SimilarityMapOptions options;
-      options.kernel = kernel;
-      {
-        const SimilarityMap serial = build_similarity_map(graph, options);
-        EXPECT_EQ(serialize(serial), expected)
+    for (const SimilarityMeasure measure :
+         {SimilarityMeasure::kTanimoto, SimilarityMeasure::kJaccard}) {
+      const std::vector<std::uint64_t> expected = testing_reference::serialize_map(
+          testing_reference::build_reference_map(graph, measure));
+      ASSERT_FALSE(expected.empty());
+      for (const numeric::IntersectKernel kernel :
+           {numeric::IntersectKernel::kAuto, numeric::IntersectKernel::kScalar,
+            numeric::IntersectKernel::kGalloping, numeric::IntersectKernel::kSimd}) {
+        SimilarityMapOptions options;
+        options.measure = measure;
+        options.kernel = kernel;
+        EXPECT_EQ(testing_reference::serialize_map(build_similarity_map(graph, options)),
+                  expected)
             << "serial kernel=" << numeric::kernel_name(kernel)
             << " n=" << graph.vertex_count();
+        for (std::size_t threads : {1u, 2u, 8u}) {
+          parallel::ThreadPool pool(threads);
+          EXPECT_EQ(testing_reference::serialize_map(
+                        build_similarity_map_parallel(graph, pool, nullptr, options)),
+                    expected)
+              << "threads=" << threads << " kernel=" << numeric::kernel_name(kernel)
+              << " n=" << graph.vertex_count();
+        }
       }
-      for (std::size_t threads : {1u, 2u, 8u}) {
-        parallel::ThreadPool pool(threads);
-        const SimilarityMap map =
-            build_similarity_map_parallel(graph, pool, nullptr, options);
-        EXPECT_EQ(serialize(map), expected)
-            << "threads=" << threads << " kernel=" << numeric::kernel_name(kernel)
-            << " n=" << graph.vertex_count();
-      }
-    }
-  }
-}
-
-TEST(SimilarityGather, ArenaLayoutMatchesShardedExactly) {
-  for (const WeightedGraph& graph : property_graphs()) {
-    SimilarityMapOptions sharded;
-    sharded.strategy = BuildStrategy::kSharded;
-    const SimilarityMap reference = build_similarity_map(graph, sharded);
-    parallel::ThreadPool pool(4);
-    const SimilarityMap map = build_similarity_map_parallel(graph, pool);
-    ASSERT_EQ(map.entries.size(), reference.entries.size());
-    for (std::size_t i = 0; i < reference.entries.size(); ++i) {
-      EXPECT_EQ(map.entries[i].offset, reference.entries[i].offset);
-    }
-    EXPECT_EQ(map.common_arena, reference.common_arena);
-    ASSERT_EQ(map.pair_arena.size(), reference.pair_arena.size());
-    for (std::size_t i = 0; i < reference.pair_arena.size(); ++i) {
-      EXPECT_EQ(map.pair_arena[i].first, reference.pair_arena[i].first);
-      EXPECT_EQ(map.pair_arena[i].second, reference.pair_arena[i].second);
     }
   }
 }

@@ -1,17 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/similarity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
+#include "similarity_reference.hpp"
 
 namespace lc::core {
 namespace {
 
 using graph::WeightedGraph;
 
-SimilarityMapOptions jaccard_options(PairMapKind kind = PairMapKind::kHash) {
+SimilarityMapOptions jaccard_options() {
   SimilarityMapOptions options;
-  options.map_kind = kind;
   options.measure = SimilarityMeasure::kJaccard;
   return options;
 }
@@ -76,23 +79,17 @@ TEST(JaccardSimilarity, DiffersFromTanimotoOnWeightedGraphs) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(JaccardSimilarity, FlatAndParallelAgreeWithHash) {
+TEST(JaccardSimilarity, SerialAndParallelMatchReference) {
   const WeightedGraph graph =
       graph::barabasi_albert(30, 3, {7, graph::WeightPolicy::kUniform});
-  SimilarityMap hash_map = build_similarity_map(graph, jaccard_options(PairMapKind::kHash));
-  SimilarityMap flat_map = build_similarity_map(graph, jaccard_options(PairMapKind::kFlat));
+  const std::vector<std::uint64_t> expected = testing_reference::serialize_map(
+      testing_reference::build_reference_map(graph, SimilarityMeasure::kJaccard));
+  EXPECT_EQ(testing_reference::serialize_map(build_similarity_map(graph, jaccard_options())),
+            expected);
   parallel::ThreadPool pool(3);
-  SimilarityMap par_map =
-      build_similarity_map_parallel(graph, pool, nullptr, jaccard_options());
-  hash_map.sort_by_score();
-  flat_map.sort_by_score();
-  par_map.sort_by_score();
-  ASSERT_EQ(hash_map.entries.size(), flat_map.entries.size());
-  ASSERT_EQ(hash_map.entries.size(), par_map.entries.size());
-  for (std::size_t i = 0; i < hash_map.entries.size(); ++i) {
-    EXPECT_DOUBLE_EQ(hash_map.entries[i].score, flat_map.entries[i].score);
-    EXPECT_DOUBLE_EQ(hash_map.entries[i].score, par_map.entries[i].score);
-  }
+  EXPECT_EQ(testing_reference::serialize_map(
+                build_similarity_map_parallel(graph, pool, nullptr, jaccard_options())),
+            expected);
 }
 
 TEST(JaccardSimilarity, BruteForceOracleSelfConsistent) {

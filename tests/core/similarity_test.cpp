@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 #include "parallel/thread_pool.hpp"
+#include "similarity_reference.hpp"
 
 namespace lc::core {
 namespace {
@@ -131,23 +132,12 @@ TEST_P(SimilarityProperty, CoversEveryIncidentPair) {
   }
 }
 
-TEST_P(SimilarityProperty, FlatMapMatchesHashMap) {
+TEST_P(SimilarityProperty, MatchesReferenceBuild) {
+  // The canonical per-entry summation order makes the build bitwise equal
+  // to the reference: entries, score bits, arena offsets and both arenas.
   const WeightedGraph graph = GetParam().make(5);
-  SimilarityMap hash_map = build_similarity_map(graph, {PairMapKind::kHash});
-  SimilarityMap flat_map = build_similarity_map(graph, {PairMapKind::kFlat});
-  hash_map.sort_by_score();
-  flat_map.sort_by_score();
-  ASSERT_EQ(hash_map.entries.size(), flat_map.entries.size());
-  for (std::size_t i = 0; i < hash_map.entries.size(); ++i) {
-    EXPECT_EQ(hash_map.entries[i].u, flat_map.entries[i].u);
-    EXPECT_EQ(hash_map.entries[i].v, flat_map.entries[i].v);
-    // Canonical per-entry summation order makes the two builds bitwise equal.
-    EXPECT_EQ(hash_map.entries[i].score, flat_map.entries[i].score);
-    const auto hc = hash_map.common(hash_map.entries[i]);
-    const auto fc = flat_map.common(flat_map.entries[i]);
-    ASSERT_EQ(hc.size(), fc.size());
-    EXPECT_TRUE(std::equal(hc.begin(), hc.end(), fc.begin()));
-  }
+  EXPECT_EQ(testing_reference::serialize_map(build_similarity_map(graph)),
+            testing_reference::serialize_map(testing_reference::build_reference_map(graph)));
 }
 
 TEST_P(SimilarityProperty, ParallelMatchesSerial) {

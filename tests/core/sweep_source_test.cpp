@@ -1,21 +1,19 @@
-// Backend-equivalence suite for the sweep sources (core/sweep_source.hpp):
+// Equivalence suite for the sweep sources (core/sweep_source.hpp):
 //   - property: materializing every bucket of a BucketSweepSource leaves
 //     map.entries byte-identical to the full sort_by_score() order, for
 //     every bucket count — concatenated sorted buckets ARE the global sort;
-//   - fine and coarse sweeps driven through the lazy backend produce
-//     byte-identical merges, labels, and stats to the sorted backend across
+//   - fine and coarse sweeps driven through BucketSweepSource produce
+//     byte-identical merges, labels, and stats to SortedSweepSource across
 //     T in {1, 2, 8} x bucket counts {1, 16, 256} x ER/barbell/hub graphs;
 //   - runs that stop early (coarse phi, fine min_similarity) and resumes
 //     that start late never sort the buckets they never read
 //     (buckets_skipped > 0), and a checkpoint resume mid-list reproduces
-//     the uninterrupted run bit for bit;
-//   - LC_SWEEP_BUCKETS drives the bucket target when the option is 0.
+//     the uninterrupted run bit for bit.
 #include "core/sweep_source.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -290,8 +288,6 @@ TEST(SweepSource, LazyResumeMidListReproducesUninterruptedRun) {
   const WeightedGraph graph =
       graph::erdos_renyi(60, 0.15, {5, graph::WeightPolicy::kUniform});
   LinkClusterer::Config config;
-  config.sweep_backend = SweepBackend::kLazyBucket;
-  config.sweep_buckets = 16;
   const ClusterResult reference = LinkClusterer(config).cluster(graph);
 
   // interval 0 snapshots at every entry boundary; the cap strands the last
@@ -316,22 +312,6 @@ TEST(SweepSource, LazyResumeMidListReproducesUninterruptedRun) {
   // Buckets wholly before the resume position were never sorted.
   EXPECT_GT(resumed.value().sweep_source.buckets_skipped, 0u);
   fs::remove_all(dir);
-}
-
-TEST(SweepSource, EnvVariableDrivesBucketTarget) {
-  const WeightedGraph graph = barbell_graph();
-  ASSERT_EQ(setenv("LC_SWEEP_BUCKETS", "5", 1), 0);
-  SimilarityMap map = build_map(graph, nullptr);
-  BucketSweepSource source(map, BucketSweepSource::Options{});
-  ASSERT_EQ(unsetenv("LC_SWEEP_BUCKETS"), 0);
-  EXPECT_GE(source.bucket_count(), 2u);
-  EXPECT_LE(source.bucket_count(), 5u);
-  // The explicit option wins over the environment and the auto size.
-  SimilarityMap map2 = build_map(graph, nullptr);
-  BucketSweepSource::Options options;
-  options.bucket_count = 3;
-  BucketSweepSource source2(map2, options);
-  EXPECT_LE(source2.bucket_count(), 3u);
 }
 
 TEST(SweepSource, EmptyMapYieldsEmptySource) {

@@ -44,18 +44,15 @@ const graph::WeightedGraph& test_graph() {
   return graph;
 }
 
-LinkClusterer::Config make_config(std::size_t threads, PairMapKind kind,
-                                  ClusterMode mode,
-                                  BuildStrategy strategy = BuildStrategy::kGatherSimd) {
+LinkClusterer::Config make_config(std::size_t threads, ClusterMode mode) {
   LinkClusterer::Config config;
   config.threads = threads;
-  config.map_kind = kind;
   config.mode = mode;
-  config.build_strategy = strategy;
   return config;
 }
 
-/// FNV-1a over the merge-event stream (same digest as bench/micro_core):
+/// FNV-1a over the merge-event stream (same digest as the pinned one in
+/// tests/core/thread_invariance_test.cpp):
 /// any difference in merge order, partners, or heights changes it.
 std::uint64_t dendrogram_digest(const Dendrogram& dendrogram) {
   std::uint64_t h = 14695981039346656037ull;
@@ -81,53 +78,31 @@ class FaultInjectionTest : public ::testing::Test {
 struct SiteCase {
   const char* site;
   std::size_t threads;
-  PairMapKind kind;
   ClusterMode mode;
-  /// The sharded-internal sites (pass-2 scatter, staging arena, assembly)
-  /// are only reachable when the config forces BuildStrategy::kSharded; the
-  /// session default builds through the gather path and its build.gather
-  /// site.
-  BuildStrategy strategy = BuildStrategy::kGatherSimd;
 };
 
 // Every site paired with a configuration whose code path reaches it.
 const SiteCase kThrowCases[] = {
-    {"sim.pass1", 1, PairMapKind::kHash, ClusterMode::kFine},
-    {"build.gather", 1, PairMapKind::kHash, ClusterMode::kFine},
-    {"sweep.entry", 1, PairMapKind::kHash, ClusterMode::kFine},
-    {"sim.pass1", 8, PairMapKind::kHash, ClusterMode::kFine},
-    {"build.gather", 8, PairMapKind::kHash, ClusterMode::kFine},
-    {"sim.pass2.serial", 1, PairMapKind::kHash, ClusterMode::kFine,
-     BuildStrategy::kSharded},
-    {"sim.pass3", 1, PairMapKind::kHash, ClusterMode::kFine, BuildStrategy::kSharded},
-    {"sim.pass2.count", 8, PairMapKind::kHash, ClusterMode::kFine,
-     BuildStrategy::kSharded},
-    {"sim.pass2.fill", 8, PairMapKind::kHash, ClusterMode::kFine,
-     BuildStrategy::kSharded},
-    {"sim.pass2.shard", 8, PairMapKind::kHash, ClusterMode::kFine,
-     BuildStrategy::kSharded},
-    {"sim.staging.alloc", 8, PairMapKind::kHash, ClusterMode::kFine,
-     BuildStrategy::kSharded},
-    {"sim.pass3", 8, PairMapKind::kHash, ClusterMode::kFine, BuildStrategy::kSharded},
-    {"sim.assemble", 8, PairMapKind::kHash, ClusterMode::kFine,
-     BuildStrategy::kSharded},
-    {"sim.flat.emit", 1, PairMapKind::kFlat, ClusterMode::kFine},
-    {"sim.flat.emit", 8, PairMapKind::kFlat, ClusterMode::kFine},
-    {"sweep.entry", 8, PairMapKind::kHash, ClusterMode::kFine},
-    // sweep.bucket sits inside BucketSweepSource::sort_bucket — the default
-    // lazy backend reaches it on the caller thread (first bucket) and on the
-    // prefetch thread (later buckets, rethrown at the handoff).
-    {"sweep.bucket", 1, PairMapKind::kHash, ClusterMode::kFine},
-    {"sweep.bucket", 8, PairMapKind::kHash, ClusterMode::kFine},
-    {"sweep.bucket", 8, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.chunk", 1, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.apply", 1, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.cas_union", 1, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.journal", 1, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.chunk", 8, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.apply", 8, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.cas_union", 8, PairMapKind::kHash, ClusterMode::kCoarse},
-    {"coarse.journal", 8, PairMapKind::kHash, ClusterMode::kCoarse},
+    {"sim.pass1", 1, ClusterMode::kFine},
+    {"build.gather", 1, ClusterMode::kFine},
+    {"sweep.entry", 1, ClusterMode::kFine},
+    {"sim.pass1", 8, ClusterMode::kFine},
+    {"build.gather", 8, ClusterMode::kFine},
+    {"sweep.entry", 8, ClusterMode::kFine},
+    // sweep.bucket sits inside BucketSweepSource::sort_bucket — the
+    // production source reaches it on the caller thread (first bucket) and
+    // on the prefetch thread (later buckets, rethrown at the handoff).
+    {"sweep.bucket", 1, ClusterMode::kFine},
+    {"sweep.bucket", 8, ClusterMode::kFine},
+    {"sweep.bucket", 8, ClusterMode::kCoarse},
+    {"coarse.chunk", 1, ClusterMode::kCoarse},
+    {"coarse.apply", 1, ClusterMode::kCoarse},
+    {"coarse.cas_union", 1, ClusterMode::kCoarse},
+    {"coarse.journal", 1, ClusterMode::kCoarse},
+    {"coarse.chunk", 8, ClusterMode::kCoarse},
+    {"coarse.apply", 8, ClusterMode::kCoarse},
+    {"coarse.cas_union", 8, ClusterMode::kCoarse},
+    {"coarse.journal", 8, ClusterMode::kCoarse},
 };
 
 TEST_F(FaultInjectionTest, ThrowAtEverySiteBecomesInternalStatus) {
@@ -135,7 +110,7 @@ TEST_F(FaultInjectionTest, ThrowAtEverySiteBecomesInternalStatus) {
     SCOPED_TRACE(testing::Message() << c.site << " threads=" << c.threads);
     fault::arm(c.site, fault::FaultKind::kThrow);
     const StatusOr<ClusterResult> run =
-        LinkClusterer(make_config(c.threads, c.kind, c.mode, c.strategy))
+        LinkClusterer(make_config(c.threads, c.mode))
             .run(test_graph());
     EXPECT_GE(fault::fire_count(), 1u) << "site never reached";
     ASSERT_FALSE(run.ok());
@@ -150,7 +125,7 @@ TEST_F(FaultInjectionTest, SnapshotSiteFiresWhenContextAttached) {
   // coarse.snapshot only exists on the accounting path, so it needs a ctx.
   RunContext ctx;
   LinkClusterer::Config config =
-      make_config(1, PairMapKind::kHash, ClusterMode::kCoarse);
+      make_config(1, ClusterMode::kCoarse);
   config.ctx = &ctx;
   fault::arm("coarse.snapshot", fault::FaultKind::kThrow);
   const StatusOr<ClusterResult> run = LinkClusterer(config).run(test_graph());
@@ -160,11 +135,11 @@ TEST_F(FaultInjectionTest, SnapshotSiteFiresWhenContextAttached) {
 }
 
 TEST_F(FaultInjectionTest, BadAllocBecomesResourceExhausted) {
-  fault::arm("sim.staging.alloc", fault::FaultKind::kBadAlloc);
+  // A bad_alloc inside a gather block on a pool worker is rethrown on the
+  // caller and classified at the run boundary.
+  fault::arm("build.gather", fault::FaultKind::kBadAlloc);
   const StatusOr<ClusterResult> run =
-      LinkClusterer(make_config(8, PairMapKind::kHash, ClusterMode::kFine,
-                                BuildStrategy::kSharded))
-          .run(test_graph());
+      LinkClusterer(make_config(8, ClusterMode::kFine)).run(test_graph());
   EXPECT_GE(fault::fire_count(), 1u);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
@@ -177,7 +152,7 @@ TEST_F(FaultInjectionTest, SleepTripsArmedDeadline) {
   // stall is bounded.
   RunContext ctx;
   ctx.set_deadline_after(std::chrono::milliseconds{10});
-  LinkClusterer::Config config = make_config(1, PairMapKind::kHash, ClusterMode::kFine);
+  LinkClusterer::Config config = make_config(1, ClusterMode::kFine);
   config.ctx = &ctx;
   fault::arm("sim.pass1", fault::FaultKind::kSleep, 0, 50);
   const StatusOr<ClusterResult> run = LinkClusterer(config).run(test_graph());
@@ -190,7 +165,7 @@ TEST_F(FaultInjectionTest, DisarmedRerunReproducesDendrogramExactly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     const LinkClusterer clusterer(
-        make_config(threads, PairMapKind::kHash, ClusterMode::kFine));
+        make_config(threads, ClusterMode::kFine));
     const StatusOr<ClusterResult> before = clusterer.run(test_graph());
     ASSERT_TRUE(before.ok());
     const std::uint64_t reference = dendrogram_digest(before.value().dendrogram);
@@ -213,7 +188,7 @@ TEST_F(FaultInjectionTest, GatherFaultDisarmedRerunReproducesDendrogramExactly) 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     const LinkClusterer clusterer(
-        make_config(threads, PairMapKind::kHash, ClusterMode::kFine));
+        make_config(threads, ClusterMode::kFine));
     const StatusOr<ClusterResult> before = clusterer.run(test_graph());
     ASSERT_TRUE(before.ok());
     const std::uint64_t reference = dendrogram_digest(before.value().dendrogram);
@@ -235,7 +210,7 @@ TEST_F(FaultInjectionTest, DisarmedRerunReproducesCoarseDendrogramExactly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     const LinkClusterer clusterer(
-        make_config(threads, PairMapKind::kHash, ClusterMode::kCoarse));
+        make_config(threads, ClusterMode::kCoarse));
     const StatusOr<ClusterResult> before = clusterer.run(test_graph());
     ASSERT_TRUE(before.ok());
     const std::uint64_t reference = dendrogram_digest(before.value().dendrogram);
@@ -251,14 +226,12 @@ TEST_F(FaultInjectionTest, DisarmedRerunReproducesCoarseDendrogramExactly) {
 }
 
 TEST_F(FaultInjectionTest, SkipHitsDelaysTheFault) {
-  // With skip_hits = 3, the first three passes through sim.pass2.count
-  // succeed and the fourth throws — proving mid-phase unwinding, not just
-  // entry-point unwinding.
-  fault::arm("sim.pass2.count", fault::FaultKind::kThrow, /*skip_hits=*/3);
+  // build.gather is passed once per gather block. With skip_hits = 3, the
+  // first three of the eight blocks succeed and the fourth throws — proving
+  // mid-phase unwinding, not just entry-point unwinding.
+  fault::arm("build.gather", fault::FaultKind::kThrow, /*skip_hits=*/3);
   const StatusOr<ClusterResult> run =
-      LinkClusterer(make_config(8, PairMapKind::kHash, ClusterMode::kFine,
-                                BuildStrategy::kSharded))
-          .run(test_graph());
+      LinkClusterer(make_config(8, ClusterMode::kFine)).run(test_graph());
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInternal);
 }
@@ -280,7 +253,7 @@ class SnapshotFaultTest : public FaultInjectionTest {
   [[nodiscard]] LinkClusterer::Config checkpointing_config(
       std::uint64_t max_snapshots) const {
     LinkClusterer::Config config =
-        make_config(1, PairMapKind::kHash, ClusterMode::kFine);
+        make_config(1, ClusterMode::kFine);
     config.checkpoint.directory = dir_.string();
     config.checkpoint.interval_ms = 0;
     config.checkpoint.max_snapshots = max_snapshots;
@@ -295,7 +268,7 @@ TEST_F(SnapshotFaultTest, FailedSnapshotWriteNeverFailsTheRun) {
   // the run completes, produces the exact reference dendrogram, and simply
   // has no snapshot to show for it.
   const StatusOr<ClusterResult> reference =
-      LinkClusterer(make_config(1, PairMapKind::kHash, ClusterMode::kFine))
+      LinkClusterer(make_config(1, ClusterMode::kFine))
           .run(test_graph());
   ASSERT_TRUE(reference.ok());
 
@@ -315,7 +288,7 @@ TEST_F(SnapshotFaultTest, CrashBetweenRenamesLeavesLoadablePrev) {
   // and then "crashes" between the two renames — the torn window. The
   // primary is gone, but .prev holds snapshot #1 and resume still works.
   const StatusOr<ClusterResult> reference =
-      LinkClusterer(make_config(1, PairMapKind::kHash, ClusterMode::kFine))
+      LinkClusterer(make_config(1, ClusterMode::kFine))
           .run(test_graph());
   ASSERT_TRUE(reference.ok());
 
@@ -345,7 +318,7 @@ TEST_F(SnapshotFaultTest, TransientWriteFaultIsHealedByRetry) {
   // no failure is recorded, the file lands on disk, and the result is the
   // reference bit for bit.
   const StatusOr<ClusterResult> reference =
-      LinkClusterer(make_config(1, PairMapKind::kHash, ClusterMode::kFine))
+      LinkClusterer(make_config(1, ClusterMode::kFine))
           .run(test_graph());
   ASSERT_TRUE(reference.ok());
 
@@ -393,7 +366,7 @@ TEST_F(SnapshotFaultTest, ExhaustedRetriesDegradeButNeverFailTheRun) {
   // no further snapshot is attempted — and the run still returns the exact
   // reference dendrogram.
   const StatusOr<ClusterResult> reference =
-      LinkClusterer(make_config(1, PairMapKind::kHash, ClusterMode::kFine))
+      LinkClusterer(make_config(1, ClusterMode::kFine))
           .run(test_graph());
   ASSERT_TRUE(reference.ok());
 
@@ -446,7 +419,7 @@ TEST_F(FaultInjectionTest, MultiSitePlanFiresEachWindowInOrder) {
   // clause is spent) and dies at the sweep, the third finds every window
   // spent and completes with the reference dendrogram.
   const LinkClusterer clusterer(
-      make_config(1, PairMapKind::kHash, ClusterMode::kFine));
+      make_config(1, ClusterMode::kFine));
   const StatusOr<ClusterResult> reference = clusterer.run(test_graph());
   ASSERT_TRUE(reference.ok());
 

@@ -6,7 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <numeric>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -86,44 +86,6 @@ TEST(ParallelForBlocks, ZeroLengthRange) {
   EXPECT_FALSE(called);
 }
 
-TEST(TournamentReduce, SumsAllItemsIntoItemZero) {
-  for (std::size_t count : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u, 16u}) {
-    ThreadPool pool(4);
-    std::vector<std::int64_t> values(count);
-    std::iota(values.begin(), values.end(), 1);  // 1..count
-    tournament_reduce(pool, count, [&values](std::size_t dst, std::size_t src) {
-      values[dst] += values[src];
-      values[src] = 0;
-    });
-    const std::int64_t expected =
-        static_cast<std::int64_t>(count) * static_cast<std::int64_t>(count + 1) / 2;
-    EXPECT_EQ(values[0], expected) << "count=" << count;
-  }
-}
-
-TEST(TournamentReduce, RespectsFinalFanIn) {
-  // With final_fan_in = 1000 everything merges in the single sequential pass.
-  ThreadPool pool(2);
-  std::vector<int> values(6, 1);
-  int merges = 0;
-  tournament_reduce(
-      pool, 6,
-      [&values, &merges](std::size_t dst, std::size_t src) {
-        values[dst] += values[src];
-        ++merges;
-      },
-      1000);
-  EXPECT_EQ(values[0], 6);
-  EXPECT_EQ(merges, 5);
-}
-
-TEST(TournamentReduce, SingleItemNoMerge) {
-  ThreadPool pool(2);
-  bool merged = false;
-  tournament_reduce(pool, 1, [&merged](std::size_t, std::size_t) { merged = true; });
-  EXPECT_FALSE(merged);
-}
-
 TEST(ThreadPoolDeathTest, ZeroThreadsRejected) {
   EXPECT_DEATH(ThreadPool pool(0), "at least one");
 }
@@ -196,71 +158,6 @@ TEST(ParallelForBlocks, ExceptionPropagates) {
                std::runtime_error);
 }
 
-std::vector<std::uint64_t> random_values(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> values(n);
-  for (auto& v : values) v = rng() % 1000;  // plenty of duplicates
-  return values;
-}
-
-TEST(ParallelSort, MatchesSerialSortAcrossThreadCounts) {
-  // 20000 elements exceeds the serial cutoff, so pools > 1 thread take the
-  // block-sort + inplace_merge path.
-  const std::vector<std::uint64_t> input = random_values(20000, 11);
-  std::vector<std::uint64_t> expected = input;
-  std::sort(expected.begin(), expected.end());
-  for (std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<std::uint64_t> values = input;
-    parallel_sort(pool, values.begin(), values.end(), std::less<>{});
-    EXPECT_EQ(values, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelSort, StrictTotalOrderGivesIdenticalPermutation) {
-  // With a unique tie-break (the payload) the sorted order is unique, so the
-  // payloads land in the same slots for every thread count — the property
-  // sort_by_score relies on for deterministic L.
-  const std::size_t n = 10000;
-  std::mt19937_64 rng(5);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> input(n);
-  for (std::uint32_t i = 0; i < n; ++i) input[i] = {static_cast<std::uint32_t>(rng() % 50), i};
-  const auto by_key_then_payload = [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first : a.second < b.second;
-  };
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> expected = input;
-  std::sort(expected.begin(), expected.end(), by_key_then_payload);
-  for (std::size_t threads : {2u, 5u, 8u}) {
-    ThreadPool pool(threads);
-    auto values = input;
-    parallel_sort(pool, values.begin(), values.end(), by_key_then_payload);
-    EXPECT_EQ(values, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelSort, SmallAndEmptyRanges) {
-  ThreadPool pool(4);
-  std::vector<int> empty;
-  parallel_sort(pool, empty.begin(), empty.end(), std::less<>{});
-  EXPECT_TRUE(empty.empty());
-
-  std::vector<int> small{5, 3, 9, 1};  // below cutoff: serial fallback
-  parallel_sort(pool, small.begin(), small.end(), std::less<>{});
-  EXPECT_EQ(small, (std::vector<int>{1, 3, 5, 9}));
-}
-
-TEST(ParallelSort, MoreThreadsThanDistinctBlocks) {
-  // n just above the cutoff with 8 threads: split_range produces short (and
-  // possibly uneven) blocks; the merge rounds must still converge.
-  const std::vector<std::uint64_t> input = random_values(4099, 23);
-  std::vector<std::uint64_t> expected = input;
-  std::sort(expected.begin(), expected.end());
-  ThreadPool pool(8);
-  std::vector<std::uint64_t> values = input;
-  parallel_sort(pool, values.begin(), values.end(), std::less<>{});
-  EXPECT_EQ(values, expected);
-}
-
 TEST(ParallelForBlocks, MinGrainCapsBlockCount) {
   ThreadPool pool(8);
   std::atomic<int> blocks{0};
@@ -292,98 +189,37 @@ TEST(ParallelForBlocks, MinGrainLargerThanRangeStillRuns) {
   EXPECT_EQ(covered.load(), 10);
 }
 
-// A payload the radix sort must carry along with its key, with enough
-// adversarial structure to catch stability bugs: many duplicate keys whose
-// payloads record the original position.
-struct KeyedItem {
-  std::uint64_t key = 0;
-  std::uint32_t tag = 0;
-  bool operator==(const KeyedItem&) const = default;
-};
-
-std::vector<KeyedItem> stable_sorted(std::vector<KeyedItem> items) {
-  std::stable_sort(items.begin(), items.end(),
-                   [](const KeyedItem& a, const KeyedItem& b) { return a.key < b.key; });
-  return items;
-}
-
-TEST(ParallelRadixSort, MatchesStableSortOnRandomKeys) {
-  std::mt19937_64 rng(31);
-  std::vector<KeyedItem> input(20000);
+// The scatter must be the unique stable grouping: equal to std::stable_sort
+// by bucket id (duplicate buckets keep their input order), with boundaries
+// at the bucket starts, for every pool width and without a pool.
+TEST(ParallelBucketScatter, MatchesStableSortByBucketAcrossThreadCounts) {
+  constexpr std::size_t kBuckets = 37;
+  std::mt19937_64 rng(19);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> input(20000);  // (bucket, tag)
   for (std::uint32_t i = 0; i < input.size(); ++i) {
-    input[i] = {rng(), i};  // full 64-bit keys: all 8 passes are non-trivial
+    input[i] = {static_cast<std::uint32_t>(rng() % kBuckets), i};
   }
-  const std::vector<KeyedItem> expected = stable_sorted(input);
-  for (std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<KeyedItem> items = input;
-    parallel_radix_sort(pool, items, [](const KeyedItem& it) { return it.key; });
+  auto expected = input;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto bucket_of = [](const std::pair<std::uint32_t, std::uint32_t>& item) {
+    return static_cast<std::size_t>(item.first);
+  };
+  for (const std::size_t threads : {0u, 1u, 2u, 3u, 8u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    auto items = input;
+    const std::vector<std::size_t> bounds =
+        parallel_bucket_scatter(pool.get(), items, kBuckets, bucket_of);
     EXPECT_EQ(items, expected) << "threads=" << threads;
+    ASSERT_EQ(bounds.size(), kBuckets + 1);
+    EXPECT_EQ(bounds.back(), input.size());
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
+        ASSERT_EQ(items[i].first, b) << "threads=" << threads << " i=" << i;
+      }
+    }
   }
-}
-
-TEST(ParallelRadixSort, AllEqualKeysPreserveInputOrder) {
-  // Every pass is trivial (one bucket holds everything): the sort must be the
-  // identity permutation, not merely *a* valid order.
-  std::vector<KeyedItem> input(10000);
-  for (std::uint32_t i = 0; i < input.size(); ++i) input[i] = {42, i};
-  const std::vector<KeyedItem> expected = input;
-  ThreadPool pool(8);
-  std::vector<KeyedItem> items = input;
-  parallel_radix_sort(pool, items, [](const KeyedItem& it) { return it.key; });
-  EXPECT_EQ(items, expected);
-}
-
-TEST(ParallelRadixSort, AdversarialTiesMatchStableSort) {
-  // Keys collide heavily in every byte: long runs of one key, interleaved
-  // pairs differing only in the top byte, and keys equal to block boundaries
-  // of the 8-way split.
-  std::vector<KeyedItem> input;
-  std::uint32_t tag = 0;
-  for (int run = 0; run < 40; ++run) {
-    const std::uint64_t base = static_cast<std::uint64_t>(run % 3)
-                              << (8 * static_cast<unsigned>(run % 8));
-    for (int i = 0; i < 300; ++i) input.push_back({base, tag++});
-  }
-  std::mt19937_64 rng(77);
-  std::shuffle(input.begin(), input.end(), rng);
-  for (std::uint32_t i = 0; i < input.size(); ++i) input[i].tag = i;  // re-tag post-shuffle
-  const std::vector<KeyedItem> expected = stable_sorted(input);
-  for (std::size_t threads : {2u, 5u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<KeyedItem> items = input;
-    parallel_radix_sort(pool, items, [](const KeyedItem& it) { return it.key; });
-    EXPECT_EQ(items, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelRadixSort, IdenticalOutputAcrossThreadCounts) {
-  std::mt19937_64 rng(13);
-  std::vector<KeyedItem> input(15000);
-  for (std::uint32_t i = 0; i < input.size(); ++i) {
-    input[i] = {rng() % 512, i};  // narrow key range: 7 of 8 passes trivial
-  }
-  ThreadPool pool1(1);
-  std::vector<KeyedItem> reference = input;
-  parallel_radix_sort(pool1, reference, [](const KeyedItem& it) { return it.key; });
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<KeyedItem> items = input;
-    parallel_radix_sort(pool, items, [](const KeyedItem& it) { return it.key; });
-    EXPECT_EQ(items, reference) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelRadixSort, SmallInputFallsBackToSerial) {
-  ThreadPool pool(4);
-  std::vector<KeyedItem> items{{9, 0}, {1, 1}, {9, 2}, {0, 3}};
-  parallel_radix_sort(pool, items, [](const KeyedItem& it) { return it.key; });
-  const std::vector<KeyedItem> expected{{0, 3}, {1, 1}, {9, 0}, {9, 2}};
-  EXPECT_EQ(items, expected);
-
-  std::vector<KeyedItem> empty;
-  parallel_radix_sort(pool, empty, [](const KeyedItem& it) { return it.key; });
-  EXPECT_TRUE(empty.empty());
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 # just the concurrency suites (the lock-free union-find stress test, the
 # thread pool, the coarse/parallel determinism tests, the checkpoint
 # resume tests, which cross thread counts, and the sweep-source suite, whose
-# lazy backend hands bucket sorts to a prefetch thread) — the full suite under TSan is
+# bucketed source hands bucket sorts to a prefetch thread) — the full suite under TSan is
 # prohibitively slow and the serial tests cannot race. Any sanitizer report
 # fails the build because CMakeLists.txt sets -fno-sanitize-recover=all.
 #
@@ -107,13 +107,11 @@ smoke() {
 
 # Fine: sleep after 400 entry boundaries — hundreds of snapshots are already
 # on disk by then. Coarse: the loop head commits a snapshot before each
-# coarse.chunk hit, so three skips guarantee one. The default sweep backend
-# is lazy, so these two legs kill and resume bucketed lazy-sort runs — the
-# resume lands mid-bucket and must skip the sorts of every bucket before it.
+# coarse.chunk hit, so three skips guarantee one. Both legs kill and resume
+# bucketed lazy-sort runs — the resume lands mid-bucket and must skip the
+# sorts of every bucket before it.
 smoke fine  "sweep.entry:sleep:400:60000"
 smoke coarse "coarse.chunk:sleep:3:60000" --delta0 32
-# The sorted backend stays selectable; keep its kill/resume path covered too.
-smoke fine  "sweep.entry:sleep:400:60000" --sweep-backend sorted
 
 # ---- Batch SIGTERM smoke: a termination signal must turn into a cooperative
 # cancel (exit 3), leave a final checkpoint behind, and --resume must finish
