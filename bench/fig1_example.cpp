@@ -25,9 +25,9 @@ int main() {
   lc::Table table({"vertex pair", "similarity", "shared neighbors"});
   for (const lc::core::SimilarityEntry& entry : map.entries) {
     std::string commons;
-    for (lc::graph::VertexId k : map.common(entry)) {
+    for (const lc::core::EdgePairRef& pair : map.pairs(entry)) {
       if (!commons.empty()) commons += ", ";
-      commons += std::to_string(k);
+      commons += std::to_string(lc::core::shared_vertex(graph, pair));
     }
     table.add_row({lc::strprintf("(%u, %u)", entry.u, entry.v),
                    lc::strprintf("%.4f", entry.score), "{" + commons + "}"});

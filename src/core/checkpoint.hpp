@@ -137,7 +137,7 @@ struct CoarseCheckpoint {
   std::uint64_t reuse_count = 0;
   std::uint64_t soundness_violations = 0;
   SweepStats stats;
-  std::vector<EdgeIdx> parents;  ///< ConcurrentDsu parent array
+  std::vector<EdgeIdx> parents;  ///< ConcurrentDsu root labels (parents[i] <= i)
   std::vector<MergeEvent> events;
   std::vector<EpochRecord> epochs;
   std::vector<CoarseLevel> levels;

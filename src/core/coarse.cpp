@@ -138,7 +138,11 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
   // derived from each chunk's pair list and union count only, never from the
   // DSU's CAS retries or path-halving writes, so they are identical at every
   // thread count. Work later undone by a rollback is included, as the
-  // paper's cost analysis does.
+  // paper's cost analysis does. The ledger charges the same traffic: 2 units
+  // per pair in the round that applies it (per block when parallel), 1 per
+  // union at the epoch boundary, whose journal walk is serial, and 1 per
+  // union a rollback rewinds. Its sweep.coarse phase therefore totals
+  // c_accesses plus the rolled-back unions, identically on every run.
   std::uint64_t total_accesses = 0;
   std::uint64_t total_changes = 0;
   auto count_c_traffic = [&](std::size_t pairs, std::size_t unions) {
@@ -232,7 +236,9 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     state.stats.c_accesses = total_accesses;
     state.stats.c_changes = total_changes;
     state.stats.merges_effective = result.dendrogram.events().size();
-    state.parents = dsu.parent_snapshot();
+    // The canonical labels, not the raw parents: their path-halving shape
+    // depends on thread interleaving, the labels only on the partition.
+    state.parents = dsu.root_labels();
     state.events = result.dendrogram.events();
     state.epochs = result.epochs;
     state.levels = result.levels;
@@ -267,14 +273,13 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     if (pool == nullptr || threads == 1 || pairs.size() < 2 * threads) {
       LC_FAULT_POINT("coarse.apply");
       PollTicker ticker(ctx);
-      std::uint64_t work = 0;
       for (const ChunkPair& pair : pairs) {
         ticker.checkpoint();
         LC_FAULT_POINT("coarse.cas_union");
-        work += dsu.unite(pair.a, pair.b, chunk_journal);
+        dsu.unite(pair.a, pair.b, chunk_journal);
       }
       result.stats.pairs_processed += pairs.size();
-      if (ledger != nullptr) ledger->add_serial(work);
+      if (ledger != nullptr) ledger->add_serial(2 * static_cast<std::uint64_t>(pairs.size()));
     } else {
       if (ledger != nullptr) ledger->begin_round(threads);
       const auto run_block = [&](std::size_t block, std::size_t begin,
@@ -282,13 +287,14 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
         LC_FAULT_POINT("coarse.apply");
         PollTicker ticker(ctx);
         ConcurrentDsu::Journal& journal = block_journals[block];
-        std::uint64_t work = 0;
         for (std::size_t i = begin; i < end; ++i) {
           ticker.checkpoint();
           LC_FAULT_POINT("coarse.cas_union");
-          work += dsu.unite(pairs[i].a, pairs[i].b, journal);
+          dsu.unite(pairs[i].a, pairs[i].b, journal);
         }
-        if (ledger != nullptr) ledger->add_work(block, work);
+        if (ledger != nullptr) {
+          ledger->add_work(block, 2 * static_cast<std::uint64_t>(end - begin));
+        }
       };
       // The T-way block split fixes the journals and the ledger round (the
       // simulated T-thread schedule); *execution* width follows the machine.
@@ -397,9 +403,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     const std::size_t unions = journal_union_count(chunk_journal);
     count_c_traffic(chunk_pairs.size(), unions);
     const std::size_t beta_new = beta - unions;
-    if (ledger != nullptr) {
-      ledger->add_serial(static_cast<std::uint64_t>(chunk_journal.size()) + 1);
-    }
+    if (ledger != nullptr) ledger->add_serial(unions);
     const std::uint64_t chunk_used = xi - chunk_start;
 
     const bool c2_ok =
@@ -452,9 +456,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       // O(changes) unwind to Q*: rewind every journaled write instead of
       // restoring an O(|E|) snapshot.
       dsu.undo(chunk_journal);
-      if (ledger != nullptr) {
-        ledger->add_serial(static_cast<std::uint64_t>(chunk_journal.size()) + 1);
-      }
+      if (ledger != nullptr) ledger->add_serial(unions);
       xi = safe.xi;
       p = safe.p;
       delta = std::max(1.0, estimate);
@@ -496,13 +498,15 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       {
         LC_FAULT_POINT("coarse.journal");
         PollTicker ticker(ctx);
-        std::uint64_t work = 0;
         for (const ChunkPair& edge : jump.edges) {
           ticker.checkpoint();
-          work += dsu.unite(edge.a, edge.b, chunk_journal);
+          dsu.unite(edge.a, edge.b, chunk_journal);
         }
-        count_c_traffic(jump.edges.size(), journal_union_count(chunk_journal));
-        if (ledger != nullptr) ledger->add_serial(work);
+        const std::size_t replayed = journal_union_count(chunk_journal);
+        count_c_traffic(jump.edges.size(), replayed);
+        if (ledger != nullptr) {
+          ledger->add_serial(2 * static_cast<std::uint64_t>(jump.edges.size()) + replayed);
+        }
       }
       LC_DCHECK(beta - journal_union_count(chunk_journal) == jump.beta);
       const std::uint64_t chunk_jump = jump.xi - xi;

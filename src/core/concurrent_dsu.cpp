@@ -29,10 +29,9 @@ namespace {
 /// (another thread installed an even smaller ancestor); traversal continues
 /// from whatever value is current.
 EdgeIdx find_compress(std::vector<std::atomic<EdgeIdx>>& parent, EdgeIdx i,
-                      ConcurrentDsu::Journal& journal, std::uint64_t& visited) {
+                      ConcurrentDsu::Journal& journal) {
   while (true) {
     EdgeIdx p = parent[i].load(std::memory_order_acquire);
-    ++visited;
     if (p == i) return i;
     const EdgeIdx gp = parent[p].load(std::memory_order_acquire);
     if (gp != p &&
@@ -48,13 +47,12 @@ EdgeIdx find_compress(std::vector<std::atomic<EdgeIdx>>& parent, EdgeIdx i,
 
 }  // namespace
 
-std::uint64_t ConcurrentDsu::unite(EdgeIdx a, EdgeIdx b, Journal& journal) {
+void ConcurrentDsu::unite(EdgeIdx a, EdgeIdx b, Journal& journal) {
   LC_DCHECK(a < parent_.size() && b < parent_.size());
-  std::uint64_t visited = 0;
   while (true) {
-    EdgeIdx ra = find_compress(parent_, a, journal, visited);
-    EdgeIdx rb = find_compress(parent_, b, journal, visited);
-    if (ra == rb) return visited;
+    EdgeIdx ra = find_compress(parent_, a, journal);
+    EdgeIdx rb = find_compress(parent_, b, journal);
+    if (ra == rb) return;
     if (rb < ra) std::swap(ra, rb);
     // Union by minimum index: the larger root points at the smaller, so the
     // surviving root is the component minimum regardless of interleaving.
@@ -62,7 +60,7 @@ std::uint64_t ConcurrentDsu::unite(EdgeIdx a, EdgeIdx b, Journal& journal) {
     if (parent_[rb].compare_exchange_strong(expected, ra, std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
       journal.push_back({rb, rb});
-      return visited;
+      return;
     }
     // Lost the race: rb is no longer a root. Retry from the observed roots —
     // strictly closer to the final minima than the original arguments.

@@ -56,10 +56,9 @@ class ConcurrentDsu {
 
   /// Unites the components of a and b. Lock-free: CAS failures retry from
   /// the freshly observed roots. Appends one journal entry per successful
-  /// CAS (at most one union entry, plus any halving shortcuts). Returns the
-  /// parent slots visited — the Theorem 2 work metric; the partition changed
-  /// iff a union entry was appended.
-  std::uint64_t unite(EdgeIdx a, EdgeIdx b, Journal& journal);
+  /// CAS (at most one union entry, plus any halving shortcuts); the
+  /// partition changed iff a union entry was appended.
+  void unite(EdgeIdx a, EdgeIdx b, Journal& journal);
 
   /// Restores the exact parent array from before the journal's writes by
   /// rewinding every touched slot to the maximum recorded old value (parent
@@ -76,13 +75,15 @@ class ConcurrentDsu {
   /// coarse sweep tracks counts incrementally from union entries instead).
   [[nodiscard]] std::size_t component_count() const;
 
-  /// Raw parent values, for tests asserting bitwise undo fidelity and for
-  /// checkpoint snapshots (core/checkpoint.hpp).
+  /// Raw parent values, for tests asserting bitwise undo fidelity. Their
+  /// path-halving shape depends on thread interleaving; checkpoints store
+  /// root_labels() instead.
   [[nodiscard]] std::vector<EdgeIdx> parent_snapshot() const;
 
-  /// Restores a parent_snapshot() taken from a same-size structure. Parents
-  /// must respect the union-by-min invariant (parents[i] <= i); checkpoint
-  /// loading validates that before calling. Must be called quiesced.
+  /// Restores a same-size parent array — a parent_snapshot() or the
+  /// root_labels() a checkpoint stores. Parents must respect the
+  /// union-by-min invariant (parents[i] <= i); checkpoint loading validates
+  /// that before calling. Must be called quiesced.
   void restore(const std::vector<EdgeIdx>& parents);
 
  private:

@@ -83,9 +83,9 @@ class LinkClusterer {
     SimilarityMeasure measure = SimilarityMeasure::kTanimoto;
     /// Similarity floor. Fine mode stops the sweep at the first entry below
     /// it (the dendrogram simply ends at the threshold); when finite it also
-    /// arms the build's pSCAN-style min_score bound so pruned pairs are never
-    /// materialized — the memory-degradation path (serve --degrade-on-oom,
-    /// DESIGN.md §14) relies on exactly that.
+    /// arms the build's exact min_score filter so the pairs of keys below it
+    /// are never materialized — the memory-degradation path (serve
+    /// --degrade-on-oom, DESIGN.md §14) relies on exactly that.
     /// Part of the checkpoint fingerprint: a thresholded run is a different
     /// run. Default -inf keeps historical digests and snapshots unchanged.
     double min_similarity = -std::numeric_limits<double>::infinity();

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <limits>
 #include <utility>
 
-#include "numeric/set_intersect.hpp"
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
 #include "util/run_context.hpp"
@@ -83,18 +82,21 @@ std::vector<std::size_t> balanced_blocks(std::size_t n, std::size_t parts,
 // Gather build (DESIGN.md §12)
 //
 // Pass 2 inverted: instead of every common neighbor k scattering a
-// contribution into the key (u, v), every first vertex u *gathers* its keys.
-// A wedge walk u -> k -> v (v > u, found by one upper_bound per row) counts
-// |N(u) ∩ N(v)| exactly and caches the first wedge's contribution, so the
-// ~85% of keys with a single common neighbor never touch an intersection
-// kernel; the rest recover their common slots by intersecting the two sorted
-// CSR rows (numeric/set_intersect). The pass-3 edge term is fused — (u, v)
-// is an edge iff v appears in row u, detected by a two-pointer over the
-// sorted candidate list. Keys emerge in packed-key order by construction
-// (u ascending per block, v ascending within u), so there is no staging
-// arena, no hashing, and no key sort, and every score is summed in one
-// canonical order — products by ascending common, then the pass-3 term — so
-// the output is bitwise-identical at every thread count and kernel choice.
+// contribution into the key (u, v), every first vertex u *gathers* its keys
+// by walking its wedges u -> k -> v (v > u, found by one upper_bound per
+// row) twice. Walk 1 counts |N(u) ∩ N(v)| and sums w_uk · w_kv into a dense
+// per-worker accumulator — Gustavson's row-wise sparse product, the
+// paper's pass 2 restricted to one first vertex. Scoring then visits the
+// candidates in ascending v, fuses the pass-3 edge term ((u, v) is an edge
+// iff v appears in row u, found by a two-pointer over the sorted
+// candidates), drops keys below min_score, and hands each survivor its
+// slice of the pair arena. Walk 2 fills those slices with (e_uk, e_vk).
+// Row u is sorted, so both walks reach every key's commons in ascending k:
+// each score is summed in one canonical order — products by ascending
+// common, then the pass-3 term — and each slice is ordered by k. Keys
+// emerge in packed-key order (u ascending per block, v ascending within u),
+// so there is no staging arena, no hashing and no key sort, and the output
+// is bitwise-identical at every thread count.
 
 /// Per-worker gather state, sized once on the calling thread so workers
 /// never allocate: glibc gives each worker thread its own malloc arena, and
@@ -102,26 +104,29 @@ std::vector<std::size_t> balanced_blocks(std::size_t n, std::size_t parts,
 /// the life of the process, so worker-side allocation would scale peak RSS
 /// with T across repeated builds.
 struct GatherScratch {
-  std::vector<std::uint32_t> mark;     ///< epoch (u+1) while v is a live candidate
-  std::vector<std::uint32_t> ccount;   ///< |N(u) ∩ N(v)| while marked
-  std::vector<VertexId> first_common;  ///< the lone common when ccount == 1
-  std::vector<EdgeId> first_e1;
-  std::vector<EdgeId> first_e2;
-  std::vector<double> first_product;
+  std::vector<std::uint32_t> mark;    ///< epoch (u+1) while v is a live candidate
+  std::vector<std::uint32_t> ccount;  ///< |N(u) ∩ N(v)| while marked
+  std::vector<double> acc;            ///< Σ w_uk · w_kv while marked
+  std::vector<std::uint64_t> cursor;  ///< next pair slot of a surviving key
   std::vector<VertexId> cand;  ///< distinct candidates v of the current u
   std::vector<std::uint64_t> cand_bits;  ///< scratch bitmap over v (see gather_vertex)
-  std::vector<numeric::MatchPos> matches;
+
+  /// Heap bytes of the arrays sized for an n-vertex graph, `cand_cap`
+  /// candidates at most.
+  static std::uint64_t bytes(std::size_t n, std::size_t cand_cap) {
+    return static_cast<std::uint64_t>(n) *
+               (2 * sizeof(std::uint32_t) + sizeof(double) + sizeof(std::uint64_t)) +
+           static_cast<std::uint64_t>(cand_cap) * sizeof(VertexId) +
+           (static_cast<std::uint64_t>(n) + 63) / 64 * sizeof(std::uint64_t);
+  }
 };
 
 /// Per-worker output block; blocks concatenate (entry offsets rebased) into
-/// the final CSR map. Counters feed BuildStats.
+/// the final CSR map.
 struct GatherOut {
   std::vector<SimilarityEntry> entries;
-  std::vector<VertexId> commons;
   std::vector<EdgePairRef> pairs;
-  std::uint64_t pairs_exact = 0;
-  std::uint64_t pairs_single = 0;
-  std::uint64_t pairs_pruned = 0;
+  std::uint64_t pairs_exact = 0;  ///< keys with >= 2 commons (BuildStats)
 };
 
 /// Read-only inputs shared by every gather worker.
@@ -129,16 +134,12 @@ struct GatherJob {
   const WeightedGraph& graph;
   const std::vector<double>& h1;
   const std::vector<double>& h2;
-  const std::vector<double>& wmax;  ///< per-vertex max weight; empty unless pruning
   SimilarityMeasure measure;
-  numeric::IntersectKernel kernel;
   double min_score;
-  bool prune;
 };
 
-/// Emits every key (u, v), v > u, with its exact score, commons, and edge
-/// pairs — or drops it when pruning is armed and the key falls below
-/// min_score (provably, by the upper bound, or exactly).
+/// Emits every key (u, v), v > u, with score >= min_score: its exact score
+/// and its edge pairs.
 void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut& out) {
   const WeightedGraph& graph = job.graph;
   const std::span<const VertexId> row_u = graph.neighbors(u);
@@ -146,109 +147,59 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
   const std::span<const double> w_u = graph.neighbor_weights(u);
   const std::span<const EdgeId> e_u = graph.neighbor_edge_ids(u);
   const std::uint32_t epoch = u + 1;
+
+  // Walk 1: count the commons of every candidate and sum their products.
   s.cand.clear();
   for (std::size_t p = 0; p < row_u.size(); ++p) {
-    const VertexId k = row_u[p];
-    const std::span<const VertexId> row_k = graph.neighbors(k);
-    const auto begin_v = std::upper_bound(row_k.begin(), row_k.end(), u);
-    if (begin_v == row_k.end()) continue;
-    const std::span<const double> w_k = graph.neighbor_weights(k);
-    const std::span<const EdgeId> e_k = graph.neighbor_edge_ids(k);
-    for (auto it = begin_v; it != row_k.end(); ++it) {
-      const VertexId v = *it;
+    const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
+    const auto first = static_cast<std::size_t>(
+        std::upper_bound(row_k.begin(), row_k.end(), u) - row_k.begin());
+    const std::span<const double> w_k = graph.neighbor_weights(row_u[p]);
+    for (std::size_t q = first; q < row_k.size(); ++q) {
+      const VertexId v = row_k[q];
       if (s.mark[v] != epoch) {
-        const auto q = static_cast<std::size_t>(it - row_k.begin());
         s.mark[v] = epoch;
-        s.ccount[v] = 1;
-        s.first_common[v] = k;
-        s.first_e1[v] = e_u[p];
-        s.first_e2[v] = e_k[q];
-        s.first_product[v] = w_u[p] * w_k[q];
+        s.ccount[v] = 0;
+        s.acc[v] = 0.0;
         s.cand.push_back(v);
-      } else {
-        ++s.ccount[v];
       }
+      ++s.ccount[v];
+      s.acc[v] += w_u[p] * w_k[q];
     }
   }
   if (s.cand.empty()) return;
-  std::size_t edge_ptr = 0;  // fused pass 3: cursor into row u over sorted candidates
-  const auto emit = [&](const VertexId v) {
+
+  // Scoring, in ascending v: the fused pass-3 term, the exact min_score
+  // filter, and each survivor's slice of the pair arena.
+  std::size_t edge_ptr = 0;  // cursor into row u over the sorted candidates
+  std::uint64_t next_slot = out.pairs.size();
+  const auto score_key = [&](const VertexId v) {
     while (edge_ptr < row_u.size() && row_u[edge_ptr] < v) ++edge_ptr;
-    // (u, v) is an edge iff v sits in row u. Adding a 0.0 for non-edges is
-    // bitwise-neutral on the non-negative sum, so every key runs the same
-    // unconditional `p += pass3`.
-    double pass3 = 0.0;
-    if (edge_ptr < row_u.size() && row_u[edge_ptr] == v) {
-      pass3 = (job.h1[u] + job.h1[v]) * w_u[edge_ptr];
-    }
     const std::uint32_t c = s.ccount[v];
-    const std::uint64_t offset = out.commons.size();
-    if (c == 1) {
-      ++out.pairs_single;
-      double score;
-      if (job.measure == SimilarityMeasure::kJaccard) {
-        score = jaccard_score(graph, u, v, 1);
-      } else {
-        double p = 0.0;
-        p += s.first_product[v];
-        p += pass3;
-        const double denom = job.h2[u] + job.h2[v] - p;
-        LC_DCHECK(denom > 0.0);
-        score = p / denom;
-      }
-      if (job.prune && score < job.min_score) return;
-      out.commons.push_back(s.first_common[v]);
-      out.pairs.push_back(EdgePairRef{s.first_e1[v], s.first_e2[v]});
-      out.entries.push_back(SimilarityEntry{u, v, score, offset, 1});
-      return;
-    }
-    if (job.prune) {
-      if (job.measure == SimilarityMeasure::kTanimoto) {
-        // pSCAN-style upper bound on P = a_u · a_v: the Cauchy–Schwarz bound
-        // √(H2u·H2v) and the count bound c·wmax_u·wmax_v plus the exact
-        // (already known) edge term. score = P/(H2u+H2v−P) is monotone in P,
-        // and the C-S bound keeps the denominator at least (H2u+H2v)/2 > 0.
-        const double ub_p =
-            std::min(std::sqrt(job.h2[u] * job.h2[v]),
-                     static_cast<double>(c) * job.wmax[u] * job.wmax[v] + pass3);
-        if (ub_p / (job.h2[u] + job.h2[v] - ub_p) < job.min_score) {
-          ++out.pairs_pruned;
-          return;
-        }
-      } else if (jaccard_score(graph, u, v, c) < job.min_score) {
-        // Jaccard needs no bound: the count determines the score exactly.
-        ++out.pairs_pruned;
-        return;
-      }
-    }
-    ++out.pairs_exact;
-    const std::span<const VertexId> row_v = graph.neighbors(v);
-    const std::size_t m =
-        numeric::set_intersect_posns(row_u, row_v, s.matches.data(), job.kernel);
-    LC_DCHECK(m == c);
+    if (c > 1) ++out.pairs_exact;
     double score;
     if (job.measure == SimilarityMeasure::kJaccard) {
       score = jaccard_score(graph, u, v, c);
     } else {
-      const std::span<const double> w_v = graph.neighbor_weights(v);
-      // Products ascending by common — the canonical summation order.
-      double p = 0.0;
-      for (std::size_t x = 0; x < m; ++x) {
-        p += w_u[s.matches[x].a_pos] * w_v[s.matches[x].b_pos];
+      // Adding a 0.0 for non-edges is bitwise-neutral on the non-negative
+      // sum, so every key runs the same unconditional `p += pass3`.
+      double pass3 = 0.0;
+      if (edge_ptr < row_u.size() && row_u[edge_ptr] == v) {
+        pass3 = (job.h1[u] + job.h1[v]) * w_u[edge_ptr];
       }
+      double p = s.acc[v];
       p += pass3;
       const double denom = job.h2[u] + job.h2[v] - p;
       LC_DCHECK(denom > 0.0);
       score = p / denom;
-      if (job.prune && score < job.min_score) return;  // survived the bound only
     }
-    const std::span<const EdgeId> e_v = graph.neighbor_edge_ids(v);
-    for (std::size_t x = 0; x < m; ++x) {
-      out.commons.push_back(row_u[s.matches[x].a_pos]);
-      out.pairs.push_back(EdgePairRef{e_u[s.matches[x].a_pos], e_v[s.matches[x].b_pos]});
+    if (score < job.min_score) {
+      s.mark[v] = 0;  // walk 2 skips it
+      return;
     }
-    out.entries.push_back(
-        SimilarityEntry{u, v, score, offset, static_cast<std::uint32_t>(m)});
+    s.cursor[v] = next_slot;
+    out.entries.push_back(SimilarityEntry{u, v, score, next_slot, c});
+    next_slot += c;
   };
 
   // Candidates must be visited in ascending v. When the set is dense in its
@@ -270,12 +221,26 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
         const auto v = static_cast<VertexId>(
             (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
         word &= word - 1;
-        emit(v);
+        score_key(v);
       }
     }
   } else {
     std::sort(s.cand.begin(), s.cand.end());
-    for (const VertexId v : s.cand) emit(v);
+    for (const VertexId v : s.cand) score_key(v);
+  }
+  if (next_slot == out.pairs.size()) return;  // every key filtered out
+
+  // Walk 2: fill the survivors' slices with (e_uk, e_vk), k ascending.
+  out.pairs.resize(static_cast<std::size_t>(next_slot));
+  for (std::size_t p = 0; p < row_u.size(); ++p) {
+    const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
+    const auto first = static_cast<std::size_t>(
+        std::upper_bound(row_k.begin(), row_k.end(), u) - row_k.begin());
+    const std::span<const EdgeId> e_k = graph.neighbor_edge_ids(row_u[p]);
+    for (std::size_t q = first; q < row_k.size(); ++q) {
+      const VertexId v = row_k[q];
+      if (s.mark[v] == epoch) out.pairs[s.cursor[v]++] = EdgePairRef{e_u[p], e_k[q]};
+    }
   }
 }
 
@@ -285,18 +250,15 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
                            sim::WorkLedger* ledger, RunContext* ctx) {
   const std::size_t n = graph.vertex_count();
   const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
-  const bool prune = options.min_score > 0.0 && std::isfinite(options.min_score);
+  const bool filtered = options.min_score > -std::numeric_limits<double>::infinity();
   Stopwatch watch;
 
   // Exact wedge counts W[u] = |{(k, v) : k ∈ N(u), v ∈ N(k), v > u}| — the
   // number of pass-2 contributions keyed at first vertex u (ΣW == K2). They
-  // drive the contiguous block balance and give each block's exact
-  // common_arena share, so per-worker outputs are reserved up front and the
-  // workers stay allocation-free. The same pass collects the per-vertex max
-  // incident weight when the count bound needs it.
+  // drive the contiguous block balance and give each block's exact pair
+  // arena share, so per-worker outputs are reserved up front and the
+  // workers stay allocation-free.
   std::vector<std::uint64_t> wedges(n, 0);
-  std::vector<double> wmax(
-      prune && options.measure == SimilarityMeasure::kTanimoto ? n : 0, 0.0);
   auto wedge_slice = [&](std::size_t start, std::size_t stride) -> std::uint64_t {
     PollTicker ticker(ctx);
     std::uint64_t work = 0;
@@ -311,11 +273,6 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
                                         std::upper_bound(row_k.begin(), row_k.end(), u));
       }
       wedges[ui] = w;
-      if (!wmax.empty()) {
-        double m = 0.0;
-        for (const double x : graph.neighbor_weights(u)) m = std::max(m, x);
-        wmax[ui] = m;
-      }
       work += 1 + row_u.size();
     }
     return work;
@@ -340,35 +297,31 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
   check_stop(ctx);
   const std::vector<std::size_t> bounds =
       balanced_blocks(n, t_count, [&wedges](std::size_t u) { return 1 + wedges[u]; });
-  std::vector<std::uint64_t> block_commons(t_count, 0);
+  std::vector<std::uint64_t> block_pairs(t_count, 0);
   std::uint64_t k2 = 0;
   std::uint64_t max_wedge = 0;
   for (std::size_t t = 0; t < t_count; ++t) {
     for (std::size_t u = bounds[t]; u < bounds[t + 1]; ++u) {
-      block_commons[t] += wedges[u];
+      block_pairs[t] += wedges[u];
       max_wedge = std::max(max_wedge, wedges[u]);
     }
-    k2 += block_commons[t];
-  }
-  std::size_t max_degree = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    max_degree = std::max(max_degree, graph.degree(static_cast<VertexId>(v)));
+    k2 += block_pairs[t];
   }
 
   // The per-worker output blocks are the gather's dominant transient
   // footprint: the output itself, O(K1 + K2), held once here and once in the
   // final map during concatenation — there is no K2 tuple staging. (The
   // entry reservation is an upper bound; its untouched tail pages are never
-  // dirtied, so only the commons-sized charge is accounted.) Released when
+  // dirtied, so only the pair-sized charge is accounted.) Released when
   // this function returns.
   //
-  // Without pruning the commons count is exactly k2, charged up front. With a
+  // Without a floor the pair count is exactly k2, charged up front. With a
   // min_score floor armed the k2 bound grossly overstates what survives, so
   // each worker charges its survivors incrementally instead — a degraded
   // re-run with a floor must cost fewer accounted bytes than the full build
   // it replaces, or the OOM-degradation ladder (DESIGN.md §14) could never
   // fit a budget the full build trips.
-  constexpr std::uint64_t kPairBytes = sizeof(graph::VertexId) + sizeof(EdgePairRef);
+  constexpr std::uint64_t kPairBytes = sizeof(EdgePairRef);
   struct BlockCharge {
     RunContext* ctx = nullptr;
     std::uint64_t bytes = 0;
@@ -386,32 +339,30 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
   };
   MemoryCharge block_charge;
   std::vector<BlockCharge> block_charges(t_count);
-  if (!prune) {
+  if (!filtered) {
     block_charge = MemoryCharge(ctx, k2 * kPairBytes, "sim.gather.blocks");
   } else if (ctx != nullptr) {
     for (BlockCharge& charge : block_charges) charge.ctx = ctx;
   }
-  const GatherJob job{graph,          h1, h2, wmax, options.measure, options.kernel,
-                      options.min_score, prune};
-  std::vector<GatherOut> outs(t_count);
-  std::vector<GatherScratch> scratch(t_count);
+  // The per-worker scratch: T sets of n-sized arrays, held for the gather.
   const std::size_t cand_cap =
       static_cast<std::size_t>(std::min<std::uint64_t>(max_wedge, n));
+  const MemoryCharge scratch_charge(ctx, t_count * GatherScratch::bytes(n, cand_cap),
+                                    "sim.gather.scratch");
+  const GatherJob job{graph, h1, h2, options.measure, options.min_score};
+  std::vector<GatherOut> outs(t_count);
+  std::vector<GatherScratch> scratch(t_count);
   for (std::size_t t = 0; t < t_count; ++t) {
-    const auto cap = static_cast<std::size_t>(block_commons[t]);
+    const auto cap = static_cast<std::size_t>(block_pairs[t]);
     outs[t].entries.reserve(cap);
-    outs[t].commons.reserve(cap);
     outs[t].pairs.reserve(cap);
     GatherScratch& s = scratch[t];
     s.mark.assign(n, 0);
     s.ccount.resize(n);
-    s.first_common.resize(n);
-    s.first_e1.resize(n);
-    s.first_e2.resize(n);
-    s.first_product.resize(n);
+    s.acc.resize(n);
+    s.cursor.resize(n);
     s.cand.reserve(cand_cap);
     s.cand_bits.assign((n + 63) / 64, 0);
-    s.matches.resize(max_degree);
   }
 
   auto gather_block = [&](std::size_t t) -> std::uint64_t {
@@ -420,15 +371,15 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
     GatherScratch& s = scratch[t];
     GatherOut& o = outs[t];
     BlockCharge& charge = block_charges[t];
-    std::uint64_t charged_commons = 0;
+    std::uint64_t charged_pairs = 0;
     std::uint64_t work = 0;
     for (std::size_t ui = bounds[t]; ui < bounds[t + 1]; ++ui) {
       ticker.checkpoint(1 + wedges[ui]);
       gather_vertex(job, static_cast<VertexId>(ui), s, o);
       work += 1 + wedges[ui];
-      if (charge.ctx != nullptr && o.commons.size() > charged_commons) {
-        const std::uint64_t delta = o.commons.size() - charged_commons;
-        charged_commons = o.commons.size();
+      if (charge.ctx != nullptr && o.pairs.size() > charged_pairs) {
+        const std::uint64_t delta = o.pairs.size() - charged_pairs;
+        charged_pairs = o.pairs.size();
         // Count before charging: charge_memory records the bytes even when
         // it throws, and the destructor must release what was recorded.
         charge.bytes += delta * kPairBytes;
@@ -455,11 +406,7 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
   }
   if (options.stats != nullptr) {
     options.stats->pass2_ms = watch.lap() * 1e3;
-    for (const GatherOut& o : outs) {
-      options.stats->pairs_exact += o.pairs_exact;
-      options.stats->pairs_single += o.pairs_single;
-      options.stats->pairs_pruned += o.pairs_pruned;
-    }
+    for (const GatherOut& o : outs) options.stats->pairs_exact += o.pairs_exact;
   }
 
   // Concatenate the blocks: block t's entries follow block t-1's, offsets
@@ -470,13 +417,12 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
   std::vector<std::uint64_t> arena_base(t_count + 1, 0);
   for (std::size_t t = 0; t < t_count; ++t) {
     entry_base[t + 1] = entry_base[t] + outs[t].entries.size();
-    arena_base[t + 1] = arena_base[t] + outs[t].commons.size();
+    arena_base[t + 1] = arena_base[t] + outs[t].pairs.size();
   }
   SimilarityMap out;
   MemoryCharge arena_charge(
       ctx,
-      entry_base[t_count] * sizeof(SimilarityEntry) +
-          arena_base[t_count] * (sizeof(graph::VertexId) + sizeof(EdgePairRef)),
+      entry_base[t_count] * sizeof(SimilarityEntry) + arena_base[t_count] * sizeof(EdgePairRef),
       "sim.arenas");
   arena_charge.commit();
   if (t_count == 1) {
@@ -484,12 +430,10 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
     // final, so move it out instead of copying. The entry reservation was a
     // K2-bound; trim the slack so the map's memory_bytes() reflects K1
     // entries (the multi-block path gets this from its exact resize). No-op
-    // for the arenas unless pruning dropped keys.
+    // for the arena unless the min_score filter dropped keys.
     outs[0].entries.shrink_to_fit();
-    outs[0].commons.shrink_to_fit();
     outs[0].pairs.shrink_to_fit();
     out.entries = std::move(outs[0].entries);
-    out.common_arena = std::move(outs[0].commons);
     out.pair_arena = std::move(outs[0].pairs);
   } else {
     if (ledger != nullptr) {
@@ -497,7 +441,6 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
       ledger->begin_round(t_count);
     }
     out.entries.resize(static_cast<std::size_t>(entry_base[t_count]));
-    out.common_arena.resize(static_cast<std::size_t>(arena_base[t_count]));
     out.pair_arena.resize(static_cast<std::size_t>(arena_base[t_count]));
     std::vector<std::function<void()>> tasks;
     for (std::size_t t = 0; t < t_count; ++t) {
@@ -511,11 +454,9 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
           dst[i] = o.entries[i];
           dst[i].offset += arena_base[t];
         }
-        std::copy(o.commons.begin(), o.commons.end(),
-                  out.common_arena.begin() + static_cast<std::ptrdiff_t>(arena_base[t]));
         std::copy(o.pairs.begin(), o.pairs.end(),
                   out.pair_arena.begin() + static_cast<std::ptrdiff_t>(arena_base[t]));
-        if (ledger != nullptr) ledger->add_work(t, o.entries.size() + o.commons.size());
+        if (ledger != nullptr) ledger->add_work(t, o.entries.size() + o.pairs.size());
       });
     }
     pool->run_batch(tasks);
@@ -534,7 +475,6 @@ void SimilarityMap::sort_by_score() {
 
 std::size_t SimilarityMap::memory_bytes() const {
   return entries.capacity() * sizeof(SimilarityEntry) +
-         common_arena.capacity() * sizeof(graph::VertexId) +
          pair_arena.capacity() * sizeof(EdgePairRef);
 }
 

@@ -4,44 +4,42 @@
 // neighbor; the value carries (a) the Tanimoto similarity shared by *every*
 // incident edge pair (e_uk, e_vk) whose non-shared endpoints are u and v —
 // the paper's key observation is that Eq. (1) does not depend on the shared
-// vertex k — and (b) the list of common neighbors k.
+// vertex k — and (b) those incident edge pairs, one per common neighbor k.
 //
 // Three passes over G(V, E):
 //   pass 1: H1[i] = average incident weight of v_i (the diagonal entry of
 //           a_i); H2[i] = H1[i]^2 + sum_j w_ij^2 = |a_i|^2.
 //   pass 2: for every vertex i and neighbor pair (j, k), accumulate
-//           w_ij * w_ik into M(j, k) and append i to the common list.
+//           w_ij * w_ik into M(j, k) and record the edge pair.
 //   pass 3: for every edge (i, j) that is a key of M, add
 //           (H1[i] + H1[j]) * w_ij — the inner-product terms at coordinates
 //           i and j.
 // Finalize: score = P / (H2[u] + H2[v] - P) where P = a_u · a_v.
 //
-// Storage is CSR-style: entries carry (offset, count) into two shared arenas
-// instead of owning per-key heap vectors. `common_arena` holds the shared
-// neighbors k; `pair_arena` holds, for each k, the pre-resolved edge-id pair
-// (e_uk, e_vk). The build sees both incident edge ids for free (they are
-// parallel to the adjacency slots it enumerates), so consumers of the map —
-// the sweep, the coarse mode machine, the baselines — never need to call
-// graph.find_edge() again. Within every entry the slice is ordered by common
-// neighbor ascending.
+// Storage is CSR-style: entries carry (offset, count) into one shared
+// `pair_arena` instead of owning per-key heap vectors. It holds, for each
+// common neighbor k, the pre-resolved edge-id pair (e_uk, e_vk). The build
+// sees both incident edge ids for free (they are parallel to the adjacency
+// slots it enumerates), so consumers of the map — the sweep, the coarse mode
+// machine, the baselines — never need to call graph.find_edge() again. k
+// itself is not stored: it is the endpoint the pair's two edges share
+// (shared_vertex()). Within every entry the slice is ordered by k ascending.
 //
-// Passes 2 and 3 run as one per-pair *gather* (DESIGN.md §12). Instead of
+// Passes 2 and 3 run as one per-vertex *gather* (DESIGN.md §12). Instead of
 // every common neighbor k scattering a contribution into the key (u, v),
-// every first vertex u gathers its keys: a wedge walk u -> k -> v (v > u)
-// discovers every key (u, v) together with its common-neighbor count, keys
-// with one common take a direct fast path, and the rest compute their
-// products by intersecting the two sorted CSR rows through the
-// numeric/set_intersect kernel family (scalar / galloping / SSE / AVX2). The
-// pass-3 edge term is fused into the same walk. Keys emerge in packed-key
-// order by construction, so there is no staging arena, no hashing and no key
-// sort. Every score is summed in one canonical order — products by ascending
-// common neighbor, then the pass-3 term — so the serial build and the
-// parallel build at any thread count produce byte-identical maps: entries,
-// score bits and both arenas. The parallel build cuts the vertex range into
-// contiguous blocks balanced by wedge count, one per pool thread, and
-// concatenates the block outputs. An optional min_score threshold prunes
-// pairs whose pSCAN-style score upper bound falls below it without running
-// the kernel.
+// every first vertex u gathers its keys with two walks over its wedges
+// u -> k -> v (v > u). Walk 1 counts each key's commons and sums the
+// products w_uk * w_kv into a dense per-worker accumulator; the keys are then
+// scored in ascending v, with the pass-3 edge term fused in and the optional
+// min_score filter applied exactly; walk 2 writes each surviving key's edge
+// pairs into its slice. Keys emerge in packed-key order by construction, so
+// there is no staging arena, no hashing and no key sort. Every score is
+// summed in one canonical order — products by ascending common neighbor,
+// then the pass-3 term — so the serial build and the parallel build at any
+// thread count produce byte-identical maps: entries, score bits and the
+// arena. The parallel build cuts the vertex range into contiguous blocks
+// balanced by wedge count, one per pool thread, and concatenates the block
+// outputs.
 #pragma once
 
 #include <bit>
@@ -51,7 +49,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "numeric/set_intersect.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/work_ledger.hpp"
 
@@ -107,20 +104,19 @@ enum class SimilarityMeasure {
   kJaccard,
 };
 
-/// Sub-phase timings and gather counters, filled by the builds when
+/// Sub-phase timings and a gather counter, filled by the builds when
 /// SimilarityMapOptions::stats is set. Timings partition the build:
 ///   pass1_ms: the H1/H2 norm pass.
-///   pass2_ms: the wedge counts and the gather (wedge walk, intersections and
-///             the fused pass-3 edge term).
+///   pass2_ms: the wedge counts and the gather (both wedge walks, scoring
+///             and the fused pass-3 edge term).
 ///   pass3_ms: concatenation of the per-block outputs into the final CSR map.
-/// Each discovered key is counted in exactly one of the three counters.
 struct BuildStats {
   double pass1_ms = 0.0;
   double pass2_ms = 0.0;
   double pass3_ms = 0.0;
-  std::uint64_t pairs_exact = 0;   ///< keys whose products ran an intersect kernel
-  std::uint64_t pairs_single = 0;  ///< keys with one common (kernel bypassed)
-  std::uint64_t pairs_pruned = 0;  ///< keys skipped by the score upper bound
+  /// Discovered keys with >= 2 common neighbors, counted before the
+  /// min_score filter.
+  std::uint64_t pairs_exact = 0;
 };
 
 struct SimilarityMapOptions {
@@ -131,13 +127,9 @@ struct SimilarityMapOptions {
   /// (rethrown from worker tasks by the pool). Null = uncontrolled, and the
   /// build is bitwise-identical to one with an idle context.
   lc::RunContext* ctx = nullptr;
-  /// Intersect kernel the gather uses (LC_INTERSECT_KERNEL, read once per
-  /// process, overrides this — see numeric/set_intersect.hpp).
-  numeric::IntersectKernel kernel = numeric::IntersectKernel::kAuto;
-  /// Score threshold: keys provably (by the pSCAN-style upper bound) or
-  /// exactly below it are dropped from the map, making the result the exact
-  /// map filtered to score >= min_score. The default (-inf) keeps every key
-  /// and skips the bound machinery entirely.
+  /// Score threshold: every key whose exact score compares below it is
+  /// dropped before its edge pairs are written, so the result is the exact
+  /// map filtered to score >= min_score. The default (-inf) keeps every key.
   double min_score = -std::numeric_limits<double>::infinity();
   /// When non-null, receives sub-phase timings and gather counters.
   BuildStats* stats = nullptr;
@@ -146,24 +138,18 @@ struct SimilarityMapOptions {
 class SimilarityMap {
  public:
   std::vector<SimilarityEntry> entries;
-  /// Shared CSR arenas: entry e owns [e.offset, e.offset + e.count) of both,
-  /// ordered by common neighbor ascending.
-  std::vector<graph::VertexId> common_arena;
+  /// Shared CSR arena: entry e owns [e.offset, e.offset + e.count), ordered
+  /// by common neighbor ascending.
   std::vector<EdgePairRef> pair_arena;
 
-  /// The common neighbors k of entry e (ascending).
-  [[nodiscard]] std::span<const graph::VertexId> common(const SimilarityEntry& e) const {
-    return {common_arena.data() + e.offset, e.count};
-  }
-
-  /// The pre-resolved incident edge pairs (e_uk, e_vk) of entry e, parallel
-  /// to common(e).
+  /// The pre-resolved incident edge pairs (e_uk, e_vk) of entry e, one per
+  /// common neighbor k, k ascending.
   [[nodiscard]] std::span<const EdgePairRef> pairs(const SimilarityEntry& e) const {
     return {pair_arena.data() + e.offset, e.count};
   }
 
   /// Total incident edge pairs covered == K2.
-  [[nodiscard]] std::uint64_t incident_pair_count() const { return common_arena.size(); }
+  [[nodiscard]] std::uint64_t incident_pair_count() const { return pair_arena.size(); }
 
   /// K1: the number of keys.
   [[nodiscard]] std::size_t key_count() const { return entries.size(); }
@@ -175,7 +161,7 @@ class SimilarityMap {
   /// baselines, the figure benches, the tests and SortedSweepSource.
   void sort_by_score();
 
-  /// Approximate heap bytes held (entries + arenas).
+  /// Approximate heap bytes held (entries + arena).
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Looks up the entry for pair (u, v); returns nullptr if absent. Binary
@@ -191,6 +177,15 @@ class SimilarityMap {
  private:
   bool keys_sorted_ = false;
 };
+
+/// The common neighbor k of an incident pair (e_uk, e_vk): the endpoint its
+/// two edges share.
+[[nodiscard]] inline graph::VertexId shared_vertex(const graph::WeightedGraph& graph,
+                                                   const EdgePairRef& pair) {
+  const graph::Edge& a = graph.edge(pair.first);
+  const graph::Edge& b = graph.edge(pair.second);
+  return (a.u == b.u || a.u == b.v) ? a.u : a.v;
+}
 
 /// Serial Algorithm 1 (the gather build on one block).
 SimilarityMap build_similarity_map(const graph::WeightedGraph& graph,

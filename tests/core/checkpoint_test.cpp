@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,33 @@ TEST_F(Checkpoint, ResumeIsThreadCountInvariant) {
     StatusOr<ClusterResult> resumed = LinkClusterer(resuming).run(graph);
     ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
     expect_identical(resumed.value(), reference);
+  }
+}
+
+TEST_F(Checkpoint, CoarseFinalSnapshotIsThreadCountInvariant) {
+  // A coarse snapshot stores the union-find's root labels, a function of the
+  // partition alone, so the last snapshot of one run is byte-identical at
+  // every thread count. The graph is dense enough (~4.5k edges) that the
+  // raw parent arrays of T=1 and T=4 runs differ; three T=4 runs give the
+  // interleavings three chances to.
+  const graph::WeightedGraph graph =
+      graph::erdos_renyi(300, 0.1, {3, graph::WeightPolicy::kUniform});
+  std::vector<std::string> snapshots;
+  for (const std::size_t threads : {1u, 4u, 4u, 4u}) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    LinkClusterer::Config writing = coarse_config(threads);
+    writing.checkpoint.directory = dir_.string();
+    writing.checkpoint.interval_ms = 0;
+    (void)LinkClusterer(writing).cluster(graph);
+    ASSERT_TRUE(fs::exists(snapshot_file()));
+    std::ifstream in(snapshot_file(), std::ios::binary);
+    snapshots.emplace_back(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(snapshots[0].empty());
+  for (std::size_t run = 1; run < snapshots.size(); ++run) {
+    EXPECT_TRUE(snapshots[run] == snapshots[0]) << "T=4 run " << run;
   }
 }
 

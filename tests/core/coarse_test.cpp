@@ -193,6 +193,38 @@ TEST(CoarseSweep, LedgerRecordsWork) {
   EXPECT_LE(ledger.critical_path(), ledger.total_work());
 }
 
+TEST(CoarseSweep, LedgerChargesCTrafficInClosedForm) {
+  // The ledger charges 2 units per applied pair, 1 per union and 1 per union
+  // a rollback rewinds — never the DSU's CAS retries or path-halving steps —
+  // so its total is c_accesses plus the rolled-back unions, and identical
+  // runs record identical critical paths.
+  const Prepared p = prepare(medium_graph(29));
+  CoarseOptions options;
+  options.gamma = 1.5;
+  options.delta0 = 200;
+  options.phi = 5;
+  for (const std::size_t threads : {1u, 4u}) {
+    parallel::ThreadPool pool(threads);
+    sim::WorkLedger first;
+    sim::WorkLedger second;
+    const CoarseResult result =
+        coarse_sweep(p.graph, p.map, p.index, options, &pool, &first);
+    coarse_sweep(p.graph, p.map, p.index, options, &pool, &second);
+    ASSERT_GT(result.rollback_count, 0u);
+    ASSERT_GT(result.reuse_count, 0u);
+    std::uint64_t rewound = 0;
+    for (const EpochRecord& epoch : result.epochs) {
+      if (epoch.kind == EpochKind::kRollback) {
+        rewound += epoch.beta_before - epoch.beta_after;
+      }
+    }
+    EXPECT_EQ(first.total_work(), result.stats.c_accesses + rewound)
+        << "threads=" << threads;
+    EXPECT_EQ(second.total_work(), first.total_work()) << "threads=" << threads;
+    EXPECT_EQ(second.critical_path(), first.critical_path()) << "threads=" << threads;
+  }
+}
+
 TEST(CoarseSweep, SerialLedgerIsPureCriticalPath) {
   // Without a pool every recorded round has width 1, so the critical path
   // equals the total work — the serial baseline the Fig. 6 bench divides by.

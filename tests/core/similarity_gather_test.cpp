@@ -1,14 +1,14 @@
 // Property suite for the gather build:
 //   - the build is byte-identical to the canonical-order reference build
 //     (similarity_reference.hpp) — entries, score bits, arena offsets and
-//     both arenas — on every graph shape (seeded ER, barbell bridge,
-//     hub-skewed star) serially and at T in {1, 2, 8}, under every intersect
-//     kernel forced through the option, including weights at the edges of
-//     double precision (subnormals and 1e150);
-//   - the pruned map equals the exact map filtered to score >= min_score,
-//     with the pSCAN-style bound actually skipping kernel work
-//     (pairs_pruned > 0) and never skipping a surviving key;
-//   - BuildStats counters partition the discovered keys.
+//     the pair arena — on every graph shape (seeded ER, barbell bridge,
+//     hub-skewed star) serially and at T in {1, 2, 8}, for both measures,
+//     including weights at the edges of double precision (subnormals and
+//     1e150);
+//   - the thresholded map equals the exact map filtered to
+//     score >= min_score, including at a threshold equal to an existing
+//     key's exact score, which survives;
+//   - BuildStats::pairs_exact counts the keys with >= 2 common neighbors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "similarity_reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "numeric/set_intersect.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace lc::core {
@@ -29,15 +28,15 @@ namespace {
 using graph::VertexId;
 using graph::WeightedGraph;
 
-/// Flattens the full observable state of the map — key, score bits, commons,
-/// edge pairs, in list order — so equality means byte-identical output.
+/// Flattens the observable state of the map except arena offsets — key,
+/// score bits, count, edge pairs, in list order — so a filtered map compares
+/// against the exact map's surviving entries.
 std::vector<std::uint64_t> serialize(const SimilarityMap& map) {
   std::vector<std::uint64_t> out;
   for (const SimilarityEntry& e : map.entries) {
     out.push_back((static_cast<std::uint64_t>(e.u) << 32) | e.v);
     out.push_back(std::bit_cast<std::uint64_t>(e.score));
     out.push_back(e.count);
-    for (VertexId k : map.common(e)) out.push_back(k);
     for (const EdgePairRef& p : map.pairs(e)) {
       out.push_back((static_cast<std::uint64_t>(p.first) << 32) | p.second);
     }
@@ -67,8 +66,8 @@ WeightedGraph barbell_graph() {
 }
 
 /// Degree-skew stress: two hubs adjacent to every spoke plus a sparse ring,
-/// so intersections pair a ~n-long row against length-~4 rows — deep into
-/// the galloping regime — while spoke-spoke keys stay in the merge regime.
+/// so hub-spoke keys pair a ~n-long row with length-~4 rows while spoke-spoke
+/// keys pair short rows.
 WeightedGraph hub_graph() {
   constexpr VertexId kSpokes = 60;
   graph::GraphBuilder builder(kSpokes + 2);
@@ -109,31 +108,30 @@ std::vector<WeightedGraph> property_graphs() {
   return graphs;
 }
 
-TEST(SimilarityGather, ByteIdenticalToReferenceAcrossThreadsAndKernels) {
+std::uint64_t multi_common_keys(const SimilarityMap& map) {
+  return static_cast<std::uint64_t>(
+      std::count_if(map.entries.begin(), map.entries.end(),
+                    [](const SimilarityEntry& e) { return e.count >= 2; }));
+}
+
+TEST(SimilarityGather, ByteIdenticalToReferenceAcrossThreads) {
   for (const WeightedGraph& graph : property_graphs()) {
     for (const SimilarityMeasure measure :
          {SimilarityMeasure::kTanimoto, SimilarityMeasure::kJaccard}) {
       const std::vector<std::uint64_t> expected = testing_reference::serialize_map(
           testing_reference::build_reference_map(graph, measure));
       ASSERT_FALSE(expected.empty());
-      for (const numeric::IntersectKernel kernel :
-           {numeric::IntersectKernel::kAuto, numeric::IntersectKernel::kScalar,
-            numeric::IntersectKernel::kGalloping, numeric::IntersectKernel::kSimd}) {
-        SimilarityMapOptions options;
-        options.measure = measure;
-        options.kernel = kernel;
-        EXPECT_EQ(testing_reference::serialize_map(build_similarity_map(graph, options)),
+      SimilarityMapOptions options;
+      options.measure = measure;
+      EXPECT_EQ(testing_reference::serialize_map(build_similarity_map(graph, options)),
+                expected)
+          << "serial n=" << graph.vertex_count();
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        parallel::ThreadPool pool(threads);
+        EXPECT_EQ(testing_reference::serialize_map(
+                      build_similarity_map_parallel(graph, pool, nullptr, options)),
                   expected)
-            << "serial kernel=" << numeric::kernel_name(kernel)
-            << " n=" << graph.vertex_count();
-        for (std::size_t threads : {1u, 2u, 8u}) {
-          parallel::ThreadPool pool(threads);
-          EXPECT_EQ(testing_reference::serialize_map(
-                        build_similarity_map_parallel(graph, pool, nullptr, options)),
-                    expected)
-              << "threads=" << threads << " kernel=" << numeric::kernel_name(kernel)
-              << " n=" << graph.vertex_count();
-        }
+            << "threads=" << threads << " n=" << graph.vertex_count();
       }
     }
   }
@@ -145,10 +143,11 @@ TEST(SimilarityGather, StatsCountersPartitionTheKeys) {
   SimilarityMapOptions options;
   options.stats = &stats;
   const SimilarityMap map = build_similarity_map(graph, options);
-  EXPECT_EQ(stats.pairs_pruned, 0u);  // no threshold armed
-  EXPECT_GT(stats.pairs_single, 0u);
-  EXPECT_GT(stats.pairs_exact, 0u);
-  EXPECT_EQ(stats.pairs_single + stats.pairs_exact, map.key_count());
+  // pairs_exact counts the multi-common keys; the rest have one common.
+  const std::uint64_t multi = multi_common_keys(map);
+  EXPECT_GT(multi, 0u);
+  EXPECT_LT(multi, map.key_count());
+  EXPECT_EQ(stats.pairs_exact, multi);
   EXPECT_GE(stats.pass2_ms, 0.0);
 }
 
@@ -159,50 +158,54 @@ TEST_P(SimilarityGatherPruning, PrunedMapIsExactMapFiltered) {
     SimilarityMapOptions exact_options;
     exact_options.measure = GetParam();
     const SimilarityMap exact = build_similarity_map(graph, exact_options);
-    // A data-driven threshold — the midpoint of the observed score range —
-    // guarantees the filter keeps something and drops something on every
+    // Data-driven thresholds: the midpoint of the observed score range, and
+    // the exact score of the median key, which must survive its own
+    // threshold. Both keep something and drop something on every
     // graph/measure combination.
-    const auto [min_it, max_it] = std::minmax_element(
-        exact.entries.begin(), exact.entries.end(),
-        [](const SimilarityEntry& a, const SimilarityEntry& b) { return a.score < b.score; });
-    ASSERT_LT(min_it->score, max_it->score);
-    const double min_score = 0.5 * (min_it->score + max_it->score);
-    ASSERT_GT(min_score, 0.0);
-    // The expectation: the exact map with every key below the threshold
-    // dropped, offsets recompacted.
-    std::vector<std::uint64_t> expected;
-    std::uint64_t kept = 0;
-    for (const SimilarityEntry& e : exact.entries) {
-      if (e.score < min_score) continue;
-      ++kept;
-      expected.push_back((static_cast<std::uint64_t>(e.u) << 32) | e.v);
-      expected.push_back(std::bit_cast<std::uint64_t>(e.score));
-      expected.push_back(e.count);
-      for (VertexId k : exact.common(e)) expected.push_back(k);
-      for (const EdgePairRef& p : exact.pairs(e)) {
-        expected.push_back((static_cast<std::uint64_t>(p.first) << 32) | p.second);
+    std::vector<SimilarityEntry> by_score = exact.entries;
+    std::sort(by_score.begin(), by_score.end(),
+              [](const SimilarityEntry& a, const SimilarityEntry& b) { return a.score < b.score; });
+    ASSERT_LT(by_score.front().score, by_score.back().score);
+    const SimilarityEntry median_key = by_score[by_score.size() / 2];
+    const double median = median_key.score;
+    const double midpoint = 0.5 * (by_score.front().score + by_score.back().score);
+    for (const double min_score : {midpoint, median}) {
+      ASSERT_GT(min_score, 0.0);
+      // The expectation: the exact map with every key below the threshold
+      // dropped, offsets recompacted.
+      std::vector<std::uint64_t> expected;
+      std::uint64_t kept = 0;
+      for (const SimilarityEntry& e : exact.entries) {
+        if (e.score < min_score) continue;
+        ++kept;
+        expected.push_back((static_cast<std::uint64_t>(e.u) << 32) | e.v);
+        expected.push_back(std::bit_cast<std::uint64_t>(e.score));
+        expected.push_back(e.count);
+        for (const EdgePairRef& p : exact.pairs(e)) {
+          expected.push_back((static_cast<std::uint64_t>(p.first) << 32) | p.second);
+        }
       }
-    }
-    ASSERT_GT(kept, 0u);
-    ASSERT_LT(kept, exact.key_count());  // threshold must actually bite
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      BuildStats stats;
-      SimilarityMapOptions options;
-      options.measure = GetParam();
-      options.min_score = min_score;
-      options.stats = &stats;
-      parallel::ThreadPool pool(threads);
-      const SimilarityMap pruned =
-          build_similarity_map_parallel(graph, pool, nullptr, options);
-      EXPECT_EQ(serialize(pruned), expected) << "threads=" << threads;
-      EXPECT_EQ(pruned.key_count(), kept);
-      // The bound must do real work: some multi-common keys skipped without
-      // an intersection, and the partition must still account for every
-      // discovered key.
-      EXPECT_GT(stats.pairs_pruned, 0u) << "threads=" << threads;
-      EXPECT_EQ(stats.pairs_single + stats.pairs_exact + stats.pairs_pruned,
-                exact.key_count())
-          << "threads=" << threads;
+      ASSERT_GT(kept, 0u);
+      ASSERT_LT(kept, exact.key_count());  // threshold must actually bite
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        BuildStats stats;
+        SimilarityMapOptions options;
+        options.measure = GetParam();
+        options.min_score = min_score;
+        options.stats = &stats;
+        parallel::ThreadPool pool(threads);
+        const SimilarityMap filtered =
+            build_similarity_map_parallel(graph, pool, nullptr, options);
+        EXPECT_EQ(serialize(filtered), expected)
+            << "threads=" << threads << " min_score=" << min_score;
+        EXPECT_EQ(filtered.key_count(), kept);
+        if (min_score == median) {
+          // The keys scoring exactly the threshold survive it.
+          EXPECT_NE(filtered.find(median_key.u, median_key.v), nullptr);
+        }
+        // The counter sees every discovered key, filtered or not.
+        EXPECT_EQ(stats.pairs_exact, multi_common_keys(exact)) << "threads=" << threads;
+      }
     }
   }
 }

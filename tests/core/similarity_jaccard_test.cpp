@@ -38,7 +38,8 @@ TEST(JaccardSimilarity, MatchesBruteForceOnRandomGraphs) {
         graph::erdos_renyi(35, 0.2, {seed, graph::WeightPolicy::kUniform});
     const SimilarityMap map = build_similarity_map(graph, jaccard_options());
     for (const SimilarityEntry& entry : map.entries) {
-      for (graph::VertexId k : map.common(entry)) {
+      for (const EdgePairRef& pair : map.pairs(entry)) {
+        const graph::VertexId k = shared_vertex(graph, pair);
         EXPECT_NEAR(entry.score, jaccard_similarity_bruteforce(graph, entry.u, entry.v, k),
                     1e-12)
             << "seed " << seed;

@@ -3,7 +3,10 @@
 //
 // Deliberately naive and independent of core/similarity.cpp: keys are
 // enumerated by a wedge walk and sorted, and each key's commons come from a
-// two-pointer merge of the two sorted adjacency rows. The summation order is
+// two-pointer merge of the two sorted adjacency rows — the set intersection
+// the build itself replaces with accumulation during its wedge walk. Every
+// recorded edge pair is checked to share the common it was merged on. The
+// summation order is
 // the canonical one every build must reproduce bit for bit: the products
 // w_uk * w_vk in ascending-common order, then the pass-3 term
 // (H1[u] + H1[v]) * w_uv (0.0 when u and v are not adjacent) added last.
@@ -17,6 +20,7 @@
 
 #include "core/similarity.hpp"
 #include "graph/graph.hpp"
+#include "util/check.hpp"
 
 namespace lc::core::testing_reference {
 
@@ -64,7 +68,7 @@ inline SimilarityMap build_reference_map(
       SimilarityEntry entry;
       entry.u = u;
       entry.v = v;
-      entry.offset = map.common_arena.size();
+      entry.offset = map.pair_arena.size();
       double p = 0.0;
       std::size_t a = 0;
       std::size_t b = 0;
@@ -74,14 +78,15 @@ inline SimilarityMap build_reference_map(
         } else if (row_v[b] < row_u[a]) {
           ++b;
         } else {
-          map.common_arena.push_back(row_u[a]);
           map.pair_arena.push_back(EdgePairRef{e_u[a], e_v[b]});
+          LC_CHECK_MSG(shared_vertex(graph, map.pair_arena.back()) == row_u[a],
+                       "an edge pair must share the common it was merged on");
           p += w_u[a] * w_v[b];
           ++a;
           ++b;
         }
       }
-      entry.count = static_cast<std::uint32_t>(map.common_arena.size() - entry.offset);
+      entry.count = static_cast<std::uint32_t>(map.pair_arena.size() - entry.offset);
       const auto uv = std::lower_bound(row_u.begin(), row_u.end(), v);
       const bool adjacent = uv != row_u.end() && *uv == v;
       if (measure == SimilarityMeasure::kJaccard) {
@@ -104,8 +109,8 @@ inline SimilarityMap build_reference_map(
 }
 
 /// The full observable state of a map in list order: key, score bits,
-/// count, arena offset, commons and edge pairs. Equal vectors mean
-/// byte-identical maps, arena layout included.
+/// count, arena offset and edge pairs. Equal vectors mean byte-identical
+/// maps, arena layout included.
 inline std::vector<std::uint64_t> serialize_map(const SimilarityMap& map) {
   std::vector<std::uint64_t> out;
   for (const SimilarityEntry& e : map.entries) {
@@ -113,12 +118,10 @@ inline std::vector<std::uint64_t> serialize_map(const SimilarityMap& map) {
     out.push_back(std::bit_cast<std::uint64_t>(e.score));
     out.push_back(e.count);
     out.push_back(e.offset);
-    for (const graph::VertexId k : map.common(e)) out.push_back(k);
     for (const EdgePairRef& p : map.pairs(e)) {
       out.push_back((static_cast<std::uint64_t>(p.first) << 32) | p.second);
     }
   }
-  out.push_back(map.common_arena.size());
   out.push_back(map.pair_arena.size());
   return out;
 }

@@ -102,7 +102,8 @@ TEST_P(SimilarityProperty, MatchesBruteForceEquationOne) {
     const WeightedGraph graph = GetParam().make(seed);
     const SimilarityMap map = build_similarity_map(graph);
     for (const SimilarityEntry& entry : map.entries) {
-      for (VertexId k : map.common(entry)) {
+      for (const EdgePairRef& pair : map.pairs(entry)) {
+        const VertexId k = shared_vertex(graph, pair);
         const double expected = tanimoto_similarity_bruteforce(graph, entry.u, entry.v, k);
         ASSERT_NEAR(entry.score, expected, 1e-10)
             << GetParam().name << " seed=" << seed << " pair=(" << entry.u << ","

@@ -28,9 +28,11 @@ std::vector<EdgeIdx> oracle_labels(const WeightedGraph& graph, const SimilarityM
   MinDsu dsu(graph.edge_count());
   for (const SimilarityEntry& entry : map.entries) {
     if (entry.score < threshold) continue;
-    // Deliberately resolves edges via find_edge: the oracle stays independent
-    // of the pair arena it is used to validate.
-    for (graph::VertexId k : map.common(entry)) {
+    // Deliberately finds the commons in the graph and resolves edges via
+    // find_edge: the oracle stays independent of the pair arena it is used
+    // to validate.
+    for (graph::VertexId k : graph.neighbors(entry.u)) {
+      if (!graph.has_edge(entry.v, k)) continue;
       const auto e1 = index.index_of(graph.find_edge(entry.u, k));
       const auto e2 = index.index_of(graph.find_edge(entry.v, k));
       dsu.unite(e1, e2);

@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer CI sweep: builds the tree with -DLC_FAULT_INJECT=ON under ASan
 # and then UBSan, and runs the full test suite (tier-1 tests plus the
-# fault-injection suite) under each. The UBSan leg additionally builds with
-# -DLC_SIMD=OFF so the portable scalar/galloping intersect paths get a full
-# sanitized run of their own. A third leg builds under TSan and runs
+# fault-injection suite) under each. A third leg builds under TSan and runs
 # just the concurrency suites (the lock-free union-find stress test, the
 # thread pool, the coarse/parallel determinism tests, the checkpoint
 # resume tests, which cross thread counts, and the sweep-source suite, whose
@@ -28,18 +26,11 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 for san in address undefined; do
   build_dir="${prefix}-${san}"
-  # The undefined leg doubles as the portable-fallback leg: -DLC_SIMD=OFF
-  # compiles out the SSE/AVX2 intersect kernels, so the scalar and galloping
-  # paths (and the forced-kSimd graceful degradation) run the full suite
-  # under UBSan while the address leg covers the SIMD kernels.
-  simd_flag=ON
-  [ "${san}" = undefined ] && simd_flag=OFF
-  echo "== ${san}: configure (${build_dir}, LC_SIMD=${simd_flag}) =="
+  echo "== ${san}: configure (${build_dir}) =="
   cmake -B "${build_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLC_SANITIZE="${san}" \
     -DLC_FAULT_INJECT=ON \
-    -DLC_SIMD="${simd_flag}" \
     -DLC_BUILD_BENCHES=OFF \
     -DLC_BUILD_EXAMPLES=OFF
   echo "== ${san}: build =="
