@@ -50,13 +50,8 @@ inline std::string bench_context_json() {
   // contaminated and must not be compared with clean runs.
   std::string plan = lc::fault::active_plan();
   if (plan.empty()) {
-    for (const char* var : {"LC_FAULT_PLAN", "LC_FAULT_POINT"}) {
-      const char* value = std::getenv(var);
-      if (value != nullptr && value[0] != '\0') {
-        plan = value;
-        break;
-      }
-    }
+    const char* value = std::getenv("LC_FAULT_PLAN");
+    if (value != nullptr) plan = value;
   }
   std::string escaped;
   escaped.reserve(plan.size());

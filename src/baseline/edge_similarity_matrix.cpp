@@ -16,7 +16,7 @@ std::optional<EdgeSimilarityMatrix> EdgeSimilarityMatrix::build(
                   << ", would need " << predicted_bytes(n) / (1024 * 1024) << " MiB)";
     return std::nullopt;
   }
-  LC_FAULT_POINT("baseline.matrix");
+  fault::maybe_fire("baseline.matrix");
   // The matrix lives on in the returned value: committed charge.
   MemoryCharge matrix_charge(ctx, predicted_bytes(n), "baseline.matrix");
   matrix_charge.commit();

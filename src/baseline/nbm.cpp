@@ -21,7 +21,7 @@ NbmResult nbm_cluster(const EdgeSimilarityMatrix& matrix, const NbmOptions& opti
 
   // Working copy of the matrix rows (mutated by max-merging); released when
   // clustering finishes.
-  LC_FAULT_POINT("baseline.nbm");
+  fault::maybe_fire("baseline.nbm");
   MemoryCharge copy_charge(options.ctx, EdgeSimilarityMatrix::predicted_bytes(n),
                            "baseline.nbm_copy");
   EdgeSimilarityMatrix sim = matrix;

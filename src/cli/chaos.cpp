@@ -103,10 +103,10 @@ struct ExitInfo {
 };
 
 /// fork + execv of our own binary with `args` as the subcommand line.
-/// `plan` (may be empty) becomes the child's LC_FAULT_PLAN; the legacy
-/// LC_FAULT_POINT variable is always scrubbed so ambient state cannot leak
-/// into a schedule. stdout/stderr land in files (never pipes, so a chatty
-/// child can't deadlock against us).
+/// `plan` (may be empty) becomes the child's LC_FAULT_PLAN; an empty plan
+/// scrubs the variable so ambient state cannot leak into a schedule.
+/// stdout/stderr land in files (never pipes, so a chatty child can't
+/// deadlock against us).
 Child spawn_child(const ChaosEnv& env, const std::vector<std::string>& args,
                   const std::string& plan, const std::string& dir,
                   const std::string& tag, bool want_stdin) {
@@ -143,7 +143,6 @@ Child spawn_child(const ChaosEnv& env, const std::vector<std::string>& args,
     } else {
       ::setenv("LC_FAULT_PLAN", plan.c_str(), 1);
     }
-    ::unsetenv("LC_FAULT_POINT");
     std::vector<char*> argv;
     argv.reserve(args.size() + 2);
     static char name[] = "linkcluster";

@@ -271,11 +271,10 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
   auto apply_chunk = [&](const std::vector<ChunkPair>& pairs) {
     chunk_journal.clear();
     if (pool == nullptr || threads == 1 || pairs.size() < 2 * threads) {
-      LC_FAULT_POINT("coarse.apply");
+      fault::maybe_fire("coarse.apply");
       PollTicker ticker(ctx);
       for (const ChunkPair& pair : pairs) {
         ticker.checkpoint();
-        LC_FAULT_POINT("coarse.cas_union");
         dsu.unite(pair.a, pair.b, chunk_journal);
       }
       result.stats.pairs_processed += pairs.size();
@@ -284,12 +283,11 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       if (ledger != nullptr) ledger->begin_round(threads);
       const auto run_block = [&](std::size_t block, std::size_t begin,
                                  std::size_t end) {
-        LC_FAULT_POINT("coarse.apply");
+        fault::maybe_fire("coarse.apply");
         PollTicker ticker(ctx);
         ConcurrentDsu::Journal& journal = block_journals[block];
         for (std::size_t i = begin; i < end; ++i) {
           ticker.checkpoint();
-          LC_FAULT_POINT("coarse.cas_union");
           dsu.unite(pairs[i].a, pairs[i].b, journal);
         }
         if (ledger != nullptr) {
@@ -317,7 +315,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       }
       result.stats.pairs_processed += pairs.size();
     }
-    LC_FAULT_POINT("coarse.journal");
+    fault::maybe_fire("coarse.journal");
   };
 
   // Emits the dendrogram events of an accepted level from the journal: every
@@ -361,7 +359,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       // the sweep it was protecting.
       (void)checkpointer->write_coarse(capture_checkpoint());
     }
-    LC_FAULT_POINT("coarse.chunk");
+    fault::maybe_fire("coarse.chunk");
     // ---- Collect and process one chunk. At least one entry always enters
     // the chunk so the sweep makes progress even when delta < |l|.
     const std::uint64_t target_end =
@@ -437,7 +435,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
           saved.edges.push_back(ChunkPair{loser, dsu.find(loser)});
         }
         if (ctx != nullptr) {
-          LC_FAULT_POINT("coarse.snapshot");
+          fault::maybe_fire("coarse.snapshot");
           saved.charged_bytes =
               static_cast<std::uint64_t>(saved.edges.size()) * sizeof(ChunkPair);
           ctx->charge_memory(saved.charged_bytes, "coarse.rollback_snapshot");
@@ -496,7 +494,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       // target root lands exactly on the saved partition.
       chunk_journal.clear();
       {
-        LC_FAULT_POINT("coarse.journal");
+        fault::maybe_fire("coarse.journal");
         PollTicker ticker(ctx);
         for (const ChunkPair& edge : jump.edges) {
           ticker.checkpoint();

@@ -27,7 +27,7 @@ std::uint64_t pair_key(VertexId a, VertexId b) {
 /// costs of the word graphs (hub vertices cluster at low ids).
 void pass1_range(const WeightedGraph& graph, std::size_t start, std::size_t stride,
                  std::vector<double>& h1, std::vector<double>& h2, RunContext* ctx) {
-  LC_FAULT_POINT("sim.pass1");
+  fault::maybe_fire("sim.pass1");
   PollTicker ticker(ctx);
   const std::size_t end = graph.vertex_count();
   for (std::size_t i = start; i < end; i += stride) {
@@ -366,7 +366,7 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
   }
 
   auto gather_block = [&](std::size_t t) -> std::uint64_t {
-    LC_FAULT_POINT("build.gather");
+    fault::maybe_fire("build.gather");
     PollTicker ticker(ctx);
     GatherScratch& s = scratch[t];
     GatherOut& o = outs[t];

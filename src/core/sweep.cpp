@@ -81,7 +81,7 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
       // burn a second per entry while the ticker waits out thousands of
       // items). stop_requested() is one relaxed-fail atomic load, safe here.
       if (ctx != nullptr && ctx->stop_requested()) ctx->throw_if_stopped();
-      LC_FAULT_POINT("sweep.entry");
+      fault::maybe_fire("sweep.entry");
       ticker.checkpoint(1 + entry.count);
       // The build pre-resolved every incident pair (e_uk, e_vk) into the pair
       // arena, so the hot loop is a flat scan: no graph lookups at all.

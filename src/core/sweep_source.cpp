@@ -132,7 +132,7 @@ BucketSweepSource::~BucketSweepSource() {
 }
 
 void BucketSweepSource::sort_bucket(std::size_t bucket) {
-  LC_FAULT_POINT("sweep.bucket");
+  fault::maybe_fire("sweep.bucket");
   SimilarityEntry* const first = map_.entries.data() + bounds_[bucket];
   const std::size_t n = bounds_[bucket + 1] - bounds_[bucket];
   if (!radix_ok_ || n <= 4096 || n > UINT32_MAX) {

@@ -251,7 +251,7 @@ Status RunSupervisor::launch(RunSpec spec) {
   }
   if (thread_.joinable()) thread_.join();  // reap the previous worker
   try {
-    LC_FAULT_POINT("serve.worker.spawn");
+    fault::maybe_fire("serve.worker.spawn");
     thread_ = std::thread([this, spec = std::move(spec), run_id]() mutable {
       worker(std::move(spec), run_id);
     });
@@ -317,7 +317,7 @@ void RunSupervisor::worker(RunSpec spec, std::uint64_t run_id) {
       m.graph_path = spec.graph_path;
       m.merges_path = spec.merges_path;
       try {
-        LC_FAULT_POINT("serve.manifest.write");
+        fault::maybe_fire("serve.manifest.write");
         (void)m.write(manifest);
       } catch (const std::exception&) {
         // Swallowed by design: losing the manifest only costs autorecovery

@@ -567,7 +567,7 @@ int serve_fds(Server& server, int listen_fd, bool use_stdin, std::ostream& log) 
       const int client = ::accept(listen_fd, nullptr, nullptr);
       if (client >= 0) {
         try {
-          LC_FAULT_POINT("serve.accept");
+          fault::maybe_fire("serve.accept");
           connections.push_back(Connection{client, client, true, {}});
         } catch (const std::exception& error) {
           // Containment: a fault between accept and registration costs that

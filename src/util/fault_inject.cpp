@@ -48,30 +48,29 @@ std::uint64_t fnv1a64_str(std::string_view text) {
   return hash;
 }
 
-// The single source of truth for site names. kPhase entries mirror the
-// LC_FAULT_POINT call sites; kRuntime/kIo entries are direct calls that
-// fire in every build.
+// The single source of truth for site names. kCall entries mirror the
+// maybe_fire() calls; kIo entries are the consume_io() calls of the
+// snapshot FileOps seam.
 const std::vector<SiteInfo>& registry_storage() {
   static const std::vector<SiteInfo> instance = {
-      {"sim.pass1", SiteClass::kPhase, "degree/neighbor precompute task"},
-      {"build.gather", SiteClass::kPhase, "similarity build: gather block task"},
-      {"sweep.entry", SiteClass::kPhase, "fine sweep entry boundary"},
-      {"sweep.bucket", SiteClass::kPhase, "bucketed sweep source: bucket sort"},
-      {"coarse.chunk", SiteClass::kPhase, "coarse chunk boundary"},
-      {"coarse.apply", SiteClass::kPhase, "coarse chunk apply task"},
-      {"coarse.cas_union", SiteClass::kPhase, "concurrent DSU union"},
-      {"coarse.journal", SiteClass::kPhase, "coarse merge journal"},
-      {"coarse.snapshot", SiteClass::kPhase, "coarse rollback snapshot"},
-      {"baseline.matrix", SiteClass::kPhase, "baseline similarity matrix"},
-      {"baseline.nbm", SiteClass::kPhase, "baseline NBM build"},
-      {"snapshot.serialize", SiteClass::kPhase, "snapshot serialization"},
-      {"snapshot.write", SiteClass::kPhase, "snapshot tmp-file write window"},
-      {"snapshot.rename", SiteClass::kPhase, "snapshot publish rename window"},
-      {"snapshot.load", SiteClass::kPhase, "snapshot load/validate"},
-      {"serve.accept", SiteClass::kPhase, "TCP accept path of serve_fds"},
-      {"serve.manifest.write", SiteClass::kPhase, "run manifest persistence"},
-      {"serve.worker.spawn", SiteClass::kPhase, "supervisor worker-thread spawn"},
-      {"memory.charge", SiteClass::kRuntime,
+      {"sim.pass1", SiteClass::kCall, "degree/neighbor precompute task"},
+      {"build.gather", SiteClass::kCall, "similarity build: gather block task"},
+      {"sweep.entry", SiteClass::kCall, "fine sweep entry boundary"},
+      {"sweep.bucket", SiteClass::kCall, "bucketed sweep source: bucket sort"},
+      {"coarse.chunk", SiteClass::kCall, "coarse chunk boundary"},
+      {"coarse.apply", SiteClass::kCall, "coarse chunk apply task"},
+      {"coarse.journal", SiteClass::kCall, "coarse merge journal"},
+      {"coarse.snapshot", SiteClass::kCall, "coarse rollback snapshot"},
+      {"baseline.matrix", SiteClass::kCall, "baseline similarity matrix"},
+      {"baseline.nbm", SiteClass::kCall, "baseline NBM build"},
+      {"snapshot.serialize", SiteClass::kCall, "snapshot serialization"},
+      {"snapshot.write", SiteClass::kCall, "snapshot tmp-file write window"},
+      {"snapshot.rename", SiteClass::kCall, "snapshot publish rename window"},
+      {"snapshot.load", SiteClass::kCall, "snapshot load/validate"},
+      {"serve.accept", SiteClass::kCall, "TCP accept path of serve_fds"},
+      {"serve.manifest.write", SiteClass::kCall, "run manifest persistence"},
+      {"serve.worker.spawn", SiteClass::kCall, "supervisor worker-thread spawn"},
+      {"memory.charge", SiteClass::kCall,
        "RunContext::charge_memory (ENOMEM via kBadAlloc)"},
       {"io.write", SiteClass::kIo, "snapshot fwrite (short_write | write_error)"},
       {"io.fsync", SiteClass::kIo, "snapshot fflush+fsync (fsync_error)"},
@@ -341,59 +340,22 @@ void arm(std::string_view site, FaultKind kind, std::uint64_t skip_hits,
 }
 
 bool arm_from_env() {
-  const char* plan_raw = std::getenv("LC_FAULT_PLAN");
-  if (plan_raw != nullptr && plan_raw[0] != '\0') {
-    std::string text = plan_raw;
-    if (text[0] == '@') {
-      std::ifstream file(text.substr(1), std::ios::binary);
-      LC_CHECK_MSG(static_cast<bool>(file),
-                   "LC_FAULT_PLAN names an unreadable plan file");
-      std::ostringstream content;
-      content << file.rdbuf();
-      text = content.str();
-    }
-    StatusOr<FaultPlan> plan = parse_plan(text);
-    LC_CHECK_MSG(plan.ok(), "LC_FAULT_PLAN does not parse; see parse_plan()");
-    LC_CHECK_MSG(!plan->empty(), "LC_FAULT_PLAN armed no clauses");
-    const Status armed = arm_plan(*plan);
-    LC_CHECK_MSG(armed.ok(), "LC_FAULT_PLAN failed to arm");
-    return true;
-  }
-
-  const char* raw = std::getenv("LC_FAULT_POINT");
+  const char* raw = std::getenv("LC_FAULT_PLAN");
   if (raw == nullptr || raw[0] == '\0') return false;
-  const std::vector<std::string_view> parts = split(raw, ':');
-  LC_CHECK_MSG(parts.size() >= 2 && parts.size() <= 5,
-               "LC_FAULT_POINT must be site:kind[:skip_hits[:sleep_ms[:max_fires]]]");
-  LC_CHECK_MSG(!parts[0].empty(), "LC_FAULT_POINT site must be non-empty");
-  FaultKind kind = FaultKind::kNone;
-  if (parts[1] == "throw") {
-    kind = FaultKind::kThrow;
-  } else if (parts[1] == "bad_alloc") {
-    kind = FaultKind::kBadAlloc;
-  } else if (parts[1] == "sleep") {
-    kind = FaultKind::kSleep;
-  } else {
-    LC_CHECK_MSG(false, "LC_FAULT_POINT kind must be throw, bad_alloc, or sleep");
+  std::string text = raw;
+  if (text[0] == '@') {
+    std::ifstream file(text.substr(1), std::ios::binary);
+    LC_CHECK_MSG(static_cast<bool>(file),
+                 "LC_FAULT_PLAN names an unreadable plan file");
+    std::ostringstream content;
+    content << file.rdbuf();
+    text = content.str();
   }
-  std::uint64_t skip_hits = 0;
-  std::uint32_t sleep_ms = 0;
-  if (parts.size() >= 3) {
-    LC_CHECK_MSG(parse_u64_strict(parts[2], &skip_hits),
-                 "LC_FAULT_POINT skip_hits must be a decimal integer");
-  }
-  if (parts.size() >= 4) {
-    std::uint64_t value = 0;
-    LC_CHECK_MSG(parse_u64_strict(parts[3], &value) && value <= 0xffffffffull,
-                 "LC_FAULT_POINT sleep_ms must be a 32-bit decimal integer");
-    sleep_ms = static_cast<std::uint32_t>(value);
-  }
-  std::uint64_t max_fires = 0;
-  if (parts.size() == 5) {
-    LC_CHECK_MSG(parse_u64_strict(parts[4], &max_fires),
-                 "LC_FAULT_POINT max_fires must be a decimal integer");
-  }
-  arm(parts[0], kind, skip_hits, sleep_ms, max_fires);
+  StatusOr<FaultPlan> plan = parse_plan(text);
+  LC_CHECK_MSG(plan.ok(), "LC_FAULT_PLAN does not parse; see parse_plan()");
+  LC_CHECK_MSG(!plan->empty(), "LC_FAULT_PLAN armed no clauses");
+  const Status armed = arm_plan(*plan);
+  LC_CHECK_MSG(armed.ok(), "LC_FAULT_PLAN failed to arm");
   return true;
 }
 
@@ -426,14 +388,6 @@ std::string active_plan() {
   plan.seed = g_seed;
   for (const ArmedClause& clause : clauses()) plan.clauses.push_back(clause.spec);
   return plan.to_string();
-}
-
-bool phase_points_compiled() {
-#ifdef LC_FAULT_INJECT
-  return true;
-#else
-  return false;
-#endif
 }
 
 void maybe_fire(const char* site) {

@@ -1,25 +1,20 @@
-// Runtime chaos engine: multi-site fault plans for the robustness tests and
-// the `lc chaos` torture harness.
+// Fault injection: multi-site fault plans for the robustness tests, the
+// `lc chaos` torture harness and the ci_check.sh smokes.
 //
-// Two families of injection point exist:
+// Every injection point is live in every build. Two classes of site exist:
 //
-//   * Phase sites — LC_FAULT_POINT("site") markers inside the clustering
-//     phases. In a normal build the macro expands to nothing (zero code,
-//     zero cost on the hot path); compiling with -DLC_FAULT_INJECT (CMake
-//     option LC_FAULT_INJECT, used by tools/ci_check.sh) turns each marker
-//     into a maybe_fire() call that can throw std::runtime_error, throw
-//     std::bad_alloc, or sleep — proving every unwind path (ThreadPool
-//     capture/rethrow, StoppedError conversion, CLI exit codes) without a
-//     process death.
+//   * Call sites — fault::maybe_fire("site") calls at chunk, block, bucket,
+//     snapshot and serve boundaries (and inside RunContext::charge_memory).
+//     An armed site can throw std::runtime_error, throw std::bad_alloc, or
+//     sleep — proving every unwind path (ThreadPool capture/rethrow,
+//     prefetch rethrow, StoppedError conversion, CLI exit codes) without a
+//     process death. Nothing armed costs one atomic load per call.
 //
-//   * Runtime sites — always compiled, because they sit off the measured
-//     hot path: the snapshot file-ops seam of util/snapshot_io.hpp
+//   * I/O sites — the snapshot file-ops seam of util/snapshot_io.hpp
 //     (io.write / io.fsync / io.rename / io.corrupt, consumed through
-//     consume_io()) and the memory accountant (memory.charge, a direct
-//     maybe_fire() call inside RunContext::charge_memory). These make the
-//     retry/backoff ring, the ".prev" fallback, checksum validation, and
-//     the degrade-to-in-memory paths reachable in ANY build — `lc chaos`
-//     does not need a fault-injection compile.
+//     consume_io()). They turn into failing syscalls, which makes the
+//     retry/backoff ring, the ".prev" fallback, checksum validation and the
+//     degrade-to-in-memory paths reachable.
 //
 // A *fault plan* arms any number of sites simultaneously. Each clause
 // carries a kind, a deterministic seeded firing probability, a skip window
@@ -27,8 +22,6 @@
 // fails", "writes fail with 50% probability after the first two") are
 // expressible. Plans parse from the LC_FAULT_PLAN environment variable
 // (or a file via LC_FAULT_PLAN=@path); see parse_plan() for the grammar.
-// The legacy single-site LC_FAULT_POINT=site:kind[:skip[:sleep[:max]]]
-// variable is still honoured as a one-clause plan.
 //
 // The authoritative list of sites is the programmatic registry returned by
 // site_registry() — arm()/parse_plan() reject unknown names against it, so
@@ -46,7 +39,7 @@ namespace lc::fault {
 
 enum class FaultKind : std::uint8_t {
   kNone = 0,
-  // Phase/runtime kinds, delivered by maybe_fire():
+  // Call-site kinds, delivered by maybe_fire():
   kThrow,     ///< throw std::runtime_error("injected fault at <site>")
   kBadAlloc,  ///< throw std::bad_alloc
   kSleep,     ///< sleep sleep_ms, then continue (deadline trip / kill park)
@@ -64,9 +57,8 @@ enum class FaultKind : std::uint8_t {
 
 /// How a site delivers its fault, which decides the kinds it accepts.
 enum class SiteClass : std::uint8_t {
-  kPhase,    ///< LC_FAULT_POINT marker; fires only under -DLC_FAULT_INJECT
-  kRuntime,  ///< direct maybe_fire() call; fires in every build
-  kIo,       ///< consume_io() through the snapshot FileOps seam; every build
+  kCall,  ///< maybe_fire() call; delivers throw / bad_alloc / sleep
+  kIo,    ///< consume_io() through the snapshot FileOps seam
 };
 
 struct SiteInfo {
@@ -76,14 +68,14 @@ struct SiteInfo {
 };
 
 /// Every registered site, the single source of truth for docs and
-/// validation. Phase sites mirror the LC_FAULT_POINT call sites exactly.
+/// validation. Call sites mirror the maybe_fire() calls exactly.
 [[nodiscard]] const std::vector<SiteInfo>& site_registry();
 
 /// Registry entry for `name`, or nullptr when unknown.
 [[nodiscard]] const SiteInfo* find_site(std::string_view name);
 
 /// True when `kind` may be armed at `site` (I/O kinds only at their
-/// matching io.* site, phase kinds anywhere else).
+/// matching io.* site, call-site kinds anywhere else).
 [[nodiscard]] bool kind_allowed_at(const SiteInfo& site, FaultKind kind);
 
 /// One armed site inside a plan.
@@ -137,11 +129,9 @@ void arm(std::string_view site, FaultKind kind, std::uint64_t skip_hits = 0,
 /// Arms from the environment, letting a parent inject faults into a whole
 /// child process (the `lc chaos` driver and the ci_check.sh smokes do).
 /// LC_FAULT_PLAN takes the plan grammar above — or "@/path/to/plan.txt" to
-/// read the plan text from a file — and wins over the legacy
-/// LC_FAULT_POINT=site:kind[:skip_hits[:sleep_ms[:max_fires]]] form.
-/// Returns true when anything was armed; a malformed value aborts via
-/// LC_CHECK (a typo silently not faulting would pass the test it was meant
-/// to break).
+/// read the plan text from a file. Returns true when anything was armed; a
+/// malformed value aborts via LC_CHECK (a typo silently not faulting would
+/// pass the test it was meant to break).
 bool arm_from_env();
 
 /// Disarms everything.
@@ -160,14 +150,8 @@ void disarm();
 /// bench context so gating tooling can refuse contaminated runs.
 [[nodiscard]] std::string active_plan();
 
-/// True when this build compiled the LC_FAULT_POINT markers in — i.e. a
-/// plan clause on a kPhase site can actually fire. Runtime and I/O sites
-/// fire regardless.
-[[nodiscard]] bool phase_points_compiled();
-
-/// Called by LC_FAULT_POINT markers and runtime sites. Fast path (nothing
-/// armed) is one relaxed atomic load. Delivers kThrow/kBadAlloc/kSleep;
-/// I/O kinds armed at other sites are never delivered here.
+/// Called at every call site. Fast path (nothing armed) is one atomic load.
+/// Delivers kThrow/kBadAlloc/kSleep; I/O kinds are never delivered here.
 void maybe_fire(const char* site);
 
 /// Called by the snapshot FileOps seam at the io.* sites. Returns the kind
@@ -177,11 +161,3 @@ void maybe_fire(const char* site);
 [[nodiscard]] FaultKind consume_io(const char* site, std::uint64_t* draw = nullptr);
 
 }  // namespace lc::fault
-
-#ifdef LC_FAULT_INJECT
-#define LC_FAULT_POINT(site) ::lc::fault::maybe_fire(site)
-#else
-#define LC_FAULT_POINT(site) \
-  do {                       \
-  } while (false)
-#endif

@@ -191,7 +191,7 @@ std::string SnapshotWriter::serialize() const {
 }
 
 Status SnapshotWriter::commit(const std::string& path) {
-  LC_FAULT_POINT("snapshot.serialize");
+  fault::maybe_fire("snapshot.serialize");
   const std::string blob = serialize();
   const std::string tmp = path + ".tmp";
   const std::string prev = path + ".prev";
@@ -214,7 +214,7 @@ Status SnapshotWriter::commit(const std::string& path) {
     }
     // Crash window: the tmp file is open and possibly half-written; the
     // primary and .prev are untouched.
-    LC_FAULT_POINT("snapshot.write");
+    fault::maybe_fire("snapshot.write");
     const std::size_t wrote = ops.write(out.file, blob.data(), blob.size());
     if (wrote != blob.size()) {
       return Status::internal("snapshot: short write to " + tmp + " (" +
@@ -235,7 +235,7 @@ Status SnapshotWriter::commit(const std::string& path) {
   }
   // Crash window: the primary is gone but .prev holds the last good
   // snapshot; readers fall back to it.
-  LC_FAULT_POINT("snapshot.rename");
+  fault::maybe_fire("snapshot.rename");
   if (ops.rename_file(tmp.c_str(), path.c_str()) != 0) {
     return Status::internal("snapshot: cannot publish " + tmp + " as " + path +
                             ": " + std::strerror(errno));
@@ -271,7 +271,7 @@ Status SectionReader::expect_end() const {
 }
 
 StatusOr<Snapshot> Snapshot::load(const std::string& path) {
-  LC_FAULT_POINT("snapshot.load");
+  fault::maybe_fire("snapshot.load");
   Snapshot snapshot;
   {
     FileCloser in(std::fopen(path.c_str(), "rb"));

@@ -46,8 +46,7 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// chaos engine injects disk faults through. The default implementation
 /// performs the real calls after consulting fault::consume_io() at the
 /// io.write / io.fsync / io.rename / io.corrupt sites, so LC_FAULT_PLAN
-/// clauses on those sites fail snapshot commits in every build (no
-/// -DLC_FAULT_INJECT needed — snapshot I/O is off the measured hot path).
+/// clauses on those sites fail snapshot commits.
 /// Tests may install their own ops (set_file_ops) to count or reorder calls.
 class FileOps {
  public:

@@ -3,7 +3,6 @@
 // corruption) delivered through the util/snapshot_io FileOps seam, exercising
 // the Checkpointer retry/backoff ring, the ".prev" fallback, the
 // double-corruption resource-class refusal, and the stale ".tmp" cleanup.
-// The io.* sites fire in every build — no -DLC_FAULT_INJECT required.
 #include "core/checkpoint.hpp"
 
 #include <gtest/gtest.h>

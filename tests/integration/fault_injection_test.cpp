@@ -1,19 +1,21 @@
-// Fault-injection integration suite (requires -DLC_FAULT_INJECT=ON; see
-// tests/CMakeLists.txt). Each test arms one LC_FAULT_POINT site inside a
-// clustering phase and proves the failure surfaces as a non-OK Status from
-// LinkClusterer::run() — never a process death — and that a disarmed rerun
-// reproduces the exact pre-fault dendrogram.
+// Fault-injection integration suite. Each test arms one fault::maybe_fire()
+// site inside a clustering phase (or the snapshot, baseline and serve paths)
+// and proves the failure surfaces as a non-OK Status from LinkClusterer::run()
+// — never a process death — and that a disarmed rerun reproduces the exact
+// pre-fault dendrogram. The sites are live in every build.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -30,10 +32,6 @@
 #include "util/fault_inject.hpp"
 #include "util/run_context.hpp"
 #include "util/status.hpp"
-
-#ifndef LC_FAULT_INJECT
-#error "fault_injection_test.cpp must be compiled with -DLC_FAULT_INJECT"
-#endif
 
 namespace lc::core {
 namespace {
@@ -97,13 +95,40 @@ const SiteCase kThrowCases[] = {
     {"sweep.bucket", 8, ClusterMode::kCoarse},
     {"coarse.chunk", 1, ClusterMode::kCoarse},
     {"coarse.apply", 1, ClusterMode::kCoarse},
-    {"coarse.cas_union", 1, ClusterMode::kCoarse},
     {"coarse.journal", 1, ClusterMode::kCoarse},
     {"coarse.chunk", 8, ClusterMode::kCoarse},
     {"coarse.apply", 8, ClusterMode::kCoarse},
-    {"coarse.cas_union", 8, ClusterMode::kCoarse},
     {"coarse.journal", 8, ClusterMode::kCoarse},
 };
+
+// The call sites that dedicated tests arm instead of a kThrowCases row:
+// coarse.snapshot needs a RunContext, the snapshot.* sites a checkpointing
+// run, the baseline.* sites the baseline builders, the serve.* sites a
+// server, and memory.charge is armed by tests/util/fault_plan_test.cpp.
+// A site joins this list only together with a test that arms it.
+const char* const kDedicatedSites[] = {
+    "coarse.snapshot",    "baseline.matrix",      "baseline.nbm",
+    "snapshot.serialize", "snapshot.write",       "snapshot.rename",
+    "snapshot.load",      "serve.accept",         "serve.manifest.write",
+    "serve.worker.spawn", "memory.charge",
+};
+
+TEST(FaultSiteCoverage, EveryCallSiteIsArmedByATest) {
+  for (const char* name : kDedicatedSites) {
+    EXPECT_NE(fault::find_site(name), nullptr) << name << " is not registered";
+  }
+  for (const fault::SiteInfo& site : fault::site_registry()) {
+    if (site.cls == fault::SiteClass::kIo) continue;  // checkpoint_chaos_test
+    const std::string_view name = site.name;
+    const bool thrown = std::any_of(
+        std::begin(kThrowCases), std::end(kThrowCases),
+        [name](const SiteCase& c) { return name == c.site; });
+    const bool dedicated = std::any_of(
+        std::begin(kDedicatedSites), std::end(kDedicatedSites),
+        [name](const char* listed) { return name == listed; });
+    EXPECT_TRUE(thrown || dedicated) << name << " is armed by no test";
+  }
+}
 
 TEST_F(FaultInjectionTest, ThrowAtEverySiteBecomesInternalStatus) {
   for (const SiteCase& c : kThrowCases) {
@@ -204,9 +229,12 @@ TEST_F(FaultInjectionTest, GatherFaultDisarmedRerunReproducesDendrogramExactly) 
 }
 
 TEST_F(FaultInjectionTest, DisarmedRerunReproducesCoarseDendrogramExactly) {
-  // Same round trip through the coarse mode: a CAS-union fault mid-chunk
-  // unwinds through the shared concurrent DSU, and a fresh run afterwards
-  // reproduces the exact coarse dendrogram at both thread counts.
+  // Same round trip through the coarse mode. coarse.apply is hit once per
+  // apply block: the sweep applies 12 chunks, each as one block at T = 1 and
+  // as 8 blocks at T = 8, so skipping 6·T hits throws in the seventh chunk,
+  // after six chunks' unions are in the shared concurrent DSU (and at T = 8
+  // beside the chunk's other blocks). A fresh run afterwards reproduces the
+  // exact coarse dendrogram at both thread counts.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     const LinkClusterer clusterer(
@@ -215,7 +243,8 @@ TEST_F(FaultInjectionTest, DisarmedRerunReproducesCoarseDendrogramExactly) {
     ASSERT_TRUE(before.ok());
     const std::uint64_t reference = dendrogram_digest(before.value().dendrogram);
 
-    fault::arm("coarse.cas_union", fault::FaultKind::kThrow, /*skip_hits=*/100);
+    fault::arm("coarse.apply", fault::FaultKind::kThrow,
+               /*skip_hits=*/6 * threads);
     EXPECT_FALSE(clusterer.run(test_graph()).ok());
     fault::disarm();
 
@@ -264,23 +293,36 @@ class SnapshotFaultTest : public FaultInjectionTest {
 };
 
 TEST_F(SnapshotFaultTest, FailedSnapshotWriteNeverFailsTheRun) {
-  // A fault inside the snapshot write path is swallowed by the Checkpointer:
-  // the run completes, produces the exact reference dendrogram, and simply
-  // has no snapshot to show for it.
+  // A fault inside the snapshot write path — a throw while the tmp file is
+  // open, or an allocation failure while serializing — is swallowed by the
+  // Checkpointer: the run completes, produces the exact reference dendrogram,
+  // and simply has no snapshot (and no orphaned tmp file) to show for it.
   const StatusOr<ClusterResult> reference =
       LinkClusterer(make_config(1, ClusterMode::kFine))
           .run(test_graph());
   ASSERT_TRUE(reference.ok());
 
-  fault::arm("snapshot.write", fault::FaultKind::kThrow);
-  const StatusOr<ClusterResult> run =
-      LinkClusterer(checkpointing_config(/*max_snapshots=*/4)).run(test_graph());
-  EXPECT_GE(fault::fire_count(), 1u);
-  fault::disarm();
-  ASSERT_TRUE(run.ok()) << run.status().to_string();
-  EXPECT_EQ(dendrogram_digest(run.value().dendrogram),
-            dendrogram_digest(reference.value().dendrogram));
-  EXPECT_FALSE(std::filesystem::exists(snapshot_path(dir_.string())));
+  const struct {
+    const char* site;
+    fault::FaultKind kind;
+  } kInputs[] = {
+      {"snapshot.write", fault::FaultKind::kThrow},
+      {"snapshot.serialize", fault::FaultKind::kBadAlloc},
+  };
+  const std::string primary = snapshot_path(dir_.string());
+  for (const auto& input : kInputs) {
+    SCOPED_TRACE(input.site);
+    fault::arm(input.site, input.kind);
+    const StatusOr<ClusterResult> run =
+        LinkClusterer(checkpointing_config(/*max_snapshots=*/4)).run(test_graph());
+    EXPECT_GE(fault::fire_count(), 1u);
+    fault::disarm();
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_EQ(dendrogram_digest(run.value().dendrogram),
+              dendrogram_digest(reference.value().dendrogram));
+    EXPECT_FALSE(std::filesystem::exists(primary));
+    EXPECT_FALSE(std::filesystem::exists(primary + ".tmp"));
+  }
 }
 
 TEST_F(SnapshotFaultTest, CrashBetweenRenamesLeavesLoadablePrev) {
@@ -414,7 +456,7 @@ TEST_F(SnapshotFaultTest, LoadFaultSurfacesAsStatusOnResume) {
 }
 
 TEST_F(FaultInjectionTest, MultiSitePlanFiresEachWindowInOrder) {
-  // Two phase sites armed simultaneously, each with a one-fire window. The
+  // Two sites armed simultaneously, each with a one-fire window. The
   // first run dies in the similarity build, the second survives it (that
   // clause is spent) and dies at the sweep, the third finds every window
   // spent and completes with the reference dendrogram.

@@ -1,8 +1,7 @@
-// Runtime chaos-engine unit suite: the fault-plan grammar, the programmatic
-// site registry, clause windows (skip/max/probability) and their seeded
-// determinism, and the always-compiled runtime sites (memory.charge and the
-// io.* seam consumed by util/snapshot_io). Everything here runs in every
-// build — no -DLC_FAULT_INJECT required.
+// Chaos-engine unit suite: the fault-plan grammar, the programmatic site
+// registry, clause windows (skip/max/probability) and their seeded
+// determinism, and the memory.charge call site and the io.* seam consumed by
+// util/snapshot_io.
 #include "util/fault_inject.hpp"
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@ class FaultPlanTest : public ::testing::Test {
   void TearDown() override {
     disarm();
     ::unsetenv("LC_FAULT_PLAN");
-    ::unsetenv("LC_FAULT_POINT");
   }
 };
 
@@ -68,8 +67,8 @@ TEST_F(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_FALSE(parse_plan("seed=banana").ok());
   EXPECT_FALSE(parse_plan("io.write:write_error:p=1.5").ok());
   EXPECT_FALSE(parse_plan("io.write:write_error:bogus=3").ok());
-  // Kind/site cross-wiring: I/O kinds only at their io.* site, phase kinds
-  // never at an io.* site.
+  // Kind/site cross-wiring: I/O kinds only at their io.* site, call-site
+  // kinds never at an io.* site.
   EXPECT_FALSE(parse_plan("sweep.entry:write_error").ok());
   EXPECT_FALSE(parse_plan("io.write:throw").ok());
   EXPECT_FALSE(parse_plan("io.write:fsync_error").ok());
@@ -89,45 +88,45 @@ TEST_F(FaultPlanTest, EmptyPlanParsesAndDisarms) {
 TEST_F(FaultPlanTest, RegistryCoversEveryClass) {
   const std::vector<SiteInfo>& sites = site_registry();
   ASSERT_FALSE(sites.empty());
-  bool phase = false;
-  bool runtime = false;
+  bool call = false;
   bool io = false;
   for (const SiteInfo& site : sites) {
     ASSERT_NE(site.name, nullptr);
     ASSERT_NE(site.summary, nullptr);
     EXPECT_EQ(find_site(site.name), &site) << site.name;
-    phase |= site.cls == SiteClass::kPhase;
-    runtime |= site.cls == SiteClass::kRuntime;
+    call |= site.cls == SiteClass::kCall;
     io |= site.cls == SiteClass::kIo;
+    // The class follows the name: io.* sites and only they take I/O kinds.
+    EXPECT_EQ(site.cls == SiteClass::kIo,
+              std::string_view(site.name).substr(0, 3) == "io.")
+        << site.name;
   }
-  EXPECT_TRUE(phase);
-  EXPECT_TRUE(runtime);
+  EXPECT_TRUE(call);
   EXPECT_TRUE(io);
-  EXPECT_EQ(find_site("memory.charge")->cls, SiteClass::kRuntime);
+  EXPECT_EQ(find_site("memory.charge")->cls, SiteClass::kCall);
+  EXPECT_EQ(find_site("sweep.entry")->cls, SiteClass::kCall);
   EXPECT_EQ(find_site("io.write")->cls, SiteClass::kIo);
-  EXPECT_EQ(find_site("serve.accept")->cls, SiteClass::kPhase);
-  EXPECT_EQ(find_site("serve.manifest.write")->cls, SiteClass::kPhase);
-  EXPECT_EQ(find_site("serve.worker.spawn")->cls, SiteClass::kPhase);
+  EXPECT_EQ(find_site("serve.accept")->cls, SiteClass::kCall);
   EXPECT_EQ(find_site("made.up.site"), nullptr);
 }
 
 TEST_F(FaultPlanTest, KindSiteMatrix) {
-  const SiteInfo& phase = *find_site("sweep.entry");
-  const SiteInfo& runtime = *find_site("memory.charge");
+  const SiteInfo& sweep = *find_site("sweep.entry");
+  const SiteInfo& charge = *find_site("memory.charge");
   const SiteInfo& io_write = *find_site("io.write");
-  EXPECT_TRUE(kind_allowed_at(phase, FaultKind::kThrow));
-  EXPECT_TRUE(kind_allowed_at(runtime, FaultKind::kBadAlloc));
-  EXPECT_FALSE(kind_allowed_at(phase, FaultKind::kWriteError));
+  EXPECT_TRUE(kind_allowed_at(sweep, FaultKind::kThrow));
+  EXPECT_TRUE(kind_allowed_at(charge, FaultKind::kBadAlloc));
+  EXPECT_FALSE(kind_allowed_at(sweep, FaultKind::kWriteError));
   EXPECT_FALSE(kind_allowed_at(io_write, FaultKind::kThrow));
   EXPECT_TRUE(kind_allowed_at(io_write, FaultKind::kShortWrite));
   EXPECT_TRUE(kind_allowed_at(io_write, FaultKind::kWriteError));
   EXPECT_FALSE(kind_allowed_at(io_write, FaultKind::kRenameError));
-  EXPECT_FALSE(kind_allowed_at(phase, FaultKind::kNone));
+  EXPECT_FALSE(kind_allowed_at(sweep, FaultKind::kNone));
 }
 
 TEST_F(FaultPlanTest, RuntimeSiteFiresInEveryBuild) {
-  // memory.charge is a kRuntime site: maybe_fire works without the
-  // LC_FAULT_POINT markers being compiled in.
+  // Every call site is live in every build: maybe_fire needs no special
+  // compile to deliver an armed fault.
   arm("memory.charge", FaultKind::kThrow, /*skip_hits=*/2);
   EXPECT_NO_THROW(maybe_fire("memory.charge"));
   EXPECT_NO_THROW(maybe_fire("memory.charge"));
@@ -160,7 +159,7 @@ TEST_F(FaultPlanTest, MultipleSitesArmSimultaneously) {
 }
 
 TEST_F(FaultPlanTest, DeliveryChannelsDoNotCrossWire) {
-  // An io clause never throws out of maybe_fire, and a phase/runtime clause
+  // An io clause never throws out of maybe_fire, and a call-site clause
   // is never returned by consume_io — even when the site name matches.
   const StatusOr<FaultPlan> plan =
       parse_plan("io.write:write_error;memory.charge:throw");
@@ -246,16 +245,8 @@ TEST_F(FaultPlanTest, ArmsFromPlanFile) {
   std::filesystem::remove(path);
 }
 
-TEST_F(FaultPlanTest, LegacyFaultPointStillArms) {
-  ASSERT_EQ(::setenv("LC_FAULT_POINT", "memory.charge:throw:1", 1), 0);
-  EXPECT_TRUE(arm_from_env());
-  EXPECT_NO_THROW(maybe_fire("memory.charge"));  // skip_hits=1
-  EXPECT_THROW(maybe_fire("memory.charge"), std::runtime_error);
-}
-
 TEST_F(FaultPlanTest, EnvUnsetArmsNothing) {
   ::unsetenv("LC_FAULT_PLAN");
-  ::unsetenv("LC_FAULT_POINT");
   EXPECT_FALSE(arm_from_env());
   EXPECT_FALSE(any_armed());
 }
@@ -269,7 +260,7 @@ TEST_F(FaultPlanTest, ChargeMemoryDeliversInjectedBadAlloc) {
 }
 
 TEST_F(FaultPlanTest, InjectedOomSurfacesAsResourceExhausted) {
-  // End to end through the clusterer: the runtime memory.charge site turns
+  // End to end through the clusterer: the memory.charge site turns
   // into the same kResourceExhausted a real failed allocation produces.
   const graph::WeightedGraph graph = graph::erdos_renyi(40, 0.2, {3});
   arm("memory.charge", FaultKind::kBadAlloc);

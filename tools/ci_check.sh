@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Sanitizer CI sweep: builds the tree with -DLC_FAULT_INJECT=ON under ASan
-# and then UBSan, and runs the full test suite (tier-1 tests plus the
-# fault-injection suite) under each. A third leg builds under TSan and runs
-# just the concurrency suites (the lock-free union-find stress test, the
-# thread pool, the coarse/parallel determinism tests, the checkpoint
-# resume tests, which cross thread counts, and the sweep-source suite, whose
-# bucketed source hands bucket sorts to a prefetch thread) — the full suite under TSan is
-# prohibitively slow and the serial tests cannot race. Any sanitizer report
-# fails the build because CMakeLists.txt sets -fno-sanitize-recover=all.
+# Sanitizer CI sweep: builds the default tree under ASan and then UBSan and
+# runs the full test suite (the fault-injection suite included — every fault
+# site is live in every build) under each. A third leg builds under TSan and
+# runs just the concurrency suites: the lock-free union-find stress test, the
+# thread pool, the coarse/parallel determinism tests, the checkpoint resume
+# tests, which cross thread counts, the sweep-source suite, whose bucketed
+# source hands bucket sorts to a prefetch thread, the serve suite, and the
+# fault-injection suite, whose multi-thread cases throw inside pool workers
+# and on the prefetch thread. The full suite under TSan is prohibitively slow
+# and the serial tests cannot race. Any sanitizer report fails the build
+# because CMakeLists.txt sets -fno-sanitize-recover=all.
 #
-# A final smoke leg exercises the crash/resume path end to end with the ASan
-# CLI binary: a fault-injected sleep parks a checkpointing run mid-sweep,
-# SIGKILL tears it down, and a --resume run must reproduce the uninterrupted
-# dendrogram byte for byte. Both the fine and the coarse mode machines get a
-# kill.
+# The smoke legs then drive the ASan CLI binary end to end, arming faults
+# through LC_FAULT_PLAN: a fault-injected sleep parks a checkpointing run
+# mid-sweep, SIGKILL (fine and coarse) or SIGTERM tears it down, and a
+# --resume run must reproduce the uninterrupted dendrogram byte for byte; a
+# serve session is contained and autorecovered the same way; and a pinned
+# block of `lc chaos` schedules runs last.
 #
 # Usage: tools/ci_check.sh [build-dir-prefix]
 #   build-dir-prefix defaults to "build-san"; per-sanitizer trees land in
@@ -30,7 +33,6 @@ for san in address undefined; do
   cmake -B "${build_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLC_SANITIZE="${san}" \
-    -DLC_FAULT_INJECT=ON \
     -DLC_BUILD_BENCHES=OFF \
     -DLC_BUILD_EXAMPLES=OFF
   echo "== ${san}: build =="
@@ -51,17 +53,20 @@ cmake --build "${build_dir}" -j "${jobs}" \
   --target core_concurrent_dsu_test parallel_thread_pool_test \
            core_coarse_test core_similarity_determinism_test \
            core_similarity_gather_test core_checkpoint_test \
-           core_sweep_source_test serve_server_test
+           core_sweep_source_test serve_server_test \
+           integration_fault_injection_test
 echo "== thread: test (concurrency suites) =="
 # The serve suite rides along: every test crosses the RunSupervisor's
 # worker-thread handoff (launch/report/wait/cancel from the protocol thread
-# against the run on the worker), which is exactly what TSan is for.
+# against the run on the worker), which is exactly what TSan is for. So does
+# the fault suite: its T = 8 cases unwind exceptions out of pool workers and
+# the bucket-prefetch thread.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor'
+  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
 
 # ---- Kill/resume smoke: crash a checkpointing run with SIGKILL, resume it,
 # and demand the dendrogram the crash interrupted. Uses the ASan binary so
-# the replayed sweep is also sanitized. The LC_FAULT_POINT sleep parks the
+# the replayed sweep is also sanitized. The LC_FAULT_PLAN sleep parks the
 # run inside the sweep after enough chunk boundaries have committed
 # snapshots, which makes the kill deterministic without racing the sweep.
 smoke() {
@@ -73,7 +78,7 @@ smoke() {
   "${bin}" generate --type er --n 600 --p 0.02 --seed 7 --output "${work}/g.edges"
   "${bin}" cluster --input "${work}/g.edges" --mode "${mode}" "$@" \
     --merges "${work}/ref.merges"
-  LC_FAULT_POINT="${fault}" \
+  LC_FAULT_PLAN="${fault}" \
     "${bin}" cluster --input "${work}/g.edges" --mode "${mode}" "$@" \
       --checkpoint-dir "${work}/ckpt" --checkpoint-every-ms 0 \
       --merges "${work}/killed.merges" &
@@ -101,8 +106,8 @@ smoke() {
 # coarse.chunk hit, so three skips guarantee one. Both legs kill and resume
 # bucketed lazy-sort runs — the resume lands mid-bucket and must skip the
 # sorts of every bucket before it.
-smoke fine  "sweep.entry:sleep:400:60000"
-smoke coarse "coarse.chunk:sleep:3:60000" --delta0 32
+smoke fine  "sweep.entry:sleep:skip=400:sleep=60000"
+smoke coarse "coarse.chunk:sleep:skip=3:sleep=60000" --delta0 32
 
 # ---- Batch SIGTERM smoke: a termination signal must turn into a cooperative
 # cancel (exit 3), leave a final checkpoint behind, and --resume must finish
@@ -116,7 +121,7 @@ sigterm_smoke() {
   echo "== smoke: batch SIGTERM -> final checkpoint -> resume (${work}) =="
   "${bin}" generate --type er --n 600 --p 0.02 --seed 7 --output "${work}/g.edges"
   "${bin}" cluster --input "${work}/g.edges" --merges "${work}/ref.merges"
-  LC_FAULT_POINT="sweep.entry:sleep:400:1000" \
+  LC_FAULT_PLAN="sweep.entry:sleep:skip=400:sleep=1000" \
     "${bin}" cluster --input "${work}/g.edges" \
       --checkpoint-dir "${work}/ckpt" --checkpoint-every-ms 0 \
       --merges "${work}/killed.merges" &
@@ -173,7 +178,7 @@ serve_chaos() {
   # dir, and let startup autorecovery finish the run. The fifo keeps the
   # first server's stdin open while it is parked.
   mkfifo "${work}/in"
-  LC_FAULT_POINT="sweep.entry:sleep:400:60000" \
+  LC_FAULT_PLAN="sweep.entry:sleep:skip=400:sleep=60000" \
     "${bin}" serve --checkpoint-dir "${work}/ckpt" --checkpoint-every-ms 0 \
       < "${work}/in" > "${work}/serve1.out" 2> "${work}/serve1.err" &
   local pid=$!

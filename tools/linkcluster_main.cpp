@@ -7,10 +7,7 @@
 #include "util/fault_inject.hpp"
 
 int main(int argc, char** argv) {
-  // Arm any LC_FAULT_PLAN / LC_FAULT_POINT from the environment. This is
-  // unconditional: the runtime sites (memory.charge, the snapshot io.* seam)
-  // fire in every build; phase-site clauses additionally need a
-  // -DLC_FAULT_INJECT build to do anything.
+  // Arm any LC_FAULT_PLAN from the environment.
   lc::fault::arm_from_env();
   // Line-buffer stdout even when piped: `serve` clients read one response
   // line per request, and the chaos harness drives the server through a
