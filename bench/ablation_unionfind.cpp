@@ -36,7 +36,7 @@ void BM_PaperClusterArray(benchmark::State& state) {
       benchmark::DoNotOptimize(clusters.merge(a, b));
     }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * pairs.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pairs.size()));
 }
 BENCHMARK(BM_PaperClusterArray)->Arg(1000)->Arg(10000)->Arg(100000);
 
@@ -49,7 +49,7 @@ void BM_ClassicMinDsu(benchmark::State& state) {
       benchmark::DoNotOptimize(dsu.unite(a, b));
     }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * pairs.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pairs.size()));
 }
 BENCHMARK(BM_ClassicMinDsu)->Arg(1000)->Arg(10000)->Arg(100000);
 

@@ -26,7 +26,11 @@ void render(const std::vector<Node>& nodes, std::size_t node, double parent_heig
             const LeafNamer& namer, std::string& out) {
   const Node& n = nodes[node];
   if (n.leaf) {
-    out += namer ? namer(n.leaf_index) : ("e" + std::to_string(n.leaf_index));
+    if (namer) {
+      out.append(namer(n.leaf_index));
+    } else {
+      out.append("e").append(std::to_string(n.leaf_index));
+    }
   } else {
     out.push_back('(');
     render(nodes, n.left, n.height, namer, out);

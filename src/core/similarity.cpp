@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
+#include <functional>
 #include <utility>
 
 #include "util/check.hpp"
@@ -24,16 +24,19 @@ std::uint64_t pair_key(VertexId a, VertexId b) {
 /// Pass 1 (lines 1-5): H1 and H2 for vertices {start, start+stride, ...}.
 /// Threads take strided (round-robin) slices: the paper's §VII-C observation
 /// is that round-robin assignment balances the heavily skewed per-vertex
-/// costs of the word graphs (hub vertices cluster at low ids).
-void pass1_range(const WeightedGraph& graph, std::size_t start, std::size_t stride,
-                 std::vector<double>& h1, std::vector<double>& h2, RunContext* ctx) {
+/// costs of the word graphs (hub vertices cluster at low ids). Returns the
+/// slice's work units.
+std::uint64_t pass1_range(const WeightedGraph& graph, std::size_t start, std::size_t stride,
+                          std::vector<double>& h1, std::vector<double>& h2, RunContext* ctx) {
   fault::maybe_fire("sim.pass1");
   PollTicker ticker(ctx);
+  std::uint64_t work = 0;
   const std::size_t end = graph.vertex_count();
   for (std::size_t i = start; i < end; i += stride) {
     ticker.checkpoint();
     const auto v = static_cast<VertexId>(i);
     const std::span<const double> weights = graph.neighbor_weights(v);
+    work += 1 + weights.size();
     if (weights.empty()) continue;  // isolated vertex: H1 = H2 = 0
     double sum = 0.0;
     double sum_sq = 0.0;
@@ -45,6 +48,7 @@ void pass1_range(const WeightedGraph& graph, std::size_t start, std::size_t stri
     h1[i] = avg;
     h2[i] = avg * avg + sum_sq;
   }
+  return work;
 }
 
 /// Jaccard of inclusive neighborhoods from the entry's own statistics:
@@ -78,6 +82,31 @@ std::vector<std::size_t> balanced_blocks(std::size_t n, std::size_t parts,
   return bounds;
 }
 
+/// Runs block(t) for every t in [0, T) — inline when there is no pool (the
+/// serial build, T = 1), else as one pool batch with T = pool->thread_count()
+/// — and records each block's returned work units as one ledger round of
+/// `phase`.
+template <typename BlockFn>
+void run_blocks(parallel::ThreadPool* pool, sim::WorkLedger* ledger, const char* phase,
+                BlockFn block) {
+  const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
+  if (ledger != nullptr) {
+    ledger->begin_phase(phase);
+    ledger->begin_round(t_count);
+  }
+  const auto run = [&](std::size_t t) {
+    const std::uint64_t work = block(t);
+    if (ledger != nullptr) ledger->add_work(t, work);
+  };
+  if (pool == nullptr) {
+    run(0);
+    return;
+  }
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t t = 0; t < t_count; ++t) tasks.push_back([&run, t] { run(t); });
+  pool->run_batch(tasks);
+}
+
 // ---------------------------------------------------------------------------
 // Gather build (DESIGN.md §12)
 //
@@ -89,14 +118,14 @@ std::vector<std::size_t> balanced_blocks(std::size_t n, std::size_t parts,
 // paper's pass 2 restricted to one first vertex. Scoring then visits the
 // candidates in ascending v, fuses the pass-3 edge term ((u, v) is an edge
 // iff v appears in row u, found by a two-pointer over the sorted
-// candidates), drops keys below min_score, and hands each survivor its
-// slice of the pair arena. Walk 2 fills those slices with (e_uk, e_vk).
-// Row u is sorted, so both walks reach every key's commons in ascending k:
-// each score is summed in one canonical order — products by ascending
-// common, then the pass-3 term — and each slice is ordered by k. Keys
-// emerge in packed-key order (u ascending per block, v ascending within u),
-// so there is no staging arena, no hashing and no key sort, and the output
-// is bitwise-identical at every thread count.
+// candidates), drops keys below min_score, and stages each survivor with
+// its slice of the block's pairs. Walk 2 later fills those slices with
+// (e_uk, e_vk), in the final arena. Row u is sorted, so both walks reach
+// every key's commons in ascending k: each score is summed in one canonical
+// order — products by ascending common, then the pass-3 term — and each
+// slice is ordered by k. Keys emerge in packed-key order (u ascending per
+// block, v ascending within u), so there is no hashing and no key sort, and
+// the output is bitwise-identical at every thread count.
 
 /// Per-worker gather state, sized once on the calling thread so workers
 /// never allocate: glibc gives each worker thread its own malloc arena, and
@@ -107,7 +136,7 @@ struct GatherScratch {
   std::vector<std::uint32_t> mark;    ///< epoch (u+1) while v is a live candidate
   std::vector<std::uint32_t> ccount;  ///< |N(u) ∩ N(v)| while marked
   std::vector<double> acc;            ///< Σ w_uk · w_kv while marked
-  std::vector<std::uint64_t> cursor;  ///< next pair slot of a surviving key
+  std::vector<std::uint64_t> cursor;  ///< next final arena slot of a surviving key
   std::vector<VertexId> cand;  ///< distinct candidates v of the current u
   std::vector<std::uint64_t> cand_bits;  ///< scratch bitmap over v (see gather_vertex)
 
@@ -121,12 +150,14 @@ struct GatherScratch {
   }
 };
 
-/// Per-worker output block; blocks concatenate (entry offsets rebased) into
-/// the final CSR map.
-struct GatherOut {
+/// Phase A's output for one block: the surviving entries, staged with
+/// offsets relative to the block's first arena slot, and the block's pair
+/// count.
+struct StagedBlock {
   std::vector<SimilarityEntry> entries;
-  std::vector<EdgePairRef> pairs;
+  std::uint64_t pairs = 0;
   std::uint64_t pairs_exact = 0;  ///< keys with >= 2 commons (BuildStats)
+  MemoryCharge charge;            ///< the staged entries, grown as they are written
 };
 
 /// Read-only inputs shared by every gather worker.
@@ -138,14 +169,13 @@ struct GatherJob {
   double min_score;
 };
 
-/// Emits every key (u, v), v > u, with score >= min_score: its exact score
-/// and its edge pairs.
-void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut& out) {
+/// Phase A for one vertex: stages every key (u, v), v > u, with
+/// score >= min_score — its exact score and its block-relative slice.
+void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, StagedBlock& out) {
   const WeightedGraph& graph = job.graph;
   const std::span<const VertexId> row_u = graph.neighbors(u);
   if (row_u.empty()) return;
   const std::span<const double> w_u = graph.neighbor_weights(u);
-  const std::span<const EdgeId> e_u = graph.neighbor_edge_ids(u);
   const std::uint32_t epoch = u + 1;
 
   // Walk 1: count the commons of every candidate and sum their products.
@@ -170,9 +200,8 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
   if (s.cand.empty()) return;
 
   // Scoring, in ascending v: the fused pass-3 term, the exact min_score
-  // filter, and each survivor's slice of the pair arena.
+  // filter, and each survivor's slice of the block's pairs.
   std::size_t edge_ptr = 0;  // cursor into row u over the sorted candidates
-  std::uint64_t next_slot = out.pairs.size();
   const auto score_key = [&](const VertexId v) {
     while (edge_ptr < row_u.size() && row_u[edge_ptr] < v) ++edge_ptr;
     const std::uint32_t c = s.ccount[v];
@@ -194,12 +223,13 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
       score = p / denom;
     }
     if (score < job.min_score) {
-      s.mark[v] = 0;  // walk 2 skips it
+      // Unmarked, so phase B cannot mistake it for a survivor of u: a stale
+      // mark u+1 is left only on the keys staged here.
+      s.mark[v] = 0;
       return;
     }
-    s.cursor[v] = next_slot;
-    out.entries.push_back(SimilarityEntry{u, v, score, next_slot, c});
-    next_slot += c;
+    out.entries.push_back(SimilarityEntry{u, v, score, out.pairs, c});
+    out.pairs += c;
   };
 
   // Candidates must be visited in ascending v. When the set is dense in its
@@ -228,10 +258,14 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
     std::sort(s.cand.begin(), s.cand.end());
     for (const VertexId v : s.cand) score_key(v);
   }
-  if (next_slot == out.pairs.size()) return;  // every key filtered out
+}
 
-  // Walk 2: fill the survivors' slices with (e_uk, e_vk), k ascending.
-  out.pairs.resize(static_cast<std::size_t>(next_slot));
+/// Walk 2: writes (e_uk, e_vk), k ascending, for every key of u marked with
+/// the epoch u+1, at its cursor into the final arena.
+void fill_vertex(const WeightedGraph& graph, VertexId u, GatherScratch& s, EdgePairRef* arena) {
+  const std::span<const VertexId> row_u = graph.neighbors(u);
+  const std::span<const EdgeId> e_u = graph.neighbor_edge_ids(u);
+  const std::uint32_t epoch = u + 1;
   for (std::size_t p = 0; p < row_u.size(); ++p) {
     const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
     const auto first = static_cast<std::size_t>(
@@ -239,30 +273,47 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, GatherOut
     const std::span<const EdgeId> e_k = graph.neighbor_edge_ids(row_u[p]);
     for (std::size_t q = first; q < row_k.size(); ++q) {
       const VertexId v = row_k[q];
-      if (s.mark[v] == epoch) out.pairs[s.cursor[v]++] = EdgePairRef{e_u[p], e_k[q]};
+      if (s.mark[v] == epoch) arena[s.cursor[v]++] = EdgePairRef{e_u[p], e_k[q]};
     }
   }
 }
 
-SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>& h1,
-                           const std::vector<double>& h2,
-                           const SimilarityMapOptions& options, parallel::ThreadPool* pool,
-                           sim::WorkLedger* ledger, RunContext* ctx) {
+/// Algorithm 1 on T = pool->thread_count() blocks (one without a pool). The
+/// vertex range is cut into T contiguous blocks balanced by wedge count, and
+/// every block's content is a pure function of its u range, so the map is
+/// the same at every T:
+///   phase A: walk 1 and scoring stage each block's surviving entries;
+///   prefix sums over the blocks' entry and pair counts fix where each
+///   block's output starts in the final map;
+///   phase B: each block copies its staged entries to their final slots,
+///   rebased, and walk 2 writes their pairs straight into the final arena.
+SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& options,
+                    parallel::ThreadPool* pool, sim::WorkLedger* ledger) {
   const std::size_t n = graph.vertex_count();
   const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
-  const bool filtered = options.min_score > -std::numeric_limits<double>::infinity();
+  RunContext* ctx = options.ctx;
+  check_stop(ctx);
   Stopwatch watch;
+
+  // Pass 1: disjoint (round-robin) vertex slices write disjoint H1/H2 slots.
+  std::vector<double> h1(n, 0.0);
+  std::vector<double> h2(n, 0.0);
+  run_blocks(pool, ledger, "init.pass1", [&](std::size_t t) {
+    return pass1_range(graph, t, t_count, h1, h2, ctx);
+  });
+  check_stop(ctx);
+  if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
 
   // Exact wedge counts W[u] = |{(k, v) : k ∈ N(u), v ∈ N(k), v > u}| — the
   // number of pass-2 contributions keyed at first vertex u (ΣW == K2). They
-  // drive the contiguous block balance and give each block's exact pair
-  // arena share, so per-worker outputs are reserved up front and the
-  // workers stay allocation-free.
+  // drive the contiguous block balance, bound each block's staged entries so
+  // they are reserved up front and the workers stay allocation-free, and
+  // bound the candidate list.
   std::vector<std::uint64_t> wedges(n, 0);
-  auto wedge_slice = [&](std::size_t start, std::size_t stride) -> std::uint64_t {
+  run_blocks(pool, ledger, "init.pass2.wedges", [&](std::size_t t) {
     PollTicker ticker(ctx);
     std::uint64_t work = 0;
-    for (std::size_t ui = start; ui < n; ui += stride) {
+    for (std::size_t ui = t; ui < n; ui += t_count) {
       const auto u = static_cast<VertexId>(ui);
       const std::span<const VertexId> row_u = graph.neighbors(u);
       ticker.checkpoint(1 + row_u.size());
@@ -276,86 +327,30 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
       work += 1 + row_u.size();
     }
     return work;
-  };
-  if (pool == nullptr) {
-    wedge_slice(0, 1);
-  } else {
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.pass2.wedges");
-      ledger->begin_round(t_count);
-    }
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        const std::uint64_t work = wedge_slice(t, t_count);
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool->run_batch(tasks);
-  }
-
+  });
   check_stop(ctx);
   const std::vector<std::size_t> bounds =
       balanced_blocks(n, t_count, [&wedges](std::size_t u) { return 1 + wedges[u]; });
-  std::vector<std::uint64_t> block_pairs(t_count, 0);
-  std::uint64_t k2 = 0;
-  std::uint64_t max_wedge = 0;
-  for (std::size_t t = 0; t < t_count; ++t) {
-    for (std::size_t u = bounds[t]; u < bounds[t + 1]; ++u) {
-      block_pairs[t] += wedges[u];
-      max_wedge = std::max(max_wedge, wedges[u]);
-    }
-    k2 += block_pairs[t];
-  }
+  const std::uint64_t max_wedge =
+      n == 0 ? 0 : *std::max_element(wedges.begin(), wedges.end());
 
-  // The per-worker output blocks are the gather's dominant transient
-  // footprint: the output itself, O(K1 + K2), held once here and once in the
-  // final map during concatenation — there is no K2 tuple staging. (The
-  // entry reservation is an upper bound; its untouched tail pages are never
-  // dirtied, so only the pair-sized charge is accounted.) Released when
-  // this function returns.
-  //
-  // Without a floor the pair count is exactly k2, charged up front. With a
-  // min_score floor armed the k2 bound grossly overstates what survives, so
-  // each worker charges its survivors incrementally instead — a degraded
-  // re-run with a floor must cost fewer accounted bytes than the full build
-  // it replaces, or the OOM-degradation ladder (DESIGN.md §14) could never
-  // fit a budget the full build trips.
-  constexpr std::uint64_t kPairBytes = sizeof(EdgePairRef);
-  struct BlockCharge {
-    RunContext* ctx = nullptr;
-    std::uint64_t bytes = 0;
-    BlockCharge() = default;
-    BlockCharge(BlockCharge&& other) noexcept : ctx(other.ctx), bytes(other.bytes) {
-      other.ctx = nullptr;
-      other.bytes = 0;
-    }
-    BlockCharge& operator=(BlockCharge&&) = delete;
-    BlockCharge(const BlockCharge&) = delete;
-    BlockCharge& operator=(const BlockCharge&) = delete;
-    ~BlockCharge() {
-      if (ctx != nullptr) ctx->release_memory(bytes);
-    }
-  };
-  MemoryCharge block_charge;
-  std::vector<BlockCharge> block_charges(t_count);
-  if (!filtered) {
-    block_charge = MemoryCharge(ctx, k2 * kPairBytes, "sim.gather.blocks");
-  } else if (ctx != nullptr) {
-    for (BlockCharge& charge : block_charges) charge.ctx = ctx;
-  }
-  // The per-worker scratch: T sets of n-sized arrays, held for the gather.
+  // The per-worker scratch: T sets of n-sized arrays, held for the build.
+  // Staged entries are charged as they are written; the final map, once its
+  // size is known.
   const std::size_t cand_cap =
       static_cast<std::size_t>(std::min<std::uint64_t>(max_wedge, n));
   const MemoryCharge scratch_charge(ctx, t_count * GatherScratch::bytes(n, cand_cap),
                                     "sim.gather.scratch");
   const GatherJob job{graph, h1, h2, options.measure, options.min_score};
-  std::vector<GatherOut> outs(t_count);
+  std::vector<StagedBlock> blocks(t_count);
   std::vector<GatherScratch> scratch(t_count);
   for (std::size_t t = 0; t < t_count; ++t) {
-    const auto cap = static_cast<std::size_t>(block_pairs[t]);
-    outs[t].entries.reserve(cap);
-    outs[t].pairs.reserve(cap);
+    // Every key has at least one pair, so the block's wedge count bounds
+    // its entries. Only the touched prefix of the reservation is resident.
+    std::uint64_t block_wedges = 0;
+    for (std::size_t u = bounds[t]; u < bounds[t + 1]; ++u) block_wedges += wedges[u];
+    blocks[t].entries.reserve(static_cast<std::size_t>(block_wedges));
+    blocks[t].charge = MemoryCharge(ctx);
     GatherScratch& s = scratch[t];
     s.mark.assign(n, 0);
     s.ccount.resize(n);
@@ -365,102 +360,64 @@ SimilarityMap build_gather(const WeightedGraph& graph, const std::vector<double>
     s.cand_bits.assign((n + 63) / 64, 0);
   }
 
-  auto gather_block = [&](std::size_t t) -> std::uint64_t {
+  // Phase A: walk 1 and scoring.
+  run_blocks(pool, ledger, "init.pass2.gather", [&](std::size_t t) {
     fault::maybe_fire("build.gather");
     PollTicker ticker(ctx);
-    GatherScratch& s = scratch[t];
-    GatherOut& o = outs[t];
-    BlockCharge& charge = block_charges[t];
-    std::uint64_t charged_pairs = 0;
+    StagedBlock& block = blocks[t];
     std::uint64_t work = 0;
     for (std::size_t ui = bounds[t]; ui < bounds[t + 1]; ++ui) {
       ticker.checkpoint(1 + wedges[ui]);
-      gather_vertex(job, static_cast<VertexId>(ui), s, o);
+      const std::size_t staged = block.entries.size();
+      gather_vertex(job, static_cast<VertexId>(ui), scratch[t], block);
+      block.charge.grow((block.entries.size() - staged) * sizeof(SimilarityEntry),
+                        "sim.gather.staged");
       work += 1 + wedges[ui];
-      if (charge.ctx != nullptr && o.pairs.size() > charged_pairs) {
-        const std::uint64_t delta = o.pairs.size() - charged_pairs;
-        charged_pairs = o.pairs.size();
-        // Count before charging: charge_memory records the bytes even when
-        // it throws, and the destructor must release what was recorded.
-        charge.bytes += delta * kPairBytes;
-        charge.ctx->charge_memory(delta * kPairBytes, "sim.gather.blocks");
-      }
     }
     return work;
-  };
-  if (pool == nullptr) {
-    gather_block(0);
-  } else {
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.pass2.gather");
-      ledger->begin_round(t_count);
-    }
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        const std::uint64_t work = gather_block(t);
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool->run_batch(tasks);
-  }
-  if (options.stats != nullptr) {
-    options.stats->pass2_ms = watch.lap() * 1e3;
-    for (const GatherOut& o : outs) options.stats->pairs_exact += o.pairs_exact;
-  }
-
-  // Concatenate the blocks: block t's entries follow block t-1's, offsets
-  // rebased by the arena prefix — block boundaries cannot leak into the
-  // output because every block's content is a pure function of its u range.
+  });
   check_stop(ctx);
   std::vector<std::uint64_t> entry_base(t_count + 1, 0);
   std::vector<std::uint64_t> arena_base(t_count + 1, 0);
   for (std::size_t t = 0; t < t_count; ++t) {
-    entry_base[t + 1] = entry_base[t] + outs[t].entries.size();
-    arena_base[t + 1] = arena_base[t] + outs[t].pairs.size();
+    entry_base[t + 1] = entry_base[t] + blocks[t].entries.size();
+    arena_base[t + 1] = arena_base[t] + blocks[t].pairs;
+    if (options.stats != nullptr) options.stats->pairs_exact += blocks[t].pairs_exact;
   }
+  if (options.stats != nullptr) options.stats->pass2_ms = watch.lap() * 1e3;
+
+  // Phase B: the final map, each block writing its own disjoint slices. Its
+  // charge passes to the caller once the map is complete.
   SimilarityMap out;
-  MemoryCharge arena_charge(
-      ctx,
-      entry_base[t_count] * sizeof(SimilarityEntry) + arena_base[t_count] * sizeof(EdgePairRef),
-      "sim.arenas");
-  arena_charge.commit();
-  if (t_count == 1) {
-    // Single block (serial build or 1-thread pool): its offsets are already
-    // final, so move it out instead of copying. The entry reservation was a
-    // K2-bound; trim the slack so the map's memory_bytes() reflects K1
-    // entries (the multi-block path gets this from its exact resize). No-op
-    // for the arena unless the min_score filter dropped keys.
-    outs[0].entries.shrink_to_fit();
-    outs[0].pairs.shrink_to_fit();
-    out.entries = std::move(outs[0].entries);
-    out.pair_arena = std::move(outs[0].pairs);
-  } else {
-    if (ledger != nullptr) {
-      ledger->begin_phase("init.finalize");
-      ledger->begin_round(t_count);
+  MemoryCharge map_charge(ctx,
+                          entry_base[t_count] * sizeof(SimilarityEntry) +
+                              arena_base[t_count] * sizeof(EdgePairRef),
+                          "sim.arenas");
+  out.entries.resize(static_cast<std::size_t>(entry_base[t_count]));
+  out.pair_arena.resize(static_cast<std::size_t>(arena_base[t_count]));
+  run_blocks(pool, ledger, "init.pass2.fill", [&](std::size_t t) {
+    PollTicker ticker(ctx);
+    GatherScratch& s = scratch[t];
+    const std::vector<SimilarityEntry>& staged = blocks[t].entries;
+    SimilarityEntry* dst = out.entries.data() + entry_base[t];
+    std::uint64_t work = 0;
+    for (std::size_t i = 0; i < staged.size();) {
+      const VertexId u = staged[i].u;
+      ticker.checkpoint(1 + wedges[u]);
+      const std::size_t first = i;
+      for (; i < staged.size() && staged[i].u == u; ++i) {
+        SimilarityEntry e = staged[i];
+        e.offset += arena_base[t];
+        s.mark[e.v] = u + 1;
+        s.cursor[e.v] = e.offset;
+        dst[i] = e;
+      }
+      fill_vertex(graph, u, s, out.pair_arena.data());
+      work += (i - first) + wedges[u];
     }
-    out.entries.resize(static_cast<std::size_t>(entry_base[t_count]));
-    out.pair_arena.resize(static_cast<std::size_t>(arena_base[t_count]));
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      if (outs[t].entries.empty()) continue;
-      tasks.push_back([&, t] {
-        PollTicker ticker(ctx);
-        const GatherOut& o = outs[t];
-        SimilarityEntry* dst = out.entries.data() + entry_base[t];
-        for (std::size_t i = 0; i < o.entries.size(); ++i) {
-          ticker.checkpoint();
-          dst[i] = o.entries[i];
-          dst[i].offset += arena_base[t];
-        }
-        std::copy(o.pairs.begin(), o.pairs.end(),
-                  out.pair_arena.begin() + static_cast<std::ptrdiff_t>(arena_base[t]));
-        if (ledger != nullptr) ledger->add_work(t, o.entries.size() + o.pairs.size());
-      });
-    }
-    pool->run_batch(tasks);
-  }
+    return work;
+  });
+  map_charge.commit();
   out.set_keys_sorted(true);
   if (options.stats != nullptr) options.stats->pass3_ms = watch.lap() * 1e3;
   return out;
@@ -497,52 +454,14 @@ const SimilarityEntry* SimilarityMap::find(graph::VertexId u, graph::VertexId v)
 
 SimilarityMap build_similarity_map(const graph::WeightedGraph& graph,
                                    const SimilarityMapOptions& options) {
-  const std::size_t n = graph.vertex_count();
-  RunContext* ctx = options.ctx;
-  check_stop(ctx);
-  Stopwatch watch;
-  std::vector<double> h1(n, 0.0);
-  std::vector<double> h2(n, 0.0);
-  pass1_range(graph, 0, 1, h1, h2, ctx);
-  if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
-  return build_gather(graph, h1, h2, options, nullptr, nullptr, ctx);
+  return build(graph, options, nullptr, nullptr);
 }
 
 SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
                                             parallel::ThreadPool& pool,
                                             sim::WorkLedger* ledger,
                                             const SimilarityMapOptions& options) {
-  const std::size_t n = graph.vertex_count();
-  const std::size_t t_count = pool.thread_count();
-  RunContext* ctx = options.ctx;
-  check_stop(ctx);
-  Stopwatch watch;
-  std::vector<double> h1(n, 0.0);
-  std::vector<double> h2(n, 0.0);
-
-  // Pass 1: disjoint (round-robin) vertex slices write disjoint H1/H2 slots.
-  if (ledger != nullptr) {
-    ledger->begin_phase("init.pass1");
-    ledger->begin_round(t_count);
-  }
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) {
-      tasks.push_back([&, t] {
-        std::uint64_t work = 0;
-        for (std::size_t v = t; v < n; v += t_count) {
-          work += graph.degree(static_cast<VertexId>(v)) + 1;
-        }
-        pass1_range(graph, t, t_count, h1, h2, ctx);
-        if (ledger != nullptr) ledger->add_work(t, work);
-      });
-    }
-    pool.run_batch(tasks);
-  }
-
-  check_stop(ctx);
-  if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
-  return build_gather(graph, h1, h2, options, &pool, ledger, ctx);
+  return build(graph, options, &pool, ledger);
 }
 
 double tanimoto_similarity_bruteforce(const graph::WeightedGraph& graph, graph::VertexId i,

@@ -33,19 +33,24 @@
 // scored in ascending v, with the pass-3 edge term fused in and the optional
 // min_score filter applied exactly; walk 2 writes each surviving key's edge
 // pairs into its slice. Keys emerge in packed-key order by construction, so
-// there is no staging arena, no hashing and no key sort. Every score is
-// summed in one canonical order — products by ascending common neighbor,
-// then the pass-3 term — so the serial build and the parallel build at any
-// thread count produce byte-identical maps: entries, score bits and the
-// arena. The parallel build cuts the vertex range into contiguous blocks
-// balanced by wedge count, one per pool thread, and concatenates the block
-// outputs.
+// there is no hashing and no key sort. Every score is summed in one
+// canonical order — products by ascending common neighbor, then the pass-3
+// term — so the serial build and the parallel build at any thread count
+// produce byte-identical maps: entries, score bits and the arena. The build
+// cuts the vertex range into contiguous blocks balanced by wedge count, one
+// per pool thread (one for the serial build). Each block stages its
+// surviving entries; prefix sums over the blocks fix where each block's
+// entries and pairs start in the final map; then each block copies its
+// entries there and walk 2 writes every pair once, straight into the final
+// arena.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -60,17 +65,38 @@ namespace lc::core {
 
 /// One incident edge pair (e_uk, e_vk), resolved to edge ids during the
 /// build so the sweep merges clusters without any graph lookups.
+///
+/// No member initialisers: the build sizes the arena without writing it (see
+/// DefaultInitAllocator), and walk 2 writes every slot once.
 struct EdgePairRef {
-  graph::EdgeId first = 0;   ///< id of edge (u, k)
-  graph::EdgeId second = 0;  ///< id of edge (v, k)
+  graph::EdgeId first;   ///< id of edge (u, k)
+  graph::EdgeId second;  ///< id of edge (v, k)
 };
 
+/// std::allocator whose value-less construct() default-initialises, so
+/// resize() leaves trivially constructible elements unwritten instead of
+/// zero-filling them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// No member initialisers, like EdgePairRef: the build sizes the entry array
+/// without writing it and copies every entry in once.
 struct SimilarityEntry {
-  graph::VertexId u = 0;  ///< first vertex of the key (u < v)
-  graph::VertexId v = 0;
-  double score = 0.0;     ///< Tanimoto similarity of any incident pair keyed here
-  std::uint64_t offset = 0;  ///< start of this key's slice in the shared arenas
-  std::uint32_t count = 0;   ///< number of common neighbors (slice length)
+  graph::VertexId u;     ///< first vertex of the key (u < v)
+  graph::VertexId v;
+  double score;          ///< Tanimoto similarity of any incident pair keyed here
+  std::uint64_t offset;  ///< start of this key's slice in the shared arenas
+  std::uint32_t count;   ///< number of common neighbors (slice length)
 };
 
 /// The strict total order sort_by_score() establishes over the pair list L:
@@ -107,9 +133,10 @@ enum class SimilarityMeasure {
 /// Sub-phase timings and a gather counter, filled by the builds when
 /// SimilarityMapOptions::stats is set. Timings partition the build:
 ///   pass1_ms: the H1/H2 norm pass.
-///   pass2_ms: the wedge counts and the gather (both wedge walks, scoring
-///             and the fused pass-3 edge term).
-///   pass3_ms: concatenation of the per-block outputs into the final CSR map.
+///   pass2_ms: the wedge counts, walk 1 and scoring (with the fused pass-3
+///             edge term), which stage the surviving entries.
+///   pass3_ms: the fill — the staged entries copied to their final slots and
+///             walk 2 writing every pair into the final arena.
 struct BuildStats {
   double pass1_ms = 0.0;
   double pass2_ms = 0.0;
@@ -137,10 +164,10 @@ struct SimilarityMapOptions {
 
 class SimilarityMap {
  public:
-  std::vector<SimilarityEntry> entries;
+  std::vector<SimilarityEntry, DefaultInitAllocator<SimilarityEntry>> entries;
   /// Shared CSR arena: entry e owns [e.offset, e.offset + e.count), ordered
   /// by common neighbor ascending.
-  std::vector<EdgePairRef> pair_arena;
+  std::vector<EdgePairRef, DefaultInitAllocator<EdgePairRef>> pair_arena;
 
   /// The pre-resolved incident edge pairs (e_uk, e_vk) of entry e, one per
   /// common neighbor k, k ascending.

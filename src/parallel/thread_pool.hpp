@@ -115,8 +115,8 @@ inline std::size_t clamped_parallelism(const ThreadPool& pool) {
 /// grouping is the unique stable one — byte-identical for every thread count,
 /// and identical to the serial path taken for null/1-wide pools and small
 /// inputs. Not reentrant (uses run_batch).
-template <typename T, typename BucketFn>
-std::vector<std::size_t> parallel_bucket_scatter(ThreadPool* pool, std::vector<T>& items,
+template <typename T, typename Alloc, typename BucketFn>
+std::vector<std::size_t> parallel_bucket_scatter(ThreadPool* pool, std::vector<T, Alloc>& items,
                                                  std::size_t bucket_count,
                                                  BucketFn bucket_of) {
   const std::size_t n = items.size();
@@ -156,7 +156,9 @@ std::vector<std::size_t> parallel_bucket_scatter(ThreadPool* pool, std::vector<T
     }
   }
   bounds[bucket_count] = running;
-  std::vector<T> buffer(n);
+  // items' allocator: a default-initialising one leaves the buffer unwritten
+  // until the scatter fills every slot.
+  std::vector<T, Alloc> buffer(n);
   const auto scatter_block = [&](std::size_t b) {
     std::vector<std::size_t>& offsets = counts[b];
     for (std::size_t i = blocks[b]; i < blocks[b + 1]; ++i) {

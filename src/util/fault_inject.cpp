@@ -213,7 +213,7 @@ bool kind_allowed_at(const SiteInfo& site, FaultKind kind) {
 
 std::string FaultPlan::to_string() const {
   std::string out;
-  if (seed != 0) out += "seed=" + std::to_string(seed);
+  if (seed != 0) out.append("seed=").append(std::to_string(seed));
   for (const FaultClause& clause : clauses) {
     if (!out.empty()) out += ";";
     out += clause.site;
@@ -221,12 +221,12 @@ std::string FaultPlan::to_string() const {
     out += kind_name(clause.kind);
     if (clause.probability < 1.0) {
       std::ostringstream p;
-      p << "p=" << clause.probability;
-      out += ":" + p.str();
+      p << ":p=" << clause.probability;
+      out.append(p.str());
     }
-    if (clause.skip_hits > 0) out += ":skip=" + std::to_string(clause.skip_hits);
-    if (clause.max_fires > 0) out += ":max=" + std::to_string(clause.max_fires);
-    if (clause.sleep_ms > 0) out += ":sleep=" + std::to_string(clause.sleep_ms);
+    if (clause.skip_hits > 0) out.append(":skip=").append(std::to_string(clause.skip_hits));
+    if (clause.max_fires > 0) out.append(":max=").append(std::to_string(clause.max_fires));
+    if (clause.sleep_ms > 0) out.append(":sleep=").append(std::to_string(clause.sleep_ms));
   }
   return out;
 }

@@ -143,6 +143,8 @@ class PollTicker {
 class MemoryCharge {
  public:
   MemoryCharge() = default;
+  /// An empty charge against `ctx` that grow() extends.
+  explicit MemoryCharge(RunContext* ctx) : ctx_(ctx) {}
   MemoryCharge(RunContext* ctx, std::uint64_t bytes, const char* site)
       : ctx_(ctx), bytes_(bytes) {
     if (ctx_ != nullptr) ctx_->charge_memory(bytes_, site);
@@ -165,6 +167,15 @@ class MemoryCharge {
   MemoryCharge(const MemoryCharge&) = delete;
   MemoryCharge& operator=(const MemoryCharge&) = delete;
   ~MemoryCharge() { release(); }
+
+  /// Charges `bytes` more (no-op without a context). They are held before
+  /// charging, because charge_memory records them even when it throws, and
+  /// the destructor must release what was recorded.
+  void grow(std::uint64_t bytes, const char* site) {
+    if (ctx_ == nullptr || bytes == 0) return;
+    bytes_ += bytes;
+    ctx_->charge_memory(bytes, site);
+  }
 
   /// Keeps the charge past this guard's lifetime (the allocation lives on in
   /// the run's result).

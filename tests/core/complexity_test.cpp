@@ -93,8 +93,8 @@ INSTANTIATE_TEST_SUITE_P(Families, ComplexityBound,
                                          ComplexityCase{"complete", make_complete},
                                          ComplexityCase{"regular", make_regular},
                                          ComplexityCase{"barabasi_albert", make_ba}),
-                         [](const testing::TestParamInfo<ComplexityCase>& info) {
-                           return info.param.name;
+                         [](const testing::TestParamInfo<ComplexityCase>& param_info) {
+                           return param_info.param.name;
                          });
 
 TEST(ComplexityScaling, SweepBeatsQuadraticOnGrowingCompleteGraphs) {

@@ -48,7 +48,8 @@ TEST(Newick, BalancedParenthesesAndAllLeaves) {
             std::count(newick.begin(), newick.end(), ')'));
   EXPECT_EQ(newick.back(), ';');
   for (EdgeIdx i = 0; i < graph.edge_count(); ++i) {
-    EXPECT_NE(newick.find("e" + std::to_string(i) + ":"), std::string::npos) << i;
+    const std::string leaf = std::string("e").append(std::to_string(i)).append(":");
+    EXPECT_NE(newick.find(leaf), std::string::npos) << i;
   }
   // One internal node per merge.
   EXPECT_EQ(static_cast<std::size_t>(std::count(newick.begin(), newick.end(), ',')),

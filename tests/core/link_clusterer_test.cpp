@@ -79,7 +79,8 @@ TEST(LinkClusterer, LedgerAttachedForThreadedRuns) {
   config.threads = 3;
   config.mode = ClusterMode::kCoarse;
   config.ledger = &ledger;
-  LinkClusterer(config).cluster(graph);
+  const ClusterResult result = LinkClusterer(config).cluster(graph);
+  EXPECT_TRUE(result.coarse.has_value());
   EXPECT_GT(ledger.total_work(), 0u);
 }
 

@@ -8,12 +8,14 @@
 //   - the thresholded map equals the exact map filtered to
 //     score >= min_score, including at a threshold equal to an existing
 //     key's exact score, which survives;
-//   - BuildStats::pairs_exact counts the keys with >= 2 common neighbors.
+//   - BuildStats::pairs_exact counts the keys with >= 2 common neighbors;
+//   - the memory budget is charged the final map plus the staged entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/similarity.hpp"
@@ -21,6 +23,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/run_context.hpp"
 
 namespace lc::core {
 namespace {
@@ -162,7 +165,7 @@ TEST_P(SimilarityGatherPruning, PrunedMapIsExactMapFiltered) {
     // the exact score of the median key, which must survive its own
     // threshold. Both keep something and drop something on every
     // graph/measure combination.
-    std::vector<SimilarityEntry> by_score = exact.entries;
+    std::vector<SimilarityEntry> by_score(exact.entries.begin(), exact.entries.end());
     std::sort(by_score.begin(), by_score.end(),
               [](const SimilarityEntry& a, const SimilarityEntry& b) { return a.score < b.score; });
     ASSERT_LT(by_score.front().score, by_score.back().score);
@@ -213,10 +216,49 @@ TEST_P(SimilarityGatherPruning, PrunedMapIsExactMapFiltered) {
 INSTANTIATE_TEST_SUITE_P(Measures, SimilarityGatherPruning,
                          testing::Values(SimilarityMeasure::kTanimoto,
                                          SimilarityMeasure::kJaccard),
-                         [](const testing::TestParamInfo<SimilarityMeasure>& info) {
-                           return info.param == SimilarityMeasure::kTanimoto ? "tanimoto"
-                                                                             : "jaccard";
+                         [](const testing::TestParamInfo<SimilarityMeasure>& param_info) {
+                           return param_info.param == SimilarityMeasure::kTanimoto
+                                      ? "tanimoto"
+                                      : "jaccard";
                          });
+
+// The memory budget sees what the build holds at its peak: the final map
+// and, beside it, every staged entry — with or without a floor, serial or
+// parallel. The graph keeps K2 / K1 < 4, so the 32-byte staged entries
+// outweigh the pairs: a charge that counted pairs in their place would
+// read low. The upper bound adds only the per-worker scratch, so
+// over-charging fails too.
+TEST(SimilarityGather, ChargesStagedEntriesBesideTheFinalMap) {
+  const WeightedGraph graph = graph::erdos_renyi(400, 0.03, {7, graph::WeightPolicy::kUniform});
+  const SimilarityMap exact = build_similarity_map(graph);
+  ASSERT_LT(exact.incident_pair_count(), 4 * exact.key_count());
+  std::vector<SimilarityEntry> by_score(exact.entries.begin(), exact.entries.end());
+  std::sort(by_score.begin(), by_score.end(),
+            [](const SimilarityEntry& a, const SimilarityEntry& b) { return a.score < b.score; });
+  const double floor = by_score[by_score.size() / 2].score;
+  const std::uint64_t n = graph.vertex_count();
+  // GatherScratch: mark, ccount, acc and cursor over n vertices, at most n
+  // candidates, and an n-bit bitmap.
+  const std::uint64_t scratch_bound = n * (4 + 4 + 8 + 8) + n * 4 + (n + 63) / 64 * 8;
+  for (const double min_score : {-std::numeric_limits<double>::infinity(), floor}) {
+    for (std::size_t threads : {1u, 4u}) {
+      RunContext ctx;
+      SimilarityMapOptions options;
+      options.ctx = &ctx;
+      options.min_score = min_score;
+      parallel::ThreadPool pool(threads);
+      const SimilarityMap map = build_similarity_map_parallel(graph, pool, nullptr, options);
+      ASSERT_GT(map.key_count(), 0u);
+      const std::uint64_t staged = map.key_count() * sizeof(SimilarityEntry);
+      EXPECT_GE(ctx.memory_peak(), map.memory_bytes() + staged)
+          << "threads=" << threads << " min_score=" << min_score;
+      EXPECT_LE(ctx.memory_peak(), map.memory_bytes() + staged + threads * scratch_bound + 4096)
+          << "threads=" << threads << " min_score=" << min_score;
+      // Only the map's own charge outlives the build.
+      EXPECT_EQ(ctx.memory_charged(), map.memory_bytes());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace lc::core

@@ -165,8 +165,8 @@ INSTANTIATE_TEST_SUITE_P(Topologies, SimilarityProperty,
                                          SimilarityCase{"complete", make_complete},
                                          SimilarityCase{"regular", make_regular},
                                          SimilarityCase{"watts_strogatz", make_ws}),
-                         [](const testing::TestParamInfo<SimilarityCase>& info) {
-                           return info.param.name;
+                         [](const testing::TestParamInfo<SimilarityCase>& param_info) {
+                           return param_info.param.name;
                          });
 
 TEST(SimilarityParallel, LedgerRecordsAllPhases) {
@@ -177,6 +177,25 @@ TEST(SimilarityParallel, LedgerRecordsAllPhases) {
   ASSERT_GE(ledger.phases().size(), 4u);
   EXPECT_GT(ledger.total_work(), 0u);
   EXPECT_LE(ledger.critical_path(), ledger.total_work());
+}
+
+// examples/parallel_scaling's default-seed ER(300, 0.2): every build phase
+// is a balanced parallel round, so the simulated initialization speedup at
+// T = 2 is near 2x. A serial copy of the block outputs after the gather
+// once held it at 0.99x.
+TEST(SimilarityParallel, LedgerSpeedupAtTwoThreads) {
+  const WeightedGraph graph =
+      graph::erdos_renyi(300, 0.2, GeneratorOptions{3, graph::WeightPolicy::kUniform});
+  const auto ledger_at = [&graph](std::size_t threads) {
+    parallel::ThreadPool pool(threads);
+    sim::WorkLedger ledger;
+    build_similarity_map_parallel(graph, pool, &ledger);
+    return ledger;
+  };
+  const std::uint64_t serial_work = ledger_at(1).total_work();
+  const sim::WorkLedger two = ledger_at(2);
+  EXPECT_EQ(two.total_work(), serial_work);
+  EXPECT_GE(two.speedup_vs(serial_work), 1.8);
 }
 
 TEST(SimilarityBruteForce, RequiresIncidentEdges) {

@@ -136,8 +136,8 @@ INSTANTIATE_TEST_SUITE_P(Graphs, Equivalence,
                                          EquivalenceCase{"watts_strogatz", make_ws},
                                          EquivalenceCase{"unit_weights_ties", make_unit_er},
                                          EquivalenceCase{"word_association", make_word_graph}),
-                         [](const testing::TestParamInfo<EquivalenceCase>& info) {
-                           return info.param.name;
+                         [](const testing::TestParamInfo<EquivalenceCase>& param_info) {
+                           return param_info.param.name;
                          });
 
 }  // namespace

@@ -96,7 +96,7 @@ TEST(LevenbergMarquardt, NoisyDataStillClose) {
   std::vector<double> ys;
   for (int i = 0; i < 50; ++i) {
     const double x = i * 0.1;
-    const double noise = 0.01 * ((i * 2654435761u % 100) / 50.0 - 1.0);
+    const double noise = 0.01 * ((static_cast<unsigned>(i) * 2654435761u % 100) / 50.0 - 1.0);
     xs.push_back(x);
     ys.push_back(-1.5 * x + 4.0 + noise);
   }

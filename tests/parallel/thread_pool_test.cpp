@@ -66,7 +66,9 @@ TEST(SplitRange, MorePartsThanItems) {
   const auto bounds = split_range(2, 5);
   EXPECT_EQ(bounds.back(), 2u);
   std::size_t nonempty = 0;
-  for (std::size_t i = 0; i < 5; ++i) nonempty += (bounds[i + 1] > bounds[i]) ? 1 : 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (bounds[i + 1] > bounds[i]) ++nonempty;
+  }
   EXPECT_EQ(nonempty, 2u);
 }
 

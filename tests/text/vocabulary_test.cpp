@@ -63,7 +63,7 @@ TEST(Vocabulary, EmptyCorpus) {
 
 TEST(VocabularyDeathTest, NegativeFractionRejected) {
   const Vocabulary vocab = Vocabulary::build(sample_docs());
-  EXPECT_DEATH(vocab.selection_size(-0.1), "non-negative");
+  EXPECT_DEATH(static_cast<void>(vocab.selection_size(-0.1)), "non-negative");
 }
 
 }  // namespace

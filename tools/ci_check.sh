@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Sanitizer CI sweep: builds the default tree under ASan and then UBSan and
-# runs the full test suite (the fault-injection suite included — every fault
+# CI sweep. A warnings leg first builds every target — library, tools, tests,
+# benches and examples — with -DLC_WARNINGS_AS_ERRORS=ON. The sanitizer
+# legs then build the default tree under ASan and then UBSan and run the
+# full test suite (the fault-injection suite included — every fault
 # site is live in every build) under each. A third leg builds under TSan and
 # runs just the concurrency suites: the lock-free union-find stress test, the
-# thread pool, the coarse/parallel determinism tests, the checkpoint resume
+# thread pool, the coarse/parallel determinism tests, the thread-invariance
+# suite, whose parallel similarity build has pool workers write disjoint
+# slices of the shared final arrays, the checkpoint resume
 # tests, which cross thread counts, the sweep-source suite, whose bucketed
 # source hands bucket sorts to a prefetch thread, the serve suite, and the
 # fault-injection suite, whose multi-thread cases throw inside pool workers
@@ -19,13 +23,24 @@
 # block of `lc chaos` schedules runs last.
 #
 # Usage: tools/ci_check.sh [build-dir-prefix]
-#   build-dir-prefix defaults to "build-san"; per-sanitizer trees land in
-#   <prefix>-address/, <prefix>-undefined/, and <prefix>-thread/.
+#   build-dir-prefix defaults to "build-san"; the trees land in
+#   <prefix>-werror/, <prefix>-address/, <prefix>-undefined/, and
+#   <prefix>-thread/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 prefix="${1:-build-san}"
 jobs="$(nproc 2>/dev/null || echo 4)"
+
+build_dir="${prefix}-werror"
+echo "== werror: configure (${build_dir}) =="
+cmake -B "${build_dir}" -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DLC_WARNINGS_AS_ERRORS=ON \
+  -DLC_BUILD_BENCHES=ON \
+  -DLC_BUILD_EXAMPLES=ON
+echo "== werror: build (every target) =="
+cmake --build "${build_dir}" -j "${jobs}"
 
 for san in address undefined; do
   build_dir="${prefix}-${san}"
@@ -52,7 +67,8 @@ echo "== thread: build =="
 cmake --build "${build_dir}" -j "${jobs}" \
   --target core_concurrent_dsu_test parallel_thread_pool_test \
            core_coarse_test core_similarity_determinism_test \
-           core_similarity_gather_test core_checkpoint_test \
+           core_similarity_gather_test core_thread_invariance_test \
+           core_checkpoint_test \
            core_sweep_source_test serve_server_test \
            integration_fault_injection_test
 echo "== thread: test (concurrency suites) =="
@@ -62,7 +78,7 @@ echo "== thread: test (concurrency suites) =="
 # the fault suite: its T = 8 cases unwind exceptions out of pool workers and
 # the bucket-prefetch thread.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
+  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|ThreadInvariance|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
 
 # ---- Kill/resume smoke: crash a checkpointing run with SIGKILL, resume it,
 # and demand the dendrogram the crash interrupted. Uses the ASan binary so
@@ -228,4 +244,4 @@ chaos_leg() {
 }
 chaos_leg
 
-echo "ci_check: all sanitizer suites, kill/resume, SIGTERM, serve chaos, and seeded chaos schedules passed"
+echo "ci_check: werror build, all sanitizer suites, kill/resume, SIGTERM, serve chaos, and seeded chaos schedules passed"
