@@ -11,10 +11,12 @@
 namespace lc::core {
 namespace {
 
-// Section ids inside the snapshot container.
+// Section ids inside the snapshot container. A fine snapshot's id names
+// the list its position indexes (FineList).
 constexpr std::uint32_t kFingerprintSection = 1;
-constexpr std::uint32_t kFineSection = 2;
+constexpr std::uint32_t kPairListSection = 2;
 constexpr std::uint32_t kCoarseSection = 3;
+constexpr std::uint32_t kForestSection = 4;
 
 void write_fingerprint(snapshot::SectionWriter& out, const RunFingerprint& fp) {
   out.u64(fp.graph_digest);
@@ -428,7 +430,8 @@ Status Checkpointer::write_fine(const FineCheckpoint& state) {
   snapshot::SectionWriter body;
   write_fine_section(body, state);
   write_seconds_ += watch.seconds();
-  return write(kFineSection, std::move(body));
+  return write(state.list == FineList::kForest ? kForestSection : kPairListSection,
+               std::move(body));
 }
 
 Status Checkpointer::write_coarse(const CoarseCheckpoint& state) {
@@ -492,7 +495,13 @@ StatusOr<LoadedCheckpoint> load_checkpoint(const std::string& directory,
   LoadedCheckpoint result;
   result.source_path = source;
   if (stored.mode == 0) {
-    StatusOr<snapshot::SectionReader> reader = snapshot.section(kFineSection);
+    if (!snapshot.has_section(kForestSection) && snapshot.has_section(kPairListSection)) {
+      return Status::invalid_argument(
+          "checkpoint (" + source +
+          ") indexes the reference sweep's full pair list, not the spanning-forest "
+          "pairs a fine run resumes from; refusing to resume");
+    }
+    StatusOr<snapshot::SectionReader> reader = snapshot.section(kForestSection);
     if (!reader.ok()) return reader.status();
     FineCheckpoint fine;
     if (Status s = read_fine_section(*reader, &fine, edge_count); !s.ok()) return s;

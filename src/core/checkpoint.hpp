@@ -1,15 +1,15 @@
 // Crash-consistent checkpoint/resume for the sweeping phases (DESIGN.md §11).
 //
-// Both sweeps advance through one deterministic coordinate — the position in
-// the sorted pair list L (an entry index for the fine sweep, the (p, xi)
-// cursor for the coarse machine). A checkpoint is everything the algorithm
-// carries across that coordinate: the cluster array / DSU parent labels, the
-// dendrogram event prefix, the level and beta counters, and (coarse) the
-// mode-machine registers plus the compact rollback snapshots. Because the
-// similarity map build and sort are bitwise deterministic at every thread
-// count, a resumed run rebuilds L, seeks to the stored coordinate, restores
-// the state, and continues to a dendrogram identical to an uninterrupted
-// run's — at any thread count.
+// Both sweeps advance through one deterministic coordinate — a position in
+// a sorted pair list (an index into the sorted spanning-forest pairs for the
+// fine merge pass, the (p, xi) cursor into L for the coarse machine). A
+// checkpoint is everything the algorithm carries across that coordinate:
+// the cluster array / DSU parent labels, the dendrogram event prefix, the
+// level and beta counters, and (coarse) the mode-machine registers plus the
+// compact rollback snapshots. Because the builds and sorts are bitwise
+// deterministic at every thread count, a resumed run rebuilds its list,
+// seeks to the stored coordinate, restores the state, and continues to a
+// dendrogram identical to an uninterrupted run's — at any thread count.
 //
 // Snapshots ride the container of util/snapshot_io.hpp: checksummed sections,
 // a trailing commit marker, atomic tmp -> .prev -> primary replacement. A
@@ -97,9 +97,18 @@ struct RunFingerprint {
 /// weight bits), the anchor of RunFingerprint.
 [[nodiscard]] std::uint64_t graph_fingerprint(const graph::WeightedGraph& graph);
 
+/// The sorted list a FineCheckpoint's entry_pos indexes. Each is stored
+/// under its own section id, so a snapshot of one list never resumes a sweep
+/// over the other.
+enum class FineList : std::uint8_t {
+  kForest,  ///< the spanning-forest pairs of LinkClusterer (core/forest.hpp)
+  kPairs,   ///< the full sorted list L of the reference sweep (core/sweep.hpp)
+};
+
 /// Fine-sweep state at an entry boundary: the next entry to process and
 /// everything accumulated before it.
 struct FineCheckpoint {
+  FineList list = FineList::kForest;
   std::uint64_t entry_pos = 0;  ///< entries [0, entry_pos) are fully merged
   std::uint32_t level = 0;
   std::uint64_t ordinal = 0;    ///< incident pairs processed
@@ -211,7 +220,8 @@ class Checkpointer {
 };
 
 /// A validated snapshot: exactly one of `fine` / `coarse` is set, matching
-/// the fingerprint's mode.
+/// the fingerprint's mode. A fine snapshot always indexes the forest
+/// (FineList::kForest): one of the reference sweep's full list L is refused.
 struct LoadedCheckpoint {
   std::optional<FineCheckpoint> fine;
   std::optional<CoarseCheckpoint> coarse;

@@ -1,11 +1,20 @@
 #include "core/dsu.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace lc::core {
 
-MinDsu::MinDsu(std::size_t n) : parent_(n), size_(n, 1), sets_(n) {
+MinDsu::MinDsu(std::size_t n) : parent_(n), sets_(n) {
   for (std::size_t i = 0; i < n; ++i) parent_[i] = static_cast<std::uint32_t>(i);
+}
+
+MinDsu::MinDsu(std::vector<std::uint32_t> labels) : parent_(std::move(labels)), sets_(0) {
+  for (std::size_t i = 0; i < parent_.size(); ++i) {
+    LC_CHECK_MSG(parent_[i] <= i, "a set's label is its minimum");
+    if (parent_[i] == i) ++sets_;
+  }
 }
 
 std::uint32_t MinDsu::find(std::uint32_t i) {
@@ -25,10 +34,9 @@ bool MinDsu::unite(std::uint32_t a, std::uint32_t b) {
   std::uint32_t rb = find(b);
   if (ra == rb) return false;
   // The minimum of the two roots stays the root so labels remain canonical
-  // minima; size is tracked only for the attached subtree statistics.
+  // minima.
   if (rb < ra) std::swap(ra, rb);
   parent_[rb] = ra;
-  size_[ra] += size_[rb];
   --sets_;
   return true;
 }

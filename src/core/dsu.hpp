@@ -2,8 +2,9 @@
 // label" policy, matching the paper's cluster-id convention (Theorem 1).
 //
 // Used (a) as the verification oracle for ClusterArray in tests, (b) to
-// replay dendrogram merges cheaply, and (c) as the ablation comparator for
-// the paper's min-relink chain structure (bench/ablation_unionfind).
+// replay dendrogram merges cheaply, (c) as the ablation comparator for the
+// paper's min-relink chain structure (bench/ablation_unionfind), and (d) by
+// the fine mode's merge pass over the spanning-forest pairs (core/forest.hpp).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,10 @@ namespace lc::core {
 class MinDsu {
  public:
   explicit MinDsu(std::size_t n);
+
+  /// Restores the state that labels() captured: every element points
+  /// straight at its set minimum. `labels[i] <= i` must hold.
+  explicit MinDsu(std::vector<std::uint32_t> labels);
 
   /// Canonical label of i's set: the minimum member (with path compression).
   std::uint32_t find(std::uint32_t i);
@@ -28,7 +33,6 @@ class MinDsu {
 
  private:
   std::vector<std::uint32_t> parent_;  ///< parent pointers; roots are set minima
-  std::vector<std::uint32_t> size_;
   std::size_t sets_;
 };
 

@@ -4,6 +4,7 @@
 #include <new>
 #include <optional>
 
+#include "core/forest.hpp"
 #include "util/check.hpp"
 #include "util/run_context.hpp"
 #include "util/stopwatch.hpp"
@@ -43,8 +44,9 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
 
   // Checkpoint/resume plumbing. The snapshot is loaded before the (costly)
   // similarity build so a mismatched fingerprint fails fast; the build
-  // itself always reruns — it is deterministic, cheaper than the sweeps at
-  // scale, and re-deriving L is what makes the stored position meaningful.
+  // itself always reruns — it is deterministic, and re-deriving the sorted
+  // list (the forest pairs, or coarse mode's L) is what makes the stored
+  // position meaningful.
   std::optional<LoadedCheckpoint> loaded;
   std::optional<Checkpointer> checkpointer;
   if (config_.resume || config_.checkpoint.enabled()) {
@@ -64,57 +66,67 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
 
   std::unique_ptr<parallel::ThreadPool> pool;
   if (config_.threads > 1) pool = std::make_unique<parallel::ThreadPool>(config_.threads);
-
-  Stopwatch watch;
-  SimilarityMap map;
   SimilarityMapOptions map_options;
   map_options.measure = config_.measure;
   map_options.ctx = config_.ctx;
-  // An armed similarity floor prunes the build itself; the fine sweep's cut
-  // below stops at the same score.
+  // An armed similarity floor prunes the coarse build and the K1/K2 counts;
+  // the fine merge pass stops at the same score.
   if (std::isfinite(config_.min_similarity)) map_options.min_score = config_.min_similarity;
-  if (pool != nullptr) {
-    map = build_similarity_map_parallel(graph, *pool, config_.ledger, map_options);
-  } else {
-    map = build_similarity_map(graph, map_options);
-  }
-  check_stop(config_.ctx);
-  // Order L: pay only the O(|L|) bucket partition here; each bucket is
-  // sorted as the sweep reaches it, and buckets past a stop never are.
-  BucketSweepSource::Options source_options;
-  source_options.pool = pool.get();
-  BucketSweepSource source(map, source_options);
-  result.timings.initialization_seconds = watch.lap();
-  result.k1 = map.key_count();
-  result.k2 = map.incident_pair_count();
-
-  if (loaded.has_value()) {
-    // The fingerprint matched, so L is the same list the snapshot indexed;
-    // a position beyond it means the snapshot is lying about its origin.
-    const std::uint64_t position = loaded->fine.has_value()
-                                       ? loaded->fine->entry_pos
-                                       : loaded->coarse->p;
-    if (position > map.entries.size()) {
+  Checkpointer* ckpt = checkpointer.has_value() ? &*checkpointer : nullptr;
+  // The fingerprint matched, so the rebuilt list is the one the snapshot
+  // indexed; a position beyond it means the snapshot lies about its origin.
+  const auto check_position = [](std::uint64_t position, std::size_t list_size) {
+    if (position > list_size) {
       throw StoppedError(Status::invalid_argument(
           "checkpoint position lies beyond the sorted pair list"));
     }
-  }
+  };
 
-  check_stop(config_.ctx);
-  Checkpointer* ckpt = checkpointer.has_value() ? &*checkpointer : nullptr;
+  Stopwatch watch;
   if (config_.mode == ClusterMode::kFine) {
-    const FineCheckpoint* fine_resume =
-        loaded.has_value() && loaded->fine.has_value() ? &*loaded->fine : nullptr;
-    SweepResult sweep_result =
-        sweep(graph, map, source, result.edge_index, {},
-              config_.min_similarity, config_.ctx, ckpt, fine_resume);
+    SpanningForest forest;
+    {
+      ScoreTriangles triangles =
+          build_score_triangles(graph, pool.get(), config_.ledger, map_options);
+      check_stop(config_.ctx);
+      result.k1 = static_cast<std::size_t>(triangles.key_count);
+      result.k2 = triangles.incident_pairs;
+      forest = spanning_forest(graph, triangles, pool.get(), config_.ctx);
+    }  // the triangles (K2 scores) are freed before the merge pass
+    result.timings.initialization_seconds = watch.lap();
+    const FineCheckpoint* fine_resume = nullptr;
+    if (loaded.has_value()) {
+      fine_resume = &*loaded->fine;
+      check_position(fine_resume->entry_pos, forest.pairs.size());
+    }
+    check_stop(config_.ctx);
+    SweepResult sweep_result = forest_sweep(forest, result.edge_index, config_.min_similarity,
+                                            config_.ctx, ckpt, fine_resume);
     result.timings.sweeping_seconds = watch.lap();
     result.dendrogram = std::move(sweep_result.dendrogram);
     result.final_labels = std::move(sweep_result.final_labels);
     result.stats = sweep_result.stats;
   } else {
-    const CoarseCheckpoint* coarse_resume =
-        loaded.has_value() && loaded->coarse.has_value() ? &*loaded->coarse : nullptr;
+    SimilarityMap map = pool != nullptr
+                            ? build_similarity_map_parallel(graph, *pool, config_.ledger,
+                                                            map_options)
+                            : build_similarity_map(graph, map_options);
+    check_stop(config_.ctx);
+    // Order L: pay only the O(|L|) bucket partition here; each bucket is
+    // sorted as the sweep reaches it, and buckets past the phi stop never
+    // are.
+    BucketSweepSource::Options source_options;
+    source_options.pool = pool.get();
+    BucketSweepSource source(map, source_options);
+    result.timings.initialization_seconds = watch.lap();
+    result.k1 = map.key_count();
+    result.k2 = map.incident_pair_count();
+    const CoarseCheckpoint* coarse_resume = nullptr;
+    if (loaded.has_value()) {
+      coarse_resume = &*loaded->coarse;
+      check_position(coarse_resume->p, map.entries.size());
+    }
+    check_stop(config_.ctx);
     CoarseResult coarse_result =
         coarse_sweep(graph, map, source, result.edge_index, config_.coarse,
                      pool.get(), config_.ledger, config_.ctx, ckpt, coarse_resume);
@@ -123,8 +135,8 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     result.final_labels = coarse_result.final_labels;
     result.stats = coarse_result.stats;
     result.coarse = std::move(coarse_result);
+    result.sweep_source = source.stats();
   }
-  result.sweep_source = source.stats();
   if (ckpt != nullptr) {
     CheckpointRunStats stats;
     stats.snapshots_written = ckpt->snapshots_written();

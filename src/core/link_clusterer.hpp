@@ -6,8 +6,12 @@
 //   config.threads = 4;
 //   auto result = LinkClusterer(config).cluster(graph);
 //
-// Fine mode runs Algorithm 1 + Algorithm 2; coarse mode runs Algorithm 1 +
-// the §V coarse sweep; threads > 1 parallelizes both phases per §VI.
+// Fine mode runs Algorithm 1 into per-vertex score triangles, keeps one
+// maximum spanning forest per common neighbor and merges those pairs in the
+// order of Algorithm 2 (core/forest.hpp) — the merges of Algorithm 2 over
+// all of L, from at most 2|E| pairs. Coarse mode runs Algorithm 1 + the §V
+// coarse sweep. threads > 1 parallelizes the build, the forests and the
+// coarse sweep per §VI.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +42,12 @@ enum class ClusterMode {
 };
 
 struct ClusterTimings {
-  /// Algorithm 1 (similarity map) plus the O(|L|) bucket partition of L;
-  /// the per-bucket sorts land in sweeping_seconds as the sweep reaches them.
+  /// Fine: the score triangles plus the spanning forests and their sort.
+  /// Coarse: Algorithm 1 (similarity map) plus the O(|L|) bucket partition
+  /// of L; the per-bucket sorts land in sweeping_seconds as the sweep
+  /// reaches them.
   double initialization_seconds = 0.0;
-  double sweeping_seconds = 0.0;        ///< Algorithm 2 or coarse sweep
+  double sweeping_seconds = 0.0;        ///< fine merge pass or coarse sweep
   [[nodiscard]] double total_seconds() const {
     return initialization_seconds + sweeping_seconds;
   }
@@ -65,9 +71,9 @@ struct ClusterResult {
   EdgeIndex edge_index;               ///< maps labels' positions back to edges
   SweepStats stats;
   ClusterTimings timings;
-  std::size_t k1 = 0;                 ///< similarity-map keys
-  std::uint64_t k2 = 0;               ///< incident edge pairs
-  SweepSourceStats sweep_source;      ///< bucketed ordering of L
+  std::size_t k1 = 0;                 ///< keys (vertex pairs) at or above the floor
+  std::uint64_t k2 = 0;               ///< their incident edge pairs
+  SweepSourceStats sweep_source;      ///< coarse mode's bucketed L; all zero in fine
   std::optional<CoarseResult> coarse; ///< populated in coarse mode
   std::optional<CheckpointRunStats> ckpt;  ///< populated when checkpointing ran
 };
@@ -81,11 +87,12 @@ class LinkClusterer {
     EdgeOrder edge_order = EdgeOrder::kShuffled;
     std::uint64_t seed = 42;            ///< edge-enumeration seed
     SimilarityMeasure measure = SimilarityMeasure::kTanimoto;
-    /// Similarity floor. Fine mode stops the sweep at the first entry below
-    /// it (the dendrogram simply ends at the threshold); when finite it also
-    /// arms the build's exact min_score filter so the pairs of keys below it
-    /// are never materialized — the memory-degradation path (serve
-    /// --degrade-on-oom, DESIGN.md §14) relies on exactly that.
+    /// Similarity floor. Fine mode stops the merge pass at the first pair
+    /// below it (the dendrogram simply ends at the threshold) and counts
+    /// K1/K2 at or above it; its triangles still hold every score. Coarse
+    /// mode arms the build's exact min_score filter so the pairs of keys
+    /// below it are never materialized — the memory-degradation ladder
+    /// (serve --degrade-on-oom, DESIGN.md §14) saves memory only there.
     /// Part of the checkpoint fingerprint: a thresholded run is a different
     /// run. Default -inf keeps historical digests and snapshots unchanged.
     double min_similarity = -std::numeric_limits<double>::infinity();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <string>
 #include <utility>
 
 #include "util/check.hpp"
@@ -61,27 +62,6 @@ double jaccard_score(const WeightedGraph& graph, VertexId u, VertexId v,
   return both / total;
 }
 
-/// Cuts [0, n) into `parts` contiguous blocks balanced by `weight_of(i)`
-/// (monotone greedy against the prefix sum). Returns part boundaries like
-/// split_range.
-template <typename WeightFn>
-std::vector<std::size_t> balanced_blocks(std::size_t n, std::size_t parts,
-                                         WeightFn weight_of) {
-  std::vector<std::uint64_t> prefix(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + weight_of(i);
-  const std::uint64_t total = prefix[n];
-  std::vector<std::size_t> bounds(parts + 1, 0);
-  bounds[parts] = n;
-  for (std::size_t p = 1; p < parts; ++p) {
-    const std::uint64_t target = total / parts * p;
-    const auto it = std::lower_bound(prefix.begin(), prefix.end(), target);
-    std::size_t cut = static_cast<std::size_t>(it - prefix.begin());
-    cut = std::clamp(cut, bounds[p - 1], n);
-    bounds[p] = cut;
-  }
-  return bounds;
-}
-
 /// Runs block(t) for every t in [0, T) — inline when there is no pool (the
 /// serial build, T = 1), else as one pool batch with T = pool->thread_count()
 /// — and records each block's returned work units as one ledger round of
@@ -118,14 +98,30 @@ void run_blocks(parallel::ThreadPool* pool, sim::WorkLedger* ledger, const char*
 // paper's pass 2 restricted to one first vertex. Scoring then visits the
 // candidates in ascending v, fuses the pass-3 edge term ((u, v) is an edge
 // iff v appears in row u, found by a two-pointer over the sorted
-// candidates), drops keys below min_score, and stages each survivor with
-// its slice of the block's pairs. Walk 2 later fills those slices with
-// (e_uk, e_vk), in the final arena. Row u is sorted, so both walks reach
-// every key's commons in ascending k: each score is summed in one canonical
-// order — products by ascending common, then the pass-3 term — and each
-// slice is ordered by k. Keys emerge in packed-key order (u ascending per
-// block, v ascending within u), so there is no hashing and no key sort, and
-// the output is bitwise-identical at every thread count.
+// candidates), and hands each key's score to a sink. Walk 2 then writes the
+// key's incident pairs: the map build stages each survivor of min_score with
+// its slice of the block's pairs and walk 2 later fills those slices with
+// (e_uk, e_vk), in the final arena; the triangle build has walk 2 write each
+// score into the triangle of every common neighbor k, right after scoring.
+// Row u is sorted, so both walks reach every key's commons in ascending k:
+// each score is summed in one canonical order — products by ascending
+// common, then the pass-3 term — and each slice is ordered by k. Keys emerge
+// in packed-key order (u ascending per block, v ascending within u), so
+// there is no hashing and no key sort, and the output is bitwise-identical
+// at every thread count.
+
+/// Calls visit(p, row_k, first) for every neighbor k = row_u[p] of u, where
+/// row_k[first..] are the wedge ends v > u and u itself sits at first - 1.
+template <typename Visit>
+void for_each_wedge_row(const WeightedGraph& graph, VertexId u, Visit visit) {
+  const std::span<const VertexId> row_u = graph.neighbors(u);
+  for (std::size_t p = 0; p < row_u.size(); ++p) {
+    const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
+    visit(p, row_k,
+          static_cast<std::size_t>(std::upper_bound(row_k.begin(), row_k.end(), u) -
+                                   row_k.begin()));
+  }
+}
 
 /// Per-worker gather state, sized once on the calling thread so workers
 /// never allocate: glibc gives each worker thread its own malloc arena, and
@@ -135,7 +131,9 @@ void run_blocks(parallel::ThreadPool* pool, sim::WorkLedger* ledger, const char*
 struct GatherScratch {
   std::vector<std::uint32_t> mark;    ///< epoch (u+1) while v is a live candidate
   std::vector<std::uint32_t> ccount;  ///< |N(u) ∩ N(v)| while marked
-  std::vector<double> acc;            ///< Σ w_uk · w_kv while marked
+  /// Σ w_uk · w_kv while marked; the triangle build's sink overwrites it
+  /// with the key's score for walk 2 to read.
+  std::vector<double> acc;
   std::vector<std::uint64_t> cursor;  ///< next final arena slot of a surviving key
   std::vector<VertexId> cand;  ///< distinct candidates v of the current u
   std::vector<std::uint64_t> cand_bits;  ///< scratch bitmap over v (see gather_vertex)
@@ -150,28 +148,19 @@ struct GatherScratch {
   }
 };
 
-/// Phase A's output for one block: the surviving entries, staged with
-/// offsets relative to the block's first arena slot, and the block's pair
-/// count.
-struct StagedBlock {
-  std::vector<SimilarityEntry> entries;
-  std::uint64_t pairs = 0;
-  std::uint64_t pairs_exact = 0;  ///< keys with >= 2 commons (BuildStats)
-  MemoryCharge charge;            ///< the staged entries, grown as they are written
-};
-
 /// Read-only inputs shared by every gather worker.
 struct GatherJob {
   const WeightedGraph& graph;
   const std::vector<double>& h1;
   const std::vector<double>& h2;
   SimilarityMeasure measure;
-  double min_score;
 };
 
-/// Phase A for one vertex: stages every key (u, v), v > u, with
-/// score >= min_score — its exact score and its block-relative slice.
-void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, StagedBlock& out) {
+/// Walk 1 and scoring for one vertex: calls keep(v, c, score) for every key
+/// (u, v), v > u, in ascending v, with its common-neighbor count c and its
+/// exact score. Every candidate leaves walk 1 marked with the epoch u+1.
+template <typename Keep>
+void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, Keep keep) {
   const WeightedGraph& graph = job.graph;
   const std::span<const VertexId> row_u = graph.neighbors(u);
   if (row_u.empty()) return;
@@ -180,10 +169,8 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, StagedBlo
 
   // Walk 1: count the commons of every candidate and sum their products.
   s.cand.clear();
-  for (std::size_t p = 0; p < row_u.size(); ++p) {
-    const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
-    const auto first = static_cast<std::size_t>(
-        std::upper_bound(row_k.begin(), row_k.end(), u) - row_k.begin());
+  for_each_wedge_row(graph, u, [&](std::size_t p, std::span<const VertexId> row_k,
+                                   std::size_t first) {
     const std::span<const double> w_k = graph.neighbor_weights(row_u[p]);
     for (std::size_t q = first; q < row_k.size(); ++q) {
       const VertexId v = row_k[q];
@@ -196,16 +183,14 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, StagedBlo
       ++s.ccount[v];
       s.acc[v] += w_u[p] * w_k[q];
     }
-  }
+  });
   if (s.cand.empty()) return;
 
-  // Scoring, in ascending v: the fused pass-3 term, the exact min_score
-  // filter, and each survivor's slice of the block's pairs.
+  // Scoring, in ascending v, with the fused pass-3 term.
   std::size_t edge_ptr = 0;  // cursor into row u over the sorted candidates
   const auto score_key = [&](const VertexId v) {
     while (edge_ptr < row_u.size() && row_u[edge_ptr] < v) ++edge_ptr;
     const std::uint32_t c = s.ccount[v];
-    if (c > 1) ++out.pairs_exact;
     double score;
     if (job.measure == SimilarityMeasure::kJaccard) {
       score = jaccard_score(graph, u, v, c);
@@ -222,14 +207,7 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, StagedBlo
       LC_DCHECK(denom > 0.0);
       score = p / denom;
     }
-    if (score < job.min_score) {
-      // Unmarked, so phase B cannot mistake it for a survivor of u: a stale
-      // mark u+1 is left only on the keys staged here.
-      s.mark[v] = 0;
-      return;
-    }
-    out.entries.push_back(SimilarityEntry{u, v, score, out.pairs, c});
-    out.pairs += c;
+    keep(v, c, score);
   };
 
   // Candidates must be visited in ascending v. When the set is dense in its
@@ -260,23 +238,117 @@ void gather_vertex(const GatherJob& job, VertexId u, GatherScratch& s, StagedBlo
   }
 }
 
-/// Walk 2: writes (e_uk, e_vk), k ascending, for every key of u marked with
-/// the epoch u+1, at its cursor into the final arena.
+/// Map walk 2: writes (e_uk, e_vk), k ascending, for every key of u marked
+/// with the epoch u+1, at its cursor into the final arena.
 void fill_vertex(const WeightedGraph& graph, VertexId u, GatherScratch& s, EdgePairRef* arena) {
   const std::span<const VertexId> row_u = graph.neighbors(u);
   const std::span<const EdgeId> e_u = graph.neighbor_edge_ids(u);
   const std::uint32_t epoch = u + 1;
-  for (std::size_t p = 0; p < row_u.size(); ++p) {
-    const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
-    const auto first = static_cast<std::size_t>(
-        std::upper_bound(row_k.begin(), row_k.end(), u) - row_k.begin());
+  for_each_wedge_row(graph, u, [&](std::size_t p, std::span<const VertexId> row_k,
+                                   std::size_t first) {
     const std::span<const EdgeId> e_k = graph.neighbor_edge_ids(row_u[p]);
     for (std::size_t q = first; q < row_k.size(); ++q) {
       const VertexId v = row_k[q];
       if (s.mark[v] == epoch) arena[s.cursor[v]++] = EdgePairRef{e_u[p], e_k[q]};
     }
-  }
+  });
 }
+
+/// Triangle walk 2: writes the score of every key (u, v) that the sink left
+/// in acc[v] into the triangle of each common neighbor k, at slot
+/// (first - 1, q) — u's and v's positions in row k. For one k those slots
+/// are one contiguous run of row first - 1.
+void fill_triangles(const WeightedGraph& graph, VertexId u, const GatherScratch& s,
+                    ScoreTriangles& out) {
+  const std::span<const VertexId> row_u = graph.neighbors(u);
+  for_each_wedge_row(graph, u, [&](std::size_t p, std::span<const VertexId> row_k,
+                                   std::size_t first) {
+    double* const run = out.scores.data() + out.offset[row_u[p]] +
+                        ScoreTriangles::slot(first - 1, first, row_k.size());
+    for (std::size_t q = first; q < row_k.size(); ++q) run[q - first] = s.acc[row_k[q]];
+  });
+}
+
+/// Pass 1, the wedge counts, the block bounds and the per-worker scratch:
+/// everything walk 1 needs, shared by the map build and the triangle build.
+struct GatherPlan {
+  std::vector<double> h1;
+  std::vector<double> h2;
+  /// Exact wedge counts W[u] = |{(k, v) : k ∈ N(u), v ∈ N(k), v > u}| — the
+  /// number of pass-2 contributions keyed at first vertex u (ΣW == K2).
+  std::vector<std::uint64_t> wedges;
+  std::vector<std::size_t> bounds;  ///< T contiguous u blocks, balanced by W
+  std::vector<GatherScratch> scratch;
+  MemoryCharge scratch_charge;  ///< T sets of n-sized arrays, held for the build
+};
+
+GatherPlan plan_gather(const WeightedGraph& graph, const SimilarityMapOptions& options,
+                       parallel::ThreadPool* pool, sim::WorkLedger* ledger,
+                       Stopwatch& watch) {
+  const std::size_t n = graph.vertex_count();
+  const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
+  RunContext* ctx = options.ctx;
+  GatherPlan plan;
+
+  // Pass 1: disjoint (round-robin) vertex slices write disjoint H1/H2 slots.
+  plan.h1.assign(n, 0.0);
+  plan.h2.assign(n, 0.0);
+  run_blocks(pool, ledger, "init.pass1", [&](std::size_t t) {
+    return pass1_range(graph, t, t_count, plan.h1, plan.h2, ctx);
+  });
+  check_stop(ctx);
+  if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
+
+  // The wedge counts drive the contiguous block balance, bound each map
+  // block's staged entries so they are reserved up front and the workers
+  // stay allocation-free, and bound the candidate list.
+  plan.wedges.assign(n, 0);
+  run_blocks(pool, ledger, "init.pass2.wedges", [&](std::size_t t) {
+    PollTicker ticker(ctx);
+    std::uint64_t work = 0;
+    for (std::size_t ui = t; ui < n; ui += t_count) {
+      const auto u = static_cast<VertexId>(ui);
+      const std::size_t degree = graph.degree(u);
+      ticker.checkpoint(1 + degree);
+      std::uint64_t w = 0;
+      for_each_wedge_row(graph, u, [&w](std::size_t, std::span<const VertexId> row_k,
+                                        std::size_t first) { w += row_k.size() - first; });
+      plan.wedges[ui] = w;
+      work += 1 + degree;
+    }
+    return work;
+  });
+  check_stop(ctx);
+  plan.bounds = parallel::balanced_split_range(
+      n, t_count, [&plan](std::size_t u) { return 1 + plan.wedges[u]; });
+  const std::uint64_t max_wedge =
+      n == 0 ? 0 : *std::max_element(plan.wedges.begin(), plan.wedges.end());
+
+  const std::size_t cand_cap =
+      static_cast<std::size_t>(std::min<std::uint64_t>(max_wedge, n));
+  plan.scratch_charge = MemoryCharge(ctx, t_count * GatherScratch::bytes(n, cand_cap),
+                                     "sim.gather.scratch");
+  plan.scratch.resize(t_count);
+  for (GatherScratch& s : plan.scratch) {
+    s.mark.assign(n, 0);
+    s.ccount.resize(n);
+    s.acc.resize(n);
+    s.cursor.resize(n);
+    s.cand.reserve(cand_cap);
+    s.cand_bits.assign((n + 63) / 64, 0);
+  }
+  return plan;
+}
+
+/// Phase A's output for one map block: the surviving entries, staged with
+/// offsets relative to the block's first arena slot, and the block's pair
+/// count.
+struct StagedBlock {
+  std::vector<SimilarityEntry> entries;
+  std::uint64_t pairs = 0;
+  std::uint64_t pairs_exact = 0;  ///< keys with >= 2 commons (BuildStats)
+  MemoryCharge charge;            ///< the staged entries, grown as they are written
+};
 
 /// Algorithm 1 on T = pool->thread_count() blocks (one without a pool). The
 /// vertex range is cut into T contiguous blocks balanced by wedge count, and
@@ -289,61 +361,18 @@ void fill_vertex(const WeightedGraph& graph, VertexId u, GatherScratch& s, EdgeP
 ///   rebased, and walk 2 writes their pairs straight into the final arena.
 SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& options,
                     parallel::ThreadPool* pool, sim::WorkLedger* ledger) {
-  const std::size_t n = graph.vertex_count();
-  const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
   RunContext* ctx = options.ctx;
   check_stop(ctx);
   Stopwatch watch;
+  GatherPlan plan = plan_gather(graph, options, pool, ledger, watch);
+  const std::size_t t_count = plan.scratch.size();
+  const std::vector<std::size_t>& bounds = plan.bounds;
+  const std::vector<std::uint64_t>& wedges = plan.wedges;
 
-  // Pass 1: disjoint (round-robin) vertex slices write disjoint H1/H2 slots.
-  std::vector<double> h1(n, 0.0);
-  std::vector<double> h2(n, 0.0);
-  run_blocks(pool, ledger, "init.pass1", [&](std::size_t t) {
-    return pass1_range(graph, t, t_count, h1, h2, ctx);
-  });
-  check_stop(ctx);
-  if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
-
-  // Exact wedge counts W[u] = |{(k, v) : k ∈ N(u), v ∈ N(k), v > u}| — the
-  // number of pass-2 contributions keyed at first vertex u (ΣW == K2). They
-  // drive the contiguous block balance, bound each block's staged entries so
-  // they are reserved up front and the workers stay allocation-free, and
-  // bound the candidate list.
-  std::vector<std::uint64_t> wedges(n, 0);
-  run_blocks(pool, ledger, "init.pass2.wedges", [&](std::size_t t) {
-    PollTicker ticker(ctx);
-    std::uint64_t work = 0;
-    for (std::size_t ui = t; ui < n; ui += t_count) {
-      const auto u = static_cast<VertexId>(ui);
-      const std::span<const VertexId> row_u = graph.neighbors(u);
-      ticker.checkpoint(1 + row_u.size());
-      std::uint64_t w = 0;
-      for (const VertexId k : row_u) {
-        const std::span<const VertexId> row_k = graph.neighbors(k);
-        w += static_cast<std::uint64_t>(row_k.end() -
-                                        std::upper_bound(row_k.begin(), row_k.end(), u));
-      }
-      wedges[ui] = w;
-      work += 1 + row_u.size();
-    }
-    return work;
-  });
-  check_stop(ctx);
-  const std::vector<std::size_t> bounds =
-      balanced_blocks(n, t_count, [&wedges](std::size_t u) { return 1 + wedges[u]; });
-  const std::uint64_t max_wedge =
-      n == 0 ? 0 : *std::max_element(wedges.begin(), wedges.end());
-
-  // The per-worker scratch: T sets of n-sized arrays, held for the build.
   // Staged entries are charged as they are written; the final map, once its
   // size is known.
-  const std::size_t cand_cap =
-      static_cast<std::size_t>(std::min<std::uint64_t>(max_wedge, n));
-  const MemoryCharge scratch_charge(ctx, t_count * GatherScratch::bytes(n, cand_cap),
-                                    "sim.gather.scratch");
-  const GatherJob job{graph, h1, h2, options.measure, options.min_score};
+  const GatherJob job{graph, plan.h1, plan.h2, options.measure};
   std::vector<StagedBlock> blocks(t_count);
-  std::vector<GatherScratch> scratch(t_count);
   for (std::size_t t = 0; t < t_count; ++t) {
     // Every key has at least one pair, so the block's wedge count bounds
     // its entries. Only the touched prefix of the reservation is resident.
@@ -351,25 +380,30 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
     for (std::size_t u = bounds[t]; u < bounds[t + 1]; ++u) block_wedges += wedges[u];
     blocks[t].entries.reserve(static_cast<std::size_t>(block_wedges));
     blocks[t].charge = MemoryCharge(ctx);
-    GatherScratch& s = scratch[t];
-    s.mark.assign(n, 0);
-    s.ccount.resize(n);
-    s.acc.resize(n);
-    s.cursor.resize(n);
-    s.cand.reserve(cand_cap);
-    s.cand_bits.assign((n + 63) / 64, 0);
   }
 
-  // Phase A: walk 1 and scoring.
+  // Phase A: walk 1 and scoring, keeping the keys at or above min_score.
   run_blocks(pool, ledger, "init.pass2.gather", [&](std::size_t t) {
     fault::maybe_fire("build.gather");
     PollTicker ticker(ctx);
     StagedBlock& block = blocks[t];
+    GatherScratch& s = plan.scratch[t];
     std::uint64_t work = 0;
     for (std::size_t ui = bounds[t]; ui < bounds[t + 1]; ++ui) {
       ticker.checkpoint(1 + wedges[ui]);
       const std::size_t staged = block.entries.size();
-      gather_vertex(job, static_cast<VertexId>(ui), scratch[t], block);
+      const auto u = static_cast<VertexId>(ui);
+      gather_vertex(job, u, s, [&](VertexId v, std::uint32_t c, double score) {
+        if (c > 1) ++block.pairs_exact;
+        if (score < options.min_score) {
+          // Unmarked, so phase B cannot mistake it for a survivor of u: a
+          // stale mark u+1 is left only on the keys staged here.
+          s.mark[v] = 0;
+          return;
+        }
+        block.entries.push_back(SimilarityEntry{u, v, score, block.pairs, c});
+        block.pairs += c;
+      });
       block.charge.grow((block.entries.size() - staged) * sizeof(SimilarityEntry),
                         "sim.gather.staged");
       work += 1 + wedges[ui];
@@ -397,7 +431,7 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
   out.pair_arena.resize(static_cast<std::size_t>(arena_base[t_count]));
   run_blocks(pool, ledger, "init.pass2.fill", [&](std::size_t t) {
     PollTicker ticker(ctx);
-    GatherScratch& s = scratch[t];
+    GatherScratch& s = plan.scratch[t];
     const std::vector<SimilarityEntry>& staged = blocks[t].entries;
     SimilarityEntry* dst = out.entries.data() + entry_base[t];
     std::uint64_t work = 0;
@@ -420,6 +454,70 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
   map_charge.commit();
   out.set_keys_sorted(true);
   if (options.stats != nullptr) options.stats->pass3_ms = watch.lap() * 1e3;
+  return out;
+}
+
+/// The triangle build: sized and charged from degrees before any pass runs,
+/// then one gather phase per block — walk 1 and scoring leave each key's
+/// score in acc[v], and walk 2 writes it into the triangle of every common
+/// neighbor at once. Slot (i, j) of triangle k belongs to the key
+/// (row_k[i], row_k[j]), which only row_k[i]'s block scores, so the blocks
+/// write disjoint slots and every slot exactly once.
+ScoreTriangles build_triangles(const WeightedGraph& graph, const SimilarityMapOptions& options,
+                               parallel::ThreadPool* pool, sim::WorkLedger* ledger) {
+  const std::size_t n = graph.vertex_count();
+  RunContext* ctx = options.ctx;
+  check_stop(ctx);
+  Stopwatch watch;
+
+  ScoreTriangles out;
+  out.offset.assign(n + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t d = graph.degree(static_cast<VertexId>(k));
+    out.offset[k + 1] = out.offset[k] + (d == 0 ? 0 : d * (d - 1) / 2);
+  }
+  const std::uint64_t bytes = out.offset[n] * sizeof(double);
+  const std::string site = "sim.triangles (" + std::to_string(bytes) + " bytes)";
+  out.charge = MemoryCharge(ctx, bytes, site.c_str());
+
+  GatherPlan plan = plan_gather(graph, options, pool, ledger, watch);
+  out.scores.resize(static_cast<std::size_t>(out.offset[n]));
+  const GatherJob job{graph, plan.h1, plan.h2, options.measure};
+  struct Counts {
+    std::uint64_t keys = 0;
+    std::uint64_t pairs = 0;
+    std::uint64_t pairs_exact = 0;
+  };
+  std::vector<Counts> counts(plan.scratch.size());
+  run_blocks(pool, ledger, "init.pass2.gather", [&](std::size_t t) {
+    fault::maybe_fire("build.gather");
+    PollTicker ticker(ctx);
+    GatherScratch& s = plan.scratch[t];
+    Counts count;  // local: the blocks' slots share cache lines
+    std::uint64_t work = 0;
+    for (std::size_t ui = plan.bounds[t]; ui < plan.bounds[t + 1]; ++ui) {
+      ticker.checkpoint(1 + plan.wedges[ui]);
+      const auto u = static_cast<VertexId>(ui);
+      gather_vertex(job, u, s, [&](VertexId v, std::uint32_t c, double score) {
+        s.acc[v] = score;
+        if (c > 1) ++count.pairs_exact;
+        if (score < options.min_score) return;
+        ++count.keys;
+        count.pairs += c;
+      });
+      fill_triangles(graph, u, s, out);
+      work += 1 + 2 * plan.wedges[ui];
+    }
+    counts[t] = count;
+    return work;
+  });
+  check_stop(ctx);
+  for (const Counts& count : counts) {
+    out.key_count += count.keys;
+    out.incident_pairs += count.pairs;
+    if (options.stats != nullptr) options.stats->pairs_exact += count.pairs_exact;
+  }
+  if (options.stats != nullptr) options.stats->pass2_ms = watch.lap() * 1e3;
   return out;
 }
 
@@ -462,6 +560,12 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
                                             sim::WorkLedger* ledger,
                                             const SimilarityMapOptions& options) {
   return build(graph, options, &pool, ledger);
+}
+
+ScoreTriangles build_score_triangles(const graph::WeightedGraph& graph,
+                                     parallel::ThreadPool* pool, sim::WorkLedger* ledger,
+                                     const SimilarityMapOptions& options) {
+  return build_triangles(graph, options, pool, ledger);
 }
 
 double tanimoto_similarity_bruteforce(const graph::WeightedGraph& graph, graph::VertexId i,

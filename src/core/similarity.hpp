@@ -43,6 +43,11 @@
 // entries and pairs start in the final map; then each block copies its
 // entries there and walk 2 writes every pair once, straight into the final
 // arena.
+//
+// Fine mode needs no map: build_score_triangles() runs the same pass 1,
+// walk 1 and scoring, and its walk 2 writes each key's score into the
+// triangle of every common neighbor k (ScoreTriangles), from which
+// core/forest.hpp keeps one maximum spanning forest per k (DESIGN.md §16).
 #pragma once
 
 #include <bit>
@@ -56,10 +61,7 @@
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/work_ledger.hpp"
-
-namespace lc {
-class RunContext;  // util/run_context.hpp
-}
+#include "util/run_context.hpp"
 
 namespace lc::core {
 
@@ -183,9 +185,10 @@ class SimilarityMap {
 
   /// Sorts entries by score_order (score non-increasing, ties by (u, v)
   /// ascending) with one serial std::sort, producing the paper's list L in
-  /// full. The production pipeline orders L lazily through BucketSweepSource
-  /// (core/sweep_source.hpp) instead; this is the reference order for the
-  /// baselines, the figure benches, the tests and SortedSweepSource.
+  /// full. Coarse mode orders L lazily through BucketSweepSource
+  /// (core/sweep_source.hpp) instead, and fine mode never builds L; this is
+  /// the reference order for the baselines, the figure benches, the tests,
+  /// SortedSweepSource and the reference fine sweep (core/sweep.hpp).
   void sort_by_score();
 
   /// Approximate heap bytes held (entries + arena).
@@ -227,6 +230,46 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
                                             parallel::ThreadPool& pool,
                                             sim::WorkLedger* ledger = nullptr,
                                             const SimilarityMapOptions& options = {});
+
+/// Fine mode's score store: one strict upper triangle per vertex k holding
+/// the score of every incident pair around k. Row k of the graph is sorted,
+/// so positions i < j in it name the pair (e_uk, e_vk) with
+/// u = row_k[i] < v = row_k[j], and its score sits at
+/// scores[offset[k] + slot(i, j, d_k)]. Row i of a triangle holds the pairs
+/// (i, j), j > i, contiguously: that is exactly what walk 2 writes for one
+/// (u, k), so its writes run sequentially instead of striding across rows.
+/// Sized from degrees alone — Σ_k C(d_k, 2) == K2 slots, left unwritten by
+/// the allocation — and every slot is written once, by walk 2 of u's block.
+struct ScoreTriangles {
+  std::vector<std::uint64_t> offset;  ///< n + 1 prefix sums of C(d_k, 2)
+  std::vector<double, DefaultInitAllocator<double>> scores;
+  std::uint64_t key_count = 0;       ///< K1: keys with score >= min_score
+  std::uint64_t incident_pairs = 0;  ///< K2: their incident pairs
+  MemoryCharge charge;               ///< the scores, charged before allocation
+
+  /// Slot of the pair at row positions i < j within the triangle of a
+  /// degree-d vertex.
+  [[nodiscard]] static constexpr std::uint64_t slot(std::uint64_t i, std::uint64_t j,
+                                                    std::uint64_t d) {
+    return i * (2 * d - i - 1) / 2 + (j - i - 1);
+  }
+  [[nodiscard]] const double* triangle(graph::VertexId k) const {
+    return scores.data() + offset[k];
+  }
+};
+
+/// The fine mode's build: pass 1, walk 1 and scoring exactly as the map
+/// builds run them (the same score bits), with walk 2 writing each score into
+/// ScoreTriangles. The triangles' K2 × 8 bytes are charged to options.ctx
+/// before they are allocated; options.min_score only filters the K1/K2
+/// counts, because every slot is needed for the spanning forests. T =
+/// pool->thread_count() blocks, one without a pool; the output is the same
+/// at every T. options.stats gets pass1_ms, pass2_ms (everything after pass
+/// 1) and pairs_exact.
+ScoreTriangles build_score_triangles(const graph::WeightedGraph& graph,
+                                     parallel::ThreadPool* pool = nullptr,
+                                     sim::WorkLedger* ledger = nullptr,
+                                     const SimilarityMapOptions& options = {});
 
 /// Brute-force Eq. (1) for one incident edge pair (e_ik, e_jk), building the
 /// full |V|-dimensional vectors a_i, a_j. O(|V|) per call; tests only.

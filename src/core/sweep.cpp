@@ -30,6 +30,8 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
   std::uint64_t base_accesses = 0;
   std::uint64_t base_changes = 0;
   if (resume != nullptr) {
+    LC_CHECK_MSG(resume->list == FineList::kPairs,
+                 "resume state must index the sorted pair list");
     LC_CHECK_MSG(resume->cluster_c.size() == graph.edge_count(),
                  "resume state must match the graph");
     LC_CHECK_MSG(resume->entry_pos <= map.entries.size(),
@@ -102,6 +104,7 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
         since_due_poll = 0;
         if (checkpointer->due()) {
           FineCheckpoint state;
+          state.list = FineList::kPairs;
           state.entry_pos = e + 1;
           state.level = level;
           state.ordinal = ordinal;
@@ -128,6 +131,7 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
     if (checkpointer != nullptr && checkpointer->policy().enabled() &&
         !checkpointer->degraded()) {
       FineCheckpoint state;
+      state.list = FineList::kPairs;
       state.entry_pos = e;
       state.level = level;
       state.ordinal = ordinal;

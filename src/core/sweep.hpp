@@ -1,9 +1,17 @@
-// Phase II of the serial algorithm (Algorithm 2): fine-grained sweeping.
+// Phase II of the serial algorithm (Algorithm 2): fine-grained sweeping,
+// the reference sweep.
 //
 // The sorted list L of vertex pairs is processed head to tail; for every
 // common neighbor v_k of a pair (v_i, v_j), MERGE unifies the clusters of
 // edges (v_i, v_k) and (v_j, v_k) in array C. Every effective merge advances
 // the level counter r and emits a dendrogram event (Eq. 5).
+//
+// LinkClusterer's fine mode does not run this: it merges only the pairs of
+// one maximum spanning forest per common neighbor (core/forest.hpp), which
+// yields the identical merge list from at most 2|E| of the K2 pairs. This
+// sweep is the oracle it is checked against (tests/core/forest_sweep_test),
+// and what the paper-figure benches and the benchmark's trace rounds run to
+// count C traffic per pair.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +33,14 @@ class Checkpointer;      // core/checkpoint.hpp
 struct FineCheckpoint;   // core/checkpoint.hpp
 class SweepSource;       // core/sweep_source.hpp
 
-/// Work counters of a sweep. The C-traffic pair is defined per mode:
-///   - fine (Algorithm 2 over ClusterArray): c_accesses counts the chain
-///     elements MERGE visits (Theorem 2), c_changes the C entries it rewrites
-///     (Fig. 2(1)).
+/// Work counters of a sweep. The C-traffic pair is defined per sweep:
+///   - reference fine sweep (Algorithm 2 over ClusterArray, this header):
+///     c_accesses counts the chain elements MERGE visits (Theorem 2),
+///     c_changes the C entries it rewrites (Fig. 2(1)).
+///   - production fine mode (core/forest.hpp): pairs_processed counts the
+///     spanning-forest pairs visited, Σ_k (d_k − 1) on a full run. As in
+///     coarse mode, each visited pair reads two slots and each union writes
+///     one: c_accesses = 2 * pairs + unions and c_changes = unions.
 ///   - coarse (core/coarse.hpp): what the paper's array C would read and
 ///     write for the same merges. Each applied incident pair reads two slots
 ///     (one per edge), and each union (a cluster the chunk removes, one
@@ -39,7 +51,7 @@ class SweepSource;       // core/sweep_source.hpp
 ///     CAS retries or path-halving writes, so they are identical at every
 ///     thread count.
 struct SweepStats {
-  std::uint64_t pairs_processed = 0;  ///< incident edge pairs merged (== K2)
+  std::uint64_t pairs_processed = 0;  ///< incident edge pairs visited
   std::uint64_t merges_effective = 0; ///< dendrogram events (levels in fine mode)
   std::uint64_t c_accesses = 0;       ///< C slots read/visited (Theorem 2 metric)
   std::uint64_t c_changes = 0;        ///< C entries rewritten (Fig. 2(1) metric)
@@ -70,9 +82,9 @@ struct SweepResult {
 /// zero effect on the result.
 ///
 /// `checkpointer` (optional, not owned) is asked at every entry boundary and
-/// given a FineCheckpoint when a snapshot is due; `resume` (optional, not
-/// owned, pre-validated by load_checkpoint) restarts the sweep from a stored
-/// boundary. Both are output-neutral: any combination of checkpoint writes,
+/// given a FineCheckpoint (FineList::kPairs) when a snapshot is due;
+/// `resume` (optional, not owned, a kPairs state) restarts the sweep from a
+/// stored boundary. Both are output-neutral: any combination of checkpoint writes,
 /// kills, and resumes yields the bitwise-identical SweepResult of one
 /// uninterrupted run.
 SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,

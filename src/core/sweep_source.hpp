@@ -1,7 +1,8 @@
 // How the sorted pair list L reaches the sweeps.
 //
-// Both sweeps (core/sweep.hpp, core/coarse.hpp) consume SimilarityMap
-// entries strictly in descending-score order, by position. SweepSource is
+// The coarse sweep (core/coarse.hpp) and the reference fine sweep
+// (core/sweep.hpp) consume SimilarityMap entries strictly in
+// descending-score order, by position. SweepSource is
 // the seam between "produce that order" and "consume it": a source
 // materializes entries *in place* in map.entries — position i of the source
 // is position i of the fully sorted list — and guarantees that everything
@@ -11,8 +12,9 @@
 // map.pairs()/common() keep working (arena offsets travel with the entries),
 // and a completed sweep leaves the map fully sorted.
 //
-// BucketSweepSource is the production source (LinkClusterer uses it at every
-// thread count). One O(|L|) MSD-radix scatter pass partitions L into
+// BucketSweepSource is the coarse mode's production source (LinkClusterer
+// uses it at every thread count; fine mode builds no L and reads spanning
+// forests instead, core/forest.hpp). One O(|L|) MSD-radix scatter pass partitions L into
 // disjoint descending score-range buckets, keyed on the top bits of the
 // flipped IEEE score key; each bucket is then sorted *just in time* as the
 // sweep reaches it, with a single helper thread prefetch-sorting bucket k+1
@@ -22,8 +24,9 @@
 // disjoint score ranges and the concatenation of independently sorted
 // buckets under the score_order comparator — a strict total order — is the
 // unique globally sorted permutation, for every bucket count and thread
-// count. Runs that never reach the tail of L (the coarse phi stop, a fine
-// min_similarity cut, a resume past early buckets) never pay to sort it:
+// count. Runs that never reach the tail of L (the coarse phi stop, a
+// reference sweep's min_similarity cut, a resume past early buckets) never
+// pay to sort it:
 // those buckets are counted in SweepSourceStats::buckets_skipped.
 //
 // SortedSweepSource wraps a map that sort_by_score() already ordered in

@@ -77,6 +77,27 @@ class ThreadPool {
 /// parts may be empty when n < parts.
 std::vector<std::size_t> split_range(std::size_t n, std::size_t parts);
 
+/// Cuts [0, n) into `parts` contiguous ranges balanced by weight_of(i)
+/// (monotone greedy against the prefix sum). Returns boundaries like
+/// split_range.
+template <typename WeightFn>
+std::vector<std::size_t> balanced_split_range(std::size_t n, std::size_t parts,
+                                              WeightFn weight_of) {
+  std::vector<std::uint64_t> prefix(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + weight_of(i);
+  const std::uint64_t total = prefix[n];
+  std::vector<std::size_t> bounds(parts + 1, 0);
+  bounds[parts] = n;
+  for (std::size_t p = 1; p < parts; ++p) {
+    const std::uint64_t target = total / parts * p;
+    const auto it = std::lower_bound(prefix.begin(), prefix.end(), target);
+    std::size_t cut = static_cast<std::size_t>(it - prefix.begin());
+    cut = std::clamp(cut, bounds[p - 1], n);
+    bounds[p] = cut;
+  }
+  return bounds;
+}
+
 /// parallel_for: applies fn(begin, end) over a static block partition of
 /// [0, n) using the pool (the caller's thread is not used). `min_grain > 0`
 /// caps the number of blocks at n / min_grain so tiny ranges don't pay a

@@ -55,7 +55,8 @@ const std::vector<SiteInfo>& registry_storage() {
   static const std::vector<SiteInfo> instance = {
       {"sim.pass1", SiteClass::kCall, "degree/neighbor precompute task"},
       {"build.gather", SiteClass::kCall, "similarity build: gather block task"},
-      {"sweep.entry", SiteClass::kCall, "fine sweep entry boundary"},
+      {"forest.prim", SiteClass::kCall, "fine spanning forest: Prim block task"},
+      {"sweep.entry", SiteClass::kCall, "fine sweep: forest pair / entry boundary"},
       {"sweep.bucket", SiteClass::kCall, "bucketed sweep source: bucket sort"},
       {"coarse.chunk", SiteClass::kCall, "coarse chunk boundary"},
       {"coarse.apply", SiteClass::kCall, "coarse chunk apply task"},

@@ -68,7 +68,34 @@ TEST(LinkClusterer, StatsMatchGraphProperties) {
   const ClusterResult result = LinkClusterer().cluster(graph);
   EXPECT_EQ(result.k1, stats.k1);
   EXPECT_EQ(result.k2, stats.k2);
-  EXPECT_EQ(result.stats.pairs_processed, stats.k2);
+  // The fine merge pass visits one spanning tree per common neighbor k:
+  // exactly Σ_k (d_k − 1) pairs, and the counters follow from it.
+  std::uint64_t forest_pairs = 0;
+  for (graph::VertexId k = 0; k < graph.vertex_count(); ++k) {
+    if (graph.degree(k) > 0) forest_pairs += graph.degree(k) - 1;
+  }
+  EXPECT_EQ(result.stats.pairs_processed, forest_pairs);
+  EXPECT_EQ(result.stats.c_changes, result.stats.merges_effective);
+  EXPECT_EQ(result.stats.c_accesses,
+            2 * result.stats.pairs_processed + result.stats.merges_effective);
+}
+
+TEST(LinkClusterer, FineModeReportsNoSweepSource) {
+  // Fine mode orders no pair list L, so the bucketed source never runs.
+  const WeightedGraph graph =
+      graph::watts_strogatz(60, 6, 0.1, {9, graph::WeightPolicy::kUniform});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    LinkClusterer::Config config;
+    config.threads = threads;
+    const ClusterResult result = LinkClusterer(config).cluster(graph);
+    ASSERT_FALSE(result.dendrogram.events().empty());
+    EXPECT_EQ(result.sweep_source.partition_ms, 0.0);
+    EXPECT_EQ(result.sweep_source.bucket_sort_ms, 0.0);
+    EXPECT_EQ(result.sweep_source.blocked_ms, 0.0);
+    EXPECT_EQ(result.sweep_source.bucket_count, 0u);
+    EXPECT_EQ(result.sweep_source.buckets_sorted, 0u);
+    EXPECT_EQ(result.sweep_source.buckets_skipped, 0u);
+  }
 }
 
 TEST(LinkClusterer, LedgerAttachedForThreadedRuns) {

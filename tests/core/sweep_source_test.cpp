@@ -287,16 +287,20 @@ TEST(SweepSource, LazyResumeMidListReproducesUninterruptedRun) {
 
   const WeightedGraph graph =
       graph::erdos_renyi(60, 0.15, {5, graph::WeightPolicy::kUniform});
+  // Coarse mode: the fine mode reads spanning forests, not this source.
   LinkClusterer::Config config;
+  config.mode = ClusterMode::kCoarse;
+  config.coarse.delta0 = 32;
+  config.coarse.phi = 2;
   const ClusterResult reference = LinkClusterer(config).cluster(graph);
 
-  // interval 0 snapshots at every entry boundary; the cap strands the last
+  // interval 0 snapshots at every chunk boundary; the cap strands the last
   // snapshot mid-list, a few buckets in, so the resume must skip the sorted
   // prefix's buckets and land inside one.
   LinkClusterer::Config writing = config;
   writing.checkpoint.directory = dir.string();
   writing.checkpoint.interval_ms = 0;
-  writing.checkpoint.max_snapshots = reference.k1 / 2;
+  writing.checkpoint.max_snapshots = 6;
   (void)LinkClusterer(writing).cluster(graph);
 
   LinkClusterer::Config resuming = config;

@@ -87,11 +87,14 @@ const SiteCase kThrowCases[] = {
     {"sim.pass1", 8, ClusterMode::kFine},
     {"build.gather", 8, ClusterMode::kFine},
     {"sweep.entry", 8, ClusterMode::kFine},
-    // sweep.bucket sits inside BucketSweepSource::sort_bucket — the
-    // production source reaches it on the caller thread (first bucket) and
-    // on the prefetch thread (later buckets, rethrown at the handoff).
-    {"sweep.bucket", 1, ClusterMode::kFine},
-    {"sweep.bucket", 8, ClusterMode::kFine},
+    // forest.prim runs once per Prim block, inline at T = 1 and on the pool
+    // workers at T = 8.
+    {"forest.prim", 1, ClusterMode::kFine},
+    {"forest.prim", 8, ClusterMode::kFine},
+    // sweep.bucket sits inside BucketSweepSource::sort_bucket, which only the
+    // coarse sweep reads — it reaches it on the caller thread (first bucket)
+    // and on the prefetch thread (later buckets, rethrown at the handoff).
+    {"sweep.bucket", 1, ClusterMode::kCoarse},
     {"sweep.bucket", 8, ClusterMode::kCoarse},
     {"coarse.chunk", 1, ClusterMode::kCoarse},
     {"coarse.apply", 1, ClusterMode::kCoarse},
@@ -174,13 +177,15 @@ TEST_F(FaultInjectionTest, BadAllocBecomesResourceExhausted) {
 TEST_F(FaultInjectionTest, SleepTripsArmedDeadline) {
   // Pass 1 stalls past the deadline; the next poll site converts the overrun
   // into kDeadlineExceeded. sim.pass1 is hit once per worker slice, so the
-  // stall is bounded.
+  // stall is bounded. The graph is built before the deadline is armed, so
+  // only the run itself races the 10 ms budget.
+  const graph::WeightedGraph& graph = test_graph();
   RunContext ctx;
   ctx.set_deadline_after(std::chrono::milliseconds{10});
   LinkClusterer::Config config = make_config(1, ClusterMode::kFine);
   config.ctx = &ctx;
   fault::arm("sim.pass1", fault::FaultKind::kSleep, 0, 50);
-  const StatusOr<ClusterResult> run = LinkClusterer(config).run(test_graph());
+  const StatusOr<ClusterResult> run = LinkClusterer(config).run(graph);
   EXPECT_GE(fault::fire_count(), 1u);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);

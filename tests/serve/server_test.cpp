@@ -37,8 +37,10 @@ graph::WeightedGraph small_graph() {
   return graph::erdos_renyi(120, 0.08, {11, graph::WeightPolicy::kUniform});
 }
 
-/// Big enough that the unpruned gather build charges well past a 2 MiB
-/// budget while the min_score-degraded rerun fits under it.
+/// Big enough that fine mode's score triangles (K2 × 8 B, about 10 MiB)
+/// charge well past a 2 MiB budget. A similarity floor does not shrink the
+/// triangles, so on the degradation ladder the min_score rung trips too and
+/// the coarse rung, whose floored map stays small, is the one that fits.
 graph::WeightedGraph budget_tripping_graph() {
   return graph::erdos_renyi(3000, 0.01, {7, graph::WeightPolicy::kUniform});
 }

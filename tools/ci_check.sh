@@ -7,7 +7,9 @@
 # runs just the concurrency suites: the lock-free union-find stress test, the
 # thread pool, the coarse/parallel determinism tests, the thread-invariance
 # suite, whose parallel similarity build has pool workers write disjoint
-# slices of the shared final arrays, the checkpoint resume
+# slices of the shared final arrays, the forest suite, whose pool workers
+# write disjoint slots of the shared score triangles and run Prim on
+# disjoint k ranges, the checkpoint resume
 # tests, which cross thread counts, the sweep-source suite, whose bucketed
 # source hands bucket sorts to a prefetch thread, the serve suite, and the
 # fault-injection suite, whose multi-thread cases throw inside pool workers
@@ -68,7 +70,7 @@ cmake --build "${build_dir}" -j "${jobs}" \
   --target core_concurrent_dsu_test parallel_thread_pool_test \
            core_coarse_test core_similarity_determinism_test \
            core_similarity_gather_test core_thread_invariance_test \
-           core_checkpoint_test \
+           core_forest_sweep_test core_checkpoint_test \
            core_sweep_source_test serve_server_test \
            integration_fault_injection_test
 echo "== thread: test (concurrency suites) =="
@@ -78,7 +80,7 @@ echo "== thread: test (concurrency suites) =="
 # the fault suite: its T = 8 cases unwind exceptions out of pool workers and
 # the bucket-prefetch thread.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|ThreadInvariance|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
+  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|ThreadInvariance|Forest|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
 
 # ---- Kill/resume smoke: crash a checkpointing run with SIGKILL, resume it,
 # and demand the dendrogram the crash interrupted. Uses the ASan binary so
@@ -117,11 +119,13 @@ smoke() {
   rm -rf "${work}"
 }
 
-# Fine: sleep after 400 entry boundaries — hundreds of snapshots are already
-# on disk by then. Coarse: the loop head commits a snapshot before each
-# coarse.chunk hit, so three skips guarantee one. Both legs kill and resume
-# bucketed lazy-sort runs — the resume lands mid-bucket and must skip the
-# sorts of every bucket before it.
+# Fine: the merge pass visits one spanning-forest pair per entry boundary
+# (about 6.6k on this graph), so sleeping after 400 parks it inside the pass
+# with hundreds of snapshots already on disk; the resume rebuilds the forest
+# and continues from the stored pair. Coarse: the loop head commits a
+# snapshot before each coarse.chunk hit, so three skips guarantee one; the
+# coarse leg kills and resumes a bucketed lazy-sort run — the resume lands
+# mid-bucket and must skip the sorts of every bucket before it.
 smoke fine  "sweep.entry:sleep:skip=400:sleep=60000"
 smoke coarse "coarse.chunk:sleep:skip=3:sleep=60000" --delta0 32
 
