@@ -10,12 +10,10 @@
 //     instrumented critical path of the T-thread run — what this exact code
 //     would achieve with T real cores (see DESIGN.md §2 substitution table).
 //
-// Sweeping-phase note: per-chunk parallelization amortizes the O(T |E|)
-// copy-merge tournament only when chunks carry >> T |E| merge work. The
-// paper's word graphs have mean degree ~1000 (K2/|E| up to 10^4), so its
-// chunks dwarf |E|; a laptop-scale corpus cannot reach that regime, so the
-// sweep panel adds a dense graph ("dense" rows, mean degree ~ |V|) that
-// reproduces the paper's chunk/|E| ratio at small scale.
+// Sweeping-phase note: the paper's word graphs have mean degree ~1000
+// (K2/|E| up to 10^4), so its chunks carry far more merge work than a
+// laptop-scale corpus gives them; the sweep panel adds a dense graph
+// ("dense" rows, mean degree ~ |V|) whose chunks come closer to that.
 #include <cstdio>
 
 #include "core/coarse.hpp"
@@ -65,7 +63,6 @@ int main(int argc, char** argv) {
   lc::Table table({"workload", "T", "init sim speedup", "init wall", "sweep sim speedup",
                    "sweep wall"});
   bool init_scales = true;
-  bool dense_sweep_scales = true;
 
   for (const auto& w : workloads) {
     const bool is_dense = w.alpha < 0;
@@ -75,7 +72,6 @@ int main(int argc, char** argv) {
     double init_serial_wall = 0.0;
     double sweep_serial_wall = 0.0;
     double prev_init_sim = 0.0;
-    double prev_sweep_sim = 0.0;
 
     for (std::size_t threads : thread_counts) {
       lc::parallel::ThreadPool pool(threads);
@@ -109,98 +105,14 @@ int main(int argc, char** argv) {
                      lc::strprintf("%.2fx", init_serial_wall / std::max(init_wall, 1e-9)),
                      lc::strprintf("%.2fx", sweep_sim),
                      lc::strprintf("%.2fx", sweep_serial_wall / std::max(sweep_wall, 1e-9))});
-      if (threads > 1) {
-        if (init_sim < prev_init_sim - 0.05) init_scales = false;
-        if (is_dense && sweep_sim < prev_sweep_sim - 0.05) dense_sweep_scales = false;
-      }
+      if (threads > 1 && init_sim < prev_init_sim - 0.05) init_scales = false;
       prev_init_sim = init_sim;
-      prev_sweep_sim = sweep_sim;
     }
   }
   table.print();
   std::printf("\nshape check: simulated init speedup grows with T: %s "
               "(paper: ~2.0 / 3.5-4.0 / 4.5-5.0 at T=2/4/6)\n",
               init_scales ? "yes" : "NO");
-  (void)dense_sweep_scales;
-
-  // ---- Sweep-panel extrapolation to the paper's workload geometry.
-  //
-  // Per-chunk parallel sweeping pays the copy-merge tournament, Theta(|E|)
-  // chain visits per copy pair, every level. Its profitability is governed by
-  // the ratio R = (chunk merge work) / |E|. The paper's graphs (|E| = 1.6M,
-  // K2 up to ~10^10, 55% of pairs processed over a few dozen levels) sit at
-  // R ~ 100; no laptop-scale graph can reach that (R <= mean degree *
-  // fraction / levels), so we extrapolate with the cost model
-  //
-  //     speedup(T) = v R / (v R / T + rounds(T) * m + 1)
-  //
-  // where v = measured chain visits per pair, m = measured tournament visits
-  // per |E| per copy-merge, rounds(T) = critical-path copy-merges of the
-  // hierarchical reduction, and the +1 is the cluster-count scan. v and m
-  // come from the dense run above, so the prediction uses this code's real
-  // constants.
-  {
-    const auto& dense = workloads.back();
-    lc::core::SimilarityMap map = lc::core::build_similarity_map(dense.graph);
-    map.sort_by_score();
-    const lc::core::EdgeIndex index(dense.graph.edge_count(),
-                                    lc::core::EdgeOrder::kShuffled, 42);
-    lc::core::CoarseOptions coarse_options;
-    coarse_options.delta0 = dense.delta0;
-    // Serial run: visits per pair.
-    lc::sim::WorkLedger serial_ledger;
-    const lc::core::CoarseResult serial_run = lc::core::coarse_sweep(
-        dense.graph, map, index, coarse_options, nullptr, &serial_ledger);
-    const double edge_count = static_cast<double>(dense.graph.edge_count());
-    const double levels = std::max<double>(1.0, static_cast<double>(serial_run.levels.size()));
-    const double count_work = levels * edge_count;
-    const double v = (static_cast<double>(serial_ledger.total_work()) - count_work) /
-                     std::max<double>(1.0, static_cast<double>(serial_run.stats.pairs_processed));
-    // T=2 run: tournament visits per |E| per copy-merge (single merge round).
-    lc::parallel::ThreadPool pool2(2);
-    lc::sim::WorkLedger t2_ledger;
-    lc::core::coarse_sweep(dense.graph, map, index, coarse_options, &pool2, &t2_ledger);
-    double tournament_visits = 0.0;
-    double tournament_rounds = 0.0;
-    for (const auto& phase : t2_ledger.phases()) {
-      for (const auto& round : phase.rounds) {
-        if (round.slot_work.size() != 1) continue;
-        // Width-1 rounds alternate: tournament fold, then cluster count
-        // (exactly |E| units). Identify folds as the non-|E| rounds.
-        const double w = static_cast<double>(round.slot_work[0]);
-        if (w != edge_count) {
-          tournament_visits += w;
-          tournament_rounds += 1.0;
-        }
-      }
-    }
-    const double m = tournament_rounds == 0.0
-                         ? 5.0
-                         : tournament_visits / (tournament_rounds * edge_count);
-
-    std::printf("\n-- sweep speedup extrapolated to the paper's chunk/|E| regime --\n");
-    std::printf("measured constants: v = %.2f visits/pair, m = %.2f visits/edge/copy-merge\n",
-                v, m);
-    lc::Table model({"chunk/|E| (R)", "T=2", "T=4", "T=6"});
-    bool model_scales = true;
-    for (double r_ratio : {25.0, 50.0, 100.0, 200.0}) {
-      auto predict = [&](double threads, double rounds) {
-        return v * r_ratio / (v * r_ratio / threads + rounds * m + 1.0);
-      };
-      // Critical-path copy-merges: T=2 -> 1; T=4 -> 2 (one parallel round +
-      // final); T=6 -> 3 (one parallel round + two serial folds).
-      const double s2 = predict(2, 1);
-      const double s4 = predict(4, 2);
-      const double s6 = predict(6, 3);
-      if (!(s2 < s4 && s4 < s6)) model_scales = false;
-      model.add_row({lc::strprintf("%.0f", r_ratio), lc::strprintf("%.2fx", s2),
-                     lc::strprintf("%.2fx", s4), lc::strprintf("%.2fx", s6)});
-    }
-    model.print();
-    std::printf("shape check: extrapolated sweep speedup grows with T at the paper's "
-                "R ~ 100: %s\n",
-                model_scales ? "yes (paper Fig. 6(2) regime)" : "NO");
-  }
 
   const std::string csv = flags.get_string("csv");
   if (!csv.empty() && !table.write_csv(csv)) return 1;

@@ -21,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "serve/signals.hpp"
 #include "text/association.hpp"
@@ -47,6 +48,14 @@ std::optional<graph::WeightedGraph> load_graph(const std::string& path, std::ost
     err << "warning: skipped " << io.lines_skipped << " malformed line(s)\n";
   }
   return loaded;
+}
+
+/// The --threads boundary: no request may ask for a pool wider than
+/// parallel::kMaxThreads.
+bool threads_in_range(std::int64_t threads, std::ostream& err) {
+  if (threads <= static_cast<std::int64_t>(parallel::kMaxThreads)) return true;
+  err << "error: --threads must be at most " << parallel::kMaxThreads << "\n";
+  return false;
 }
 
 int cmd_stats(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
@@ -109,6 +118,16 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   }
   if (flags.get_bool("resume") && flags.get_string("checkpoint-dir").empty()) {
     err << "error: --resume requires --checkpoint-dir\n";
+    return 1;
+  }
+  if (!threads_in_range(flags.get_int("threads"), err)) return 1;
+  // !(>= 1) also rejects NaN.
+  if (!(flags.get_double("gamma") >= 1.0)) {
+    err << "error: --gamma must be at least 1\n";
+    return 1;
+  }
+  if (flags.get_int("phi") < 0) {
+    err << "error: --phi must not be negative\n";
     return 1;
   }
   const auto graph = load_graph(flags.get_string("input"), err);
@@ -197,6 +216,9 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   out << "K1 = " << with_commas(result.k1) << ", K2 = " << with_commas(result.k2) << "\n";
   out << "dendrogram: " << result.dendrogram.events().size() << " merges, height "
       << result.dendrogram.height() << "\n";
+  if (result.passes > 1) {
+    out << "memory budget: " << result.passes << " passes over the score triangles\n";
+  }
   out << "initialization " << format_seconds(result.timings.initialization_seconds)
       << ", sweeping " << format_seconds(result.timings.sweeping_seconds) << "\n";
   if (result.coarse.has_value()) {
@@ -249,11 +271,6 @@ int cmd_serve(int argc, const char* const* argv, std::ostream& out, std::ostream
   flags.add_int("degrade-after", 5,
                 "consecutive snapshot failures before checkpointing gives up "
                 "(0 = never)");
-  flags.add_bool("degrade-on-oom", false,
-                 "re-run budget-tripped requests with a similarity floor, "
-                 "then coarse mode, instead of failing them");
-  flags.add_double("degrade-min-score", 0.4,
-                   "similarity floor armed by degraded attempts");
   flags.add_bool("autorecover", true,
                  "resume the interrupted run --checkpoint-dir describes "
                  "(disable with --no-autorecover)");
@@ -264,6 +281,7 @@ int cmd_serve(int argc, const char* const* argv, std::ostream& out, std::ostream
     err << "usage: linkcluster serve [--checkpoint-dir DIR] [--listen PORT] ...\n";
     return 1;
   }
+  if (!threads_in_range(flags.get_int("threads"), err)) return 1;
 
   serve::ServerOptions options;
   options.checkpoint_dir = flags.get_string("checkpoint-dir");
@@ -273,8 +291,6 @@ int cmd_serve(int argc, const char* const* argv, std::ostream& out, std::ostream
       static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("snapshot-retries")));
   options.degrade_after =
       static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("degrade-after")));
-  options.degrade_on_oom = flags.get_bool("degrade-on-oom");
-  options.degrade_min_score = flags.get_double("degrade-min-score");
   options.autorecover = flags.get_bool("autorecover");
   options.threads =
       static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("threads")));

@@ -7,6 +7,7 @@
 #include "core/dsu.hpp"
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
+#include "util/strings.hpp"
 
 namespace lc::core {
 namespace {
@@ -85,11 +86,54 @@ void prim(const graph::WeightedGraph& graph, VertexId k, const double* tri, Prim
 
 }  // namespace
 
+std::vector<VertexId> triangle_ranges(const graph::WeightedGraph& graph, std::size_t t_count,
+                                      lc::RunContext* ctx) {
+  const auto n = static_cast<VertexId>(graph.vertex_count());
+  const auto triangle_bytes = [&graph](VertexId k) -> std::uint64_t {
+    const std::uint64_t d = graph.degree(k);
+    return (d == 0 ? 0 : d * (d - 1) / 2) * sizeof(double);
+  };
+  if (ctx == nullptr || ctx->memory_budget() == 0) return {0, n};
+  std::uint64_t forest = 0;
+  std::uint64_t largest = 0;
+  for (VertexId k = 0; k < n; ++k) {
+    const std::uint64_t d = graph.degree(k);
+    forest += (d == 0 ? 0 : d - 1) * sizeof(ForestPair);
+    largest = std::max(largest, triangle_bytes(k));
+  }
+  const std::uint64_t scratch = gather_scratch_bytes(n, t_count);
+  const std::uint64_t budget = ctx->memory_budget();
+  const std::uint64_t left = budget - std::min(budget, ctx->memory_charged());
+  if (forest + largest + scratch > left) {
+    throw StoppedError(Status::resource_exhausted(strprintf(
+        "fine mode needs at least %llu bytes (forest pairs %llu + largest score triangle "
+        "%llu + gather scratch %llu) and the memory budget leaves %llu",
+        static_cast<unsigned long long>(forest + largest + scratch),
+        static_cast<unsigned long long>(forest), static_cast<unsigned long long>(largest),
+        static_cast<unsigned long long>(scratch), static_cast<unsigned long long>(left))));
+  }
+  const std::uint64_t room = left - forest - scratch;
+  std::vector<VertexId> bounds{0};
+  std::uint64_t held = 0;
+  for (VertexId k = 0; k < n; ++k) {
+    const std::uint64_t bytes = triangle_bytes(k);
+    if (held + bytes > room) {
+      bounds.push_back(k);
+      held = 0;
+    }
+    held += bytes;
+  }
+  bounds.push_back(n);
+  return bounds;
+}
+
 SpanningForest spanning_forest(const graph::WeightedGraph& graph,
-                               const ScoreTriangles& triangles, parallel::ThreadPool* pool,
-                               lc::RunContext* ctx) {
+                               std::span<const VertexId> ranges, parallel::ThreadPool* pool,
+                               sim::WorkLedger* ledger, const SimilarityMapOptions& options) {
   const std::size_t n = graph.vertex_count();
-  LC_CHECK_MSG(triangles.offset.size() == n + 1, "triangles must match the graph");
+  LC_CHECK_MSG(ranges.size() >= 2 && ranges.front() == 0 && ranges.back() == n,
+               "the k-ranges must cover the vertex range");
+  lc::RunContext* const ctx = options.ctx;
   // Clique k keeps d_k − 1 tree pairs, written at base[k].
   std::vector<std::uint64_t> base(n + 1, 0);
   std::size_t max_degree = 0;
@@ -102,36 +146,45 @@ SpanningForest spanning_forest(const graph::WeightedGraph& graph,
   forest.charge = MemoryCharge(ctx, base[n] * sizeof(ForestPair), "forest.pairs");
   forest.pairs.resize(static_cast<std::size_t>(base[n]));
 
+  TriangleBuilder builder(graph, pool, ledger, options);
   const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
-  const std::vector<std::size_t> bounds =
-      parallel::balanced_split_range(n, t_count, [&graph](std::size_t k) {
-        const std::uint64_t d = graph.degree(static_cast<VertexId>(k));
-        return 1 + d * d;
-      });
   std::vector<PrimScratch> scratch(t_count);
   for (PrimScratch& s : scratch) {
     s.best.resize(max_degree);
     s.link.resize(max_degree);
     s.outside.resize(max_degree);
   }
-  const auto block = [&](std::size_t t) {
-    fault::maybe_fire("forest.prim");
-    PollTicker ticker(ctx);
-    for (std::size_t k = bounds[t]; k < bounds[t + 1]; ++k) {
-      const auto vk = static_cast<VertexId>(k);
-      const std::uint64_t d = graph.degree(vk);
-      ticker.checkpoint(1 + d * d);
-      prim(graph, vk, triangles.triangle(vk), scratch[t], forest.pairs.data() + base[k]);
+  for (std::size_t r = 0; r + 1 < ranges.size(); ++r) {
+    const VertexId first = ranges[r];
+    const ScoreTriangles triangles = builder.build(first, ranges[r + 1]);
+    if (r == 0) {
+      forest.key_count = triangles.key_count;
+      forest.incident_pairs = triangles.incident_pairs;
     }
-  };
-  if (pool == nullptr) {
-    block(0);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < t_count; ++t) tasks.push_back([&block, t] { block(t); });
-    pool->run_batch(tasks);
-  }
-  check_stop(ctx);
+    const std::vector<std::size_t> bounds =
+        parallel::balanced_split_range(ranges[r + 1] - first, t_count, [&](std::size_t i) {
+          const std::uint64_t d = graph.degree(static_cast<VertexId>(first + i));
+          return 1 + d * d;
+        });
+    const auto block = [&](std::size_t t) {
+      fault::maybe_fire("forest.prim");
+      PollTicker ticker(ctx);
+      for (std::size_t k = first + bounds[t]; k < first + bounds[t + 1]; ++k) {
+        const auto vk = static_cast<VertexId>(k);
+        const std::uint64_t d = graph.degree(vk);
+        ticker.checkpoint(1 + d * d);
+        prim(graph, vk, triangles.triangle(vk), scratch[t], forest.pairs.data() + base[k]);
+      }
+    };
+    if (pool == nullptr) {
+      block(0);
+    } else {
+      std::vector<std::function<void()>> tasks;
+      for (std::size_t t = 0; t < t_count; ++t) tasks.push_back([&block, t] { block(t); });
+      pool->run_batch(tasks);
+    }
+    check_stop(ctx);
+  }  // each range's triangles are freed before the next range is built
   std::sort(forest.pairs.begin(), forest.pairs.end(), sweep_order);
   return forest;
 }

@@ -18,11 +18,13 @@
 //
 // spanning_forest() runs a dense Prim per k over the ScoreTriangles on the
 // pool and sorts the survivors into the sweep order; forest_sweep() is the
-// serial merge pass that emits the dendrogram.
+// serial merge pass that emits the dendrogram. Under a memory budget the
+// triangles are built one k-range at a time (triangle_ranges()).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/edge_index.hpp"
@@ -30,6 +32,7 @@
 #include "core/sweep.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/work_ledger.hpp"
 #include "util/run_context.hpp"
 
 namespace lc::core {
@@ -60,18 +63,36 @@ struct ForestPair {
 struct SpanningForest {
   /// Σ_k max(d_k − 1, 0) pairs in sweep_order.
   std::vector<ForestPair, DefaultInitAllocator<ForestPair>> pairs;
-  MemoryCharge charge;  ///< the pairs, charged before allocation
+  MemoryCharge charge;               ///< the pairs, charged before allocation
+  std::uint64_t key_count = 0;       ///< K1 at or above the build's min_score
+  std::uint64_t incident_pairs = 0;  ///< K2 of those keys
 };
 
-/// Prim per k over `triangles` (built for `graph`), one contiguous k range
-/// per pool thread balanced by d_k², then one sort of the survivors. Each k
-/// writes its d_k − 1 tree pairs at a prefix-sum offset, so the forest is the
-/// same at every thread count. `ctx` (optional) is polled per k and charged
-/// for the pairs.
+/// The fewest contiguous k-ranges, as bounds 0 = b_0, ..., b_P = n, whose
+/// score triangles (Σ_{k∈R} C(d_k, 2) × 8 B each) fit in what the memory
+/// budget of `ctx` leaves once the forest pairs and the gather scratch of
+/// T = `t_count` blocks are charged: a greedy packing over k. One range
+/// without a context or a budget, or when every triangle fits at once.
+/// Throws StoppedError (kResourceExhausted), naming the bytes needed, when
+/// the forest, the largest single triangle and the scratch exceed what the
+/// budget leaves — before anything is allocated.
+[[nodiscard]] std::vector<graph::VertexId> triangle_ranges(const graph::WeightedGraph& graph,
+                                                           std::size_t t_count,
+                                                           lc::RunContext* ctx);
+
+/// Charges and sizes the forest pairs, then for each k-range
+/// [ranges[r], ranges[r + 1]): a TriangleBuilder pass fills the range's
+/// triangles, Prim runs per k of the range (one contiguous sub-range per
+/// pool thread, balanced by d_k²), and the triangles are freed. One sort of
+/// the survivors follows. Each k writes its d_k − 1 tree pairs at a
+/// prefix-sum offset, so the forest is the same at every thread count and
+/// for every choice of ranges. `options` is the build's (ctx, measure,
+/// min_score for K1/K2); its ctx is polled per k.
 [[nodiscard]] SpanningForest spanning_forest(const graph::WeightedGraph& graph,
-                                             const ScoreTriangles& triangles,
+                                             std::span<const graph::VertexId> ranges,
                                              parallel::ThreadPool* pool = nullptr,
-                                             lc::RunContext* ctx = nullptr);
+                                             sim::WorkLedger* ledger = nullptr,
+                                             const SimilarityMapOptions& options = {});
 
 /// The merge pass: visits `forest` head to tail, stops at the first pair
 /// below `min_similarity`, and unites each pair's two clusters in a MinDsu

@@ -14,7 +14,8 @@ namespace lc::core {
 LinkClusterer::LinkClusterer() : LinkClusterer(Config{}) {}
 
 LinkClusterer::LinkClusterer(Config config) : config_(std::move(config)) {
-  LC_CHECK_MSG(config_.threads >= 1, "threads must be at least 1");
+  LC_CHECK_MSG(config_.threads >= 1 && config_.threads <= parallel::kMaxThreads,
+               "threads must be at least 1 and at most parallel::kMaxThreads");
 }
 
 RunFingerprint LinkClusterer::fingerprint(const graph::WeightedGraph& graph,
@@ -84,15 +85,14 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
 
   Stopwatch watch;
   if (config_.mode == ClusterMode::kFine) {
-    SpanningForest forest;
-    {
-      ScoreTriangles triangles =
-          build_score_triangles(graph, pool.get(), config_.ledger, map_options);
-      check_stop(config_.ctx);
-      result.k1 = static_cast<std::size_t>(triangles.key_count);
-      result.k2 = triangles.incident_pairs;
-      forest = spanning_forest(graph, triangles, pool.get(), config_.ctx);
-    }  // the triangles (K2 scores) are freed before the merge pass
+    // A memory budget only adds passes: the forest does not depend on them.
+    const std::vector<graph::VertexId> ranges =
+        triangle_ranges(graph, config_.threads, config_.ctx);
+    result.passes = static_cast<std::uint32_t>(ranges.size() - 1);
+    const SpanningForest forest =
+        spanning_forest(graph, ranges, pool.get(), config_.ledger, map_options);
+    result.k1 = static_cast<std::size_t>(forest.key_count);
+    result.k2 = forest.incident_pairs;
     result.timings.initialization_seconds = watch.lap();
     const FineCheckpoint* fine_resume = nullptr;
     if (loaded.has_value()) {

@@ -73,6 +73,7 @@ struct ClusterResult {
   ClusterTimings timings;
   std::size_t k1 = 0;                 ///< keys (vertex pairs) at or above the floor
   std::uint64_t k2 = 0;               ///< their incident edge pairs
+  std::uint32_t passes = 1;          ///< fine: k-ranges of score triangles built
   SweepSourceStats sweep_source;      ///< coarse mode's bucketed L; all zero in fine
   std::optional<CoarseResult> coarse; ///< populated in coarse mode
   std::optional<CheckpointRunStats> ckpt;  ///< populated when checkpointing ran
@@ -89,12 +90,13 @@ class LinkClusterer {
     SimilarityMeasure measure = SimilarityMeasure::kTanimoto;
     /// Similarity floor. Fine mode stops the merge pass at the first pair
     /// below it (the dendrogram simply ends at the threshold) and counts
-    /// K1/K2 at or above it; its triangles still hold every score. Coarse
-    /// mode arms the build's exact min_score filter so the pairs of keys
-    /// below it are never materialized — the memory-degradation ladder
-    /// (serve --degrade-on-oom, DESIGN.md §14) saves memory only there.
-    /// Part of the checkpoint fingerprint: a thresholded run is a different
-    /// run. Default -inf keeps historical digests and snapshots unchanged.
+    /// K1/K2 at or above it; its triangles still hold every score, so the
+    /// floor saves it no memory (a budget splits the triangles into passes
+    /// instead, DESIGN.md §16). Coarse mode arms the build's exact
+    /// min_score filter so the pairs of keys below it are never
+    /// materialized. Part of the checkpoint fingerprint: a thresholded run
+    /// is a different run. Default -inf keeps historical digests and
+    /// snapshots unchanged.
     double min_similarity = -std::numeric_limits<double>::infinity();
     sim::WorkLedger* ledger = nullptr;  ///< optional work accounting (not owned)
     /// Optional cooperative run control (not owned): cancellation, deadline,

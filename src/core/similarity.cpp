@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -110,12 +112,15 @@ void run_blocks(parallel::ThreadPool* pool, sim::WorkLedger* ledger, const char*
 // there is no hashing and no key sort, and the output is bitwise-identical
 // at every thread count.
 
-/// Calls visit(p, row_k, first) for every neighbor k = row_u[p] of u, where
-/// row_k[first..] are the wedge ends v > u and u itself sits at first - 1.
+/// Calls visit(p, row_k, first) for every neighbor k = row_u[p] of u with p
+/// in [p_begin, p_end) (all of row u by default), where row_k[first..] are
+/// the wedge ends v > u and u itself sits at first - 1.
 template <typename Visit>
-void for_each_wedge_row(const WeightedGraph& graph, VertexId u, Visit visit) {
+void for_each_wedge_row(const WeightedGraph& graph, VertexId u, Visit visit,
+                        std::size_t p_begin = 0,
+                        std::size_t p_end = std::numeric_limits<std::size_t>::max()) {
   const std::span<const VertexId> row_u = graph.neighbors(u);
-  for (std::size_t p = 0; p < row_u.size(); ++p) {
+  for (std::size_t p = p_begin; p < std::min(p_end, row_u.size()); ++p) {
     const std::span<const VertexId> row_k = graph.neighbors(row_u[p]);
     visit(p, row_k,
           static_cast<std::size_t>(std::upper_bound(row_k.begin(), row_k.end(), u) -
@@ -138,14 +143,6 @@ struct GatherScratch {
   std::vector<VertexId> cand;  ///< distinct candidates v of the current u
   std::vector<std::uint64_t> cand_bits;  ///< scratch bitmap over v (see gather_vertex)
 
-  /// Heap bytes of the arrays sized for an n-vertex graph, `cand_cap`
-  /// candidates at most.
-  static std::uint64_t bytes(std::size_t n, std::size_t cand_cap) {
-    return static_cast<std::uint64_t>(n) *
-               (2 * sizeof(std::uint32_t) + sizeof(double) + sizeof(std::uint64_t)) +
-           static_cast<std::uint64_t>(cand_cap) * sizeof(VertexId) +
-           (static_cast<std::uint64_t>(n) + 63) / 64 * sizeof(std::uint64_t);
-  }
 };
 
 /// Read-only inputs shared by every gather worker.
@@ -255,18 +252,24 @@ void fill_vertex(const WeightedGraph& graph, VertexId u, GatherScratch& s, EdgeP
 }
 
 /// Triangle walk 2: writes the score of every key (u, v) that the sink left
-/// in acc[v] into the triangle of each common neighbor k, at slot
-/// (first - 1, q) — u's and v's positions in row k. For one k those slots
-/// are one contiguous run of row first - 1.
+/// in acc[v] into the triangle of each common neighbor k in [out.first,
+/// out.last), at slot (first - 1, q) — u's and v's positions in row k. Row u
+/// is sorted, so those k are one contiguous run of it, and for one k the
+/// slots are one contiguous run of row first - 1.
 void fill_triangles(const WeightedGraph& graph, VertexId u, const GatherScratch& s,
                     ScoreTriangles& out) {
   const std::span<const VertexId> row_u = graph.neighbors(u);
-  for_each_wedge_row(graph, u, [&](std::size_t p, std::span<const VertexId> row_k,
-                                   std::size_t first) {
-    double* const run = out.scores.data() + out.offset[row_u[p]] +
-                        ScoreTriangles::slot(first - 1, first, row_k.size());
-    for (std::size_t q = first; q < row_k.size(); ++q) run[q - first] = s.acc[row_k[q]];
-  });
+  const auto begin = std::lower_bound(row_u.begin(), row_u.end(), out.first);
+  const auto end = std::lower_bound(begin, row_u.end(), out.last);
+  for_each_wedge_row(
+      graph, u,
+      [&](std::size_t p, std::span<const VertexId> row_k, std::size_t first) {
+        double* const run = out.scores.data() + out.offset[row_u[p] - out.first] +
+                            ScoreTriangles::slot(first - 1, first, row_k.size());
+        for (std::size_t q = first; q < row_k.size(); ++q) run[q - first] = s.acc[row_k[q]];
+      },
+      static_cast<std::size_t>(begin - row_u.begin()),
+      static_cast<std::size_t>(end - row_u.begin()));
 }
 
 /// Pass 1, the wedge counts, the block bounds and the per-worker scratch:
@@ -299,9 +302,9 @@ GatherPlan plan_gather(const WeightedGraph& graph, const SimilarityMapOptions& o
   check_stop(ctx);
   if (options.stats != nullptr) options.stats->pass1_ms = watch.lap() * 1e3;
 
-  // The wedge counts drive the contiguous block balance, bound each map
-  // block's staged entries so they are reserved up front and the workers
-  // stay allocation-free, and bound the candidate list.
+  // The wedge counts drive the contiguous block balance and bound each map
+  // block's staged entries, so they are reserved up front and the workers
+  // stay allocation-free.
   plan.wedges.assign(n, 0);
   run_blocks(pool, ledger, "init.pass2.wedges", [&](std::size_t t) {
     PollTicker ticker(ctx);
@@ -321,20 +324,16 @@ GatherPlan plan_gather(const WeightedGraph& graph, const SimilarityMapOptions& o
   check_stop(ctx);
   plan.bounds = parallel::balanced_split_range(
       n, t_count, [&plan](std::size_t u) { return 1 + plan.wedges[u]; });
-  const std::uint64_t max_wedge =
-      n == 0 ? 0 : *std::max_element(plan.wedges.begin(), plan.wedges.end());
 
-  const std::size_t cand_cap =
-      static_cast<std::size_t>(std::min<std::uint64_t>(max_wedge, n));
-  plan.scratch_charge = MemoryCharge(ctx, t_count * GatherScratch::bytes(n, cand_cap),
-                                     "sim.gather.scratch");
+  plan.scratch_charge =
+      MemoryCharge(ctx, gather_scratch_bytes(n, t_count), "sim.gather.scratch");
   plan.scratch.resize(t_count);
   for (GatherScratch& s : plan.scratch) {
     s.mark.assign(n, 0);
     s.ccount.resize(n);
     s.acc.resize(n);
     s.cursor.resize(n);
-    s.cand.reserve(cand_cap);
+    s.cand.reserve(n);  // the candidates of u are distinct vertices
     s.cand_bits.assign((n + 63) / 64, 0);
   }
   return plan;
@@ -457,41 +456,66 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
   return out;
 }
 
-/// The triangle build: sized and charged from degrees before any pass runs,
-/// then one gather phase per block — walk 1 and scoring leave each key's
-/// score in acc[v], and walk 2 writes it into the triangle of every common
-/// neighbor at once. Slot (i, j) of triangle k belongs to the key
-/// (row_k[i], row_k[j]), which only row_k[i]'s block scores, so the blocks
-/// write disjoint slots and every slot exactly once.
-ScoreTriangles build_triangles(const WeightedGraph& graph, const SimilarityMapOptions& options,
-                               parallel::ThreadPool* pool, sim::WorkLedger* ledger) {
-  const std::size_t n = graph.vertex_count();
-  RunContext* ctx = options.ctx;
-  check_stop(ctx);
+}  // namespace
+
+/// The gather state every pass of a triangle build reuses.
+struct TriangleBuilder::State {
+  const WeightedGraph& graph;
+  parallel::ThreadPool* pool;
+  sim::WorkLedger* ledger;
+  SimilarityMapOptions options;
+  GatherPlan plan;
+};
+
+TriangleBuilder::TriangleBuilder(const WeightedGraph& graph, parallel::ThreadPool* pool,
+                                 sim::WorkLedger* ledger,
+                                 const SimilarityMapOptions& options) {
+  check_stop(options.ctx);
   Stopwatch watch;
+  state_ = std::make_unique<State>(
+      State{graph, pool, ledger, options, plan_gather(graph, options, pool, ledger, watch)});
+}
+
+TriangleBuilder::~TriangleBuilder() = default;
+
+/// One pass: sized and charged from degrees before it runs, then one gather
+/// phase per block — walk 1 and scoring leave each key's score in acc[v],
+/// and walk 2 writes it into the range's triangles of its common neighbors
+/// at once. Slot (i, j) of triangle k belongs to the key (row_k[i],
+/// row_k[j]), which only row_k[i]'s block scores, so the blocks write
+/// disjoint slots and every slot exactly once.
+ScoreTriangles TriangleBuilder::build(VertexId first, VertexId last) {
+  State& state = *state_;
+  const WeightedGraph& graph = state.graph;
+  const SimilarityMapOptions& options = state.options;
+  LC_CHECK_MSG(first <= last && last <= graph.vertex_count(), "k-range out of bounds");
 
   ScoreTriangles out;
-  out.offset.assign(n + 1, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint64_t d = graph.degree(static_cast<VertexId>(k));
-    out.offset[k + 1] = out.offset[k] + (d == 0 ? 0 : d * (d - 1) / 2);
+  out.first = first;
+  out.last = last;
+  out.offset.assign(last - first + 1, 0);
+  for (VertexId k = first; k < last; ++k) {
+    const std::uint64_t d = graph.degree(k);
+    out.offset[k - first + 1] = out.offset[k - first] + (d == 0 ? 0 : d * (d - 1) / 2);
   }
-  const std::uint64_t bytes = out.offset[n] * sizeof(double);
+  const std::uint64_t bytes = out.offset.back() * sizeof(double);
   const std::string site = "sim.triangles (" + std::to_string(bytes) + " bytes)";
-  out.charge = MemoryCharge(ctx, bytes, site.c_str());
+  out.charge = MemoryCharge(options.ctx, bytes, site.c_str());
+  out.scores.resize(static_cast<std::size_t>(out.offset.back()));
 
-  GatherPlan plan = plan_gather(graph, options, pool, ledger, watch);
-  out.scores.resize(static_cast<std::size_t>(out.offset[n]));
+  GatherPlan& plan = state.plan;
+  // Walk 1 recognises a live candidate by its epoch u+1, which an earlier
+  // pass left on every candidate of u: clear them.
+  for (GatherScratch& s : plan.scratch) std::fill(s.mark.begin(), s.mark.end(), 0);
   const GatherJob job{graph, plan.h1, plan.h2, options.measure};
   struct Counts {
     std::uint64_t keys = 0;
     std::uint64_t pairs = 0;
-    std::uint64_t pairs_exact = 0;
   };
   std::vector<Counts> counts(plan.scratch.size());
-  run_blocks(pool, ledger, "init.pass2.gather", [&](std::size_t t) {
+  run_blocks(state.pool, state.ledger, "init.pass2.gather", [&](std::size_t t) {
     fault::maybe_fire("build.gather");
-    PollTicker ticker(ctx);
+    PollTicker ticker(options.ctx);
     GatherScratch& s = plan.scratch[t];
     Counts count;  // local: the blocks' slots share cache lines
     std::uint64_t work = 0;
@@ -500,7 +524,6 @@ ScoreTriangles build_triangles(const WeightedGraph& graph, const SimilarityMapOp
       const auto u = static_cast<VertexId>(ui);
       gather_vertex(job, u, s, [&](VertexId v, std::uint32_t c, double score) {
         s.acc[v] = score;
-        if (c > 1) ++count.pairs_exact;
         if (score < options.min_score) return;
         ++count.keys;
         count.pairs += c;
@@ -511,17 +534,13 @@ ScoreTriangles build_triangles(const WeightedGraph& graph, const SimilarityMapOp
     counts[t] = count;
     return work;
   });
-  check_stop(ctx);
+  check_stop(options.ctx);
   for (const Counts& count : counts) {
     out.key_count += count.keys;
     out.incident_pairs += count.pairs;
-    if (options.stats != nullptr) options.stats->pairs_exact += count.pairs_exact;
   }
-  if (options.stats != nullptr) options.stats->pass2_ms = watch.lap() * 1e3;
   return out;
 }
-
-}  // namespace
 
 void SimilarityMap::sort_by_score() {
   std::sort(entries.begin(), entries.end(), score_order);
@@ -562,10 +581,14 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
   return build(graph, options, &pool, ledger);
 }
 
-ScoreTriangles build_score_triangles(const graph::WeightedGraph& graph,
-                                     parallel::ThreadPool* pool, sim::WorkLedger* ledger,
-                                     const SimilarityMapOptions& options) {
-  return build_triangles(graph, options, pool, ledger);
+std::uint64_t gather_scratch_bytes(std::size_t n, std::size_t t_count) {
+  // mark, ccount, acc and cursor over n vertices, at most n candidates, and
+  // an n-bit bitmap.
+  const std::uint64_t per_worker =
+      static_cast<std::uint64_t>(n) * (2 * sizeof(std::uint32_t) + sizeof(double) +
+                                       sizeof(std::uint64_t) + sizeof(VertexId)) +
+      (static_cast<std::uint64_t>(n) + 63) / 64 * sizeof(std::uint64_t);
+  return t_count * per_worker;
 }
 
 double tanimoto_similarity_bruteforce(const graph::WeightedGraph& graph, graph::VertexId i,

@@ -44,9 +44,9 @@
 // entries there and walk 2 writes every pair once, straight into the final
 // arena.
 //
-// Fine mode needs no map: build_score_triangles() runs the same pass 1,
-// walk 1 and scoring, and its walk 2 writes each key's score into the
-// triangle of every common neighbor k (ScoreTriangles), from which
+// Fine mode needs no map: TriangleBuilder runs the same pass 1, walk 1 and
+// scoring, and its walk 2 writes each key's score into the triangle of every
+// common neighbor k in one k-range (ScoreTriangles), from which
 // core/forest.hpp keeps one maximum spanning forest per k (DESIGN.md §16).
 #pragma once
 
@@ -132,7 +132,7 @@ enum class SimilarityMeasure {
   kJaccard,
 };
 
-/// Sub-phase timings and a gather counter, filled by the builds when
+/// Sub-phase timings and a gather counter, filled by the map builds when
 /// SimilarityMapOptions::stats is set. Timings partition the build:
 ///   pass1_ms: the H1/H2 norm pass.
 ///   pass2_ms: the wedge counts, walk 1 and scoring (with the fused pass-3
@@ -231,20 +231,29 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
                                             sim::WorkLedger* ledger = nullptr,
                                             const SimilarityMapOptions& options = {});
 
-/// Fine mode's score store: one strict upper triangle per vertex k holding
-/// the score of every incident pair around k. Row k of the graph is sorted,
-/// so positions i < j in it name the pair (e_uk, e_vk) with
-/// u = row_k[i] < v = row_k[j], and its score sits at
-/// scores[offset[k] + slot(i, j, d_k)]. Row i of a triangle holds the pairs
-/// (i, j), j > i, contiguously: that is exactly what walk 2 writes for one
-/// (u, k), so its writes run sequentially instead of striding across rows.
-/// Sized from degrees alone — Σ_k C(d_k, 2) == K2 slots, left unwritten by
-/// the allocation — and every slot is written once, by walk 2 of u's block.
+/// Heap bytes of the per-worker gather scratch a build on T = `t_count`
+/// blocks charges for an n-vertex graph: T sets of n-sized arrays.
+[[nodiscard]] std::uint64_t gather_scratch_bytes(std::size_t n, std::size_t t_count);
+
+/// Fine mode's score store for the vertices k in [first, last): one strict
+/// upper triangle per k holding the score of every incident pair around k.
+/// Row k of the graph is sorted, so positions i < j in it name the pair
+/// (e_uk, e_vk) with u = row_k[i] < v = row_k[j], and its score sits at
+/// scores[offset[k - first] + slot(i, j, d_k)]. Row i of a triangle holds
+/// the pairs (i, j), j > i, contiguously: that is exactly what walk 2 writes
+/// for one (u, k), so its writes run sequentially instead of striding across
+/// rows. Sized from degrees alone — Σ_k C(d_k, 2) slots, K2 over the whole
+/// vertex range, left unwritten by the allocation — and every slot is
+/// written once, by walk 2 of u's block.
 struct ScoreTriangles {
-  std::vector<std::uint64_t> offset;  ///< n + 1 prefix sums of C(d_k, 2)
+  graph::VertexId first = 0;
+  graph::VertexId last = 0;
+  std::vector<std::uint64_t> offset;  ///< last - first + 1 prefix sums of C(d_k, 2)
   std::vector<double, DefaultInitAllocator<double>> scores;
-  std::uint64_t key_count = 0;       ///< K1: keys with score >= min_score
-  std::uint64_t incident_pairs = 0;  ///< K2: their incident pairs
+  /// K1 and K2 at or above min_score, over every key: each pass scores all
+  /// of them, whatever its range.
+  std::uint64_t key_count = 0;
+  std::uint64_t incident_pairs = 0;
   MemoryCharge charge;               ///< the scores, charged before allocation
 
   /// Slot of the pair at row positions i < j within the triangle of a
@@ -254,22 +263,38 @@ struct ScoreTriangles {
     return i * (2 * d - i - 1) / 2 + (j - i - 1);
   }
   [[nodiscard]] const double* triangle(graph::VertexId k) const {
-    return scores.data() + offset[k];
+    return scores.data() + offset[k - first];
   }
 };
 
 /// The fine mode's build: pass 1, walk 1 and scoring exactly as the map
-/// builds run them (the same score bits), with walk 2 writing each score into
-/// ScoreTriangles. The triangles' K2 × 8 bytes are charged to options.ctx
-/// before they are allocated; options.min_score only filters the K1/K2
-/// counts, because every slot is needed for the spanning forests. T =
-/// pool->thread_count() blocks, one without a pool; the output is the same
-/// at every T. options.stats gets pass1_ms, pass2_ms (everything after pass
-/// 1) and pairs_exact.
-ScoreTriangles build_score_triangles(const graph::WeightedGraph& graph,
-                                     parallel::ThreadPool* pool = nullptr,
-                                     sim::WorkLedger* ledger = nullptr,
-                                     const SimilarityMapOptions& options = {});
+/// builds run them (the same score bits), with walk 2 writing each score
+/// into ScoreTriangles. Construction runs pass 1 and the wedge counts and
+/// charges the gather scratch (gather_scratch_bytes) to options.ctx; each
+/// build() then runs pass 2 over every u again and fills the triangles of
+/// one k-range, so a memory budget buys more passes over the same scores.
+/// options.min_score only filters the K1/K2 counts, because every slot is
+/// needed for the spanning forests. T = pool->thread_count() blocks, one
+/// without a pool; the output is the same at every T. options.stats gets
+/// pass1_ms only.
+class TriangleBuilder {
+ public:
+  TriangleBuilder(const graph::WeightedGraph& graph, parallel::ThreadPool* pool = nullptr,
+                  sim::WorkLedger* ledger = nullptr,
+                  const SimilarityMapOptions& options = {});
+  ~TriangleBuilder();
+  TriangleBuilder(const TriangleBuilder&) = delete;
+  TriangleBuilder& operator=(const TriangleBuilder&) = delete;
+
+  /// The triangles of k in [first, last), their bytes charged to options.ctx
+  /// before they are allocated. Walk 2 of u writes only the k of row u in
+  /// the range, one contiguous sub-span of the sorted row.
+  [[nodiscard]] ScoreTriangles build(graph::VertexId first, graph::VertexId last);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// Brute-force Eq. (1) for one incident edge pair (e_ik, e_jk), building the
 /// full |V|-dimensional vectors a_i, a_j. O(|V|) per call; tests only.

@@ -26,6 +26,10 @@
 
 namespace lc::parallel {
 
+/// The widest pool a request from outside (a CLI flag, a serve run line) may
+/// ask for; those boundaries reject wider requests before any pool exists.
+inline constexpr std::size_t kMaxThreads = 256;
+
 class ThreadPool {
  public:
   /// Spawns `thread_count` workers (>= 1).

@@ -16,9 +16,6 @@
 namespace lc::serve {
 namespace {
 
-constexpr std::uint32_t kMaxAttemptsFine = 3;    // direct, min_score, coarse
-constexpr std::uint32_t kMaxAttemptsCoarse = 2;  // direct, min_score
-
 /// Doubles round-trip through the manifest as bit patterns: decimal text
 /// would perturb the checkpoint fingerprint and refuse every resume.
 std::string f64_hex(double value) {
@@ -278,100 +275,65 @@ void RunSupervisor::worker(RunSpec spec, std::uint64_t run_id) {
   report.id = run_id;
   report.state = RunState::kRunning;
 
-  const std::uint32_t max_attempts =
-      spec.degrade_on_oom
-          ? (spec.config.mode == core::ClusterMode::kFine ? kMaxAttemptsFine
-                                                          : kMaxAttemptsCoarse)
-          : 1;
   const bool checkpointing = spec.config.checkpoint.enabled();
   const std::string manifest =
       checkpointing ? manifest_path(spec.config.checkpoint.directory) : "";
-
-  std::shared_ptr<const core::ClusterResult> success;
-  Status last_status;
-  for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    core::LinkClusterer::Config config = spec.config;
-    if (attempt >= 2) {
-      // Degradation ladder: arm the similarity floor (the coarse build's
-      // pruning keeps pairs below it from ever being materialized; fine
-      // mode's score triangles do not shrink under it), then fall back
-      // to the coarse machine. A degraded attempt is a different run with a
-      // different fingerprint — never resume the original's snapshot into it.
-      config.min_similarity = std::max(config.min_similarity, spec.degrade_min_score);
-      config.resume = false;
-      if (attempt >= 3) config.mode = core::ClusterMode::kCoarse;
+  if (checkpointing && !spec.graph_path.empty()) {
+    // Persist the manifest the startup autorecovery replays; failure to
+    // write it must not fail the run. The checkpointer only creates its
+    // directory on the first snapshot, which lands after this write — make
+    // it exist now.
+    std::error_code ec;
+    std::filesystem::create_directories(spec.config.checkpoint.directory, ec);
+    RunManifest m;
+    m.fingerprint = core::LinkClusterer::fingerprint(*spec.graph, spec.config);
+    m.threads = spec.config.threads;
+    m.graph_path = spec.graph_path;
+    m.merges_path = spec.merges_path;
+    try {
+      fault::maybe_fire("serve.manifest.write");
+      (void)m.write(manifest);
+    } catch (const std::exception&) {
+      // Swallowed by design: losing the manifest only costs autorecovery
+      // of this run, never the run itself.
     }
-    report.attempts = attempt;
-    report.degrade_action =
-        attempt == 1 ? "" : (attempt == 2 ? "min_score" : "coarse");
-
-    if (checkpointing && !spec.graph_path.empty()) {
-      // Persist (or refresh, per attempt) the manifest the startup
-      // autorecovery replays; failure to write it must not fail the run.
-      // The checkpointer only creates its directory on the first snapshot,
-      // which lands after this write — make it exist now.
-      std::error_code ec;
-      std::filesystem::create_directories(spec.config.checkpoint.directory, ec);
-      RunManifest m;
-      m.fingerprint = core::LinkClusterer::fingerprint(*spec.graph, config);
-      m.threads = spec.config.threads;
-      m.graph_path = spec.graph_path;
-      m.merges_path = spec.merges_path;
-      try {
-        fault::maybe_fire("serve.manifest.write");
-        (void)m.write(manifest);
-      } catch (const std::exception&) {
-        // Swallowed by design: losing the manifest only costs autorecovery
-        // of this run, never the run itself.
-      }
-    }
-
-    auto ctx = std::make_shared<RunContext>();
-    if (spec.deadline_ms >= 0) {
-      ctx->set_deadline_after(std::chrono::milliseconds(spec.deadline_ms));
-    }
-    if (spec.max_memory_mb > 0) {
-      ctx->set_memory_budget(spec.max_memory_mb * 1024 * 1024);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ctx_ = ctx;
-      if (cancel_requested_) ctx->request_cancel("cancelled by the supervisor");
-      report_ = report;
-    }
-    config.ctx = ctx.get();
-
-    StatusOr<core::ClusterResult> run = core::LinkClusterer(config).run(*spec.graph);
-    report.memory_peak = std::max(report.memory_peak, ctx->memory_peak());
-    if (run.ok()) {
-      auto result = std::make_shared<core::ClusterResult>(std::move(run).value());
-      if (result->ckpt.has_value()) {
-        report.checkpoint_failures = result->ckpt->write_failures;
-        report.checkpoint_retries = result->ckpt->retries_used;
-        report.checkpoint_degraded = result->ckpt->degraded;
-      }
-      report.events = result->dendrogram.events().size();
-      report.height = result->dendrogram.height();
-      report.state = attempt == 1 ? RunState::kDone : RunState::kDegraded;
-      success = std::move(result);
-      break;
-    }
-    last_status = run.status();
-    if (last_status.code() == StatusCode::kCancelled) {
-      report.state = RunState::kCancelled;
-      break;
-    }
-    if (attempt < max_attempts && status_is_degradable(last_status.code())) {
-      continue;  // next rung of the ladder
-    }
-    report.state = RunState::kFailed;
-    break;
   }
-  if (report.state == RunState::kRunning) report.state = RunState::kFailed;
-  report.status = (report.state == RunState::kDone ||
-                   report.state == RunState::kDegraded)
-                      ? Status()
-                      : last_status;
+
+  auto ctx = std::make_shared<RunContext>();
+  if (spec.deadline_ms >= 0) {
+    ctx->set_deadline_after(std::chrono::milliseconds(spec.deadline_ms));
+  }
+  if (spec.max_memory_mb > 0) {
+    ctx->set_memory_budget(spec.max_memory_mb * 1024 * 1024);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ctx_ = ctx;
+    if (cancel_requested_) ctx->request_cancel("cancelled by the supervisor");
+    report_ = report;
+  }
+  spec.config.ctx = ctx.get();
+
+  StatusOr<core::ClusterResult> run = core::LinkClusterer(spec.config).run(*spec.graph);
+  report.memory_peak = ctx->memory_peak();
+  std::shared_ptr<const core::ClusterResult> success;
+  if (run.ok()) {
+    auto result = std::make_shared<core::ClusterResult>(std::move(run).value());
+    if (result->ckpt.has_value()) {
+      report.checkpoint_failures = result->ckpt->write_failures;
+      report.checkpoint_retries = result->ckpt->retries_used;
+      report.checkpoint_degraded = result->ckpt->degraded;
+    }
+    report.passes = result->passes;
+    report.events = result->dendrogram.events().size();
+    report.height = result->dendrogram.height();
+    report.state = RunState::kDone;
+    success = std::move(result);
+  } else {
+    report.status = run.status();
+    report.state = report.status.code() == StatusCode::kCancelled ? RunState::kCancelled
+                                                                   : RunState::kFailed;
+  }
   report.elapsed_seconds = elapsed.seconds();
 
   if (success != nullptr) {

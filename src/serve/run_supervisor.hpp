@@ -4,19 +4,11 @@
 // The supervisor owns the thread, the RunContext (deadline + memory budget +
 // cancel), and the containment boundary: whatever the run does — throw, trip
 // a budget, get cancelled — the worker converts it into a RunReport and the
-// owning server stays alive. On a memory-budget or deadline trip with
-// degradation enabled it walks a two-step ladder before giving up:
-//
-//   attempt 1  the request as submitted
-//   attempt 2  same mode, min_similarity armed at `degrade_min_score`
-//              (the gather build prunes pairs below it — peak memory drops
-//              with the pair count; DESIGN.md §12)
-//   attempt 3  coarse mode with the same floor (fine requests only; the
-//              coarse machine's chunked levels are the cheaper dendrogram)
-//
-// A run that completes on attempt ≥ 2 reports kDegraded: the caller gets a
-// real dendrogram plus the honest label that it is not the one they asked
-// for. Cancellation is never retried — the ladder only chases budgets.
+// owning server stays alive. A run is attempted once, exactly as submitted.
+// A memory budget never changes the answer: fine mode meets it with more
+// passes over its score triangles (RunReport::passes, DESIGN.md §16), and a
+// budget too small for even one pass fails the run with kResourceExhausted
+// and the bytes it needed.
 //
 // When the spec carries a checkpoint directory and a graph path, launch()
 // persists a run manifest (atomic tmp → rename) next to the snapshot; the
@@ -42,7 +34,7 @@ enum class RunState : std::uint8_t {
   kIdle = 0,   ///< nothing launched yet
   kRunning,
   kDone,       ///< finished exactly as requested
-  kDegraded,   ///< finished, but on a degraded attempt (see RunReport)
+  kDegraded,   ///< finished, but writing the merge list failed (see RunReport)
   kCancelled,  ///< stopped by cancel() / a signal
   kFailed,     ///< terminal error; see RunReport::status
 };
@@ -55,10 +47,8 @@ enum class RunState : std::uint8_t {
 struct RunSpec {
   core::LinkClusterer::Config config;
   std::shared_ptr<const graph::WeightedGraph> graph;
-  std::int64_t deadline_ms = -1;      ///< per-attempt deadline (<0 = none)
+  std::int64_t deadline_ms = -1;      ///< run deadline (<0 = none)
   std::uint64_t max_memory_mb = 0;    ///< memory budget (0 = none)
-  bool degrade_on_oom = false;        ///< walk the degradation ladder
-  double degrade_min_score = 0.4;     ///< floor armed by attempts ≥ 2
   std::string merges_path;            ///< write the merge list here on success
   std::string graph_path;             ///< recorded in the manifest (autorecovery)
 };
@@ -68,8 +58,7 @@ struct RunReport {
   std::uint64_t id = 0;                    ///< 0 = nothing launched yet
   RunState state = RunState::kIdle;
   Status status;                           ///< terminal status (kFailed/kCancelled)
-  std::uint32_t attempts = 0;              ///< ladder attempts consumed
-  std::string degrade_action;              ///< "" | "min_score" | "coarse"
+  std::uint32_t passes = 0;                ///< ClusterResult::passes (on success)
   double elapsed_seconds = 0.0;
   std::uint64_t events = 0;                ///< dendrogram merges (on success)
   std::uint32_t height = 0;
@@ -101,7 +90,7 @@ class RunSupervisor {
   /// (0 = wait forever). True when no run is in flight on return.
   bool wait(std::uint64_t timeout_ms = 0);
 
-  /// The last successful (done or degraded) result; null before one exists.
+  /// The last finished (done or degraded) result; null before one exists.
   /// The pointer stays valid across later runs.
   [[nodiscard]] std::shared_ptr<const core::ClusterResult> result() const;
 
@@ -123,7 +112,7 @@ class RunSupervisor {
   RunReport report_;              ///< guarded by mutex_
   std::shared_ptr<const core::ClusterResult> result_;  ///< guarded by mutex_
   std::shared_ptr<RunContext> ctx_;                    ///< guarded by mutex_
-  bool cancel_requested_ = false;  ///< latched across ladder attempts
+  bool cancel_requested_ = false;  ///< latched until the worker installs ctx_
   std::uint64_t next_id_ = 1;
   std::uint64_t runs_total_ = 0;
   std::uint64_t runs_failed_ = 0;

@@ -22,6 +22,7 @@
 
 #include "core/checkpoint.hpp"
 #include "graph/io.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/signals.hpp"
 #include "util/fault_inject.hpp"
 #include "util/strings.hpp"
@@ -74,10 +75,7 @@ std::string Server::report_line(const RunReport& report) const {
   std::string line = "ok run=" + std::to_string(report.id);
   line += " state=";
   line += run_state_name(report.state);
-  line += " attempts=" + std::to_string(report.attempts);
-  if (!report.degrade_action.empty()) {
-    line += " degrade_action=" + report.degrade_action;
-  }
+  line += " passes=" + std::to_string(report.passes);
   line += " elapsed_ms=" +
           std::to_string(static_cast<std::uint64_t>(report.elapsed_seconds * 1e3));
   if (report.state == RunState::kDone || report.state == RunState::kDegraded) {
@@ -133,8 +131,6 @@ std::string Server::cmd_run(const Request& request) {
   spec.graph = graph_;
   spec.graph_path = graph_path_;
   spec.merges_path = request.get("merges");
-  spec.degrade_on_oom = options_.degrade_on_oom;
-  spec.degrade_min_score = options_.degrade_min_score;
 
   core::LinkClusterer::Config& config = spec.config;
   const std::string mode = request.get("mode", "fine");
@@ -149,7 +145,10 @@ std::string Server::cmd_run(const Request& request) {
   double f64 = 0.0;
   config.threads = options_.threads;
   if (request.has("threads")) {
-    if (!parse_i64(request.get("threads"), &i64) || i64 < 1) return bad_arg("threads");
+    if (!parse_i64(request.get("threads"), &i64) || i64 < 1 ||
+        static_cast<std::uint64_t>(i64) > parallel::kMaxThreads) {
+      return bad_arg("threads");
+    }
     config.threads = static_cast<std::size_t>(i64);
   }
   if (request.has("seed")) {
@@ -157,7 +156,8 @@ std::string Server::cmd_run(const Request& request) {
     config.seed = static_cast<std::uint64_t>(i64);
   }
   if (request.has("gamma")) {
-    if (!parse_f64(request.get("gamma"), &f64)) return bad_arg("gamma");
+    // !(>= 1) also rejects NaN.
+    if (!parse_f64(request.get("gamma"), &f64) || !(f64 >= 1.0)) return bad_arg("gamma");
     config.coarse.gamma = f64;
   }
   if (request.has("phi")) {
@@ -181,9 +181,6 @@ std::string Server::cmd_run(const Request& request) {
       return bad_arg("max_memory_mb");
     }
     spec.max_memory_mb = static_cast<std::uint64_t>(i64);
-  }
-  if (request.has("degrade")) {
-    spec.degrade_on_oom = request.get("degrade") == "1";
   }
   config.checkpoint.directory = options_.checkpoint_dir;
   config.checkpoint.interval_ms = options_.checkpoint_every_ms;

@@ -41,8 +41,6 @@ struct ServerOptions {
   std::uint64_t checkpoint_every_ms = 30000;
   std::uint32_t snapshot_retries = 2;      ///< CheckpointPolicy::write_retries
   std::uint32_t degrade_after = 5;         ///< CheckpointPolicy::degrade_after
-  bool degrade_on_oom = false;             ///< default for runs (run arg overrides)
-  double degrade_min_score = 0.4;
   bool autorecover = true;                 ///< replay run.manifest on startup
   std::size_t threads = 1;                 ///< default worker threads per run
 };

@@ -31,7 +31,7 @@ Status RunContext::status() const {
 void RunContext::charge_memory(std::uint64_t bytes, const char* site) {
   // Runtime fault site (fires in every build): a kBadAlloc clause here is
   // the chaos engine's ENOMEM — it surfaces exactly like a failed major
-  // allocation and drives the same kResourceExhausted/degradation paths.
+  // allocation and drives the same kResourceExhausted path.
   fault::maybe_fire("memory.charge");
   const std::uint64_t now =
       memory_charged_.fetch_add(bytes, std::memory_order_relaxed) + bytes;

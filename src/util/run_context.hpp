@@ -90,6 +90,8 @@ class RunContext {
   [[nodiscard]] std::uint64_t memory_peak() const {
     return memory_peak_.load(std::memory_order_relaxed);
   }
+  /// The armed budget; 0 = unlimited.
+  [[nodiscard]] std::uint64_t memory_budget() const { return memory_budget_; }
 
  private:
   /// Records the first stop cause (CAS winner) and raises the stop flag.

@@ -44,10 +44,6 @@ bool status_is_retryable(StatusCode code) {
   return status_error_class(code) == ErrorClass::kTransient;
 }
 
-bool status_is_degradable(StatusCode code) {
-  return status_error_class(code) == ErrorClass::kResource;
-}
-
 const char* error_class_name(ErrorClass cls) {
   switch (cls) {
     case ErrorClass::kNone:

@@ -40,8 +40,9 @@ const char* status_code_name(StatusCode code);
 ///   - kTransient: environment hiccup (I/O error, busy server, unexpected
 ///                 exception); retrying the identical request can succeed.
 ///   - kResource:  the request exceeded a budget (deadline, memory); retrying
-///                 unchanged would trip again, but a degraded retry
-///                 (coarse mode, armed min_score) may fit.
+///                 unchanged would trip again. Fine mode already spends a
+///                 memory budget on more passes (DESIGN.md §16), so its
+///                 memory trip means the budget cannot hold even one pass.
 ///   - kInput:     the request itself is unusable; retrying is pointless.
 enum class ErrorClass : std::uint8_t {
   kNone = 0,   ///< StatusCode::kOk
@@ -56,10 +57,6 @@ ErrorClass status_error_class(StatusCode code);
 
 /// True when retrying the identical request may succeed (kTransient).
 bool status_is_retryable(StatusCode code);
-
-/// True when a *degraded* retry (coarse mode / armed threshold) may succeed
-/// where the identical request would trip the same budget again (kResource).
-bool status_is_degradable(StatusCode code);
 
 /// Stable lowercase name of the class ("none", "cancel", "transient", ...).
 const char* error_class_name(ErrorClass cls);

@@ -6,6 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "parallel/thread_pool.hpp"
 
 namespace lc::cli {
 namespace {
@@ -109,6 +113,51 @@ TEST(Cli, ClusterRejectsBadMode) {
   std::string err;
   EXPECT_EQ(run({"cluster", "--input", "x.edges", "--mode", "medium"}, nullptr, &err), 1);
   EXPECT_NE(err.find("fine or coarse"), std::string::npos);
+}
+
+TEST(Cli, ClusterRejectsOutOfRangeArguments) {
+  // Each is refused before the input is read (it does not exist) and so
+  // before any thread pool is built: exit 1, not 2 and not an abort.
+  const std::string too_many = std::to_string(parallel::kMaxThreads + 1);
+  const std::vector<std::vector<const char*>> cases = {
+      {"--gamma", "0.5"}, {"--gamma", "nan"}, {"--phi", "-1"},
+      {"--threads", too_many.c_str()}, {"--threads", "1000000000"}};
+  for (const std::vector<const char*>& flag : cases) {
+    std::vector<const char*> argv{"linkcluster", "cluster", "--input", "/no/such/file.edges",
+                                  "--mode", "coarse", flag[0], flag[1]};
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_command(static_cast<int>(argv.size()), argv.data(), out, err), 1)
+        << flag[0] << " " << flag[1];
+    EXPECT_NE(err.str().find(flag[0]), std::string::npos) << err.str();
+  }
+}
+
+TEST(Cli, ServeRejectsTooManyThreads) {
+  std::string err;
+  const std::string too_many = std::to_string(parallel::kMaxThreads + 1);
+  EXPECT_EQ(run({"serve", "--threads", too_many.c_str()}, nullptr, &err), 1);
+  EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+}
+
+TEST(Cli, ClusterPrintsPassesOnlyWhenABudgetSplitsTheTriangles) {
+  const std::string path = temp_path("cli_passes.edges");
+  ASSERT_EQ(run({"generate", "--type", "er", "--n", "3000", "--p", "0.01", "--seed", "7",
+                 "--output", path.c_str()}),
+            0);
+  std::string plain;
+  ASSERT_EQ(run({"cluster", "--input", path.c_str()}, &plain), 0);
+  EXPECT_EQ(plain.find("passes"), std::string::npos) << plain;
+  std::string budgeted;
+  ASSERT_EQ(run({"cluster", "--input", path.c_str(), "--max-memory-mb", "4"}, &budgeted), 0);
+  EXPECT_NE(budgeted.find("passes over the score triangles"), std::string::npos) << budgeted;
+  // Everything else, the dendrogram line included, is the unbudgeted run's.
+  const auto dendrogram_line = [](const std::string& text) {
+    const std::size_t at = text.find("dendrogram:");
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  EXPECT_EQ(dendrogram_line(budgeted), dendrogram_line(plain));
+  std::remove(path.c_str());
 }
 
 TEST(Cli, MissingInputFileIsRuntimeError) {

@@ -4,7 +4,8 @@
 // full sorted list L, core/sweep.hpp) byte for byte, on seeded random graphs
 // and on tie-heavy ones, for both measures, every thread count and a
 // similarity floor. Also here: the forest's size and shape, checkpoint and
-// resume on the forest path, and its memory charges.
+// resume on the forest path, its memory charges, and the passes a memory
+// budget splits the score triangles into.
 #include "core/forest.hpp"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,11 @@ const std::vector<NamedGraph>& oracle_graphs() {
   return graphs;
 }
 
+/// The k-range bounds of a single pass over every triangle.
+std::vector<VertexId> one_range(const WeightedGraph& graph) {
+  return {0, static_cast<VertexId>(graph.vertex_count())};
+}
+
 std::uint64_t forest_pair_count(const WeightedGraph& graph) {
   std::uint64_t count = 0;
   for (VertexId k = 0; k < graph.vertex_count(); ++k) {
@@ -191,10 +197,8 @@ TEST(ForestSweep, KeepsOneSpanningTreePerCommonNeighbor) {
   for (const NamedGraph& named : oracle_graphs()) {
     SCOPED_TRACE(named.name);
     const WeightedGraph& graph = named.graph;
-    const SpanningForest serial =
-        spanning_forest(graph, build_score_triangles(graph));
-    const SpanningForest pooled =
-        spanning_forest(graph, build_score_triangles(graph, &pool), &pool);
+    const SpanningForest serial = spanning_forest(graph, one_range(graph));
+    const SpanningForest pooled = spanning_forest(graph, one_range(graph), &pool);
     ASSERT_EQ(serial.pairs.size(), forest_pair_count(graph));
     EXPECT_TRUE(std::is_sorted(serial.pairs.begin(), serial.pairs.end(), sweep_order));
 
@@ -234,7 +238,8 @@ TEST(ForestSweep, TrianglesHoldTheMapScoresAndCounts) {
     SimilarityMapOptions options;
     options.min_score = floor;
     const SimilarityMap map = build_similarity_map(graph, options);
-    const ScoreTriangles triangles = build_score_triangles(graph, nullptr, nullptr, options);
+    const ScoreTriangles triangles = TriangleBuilder(graph, nullptr, nullptr, options)
+                                         .build(0, static_cast<VertexId>(graph.vertex_count()));
     EXPECT_EQ(triangles.key_count, map.key_count());
     EXPECT_EQ(triangles.incident_pairs, map.incident_pair_count());
     EXPECT_EQ(triangles.scores.size(), graph::compute_stats(graph).k2);
@@ -375,22 +380,61 @@ TEST_F(ForestCheckpoint, RefusesASnapshotOfTheFullPairList) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ForestMemory, BudgetBelowTheTrianglesFailsWithTheBytesNeeded) {
+/// Bytes of k's score triangle: C(d_k, 2) doubles.
+std::uint64_t triangle_bytes(const WeightedGraph& graph, VertexId k) {
+  const std::uint64_t d = graph.degree(k);
+  return (d < 2 ? 0 : d * (d - 1) / 2) * sizeof(double);
+}
+
+std::uint64_t largest_triangle_bytes(const WeightedGraph& graph) {
+  std::uint64_t largest = 0;
+  for (VertexId k = 0; k < graph.vertex_count(); ++k) {
+    largest = std::max(largest, triangle_bytes(graph, k));
+  }
+  return largest;
+}
+
+/// A budget that holds the forest pairs, the gather scratch at T = `threads`
+/// and `room` bytes of score triangles.
+std::uint64_t budget_with_room(const WeightedGraph& graph, std::size_t threads,
+                               std::uint64_t room) {
+  return forest_pair_count(graph) * sizeof(ForestPair) +
+         gather_scratch_bytes(graph.vertex_count(), threads) + room;
+}
+
+TEST(ForestMemory, BudgetBelowOnePassFailsWithTheBytesNeeded) {
   const WeightedGraph graph =
       graph::erdos_renyi(300, 0.05, {11, graph::WeightPolicy::kUniform});
-  const std::uint64_t triangle_bytes = graph::compute_stats(graph).k2 * sizeof(double);
-  RunContext ctx;
-  ctx.set_memory_budget(triangle_bytes - 1);
-  LinkClusterer::Config config;
-  config.ctx = &ctx;
-  const StatusOr<ClusterResult> run = LinkClusterer(config).run(graph);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(run.status().message().find("sim.triangles"), std::string::npos)
-      << run.status().message();
-  EXPECT_NE(run.status().message().find(std::to_string(triangle_bytes) + " bytes"),
-            std::string::npos)
-      << run.status().message();
+  const ClusterResult unbudgeted = LinkClusterer().cluster(graph);
+  const std::uint64_t needed = budget_with_room(graph, 1, largest_triangle_bytes(graph));
+  {
+    // One byte short of the forest, the scratch and the largest triangle:
+    // refused up front, before anything is charged.
+    RunContext ctx;
+    ctx.set_memory_budget(needed - 1);
+    LinkClusterer::Config config;
+    config.ctx = &ctx;
+    const StatusOr<ClusterResult> run = LinkClusterer(config).run(graph);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(run.status().message().find(std::to_string(needed) + " bytes"),
+              std::string::npos)
+        << run.status().message();
+    EXPECT_EQ(ctx.memory_peak(), 0u);
+  }
+  {
+    // Exactly enough: the run fits, one triangle's worth per pass at worst,
+    // and writes the unbudgeted dendrogram.
+    RunContext ctx;
+    ctx.set_memory_budget(needed);
+    LinkClusterer::Config config;
+    config.ctx = &ctx;
+    const StatusOr<ClusterResult> run = LinkClusterer(config).run(graph);
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_GT(run->passes, 1u);
+    EXPECT_LE(ctx.memory_peak(), needed);
+    EXPECT_EQ(to_merge_list(run->dendrogram), to_merge_list(unbudgeted.dendrogram));
+  }
 }
 
 TEST(ForestMemory, ChargesTrianglesAndPairsAndReleasesThem) {
@@ -413,6 +457,159 @@ TEST(ForestMemory, ChargesTrianglesAndPairsAndReleasesThem) {
     config.ctx = &fits;
     EXPECT_TRUE(LinkClusterer(config).run(graph).ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Passes: the triangles built one k-range at a time must give the same forest
+// and the same merge list for every split and every thread count.
+
+/// Bounds cutting [0, n) into `parts` runs of nearly equal vertex count;
+/// parts = n puts one k in each range.
+std::vector<VertexId> even_ranges(std::size_t n, std::size_t parts) {
+  std::vector<VertexId> bounds;
+  for (std::size_t r = 0; r <= parts; ++r) bounds.push_back(static_cast<VertexId>(r * n / parts));
+  return bounds;
+}
+
+/// FNV-1a over the merge-event stream, as the pinned digests are computed.
+std::uint64_t event_digest(const Dendrogram& dendrogram) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (byte * 8)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const MergeEvent& event : dendrogram.events()) {
+    mix((static_cast<std::uint64_t>(event.level) << 32) | event.from);
+    mix(event.into);
+    mix(std::bit_cast<std::uint64_t>(event.similarity));
+  }
+  return h;
+}
+
+TEST(ForestPasses, EveryRangeSplitGivesTheSameForestAndMergeList) {
+  std::vector<NamedGraph> graphs;
+  graphs.push_back({"er", graph::erdos_renyi(300, 0.04, {5, graph::WeightPolicy::kUniform})});
+  graphs.push_back({"rmat_hubs", rmat(10, 8, 3, false)});
+  graphs.push_back({"er_unit", graph::erdos_renyi(300, 0.04, {6})});
+  graphs.push_back({"k200", graph::complete_graph(200)});
+  const LinkClusterer::Config defaults;
+  for (const NamedGraph& named : graphs) {
+    const WeightedGraph& graph = named.graph;
+    const std::size_t n = graph.vertex_count();
+    const EdgeIndex index(graph.edge_count(), defaults.edge_order, defaults.seed);
+    const SpanningForest want = spanning_forest(graph, one_range(graph));
+    const std::string want_text = to_merge_list(forest_sweep(want, index).dendrogram);
+    for (const std::size_t passes : {std::size_t{1}, std::size_t{2}, std::size_t{4}, n}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(testing::Message()
+                     << named.name << " passes=" << passes << " threads=" << threads);
+        std::unique_ptr<parallel::ThreadPool> pool;
+        if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
+        const SpanningForest got = spanning_forest(graph, even_ranges(n, passes), pool.get());
+        ASSERT_EQ(got.pairs.size(), want.pairs.size());
+        for (std::size_t i = 0; i < want.pairs.size(); ++i) {
+          const ForestPair& a = got.pairs[i];
+          const ForestPair& b = want.pairs[i];
+          ASSERT_TRUE(std::bit_cast<std::uint64_t>(a.score) ==
+                          std::bit_cast<std::uint64_t>(b.score) &&
+                      a.u == b.u && a.v == b.v && a.k == b.k && a.first == b.first &&
+                      a.second == b.second)
+              << "pair " << i;
+        }
+        EXPECT_EQ(got.key_count, want.key_count);
+        EXPECT_EQ(got.incident_pairs, want.incident_pairs);
+        EXPECT_EQ(to_merge_list(forest_sweep(got, index).dendrogram), want_text);
+      }
+    }
+  }
+}
+
+TEST(ForestPasses, RangesPackGreedilyUnderTheBudget) {
+  const WeightedGraph graph = rmat(9, 8, 4, false);
+  const auto n = static_cast<VertexId>(graph.vertex_count());
+  // No context, no budget, or room for every triangle: one range.
+  EXPECT_EQ(triangle_ranges(graph, 1, nullptr), one_range(graph));
+  RunContext unlimited;
+  EXPECT_EQ(triangle_ranges(graph, 1, &unlimited), one_range(graph));
+  const std::uint64_t all = graph::compute_stats(graph).k2 * sizeof(double);
+  RunContext roomy;
+  roomy.set_memory_budget(budget_with_room(graph, 1, all));
+  EXPECT_EQ(triangle_ranges(graph, 1, &roomy), one_range(graph));
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::uint64_t room = std::max(all / 5, largest_triangle_bytes(graph));
+    RunContext ctx;
+    ctx.set_memory_budget(budget_with_room(graph, threads, room));
+    const std::vector<VertexId> bounds = triangle_ranges(graph, threads, &ctx);
+    // Every range holds at most `room` of the `all` bytes.
+    ASSERT_GE(bounds.size() - 1, (all + room - 1) / room);
+    ASSERT_GE(bounds.size(), 3u);
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), n);
+    for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
+      ASSERT_LT(bounds[r], bounds[r + 1]);
+      std::uint64_t held = 0;
+      for (VertexId k = bounds[r]; k < bounds[r + 1]; ++k) held += triangle_bytes(graph, k);
+      EXPECT_LE(held, room) << "range " << r;
+      // Greedy: the next range's first triangle did not fit in this one.
+      if (r + 2 < bounds.size()) {
+        EXPECT_GT(held + triangle_bytes(graph, bounds[r + 1]), room) << "range " << r;
+      }
+    }
+  }
+}
+
+TEST(ForestPasses, PinnedFineDigestHoldsUnderFourOrMorePasses) {
+  const WeightedGraph graph =
+      graph::erdos_renyi(3000, 0.01, {7, graph::WeightPolicy::kUniform});
+  const std::uint64_t all = graph::compute_stats(graph).k2 * sizeof(double);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    RunContext ctx;
+    const std::uint64_t budget = budget_with_room(graph, threads, all / 4);
+    ctx.set_memory_budget(budget);
+    LinkClusterer::Config config;
+    config.threads = threads;
+    config.ctx = &ctx;
+    const StatusOr<ClusterResult> run = LinkClusterer(config).run(graph);
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_GE(run->passes, 4u);
+    EXPECT_LE(ctx.memory_peak(), budget);
+    EXPECT_EQ(event_digest(run->dendrogram), 0xeae690de81aaed71ull);
+  }
+}
+
+TEST_F(ForestCheckpoint, SnapshotWrittenInOnePassResumesUnderMany) {
+  const WeightedGraph& graph = checkpoint_graph();
+  const ClusterResult reference = LinkClusterer().cluster(graph);
+  ASSERT_EQ(reference.passes, 1u);
+
+  LinkClusterer::Config writing;
+  writing.checkpoint.directory = dir_.string();
+  writing.checkpoint.interval_ms = 0;
+  fault::arm("sweep.entry", fault::FaultKind::kThrow, forest_pair_count(graph) / 2);
+  ASSERT_FALSE(LinkClusterer(writing).run(graph).ok());
+  fault::disarm();
+
+  // The budget is not part of the fingerprint: the snapshot loads, and the
+  // rebuilt forest it indexes is the same however many passes built it.
+  const std::uint64_t all = graph::compute_stats(graph).k2 * sizeof(double);
+  RunContext ctx;
+  ctx.set_memory_budget(
+      budget_with_room(graph, 1, std::max(all / 3, largest_triangle_bytes(graph))));
+  LinkClusterer::Config resuming;
+  resuming.checkpoint.directory = dir_.string();
+  resuming.checkpoint.interval_ms = 3600000;
+  resuming.resume = true;
+  resuming.ctx = &ctx;
+  const StatusOr<ClusterResult> resumed = LinkClusterer(resuming).run(graph);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+  EXPECT_GT(resumed->passes, 1u);
+  EXPECT_EQ(to_merge_list(resumed->dendrogram), to_merge_list(reference.dendrogram));
+  EXPECT_EQ(resumed->final_labels, reference.final_labels);
+  EXPECT_EQ(resumed->stats.pairs_processed, reference.stats.pairs_processed);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The supervised server end to end: containment, degradation, busy
+// The supervised server end to end: containment, memory budgets, busy
 // signalling, dendrogram queries, manifest round-trip, and in-process
 // autorecovery (serve/server.hpp, serve/run_supervisor.hpp).
 #include "serve/server.hpp"
@@ -25,6 +25,7 @@
 #include "core/link_clusterer.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/run_supervisor.hpp"
 #include "serve/signals.hpp"
 
@@ -38,9 +39,8 @@ graph::WeightedGraph small_graph() {
 }
 
 /// Big enough that fine mode's score triangles (K2 × 8 B, about 10 MiB)
-/// charge well past a 2 MiB budget. A similarity floor does not shrink the
-/// triangles, so on the degradation ladder the min_score rung trips too and
-/// the coarse rung, whose floored map stays small, is the one that fits.
+/// charge well past a 4 MiB budget, which then buys more passes; its forest
+/// pairs alone (about 2.7 MiB) do not fit in 2 MiB.
 graph::WeightedGraph budget_tripping_graph() {
   return graph::erdos_renyi(3000, 0.01, {7, graph::WeightPolicy::kUniform});
 }
@@ -97,6 +97,23 @@ TEST_F(ServerTest, LoadFailureIsContained) {
   EXPECT_TRUE(server.graph_loaded());
 }
 
+TEST_F(ServerTest, RunRejectsOutOfRangeArguments) {
+  Server server({});
+  const std::string path = write_graph(small_graph());
+  ASSERT_EQ(ask(server, "load path=" + path).rfind("ok ", 0), 0u);
+  const std::string too_many = std::to_string(parallel::kMaxThreads + 1);
+  for (const std::string& args :
+       {std::string("mode=coarse gamma=0.5"), std::string("mode=coarse gamma=nan"),
+        std::string("mode=coarse phi=-1"), "threads=" + too_many,
+        std::string("threads=1000000000")}) {
+    const std::string reply = ask(server, "run " + args);
+    EXPECT_EQ(reply.rfind("err code=invalid_argument", 0), 0u) << args << ": " << reply;
+  }
+  // Refused at the boundary: no run was launched, so no pool was built.
+  EXPECT_EQ(server.supervisor().runs_total(), 0u);
+  EXPECT_FALSE(server.supervisor().running());
+}
+
 TEST_F(ServerTest, RunWithoutGraphIsAnError) {
   Server server({});
   EXPECT_EQ(ask(server, "run").rfind("err ", 0), 0u);
@@ -109,7 +126,7 @@ TEST_F(ServerTest, RunWaitCutMemberRoundTrip) {
   ASSERT_EQ(ask(server, "run mode=fine threads=2").rfind("ok run=1 ", 0), 0u);
   const std::string done = ask(server, "wait");
   EXPECT_NE(done.find("state=done"), std::string::npos) << done;
-  EXPECT_NE(done.find("attempts=1"), std::string::npos) << done;
+  EXPECT_NE(done.find("passes=1"), std::string::npos) << done;
 
   // The supervised result is bitwise the direct library result.
   core::LinkClusterer::Config config;
@@ -177,21 +194,32 @@ TEST_F(ServerTest, MemoryTripWithoutDegradeFails) {
   const std::string failed = ask(server, "wait");
   EXPECT_NE(failed.find("state=failed"), std::string::npos) << failed;
   EXPECT_NE(failed.find("code=resource_exhausted"), std::string::npos) << failed;
+  // The message names what one pass needs.
+  EXPECT_NE(failed.find("bytes"), std::string::npos) << failed;
 }
 
-TEST_F(ServerTest, MemoryTripWithDegradeWalksTheLadder) {
-  ServerOptions options;
-  options.degrade_on_oom = true;
-  Server server(options);
-  const std::string path = write_graph(budget_tripping_graph());
+TEST_F(ServerTest, MemoryBudgetBuysPassesNotADifferentAnswer) {
+  const graph::WeightedGraph graph = budget_tripping_graph();
+  StatusOr<core::ClusterResult> unbudgeted = core::LinkClusterer().run(graph);
+  ASSERT_TRUE(unbudgeted.ok());
+  Server server({});
+  const std::string path = write_graph(graph);
   ASSERT_EQ(ask(server, "load path=" + path).rfind("ok ", 0), 0u);
-  ASSERT_EQ(ask(server, "run max_memory_mb=2").rfind("ok run=1 ", 0), 0u);
+  ASSERT_EQ(ask(server, "run max_memory_mb=4").rfind("ok run=1 ", 0), 0u);
   const std::string report = ask(server, "wait");
-  EXPECT_NE(report.find("state=degraded"), std::string::npos) << report;
-  EXPECT_NE(report.find("degrade_action="), std::string::npos) << report;
+  EXPECT_NE(report.find("state=done"), std::string::npos) << report;
+  EXPECT_NE(report.find(" events=" + std::to_string(unbudgeted->dendrogram.events().size()) +
+                        " "),
+            std::string::npos)
+      << report;
   const RunReport final_report = server.supervisor().report();
-  EXPECT_EQ(final_report.state, RunState::kDegraded);
-  EXPECT_GE(final_report.attempts, 2u);
+  EXPECT_EQ(final_report.state, RunState::kDone);
+  EXPECT_GT(final_report.passes, 1u);
+  EXPECT_LE(final_report.memory_peak, 4u * 1024 * 1024);
+  const std::shared_ptr<const core::ClusterResult> served = server.supervisor().result();
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(core::to_merge_list(served->dendrogram),
+            core::to_merge_list(unbudgeted->dendrogram));
 }
 
 TEST_F(ServerTest, BusyServerAnswersUnavailable) {

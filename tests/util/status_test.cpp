@@ -101,14 +101,6 @@ TEST(ErrorClass, RetryableIsExactlyTransient) {
   EXPECT_FALSE(status_is_retryable(StatusCode::kInvalidArgument));
 }
 
-TEST(ErrorClass, DegradableIsExactlyResource) {
-  EXPECT_TRUE(status_is_degradable(StatusCode::kDeadlineExceeded));
-  EXPECT_TRUE(status_is_degradable(StatusCode::kResourceExhausted));
-  EXPECT_FALSE(status_is_degradable(StatusCode::kCancelled));
-  EXPECT_FALSE(status_is_degradable(StatusCode::kInternal));
-  EXPECT_FALSE(status_is_degradable(StatusCode::kInvalidArgument));
-}
-
 TEST(ErrorClass, Names) {
   EXPECT_STREQ(error_class_name(ErrorClass::kNone), "none");
   EXPECT_STREQ(error_class_name(ErrorClass::kCancel), "cancel");

@@ -21,7 +21,8 @@
 # through LC_FAULT_PLAN: a fault-injected sleep parks a checkpointing run
 # mid-sweep, SIGKILL (fine and coarse) or SIGTERM tears it down, and a
 # --resume run must reproduce the uninterrupted dendrogram byte for byte; a
-# serve session is contained and autorecovered the same way; and a pinned
+# fine run under a small memory budget must write the unbudgeted merge list;
+# a serve session is contained and autorecovered the same way; and a pinned
 # block of `lc chaos` schedules runs last.
 #
 # Usage: tools/ci_check.sh [build-dir-prefix]
@@ -170,6 +171,26 @@ sigterm_smoke() {
 }
 sigterm_smoke
 
+# ---- Budget smoke: a memory budget far below the score triangles must buy
+# more passes over them, never a different dendrogram. At 4 MiB the fine run
+# of ER(3000, 0.01) builds its triangles in several k-ranges and must write
+# the unbudgeted merge list byte for byte.
+budget_smoke() {
+  local work
+  work="$(mktemp -d)"
+  local bin="${prefix}-address/tools/linkcluster"
+  echo "== smoke: fine run under a 4 MiB budget (${work}) =="
+  "${bin}" generate --type er --n 3000 --p 0.01 --seed 7 --output "${work}/g.edges"
+  "${bin}" cluster --input "${work}/g.edges" --merges "${work}/ref.merges"
+  "${bin}" cluster --input "${work}/g.edges" --max-memory-mb 4 \
+    --merges "${work}/budget.merges" | tee "${work}/budget.out"
+  grep -q 'passes over the score triangles' "${work}/budget.out"
+  cmp "${work}/ref.merges" "${work}/budget.merges"
+  echo "budget smoke: the budgeted run reproduced the unbudgeted merge list"
+  rm -rf "${work}"
+}
+budget_smoke
+
 # ---- Serve chaos: the scripted sequence from DESIGN.md §14. One server
 # takes a failed run (deadline trips) and must keep serving; a second is
 # SIGKILLed mid-sweep and a restart on the same --checkpoint-dir must
@@ -248,4 +269,4 @@ chaos_leg() {
 }
 chaos_leg
 
-echo "ci_check: werror build, all sanitizer suites, kill/resume, SIGTERM, serve chaos, and seeded chaos schedules passed"
+echo "ci_check: werror build, all sanitizer suites, kill/resume, SIGTERM, budget, serve chaos, and seeded chaos schedules passed"
