@@ -105,8 +105,8 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
                 "(exponential backoff)");
   flags.add_bool("resume", false, "continue from the snapshot in --checkpoint-dir");
   flags.add_string("min-similarity", "",
-                   "drop merges below this similarity; the pruned pairs are "
-                   "never materialized");
+                   "drop merges below this similarity; coarse mode keeps only "
+                   "the keys at or above it in its sorted list");
   if (!flags.parse(argc, argv) || flags.get_string("input").empty()) {
     err << "usage: linkcluster cluster --input graph.edges [--mode fine|coarse] ...\n";
     return 1;

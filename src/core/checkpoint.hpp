@@ -146,7 +146,7 @@ struct CoarseCheckpoint {
   std::uint64_t reuse_count = 0;
   std::uint64_t soundness_violations = 0;
   SweepStats stats;
-  std::vector<EdgeIdx> parents;  ///< ConcurrentDsu root labels (parents[i] <= i)
+  std::vector<EdgeIdx> parents;  ///< MinDsu labels, the set minima (parents[i] <= i)
   std::vector<MergeEvent> events;
   std::vector<EpochRecord> epochs;
   std::vector<CoarseLevel> levels;

@@ -4,7 +4,8 @@
 #include <cmath>
 
 #include "core/checkpoint.hpp"
-#include "core/concurrent_dsu.hpp"
+#include "core/dsu.hpp"
+#include "core/forest.hpp"
 #include "core/sweep_source.hpp"
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
@@ -79,32 +80,33 @@ double rollback_estimate(std::uint64_t xi_prev2, std::size_t beta_prev2, bool ha
   return std::max(1.0, (target - beta_l) / steeper);
 }
 
-}  // namespace
+/// A forest pair's key (score, u, v), comparable with L's entries by
+/// score_order.
+SimilarityEntry key_of(const ForestPair& pair) { return {pair.u, pair.v, pair.score, 0, 0}; }
 
-CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          SweepSource& source, const EdgeIndex& index,
-                          const CoarseOptions& options, parallel::ThreadPool* pool,
-                          sim::WorkLedger* ledger, lc::RunContext* ctx,
-                          Checkpointer* checkpointer, const CoarseCheckpoint* resume) {
+/// The §V mode machine over `source`; chunk_pairs(first, last, visit) calls
+/// visit(a, b) for the pairs to unite for L positions [first, last).
+template <typename ChunkPairs>
+CoarseResult run_coarse(const graph::WeightedGraph& graph, SweepSource& source,
+                        const EdgeIndex& index, std::uint64_t pairs_total,
+                        ChunkPairs chunk_pairs,
+                        const CoarseOptions& options, sim::WorkLedger* ledger,
+                        lc::RunContext* ctx, Checkpointer* checkpointer,
+                        const CoarseCheckpoint* resume) {
   LC_CHECK_MSG(index.size() == graph.edge_count(), "edge index must match the graph");
   LC_CHECK_MSG(options.gamma >= 1.0, "gamma must be >= 1");
   LC_CHECK_MSG(options.delta0 >= 1, "initial chunk size must be positive");
   LC_CHECK_MSG(options.eta0 > 1.0, "head growth factor must exceed 1");
-  LC_CHECK_MSG(source.size() == map.entries.size(),
-               "sweep source must cover the similarity map");
 
   const std::size_t edge_count = graph.edge_count();
   const std::size_t entry_count = source.size();
-  const std::size_t threads = (pool != nullptr) ? pool->thread_count() : 1;
 
   CoarseResult result;
   result.dendrogram = Dendrogram(edge_count);
-  result.pairs_total = map.incident_pair_count();
+  result.pairs_total = pairs_total;
 
-  // The one shared cluster structure, sized O(|E|) for the whole sweep —
-  // parallel chunks merge into it directly, so there is no per-thread copy
-  // and no merge phase to account.
-  ConcurrentDsu dsu(edge_count);
+  // The one cluster structure, sized O(|E|) for the whole sweep.
+  MinDsu dsu(edge_count);
   MemoryCharge parent_charge(
       ctx, static_cast<std::uint64_t>(edge_count) * sizeof(EdgeIdx), "coarse.parent");
 
@@ -125,24 +127,20 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
 
   std::vector<SavedState> rollback_list;
   std::uint64_t snapshot_seq = 0;
-  std::vector<ChunkPair> chunk_pairs;
 
-  // Journal of the chunk currently applied (or of a reuse replay): one entry
-  // per successful parent-array CAS. Everything the epoch boundary needs —
-  // the new cluster count, the dendrogram events, the rollback undo, the
-  // compact reuse snapshot — is read from it; no O(|E|) scan or copy.
-  ConcurrentDsu::Journal chunk_journal;
-  std::vector<ConcurrentDsu::Journal> block_journals(threads);
+  // Journal of the chunk currently applied (or of a reuse replay): every
+  // find and unite between two boundaries writes to it, so undo() rewinds
+  // the array exactly. The dendrogram events and the compact reuse snapshot
+  // are read from it; no O(|E|) scan or copy.
+  MinDsu::Journal chunk_journal;
 
   // Instrumentation totals (Theorem 2 metrics, defined in core/sweep.hpp):
-  // derived from each chunk's pair list and union count only, never from the
-  // DSU's CAS retries or path-halving writes, so they are identical at every
-  // thread count. Work later undone by a rollback is included, as the
-  // paper's cost analysis does. The ledger charges the same traffic: 2 units
-  // per pair in the round that applies it (per block when parallel), 1 per
-  // union at the epoch boundary, whose journal walk is serial, and 1 per
-  // union a rollback rewinds. Its sweep.coarse phase therefore totals
-  // c_accesses plus the rolled-back unions, identically on every run.
+  // derived from each chunk's pair count and union count only, never from
+  // the DSU's path-compression writes. Work later undone by a rollback is
+  // included, as the paper's cost analysis does. The ledger charges the same
+  // traffic, all serial: 2 units per applied pair, 1 per union at the epoch
+  // boundary, and 1 per union a rollback rewinds. Its sweep.coarse phase
+  // therefore totals c_accesses plus the rolled-back unions.
   std::uint64_t total_accesses = 0;
   std::uint64_t total_changes = 0;
   auto count_c_traffic = [&](std::size_t pairs, std::size_t unions) {
@@ -168,7 +166,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
                  "resume state must match the graph");
     LC_CHECK_MSG(resume->p <= entry_count,
                  "resume position must lie within the sorted list");
-    dsu.restore(resume->parents);
+    dsu = MinDsu(resume->parents);
     xi = resume->xi;
     p = static_cast<std::size_t>(resume->p);
     beta = static_cast<std::size_t>(resume->beta);
@@ -236,9 +234,9 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     state.stats.c_accesses = total_accesses;
     state.stats.c_changes = total_changes;
     state.stats.merges_effective = result.dendrogram.events().size();
-    // The canonical labels, not the raw parents: their path-halving shape
-    // depends on thread interleaving, the labels only on the partition.
-    state.parents = dsu.root_labels();
+    // The canonical labels, not the raw parents: the labels depend on the
+    // partition alone.
+    state.parents = dsu.labels();
     state.events = result.dendrogram.events();
     state.epochs = result.epochs;
     state.levels = result.levels;
@@ -262,60 +260,22 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
 
   if (ledger != nullptr) ledger->begin_phase("sweep.coarse");
 
-  // Applies the collected chunk into the shared DSU, filling chunk_journal.
-  // Serial for small chunks / no pool; otherwise one static block per pool
-  // worker, each with a private journal concatenated afterwards in block
-  // order. Chunk-internal merge order is free: connectivity after the chunk
-  // is order-independent, and union-by-min roots make every observable value
-  // identical across interleavings.
-  auto apply_chunk = [&](const std::vector<ChunkPair>& pairs) {
+  // Unites the pairs of L positions [first, last) into the DSU, serially,
+  // filling chunk_journal. Returns the number of pairs applied.
+  auto apply_chunk = [&](std::size_t first, std::size_t last) {
     chunk_journal.clear();
-    if (pool == nullptr || threads == 1 || pairs.size() < 2 * threads) {
-      fault::maybe_fire("coarse.apply");
-      PollTicker ticker(ctx);
-      for (const ChunkPair& pair : pairs) {
-        ticker.checkpoint();
-        dsu.unite(pair.a, pair.b, chunk_journal);
-      }
-      result.stats.pairs_processed += pairs.size();
-      if (ledger != nullptr) ledger->add_serial(2 * static_cast<std::uint64_t>(pairs.size()));
-    } else {
-      if (ledger != nullptr) ledger->begin_round(threads);
-      const auto run_block = [&](std::size_t block, std::size_t begin,
-                                 std::size_t end) {
-        fault::maybe_fire("coarse.apply");
-        PollTicker ticker(ctx);
-        ConcurrentDsu::Journal& journal = block_journals[block];
-        for (std::size_t i = begin; i < end; ++i) {
-          ticker.checkpoint();
-          dsu.unite(pairs[i].a, pairs[i].b, journal);
-        }
-        if (ledger != nullptr) {
-          ledger->add_work(block, 2 * static_cast<std::uint64_t>(end - begin));
-        }
-      };
-      // The T-way block split fixes the journals and the ledger round (the
-      // simulated T-thread schedule); *execution* width follows the machine.
-      // On an oversubscribed host (pool wider than the hardware) the same T
-      // blocks run on the caller thread — identical output, identical ledger,
-      // none of the wake-up/timeslice overhead of T idle-core tasks.
-      if (parallel::clamped_parallelism(*pool) == 1) {
-        const std::vector<std::size_t> bounds =
-            parallel::split_range(pairs.size(), threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-          if (bounds[t] < bounds[t + 1]) run_block(t, bounds[t], bounds[t + 1]);
-        }
-      } else {
-        parallel::parallel_for_blocks_indexed(*pool, pairs.size(), run_block);
-      }
-      for (std::size_t t = 0; t < threads; ++t) {
-        chunk_journal.insert(chunk_journal.end(), block_journals[t].begin(),
-                             block_journals[t].end());
-        block_journals[t].clear();
-      }
-      result.stats.pairs_processed += pairs.size();
-    }
+    fault::maybe_fire("coarse.apply");
+    PollTicker ticker(ctx);
+    std::uint64_t pairs = 0;
+    chunk_pairs(first, last, [&](EdgeIdx a, EdgeIdx b) {
+      ticker.checkpoint();
+      dsu.unite(a, b, chunk_journal);
+      ++pairs;
+    });
+    result.stats.pairs_processed += pairs;
+    if (ledger != nullptr) ledger->add_serial(2 * pairs);
     fault::maybe_fire("coarse.journal");
+    return pairs;
   };
 
   // Emits the dendrogram events of an accepted level from the journal: every
@@ -324,7 +284,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
   // ascending-index scan the full-array diff used to produce.
   auto emit_level_events = [&](double score) {
     for (const EdgeIdx loser : journal_losers_sorted(chunk_journal)) {
-      result.dendrogram.add_event(level, loser, dsu.find(loser), score);
+      result.dendrogram.add_event(level, loser, dsu.find(loser, chunk_journal), score);
     }
   };
 
@@ -365,8 +325,8 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     const std::uint64_t target_end =
         xi + std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::llround(delta)));
     const std::uint64_t chunk_start = xi;
+    const std::size_t chunk_first = p;
     double last_score = source.at(p).score;
-    chunk_pairs.clear();
     std::size_t entries_consumed = 0;
     PollTicker collect_ticker(ctx);
     while (p < entry_count) {
@@ -376,31 +336,25 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       const SimilarityEntry& entry = source.at(p);
       const std::uint64_t l = entry.count;
       if (entries_consumed > 0 && xi + l >= target_end) break;
-      collect_ticker.checkpoint(1 + l);
-      for (const EdgePairRef& pair : map.pairs(entry)) {
-        chunk_pairs.push_back(
-            ChunkPair{index.index_of(pair.first), index.index_of(pair.second)});
-      }
+      collect_ticker.checkpoint(1);
       xi += l;
       ++p;
       ++entries_consumed;
       last_score = entry.score;
     }
-    apply_chunk(chunk_pairs);
+    const std::uint64_t pairs = apply_chunk(chunk_first, p);
     // The chunk's transient footprint is its journal — O(changes), not
-    // O(T * |E|); the high-water model charges each chunk afresh.
+    // O(|E|); the high-water model charges each chunk afresh.
     MemoryCharge journal_charge(
         ctx,
-        static_cast<std::uint64_t>(chunk_journal.size()) *
-            sizeof(ConcurrentDsu::JournalEntry),
+        static_cast<std::uint64_t>(chunk_journal.size()) * sizeof(MinDsu::JournalEntry),
         "coarse.journal");
 
-    // ---- Epoch boundary: the cluster count falls by exactly the journal's
-    // union count (each successful CAS removes one root) — an O(changes)
-    // walk replacing the paper's O(|E|) scan.
-    const std::size_t unions = journal_union_count(chunk_journal);
-    count_c_traffic(chunk_pairs.size(), unions);
-    const std::size_t beta_new = beta - unions;
+    // ---- Epoch boundary: the DSU counts its sets, replacing the paper's
+    // O(|E|) scan; each union removed one.
+    const std::size_t beta_new = dsu.set_count();
+    const std::size_t unions = beta - beta_new;
+    count_c_traffic(pairs, unions);
     if (ledger != nullptr) ledger->add_serial(unions);
     const std::uint64_t chunk_used = xi - chunk_start;
 
@@ -432,7 +386,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
         saved.seq = snapshot_seq++;
         saved.edges.reserve(unions);
         for (const EdgeIdx loser : journal_losers_sorted(chunk_journal)) {
-          saved.edges.push_back(ChunkPair{loser, dsu.find(loser)});
+          saved.edges.push_back(ChunkPair{loser, dsu.find(loser, chunk_journal)});
         }
         if (ctx != nullptr) {
           fault::maybe_fire("coarse.snapshot");
@@ -452,7 +406,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
       if (head_mode) eta = 1.0 + (eta - 1.0) / 2.0;  // head -> rollback damping
 
       // O(changes) unwind to Q*: rewind every journaled write instead of
-      // restoring an O(|E|) snapshot.
+      // restoring an O(|E|) snapshot. The next chunk starts at safe.p again.
       dsu.undo(chunk_journal);
       if (ledger != nullptr) ledger->add_serial(unions);
       xi = safe.xi;
@@ -500,13 +454,13 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
           ticker.checkpoint();
           dsu.unite(edge.a, edge.b, chunk_journal);
         }
-        const std::size_t replayed = journal_union_count(chunk_journal);
+        const std::size_t replayed = beta - dsu.set_count();
         count_c_traffic(jump.edges.size(), replayed);
         if (ledger != nullptr) {
           ledger->add_serial(2 * static_cast<std::uint64_t>(jump.edges.size()) + replayed);
         }
       }
-      LC_DCHECK(beta - journal_union_count(chunk_journal) == jump.beta);
+      LC_DCHECK(dsu.set_count() == jump.beta);
       const std::uint64_t chunk_jump = jump.xi - xi;
       xi = jump.xi;
       p = jump.p;
@@ -564,7 +518,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
 
   for (SavedState& saved : rollback_list) release_saved(saved);
 
-  result.final_labels = dsu.root_labels();
+  result.final_labels = dsu.labels();
   result.stats.c_accesses = total_accesses;
   result.stats.c_changes = total_changes;
   result.stats.merges_effective = result.dendrogram.events().size();
@@ -592,6 +546,59 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     }
   }
   return result;
+}
+
+}  // namespace
+
+CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
+                          SweepSource& source, const EdgeIndex& index,
+                          const CoarseOptions& options, sim::WorkLedger* ledger,
+                          lc::RunContext* ctx, Checkpointer* checkpointer,
+                          const CoarseCheckpoint* resume) {
+  // The forest pairs whose key falls inside the chunk: sweep_order extends
+  // score_order, so they are one slice of forest.pairs, read at a cursor f
+  // at the first pair whose key is not before L[next]. When a rollback, a
+  // reuse jump or a resume moves p, f is found again by binary search.
+  const auto& pairs = forest.pairs;
+  std::size_t f = 0;
+  std::size_t next = 0;
+  const auto chunk_pairs = [&](std::size_t first, std::size_t last, auto visit) {
+    if (first != next) {
+      const SimilarityEntry& start = source.at(first);
+      const auto before = [&start](const ForestPair& pair) {
+        return score_order(key_of(pair), start);
+      };
+      f = static_cast<std::size_t>(
+          std::partition_point(pairs.begin(), pairs.end(), before) - pairs.begin());
+    }
+    const SimilarityEntry& end = source.at(last - 1);
+    for (; f < pairs.size() && !score_order(end, key_of(pairs[f])); ++f) {
+      visit(index.index_of(pairs[f].first), index.index_of(pairs[f].second));
+    }
+    next = last;
+  };
+  return run_coarse(graph, source, index, forest.incident_pairs, chunk_pairs, options, ledger,
+                    ctx, checkpointer, resume);
+}
+
+CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
+                          SweepSource& source, const EdgeIndex& index,
+                          const CoarseOptions& options, parallel::ThreadPool* pool,
+                          sim::WorkLedger* ledger, lc::RunContext* ctx,
+                          Checkpointer* checkpointer, const CoarseCheckpoint* resume) {
+  (void)pool;  // serial; the parameter stays for bench/suite/trace.cpp
+  LC_CHECK_MSG(source.size() == map.entries.size(),
+               "sweep source must cover the similarity map");
+  // Every incident pair of every entry of the chunk, from the map's arena.
+  const auto chunk_pairs = [&](std::size_t first, std::size_t last, auto visit) {
+    for (std::size_t i = first; i < last; ++i) {
+      for (const EdgePairRef& pair : map.pairs(source.at(i))) {
+        visit(index.index_of(pair.first), index.index_of(pair.second));
+      }
+    }
+  };
+  return run_coarse(graph, source, index, map.incident_pair_count(), chunk_pairs, options,
+                    ledger, ctx, checkpointer, resume);
 }
 
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,

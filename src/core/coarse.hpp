@@ -29,15 +29,14 @@
 // is never touched — the source of the coarse mode's large speedup
 // (Fig. 5(2): only 55.1% of pairs processed at alpha = 0.005 in the paper).
 //
-// When a ThreadPool is supplied, each chunk's pairs are merged concurrently
-// into ONE shared lock-free union-find (core/concurrent_dsu.hpp) instead of
-// the §VI-B T-copies-plus-pairwise-merge scheme: union-by-min-index makes
-// every root the component minimum, so the clustering — and therefore every
-// level, event, and estimate — is bitwise identical for any thread count.
-// Each successful parent write is appended to a *merge journal*; the epoch
-// boundary reads the new cluster count, the dendrogram events, the rollback
-// undo, and the compact reuse snapshots all from that journal, so epoch
-// bookkeeping costs O(changes) instead of O(|E|) scans and copies.
+// A chunk's unions run serially on one MinDsu (core/dsu.hpp). The production
+// sweep unites only the chunk's spanning-forest pairs (core/forest.hpp): on
+// every prefix of the sweep order they join the same components as all the
+// pairs, so every beta, event and label is the reference sweep's (DESIGN.md
+// §10, §16). Each parent write is appended to a *merge journal*; the epoch
+// boundary reads the dendrogram events, the rollback undo, and the compact
+// reuse snapshots from that journal and the cluster count from the DSU, so
+// epoch bookkeeping costs O(changes) instead of O(|E|) scans and copies.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +59,7 @@ namespace lc::core {
 
 class Checkpointer;        // core/checkpoint.hpp
 struct CoarseCheckpoint;   // core/checkpoint.hpp
+struct SpanningForest;     // core/forest.hpp
 class SweepSource;         // core/sweep_source.hpp
 
 struct CoarseOptions {
@@ -99,7 +99,7 @@ struct CoarseResult {
   std::vector<CoarseLevel> levels;
   std::vector<EdgeIdx> final_labels;  ///< labels at the last accepted level
   SweepStats stats;
-  std::uint64_t pairs_total = 0;      ///< K2 (all incident pairs on L)
+  std::uint64_t pairs_total = 0;      ///< K2 (all incident pairs of L's keys)
   std::uint64_t pairs_processed = 0;  ///< xi at termination
   std::size_t rollback_count = 0;
   std::size_t reuse_count = 0;
@@ -107,25 +107,33 @@ struct CoarseResult {
                                           ///< (unsplittable single entries)
 };
 
-/// Runs coarse-grained sweeping over `source`, the descending-score view of
-/// `map`'s entries (core/sweep_source.hpp; `map` supplies the pair arenas).
-/// The phi stop means a lazy source never sorts the tail of L — the two
-/// speedups compound. With a non-null `pool`, chunks are processed with
-/// pool->thread_count() threads (§VI-B); the source must not use the pool
-/// after construction, since chunk application keeps it busy;
-/// `ledger` (optional, requires pool) records per-round work for simulated
-/// scaling. `ctx` (optional, not owned) is polled at chunk granularity and
-/// charged for the shared parent array, per-chunk merge journals, and the
-/// compact rollback snapshots; a pending stop unwinds via lc::StoppedError.
-/// Null has zero effect on the result.
+/// The production coarse sweep over `source`, the descending-score view of
+/// the list L that spanning_forest() staged beside `forest`; each chunk
+/// unites the forest pairs whose key lies in it. The phi stop means a lazy
+/// source never sorts the tail of L — the two speedups compound. `ledger`
+/// (optional) records the sweep's serial work. `ctx` (optional, not owned)
+/// is polled at chunk granularity and charged for the parent array, per-chunk
+/// merge journals, and the compact rollback snapshots; a pending stop
+/// unwinds via lc::StoppedError. Null has zero effect on the result.
 ///
 /// `checkpointer` (optional, not owned) is asked at every chunk boundary —
 /// where the mode machine sits at the safe state Q* and the merge journal is
 /// empty — and given a CoarseCheckpoint when a snapshot is due; `resume`
 /// (optional, not owned, pre-validated by load_checkpoint) restarts the
-/// machine from a stored boundary. Both are output-neutral at every thread
-/// count: find() results are partition-invariant, so a snapshot taken under
-/// one -T resumes bitwise-identically under another.
+/// machine from a stored boundary. Both are output-neutral: the stored
+/// (p, xi) are coordinates into L, and the forest cursor follows from p.
+CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
+                          SweepSource& source, const EdgeIndex& index,
+                          const CoarseOptions& options = {},
+                          sim::WorkLedger* ledger = nullptr,
+                          lc::RunContext* ctx = nullptr,
+                          Checkpointer* checkpointer = nullptr,
+                          const CoarseCheckpoint* resume = nullptr);
+
+/// The reference coarse sweep over `source`, the descending-score view of
+/// `map`'s entries: each chunk unites all its incident pairs. Only its
+/// SweepStats, which count the pairs applied, differ from the production
+/// sweep's. `pool` is unused; it stays for bench/suite/trace.cpp's call.
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
                           SweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options = {},
@@ -135,7 +143,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
                           Checkpointer* checkpointer = nullptr,
                           const CoarseCheckpoint* resume = nullptr);
 
-/// Convenience overload for a map already ordered by sort_by_score():
+/// The reference sweep over a map already ordered by sort_by_score():
 /// equivalent to passing a SortedSweepSource, and asserts sortedness like
 /// that source's constructor does.
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,

@@ -87,7 +87,7 @@ void prim(const graph::WeightedGraph& graph, VertexId k, const double* tri, Prim
 }  // namespace
 
 std::vector<VertexId> triangle_ranges(const graph::WeightedGraph& graph, std::size_t t_count,
-                                      lc::RunContext* ctx) {
+                                      lc::RunContext* ctx, bool with_list) {
   const auto n = static_cast<VertexId>(graph.vertex_count());
   const auto triangle_bytes = [&graph](VertexId k) -> std::uint64_t {
     const std::uint64_t d = graph.degree(k);
@@ -96,23 +96,33 @@ std::vector<VertexId> triangle_ranges(const graph::WeightedGraph& graph, std::si
   if (ctx == nullptr || ctx->memory_budget() == 0) return {0, n};
   std::uint64_t forest = 0;
   std::uint64_t largest = 0;
+  std::uint64_t k2 = 0;
   for (VertexId k = 0; k < n; ++k) {
     const std::uint64_t d = graph.degree(k);
     forest += (d == 0 ? 0 : d - 1) * sizeof(ForestPair);
     largest = std::max(largest, triangle_bytes(k));
+    k2 += triangle_bytes(k) / sizeof(double);
   }
   const std::uint64_t scratch = gather_scratch_bytes(n, t_count);
+  // Every key has a pair and a distinct (u, v), so K1 <= min(K2, C(n, 2)).
+  // The staged keys and their copy into one list are alive together.
+  const std::uint64_t list =
+      with_list ? 2 * std::min<std::uint64_t>(k2, std::uint64_t{n} * (n - 1) / 2) *
+                      sizeof(SimilarityEntry)
+                : 0;
   const std::uint64_t budget = ctx->memory_budget();
   const std::uint64_t left = budget - std::min(budget, ctx->memory_charged());
-  if (forest + largest + scratch > left) {
+  const std::uint64_t needed = forest + largest + scratch + list;
+  if (needed > left) {
     throw StoppedError(Status::resource_exhausted(strprintf(
-        "fine mode needs at least %llu bytes (forest pairs %llu + largest score triangle "
-        "%llu + gather scratch %llu) and the memory budget leaves %llu",
-        static_cast<unsigned long long>(forest + largest + scratch),
-        static_cast<unsigned long long>(forest), static_cast<unsigned long long>(largest),
-        static_cast<unsigned long long>(scratch), static_cast<unsigned long long>(left))));
+        "the spanning forest needs at least %llu bytes (forest pairs %llu + largest score "
+        "triangle %llu + gather scratch %llu + sorted list bound %llu) and the memory budget "
+        "leaves %llu",
+        static_cast<unsigned long long>(needed), static_cast<unsigned long long>(forest),
+        static_cast<unsigned long long>(largest), static_cast<unsigned long long>(scratch),
+        static_cast<unsigned long long>(list), static_cast<unsigned long long>(left))));
   }
-  const std::uint64_t room = left - forest - scratch;
+  const std::uint64_t room = left - forest - scratch - list;
   std::vector<VertexId> bounds{0};
   std::uint64_t held = 0;
   for (VertexId k = 0; k < n; ++k) {
@@ -129,7 +139,8 @@ std::vector<VertexId> triangle_ranges(const graph::WeightedGraph& graph, std::si
 
 SpanningForest spanning_forest(const graph::WeightedGraph& graph,
                                std::span<const VertexId> ranges, parallel::ThreadPool* pool,
-                               sim::WorkLedger* ledger, const SimilarityMapOptions& options) {
+                               sim::WorkLedger* ledger, const SimilarityMapOptions& options,
+                               SimilarityMap* list) {
   const std::size_t n = graph.vertex_count();
   LC_CHECK_MSG(ranges.size() >= 2 && ranges.front() == 0 && ranges.back() == n,
                "the k-ranges must cover the vertex range");
@@ -146,7 +157,7 @@ SpanningForest spanning_forest(const graph::WeightedGraph& graph,
   forest.charge = MemoryCharge(ctx, base[n] * sizeof(ForestPair), "forest.pairs");
   forest.pairs.resize(static_cast<std::size_t>(base[n]));
 
-  TriangleBuilder builder(graph, pool, ledger, options);
+  TriangleBuilder builder(graph, pool, ledger, options, list != nullptr);
   const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
   std::vector<PrimScratch> scratch(t_count);
   for (PrimScratch& s : scratch) {
@@ -185,6 +196,7 @@ SpanningForest spanning_forest(const graph::WeightedGraph& graph,
     }
     check_stop(ctx);
   }  // each range's triangles are freed before the next range is built
+  if (list != nullptr) *list = builder.take_list();
   std::sort(forest.pairs.begin(), forest.pairs.end(), sweep_order);
   return forest;
 }

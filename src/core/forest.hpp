@@ -1,5 +1,6 @@
-// Fine mode's sweep: one maximum spanning forest per common neighbor, then
-// one ordered union-find pass (DESIGN.md §16).
+// Both modes' sweeps read one maximum spanning forest per common neighbor
+// (DESIGN.md §16): fine mode in one ordered union-find pass, coarse mode
+// chunk by chunk (core/coarse.hpp).
 //
 // Two edges are similar only if they share a vertex k, so the graph whose
 // nodes are the edges of G and whose links are the incident pairs
@@ -18,8 +19,8 @@
 //
 // spanning_forest() runs a dense Prim per k over the ScoreTriangles on the
 // pool and sorts the survivors into the sweep order; forest_sweep() is the
-// serial merge pass that emits the dendrogram. Under a memory budget the
-// triangles are built one k-range at a time (triangle_ranges()).
+// serial merge pass that emits the fine dendrogram. Under a memory budget
+// the triangles are built one k-range at a time (triangle_ranges()).
 #pragma once
 
 #include <cstdint>
@@ -70,15 +71,16 @@ struct SpanningForest {
 
 /// The fewest contiguous k-ranges, as bounds 0 = b_0, ..., b_P = n, whose
 /// score triangles (Σ_{k∈R} C(d_k, 2) × 8 B each) fit in what the memory
-/// budget of `ctx` leaves once the forest pairs and the gather scratch of
-/// T = `t_count` blocks are charged: a greedy packing over k. One range
-/// without a context or a budget, or when every triangle fits at once.
-/// Throws StoppedError (kResourceExhausted), naming the bytes needed, when
-/// the forest, the largest single triangle and the scratch exceed what the
-/// budget leaves — before anything is allocated.
+/// budget of `ctx` leaves once the forest pairs, the gather scratch of
+/// T = `t_count` blocks and, `with_list` (coarse mode), twice min(K2, C(n, 2))
+/// entries of L (the staged keys and their copy) are charged: a greedy
+/// packing over k. One range without a context or a budget, or when every
+/// triangle fits at once. Throws StoppedError (kResourceExhausted), naming the
+/// bytes needed, when those and the largest triangle exceed the budget.
 [[nodiscard]] std::vector<graph::VertexId> triangle_ranges(const graph::WeightedGraph& graph,
                                                            std::size_t t_count,
-                                                           lc::RunContext* ctx);
+                                                           lc::RunContext* ctx,
+                                                           bool with_list = false);
 
 /// Charges and sizes the forest pairs, then for each k-range
 /// [ranges[r], ranges[r + 1]): a TriangleBuilder pass fills the range's
@@ -87,12 +89,15 @@ struct SpanningForest {
 /// the survivors follows. Each k writes its d_k − 1 tree pairs at a
 /// prefix-sum offset, so the forest is the same at every thread count and
 /// for every choice of ranges. `options` is the build's (ctx, measure,
-/// min_score for K1/K2); its ctx is polled per k.
+/// min_score for K1/K2); its ctx is polled per k. A non-null `list`
+/// receives coarse mode's list L: the keys at or above min_score, staged by
+/// the first pass (TriangleBuilder::take_list()), in build order.
 [[nodiscard]] SpanningForest spanning_forest(const graph::WeightedGraph& graph,
                                              std::span<const graph::VertexId> ranges,
                                              parallel::ThreadPool* pool = nullptr,
                                              sim::WorkLedger* ledger = nullptr,
-                                             const SimilarityMapOptions& options = {});
+                                             const SimilarityMapOptions& options = {},
+                                             SimilarityMap* list = nullptr);
 
 /// The merge pass: visits `forest` head to tail, stops at the first pair
 /// below `min_similarity`, and unites each pair's two clusters in a MinDsu

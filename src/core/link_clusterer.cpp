@@ -70,7 +70,7 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
   SimilarityMapOptions map_options;
   map_options.measure = config_.measure;
   map_options.ctx = config_.ctx;
-  // An armed similarity floor prunes the coarse build and the K1/K2 counts;
+  // An armed similarity floor prunes coarse mode's L and the K1/K2 counts;
   // the fine merge pass stops at the same score.
   if (std::isfinite(config_.min_similarity)) map_options.min_score = config_.min_similarity;
   Checkpointer* ckpt = checkpointer.has_value() ? &*checkpointer : nullptr;
@@ -84,15 +84,17 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
   };
 
   Stopwatch watch;
-  if (config_.mode == ClusterMode::kFine) {
-    // A memory budget only adds passes: the forest does not depend on them.
-    const std::vector<graph::VertexId> ranges =
-        triangle_ranges(graph, config_.threads, config_.ctx);
-    result.passes = static_cast<std::uint32_t>(ranges.size() - 1);
-    const SpanningForest forest =
-        spanning_forest(graph, ranges, pool.get(), config_.ledger, map_options);
-    result.k1 = static_cast<std::size_t>(forest.key_count);
-    result.k2 = forest.incident_pairs;
+  const bool coarse = config_.mode == ClusterMode::kCoarse;
+  // A memory budget only adds passes: the forest and L do not depend on them.
+  const std::vector<graph::VertexId> ranges =
+      triangle_ranges(graph, config_.threads, config_.ctx, coarse);
+  result.passes = static_cast<std::uint32_t>(ranges.size() - 1);
+  SimilarityMap list;  // coarse mode's L, without the pair arena
+  const SpanningForest forest = spanning_forest(graph, ranges, pool.get(), config_.ledger,
+                                                map_options, coarse ? &list : nullptr);
+  result.k1 = static_cast<std::size_t>(forest.key_count);
+  result.k2 = forest.incident_pairs;
+  if (!coarse) {
     result.timings.initialization_seconds = watch.lap();
     const FineCheckpoint* fine_resume = nullptr;
     if (loaded.has_value()) {
@@ -107,29 +109,22 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     result.final_labels = std::move(sweep_result.final_labels);
     result.stats = sweep_result.stats;
   } else {
-    SimilarityMap map = pool != nullptr
-                            ? build_similarity_map_parallel(graph, *pool, config_.ledger,
-                                                            map_options)
-                            : build_similarity_map(graph, map_options);
-    check_stop(config_.ctx);
     // Order L: pay only the O(|L|) bucket partition here; each bucket is
     // sorted as the sweep reaches it, and buckets past the phi stop never
     // are.
     BucketSweepSource::Options source_options;
     source_options.pool = pool.get();
-    BucketSweepSource source(map, source_options);
+    BucketSweepSource source(list, source_options);
     result.timings.initialization_seconds = watch.lap();
-    result.k1 = map.key_count();
-    result.k2 = map.incident_pair_count();
     const CoarseCheckpoint* coarse_resume = nullptr;
     if (loaded.has_value()) {
       coarse_resume = &*loaded->coarse;
-      check_position(coarse_resume->p, map.entries.size());
+      check_position(coarse_resume->p, list.entries.size());
     }
     check_stop(config_.ctx);
     CoarseResult coarse_result =
-        coarse_sweep(graph, map, source, result.edge_index, config_.coarse,
-                     pool.get(), config_.ledger, config_.ctx, ckpt, coarse_resume);
+        coarse_sweep(graph, forest, source, result.edge_index, config_.coarse,
+                     config_.ledger, config_.ctx, ckpt, coarse_resume);
     result.timings.sweeping_seconds = watch.lap();
     result.dendrogram = coarse_result.dendrogram;  // copy; full detail kept below
     result.final_labels = coarse_result.final_labels;

@@ -6,12 +6,13 @@
 //   config.threads = 4;
 //   auto result = LinkClusterer(config).cluster(graph);
 //
-// Fine mode runs Algorithm 1 into per-vertex score triangles, keeps one
-// maximum spanning forest per common neighbor and merges those pairs in the
-// order of Algorithm 2 (core/forest.hpp) — the merges of Algorithm 2 over
-// all of L, from at most 2|E| pairs. Coarse mode runs Algorithm 1 + the §V
-// coarse sweep. threads > 1 parallelizes the build, the forests and the
-// coarse sweep per §VI.
+// Both modes run Algorithm 1 into per-vertex score triangles and keep one
+// maximum spanning forest per common neighbor (core/forest.hpp). Fine mode
+// merges those pairs in the order of Algorithm 2 — the merges of Algorithm 2
+// over all of L, from at most 2|E| pairs. Coarse mode also keeps L, without
+// its pair arena, and runs the §V coarse sweep over it, each chunk uniting
+// its forest pairs (core/coarse.hpp). threads > 1 parallelizes the build and
+// the forests per §VI-A; both sweeps are serial.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +43,10 @@ enum class ClusterMode {
 };
 
 struct ClusterTimings {
-  /// Fine: the score triangles plus the spanning forests and their sort.
-  /// Coarse: Algorithm 1 (similarity map) plus the O(|L|) bucket partition
-  /// of L; the per-bucket sorts land in sweeping_seconds as the sweep
-  /// reaches them.
+  /// The score triangles plus the spanning forests and their sort; coarse
+  /// mode adds L's copy out of the first pass and its O(|L|) bucket
+  /// partition, while the per-bucket sorts land in sweeping_seconds as the
+  /// sweep reaches them.
   double initialization_seconds = 0.0;
   double sweeping_seconds = 0.0;        ///< fine merge pass or coarse sweep
   [[nodiscard]] double total_seconds() const {
@@ -73,7 +74,7 @@ struct ClusterResult {
   ClusterTimings timings;
   std::size_t k1 = 0;                 ///< keys (vertex pairs) at or above the floor
   std::uint64_t k2 = 0;               ///< their incident edge pairs
-  std::uint32_t passes = 1;          ///< fine: k-ranges of score triangles built
+  std::uint32_t passes = 1;           ///< k-ranges of score triangles built
   SweepSourceStats sweep_source;      ///< coarse mode's bucketed L; all zero in fine
   std::optional<CoarseResult> coarse; ///< populated in coarse mode
   std::optional<CheckpointRunStats> ckpt;  ///< populated when checkpointing ran
@@ -88,15 +89,15 @@ class LinkClusterer {
     EdgeOrder edge_order = EdgeOrder::kShuffled;
     std::uint64_t seed = 42;            ///< edge-enumeration seed
     SimilarityMeasure measure = SimilarityMeasure::kTanimoto;
-    /// Similarity floor. Fine mode stops the merge pass at the first pair
-    /// below it (the dendrogram simply ends at the threshold) and counts
-    /// K1/K2 at or above it; its triangles still hold every score, so the
-    /// floor saves it no memory (a budget splits the triangles into passes
-    /// instead, DESIGN.md §16). Coarse mode arms the build's exact
-    /// min_score filter so the pairs of keys below it are never
-    /// materialized. Part of the checkpoint fingerprint: a thresholded run
-    /// is a different run. Default -inf keeps historical digests and
-    /// snapshots unchanged.
+    /// Similarity floor. K1/K2 count the keys at or above it. Fine mode
+    /// stops the merge pass at the first pair below it (the dendrogram
+    /// simply ends at the threshold); coarse mode's L holds only the keys
+    /// at or above it, so its sweep ends there too. The triangles still
+    /// hold every score, so the floor saves neither mode triangle memory (a
+    /// budget splits the triangles into passes instead, DESIGN.md §16); it
+    /// shrinks only coarse mode's L. Part of the checkpoint fingerprint: a
+    /// thresholded run is a different run. Default -inf keeps historical
+    /// digests and snapshots unchanged.
     double min_similarity = -std::numeric_limits<double>::infinity();
     sim::WorkLedger* ledger = nullptr;  ///< optional work accounting (not owned)
     /// Optional cooperative run control (not owned): cancellation, deadline,

@@ -139,7 +139,8 @@ struct GatherScratch {
   /// Σ w_uk · w_kv while marked; the triangle build's sink overwrites it
   /// with the key's score for walk 2 to read.
   std::vector<double> acc;
-  std::vector<std::uint64_t> cursor;  ///< next final arena slot of a surviving key
+  /// Next final arena slot of a surviving key; sized by the map build only.
+  std::vector<std::uint64_t> cursor;
   std::vector<VertexId> cand;  ///< distinct candidates v of the current u
   std::vector<std::uint64_t> cand_bits;  ///< scratch bitmap over v (see gather_vertex)
 
@@ -285,9 +286,10 @@ struct GatherPlan {
   MemoryCharge scratch_charge;  ///< T sets of n-sized arrays, held for the build
 };
 
+/// `with_cursor`: the map build's walk 2 also needs GatherScratch::cursor.
 GatherPlan plan_gather(const WeightedGraph& graph, const SimilarityMapOptions& options,
-                       parallel::ThreadPool* pool, sim::WorkLedger* ledger,
-                       Stopwatch& watch) {
+                       parallel::ThreadPool* pool, sim::WorkLedger* ledger, Stopwatch& watch,
+                       bool with_cursor) {
   const std::size_t n = graph.vertex_count();
   const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
   RunContext* ctx = options.ctx;
@@ -325,29 +327,58 @@ GatherPlan plan_gather(const WeightedGraph& graph, const SimilarityMapOptions& o
   plan.bounds = parallel::balanced_split_range(
       n, t_count, [&plan](std::size_t u) { return 1 + plan.wedges[u]; });
 
-  plan.scratch_charge =
-      MemoryCharge(ctx, gather_scratch_bytes(n, t_count), "sim.gather.scratch");
+  const std::uint64_t cursor_bytes =
+      with_cursor ? t_count * static_cast<std::uint64_t>(n) * sizeof(std::uint64_t) : 0;
+  plan.scratch_charge = MemoryCharge(ctx, gather_scratch_bytes(n, t_count) + cursor_bytes,
+                                     "sim.gather.scratch");
   plan.scratch.resize(t_count);
   for (GatherScratch& s : plan.scratch) {
     s.mark.assign(n, 0);
     s.ccount.resize(n);
     s.acc.resize(n);
-    s.cursor.resize(n);
+    if (with_cursor) s.cursor.resize(n);
     s.cand.reserve(n);  // the candidates of u are distinct vertices
     s.cand_bits.assign((n + 63) / 64, 0);
   }
   return plan;
 }
 
-/// Phase A's output for one map block: the surviving entries, staged with
+/// Phase A's output for one block: the surviving entries, staged with
 /// offsets relative to the block's first arena slot, and the block's pair
-/// count.
+/// count. The map build stages every block so, and so does coarse mode's
+/// first triangle pass, whose list L is the map's entries without the arena.
 struct StagedBlock {
   std::vector<SimilarityEntry> entries;
   std::uint64_t pairs = 0;
   std::uint64_t pairs_exact = 0;  ///< keys with >= 2 commons (BuildStats)
   MemoryCharge charge;            ///< the staged entries, grown as they are written
+
+  /// Stages key (u, v) if its score is at or above `min_score`; returns
+  /// whether it was kept.
+  bool stage(VertexId u, VertexId v, std::uint32_t c, double score, double min_score) {
+    if (c > 1) ++pairs_exact;
+    if (score < min_score) return false;
+    entries.push_back(SimilarityEntry{u, v, score, pairs, c});
+    pairs += c;
+    return true;
+  }
 };
+
+/// One empty StagedBlock per u block of `plan`. Every key has at least one
+/// pair, so a block's wedge count bounds its entries: the reservation keeps
+/// the workers allocation-free, and only its touched prefix is resident.
+std::vector<StagedBlock> staged_blocks(const GatherPlan& plan, RunContext* ctx) {
+  std::vector<StagedBlock> blocks(plan.scratch.size());
+  for (std::size_t t = 0; t < blocks.size(); ++t) {
+    std::uint64_t block_wedges = 0;
+    for (std::size_t u = plan.bounds[t]; u < plan.bounds[t + 1]; ++u) {
+      block_wedges += plan.wedges[u];
+    }
+    blocks[t].entries.reserve(static_cast<std::size_t>(block_wedges));
+    blocks[t].charge = MemoryCharge(ctx);
+  }
+  return blocks;
+}
 
 /// Algorithm 1 on T = pool->thread_count() blocks (one without a pool). The
 /// vertex range is cut into T contiguous blocks balanced by wedge count, and
@@ -363,7 +394,7 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
   RunContext* ctx = options.ctx;
   check_stop(ctx);
   Stopwatch watch;
-  GatherPlan plan = plan_gather(graph, options, pool, ledger, watch);
+  GatherPlan plan = plan_gather(graph, options, pool, ledger, watch, /*with_cursor=*/true);
   const std::size_t t_count = plan.scratch.size();
   const std::vector<std::size_t>& bounds = plan.bounds;
   const std::vector<std::uint64_t>& wedges = plan.wedges;
@@ -371,15 +402,7 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
   // Staged entries are charged as they are written; the final map, once its
   // size is known.
   const GatherJob job{graph, plan.h1, plan.h2, options.measure};
-  std::vector<StagedBlock> blocks(t_count);
-  for (std::size_t t = 0; t < t_count; ++t) {
-    // Every key has at least one pair, so the block's wedge count bounds
-    // its entries. Only the touched prefix of the reservation is resident.
-    std::uint64_t block_wedges = 0;
-    for (std::size_t u = bounds[t]; u < bounds[t + 1]; ++u) block_wedges += wedges[u];
-    blocks[t].entries.reserve(static_cast<std::size_t>(block_wedges));
-    blocks[t].charge = MemoryCharge(ctx);
-  }
+  std::vector<StagedBlock> blocks = staged_blocks(plan, ctx);
 
   // Phase A: walk 1 and scoring, keeping the keys at or above min_score.
   run_blocks(pool, ledger, "init.pass2.gather", [&](std::size_t t) {
@@ -393,15 +416,9 @@ SimilarityMap build(const WeightedGraph& graph, const SimilarityMapOptions& opti
       const std::size_t staged = block.entries.size();
       const auto u = static_cast<VertexId>(ui);
       gather_vertex(job, u, s, [&](VertexId v, std::uint32_t c, double score) {
-        if (c > 1) ++block.pairs_exact;
-        if (score < options.min_score) {
-          // Unmarked, so phase B cannot mistake it for a survivor of u: a
-          // stale mark u+1 is left only on the keys staged here.
-          s.mark[v] = 0;
-          return;
-        }
-        block.entries.push_back(SimilarityEntry{u, v, score, block.pairs, c});
-        block.pairs += c;
+        // Unmarked, so phase B cannot mistake it for a survivor of u: a
+        // stale mark u+1 is left only on the keys staged here.
+        if (!block.stage(u, v, c, score, options.min_score)) s.mark[v] = 0;
       });
       block.charge.grow((block.entries.size() - staged) * sizeof(SimilarityEntry),
                         "sim.gather.staged");
@@ -465,15 +482,19 @@ struct TriangleBuilder::State {
   sim::WorkLedger* ledger;
   SimilarityMapOptions options;
   GatherPlan plan;
+  bool stage_list;
+  std::vector<StagedBlock> staged;  ///< the first pass's keys, when stage_list
 };
 
 TriangleBuilder::TriangleBuilder(const WeightedGraph& graph, parallel::ThreadPool* pool,
-                                 sim::WorkLedger* ledger,
-                                 const SimilarityMapOptions& options) {
+                                 sim::WorkLedger* ledger, const SimilarityMapOptions& options,
+                                 bool stage_list) {
   check_stop(options.ctx);
   Stopwatch watch;
-  state_ = std::make_unique<State>(
-      State{graph, pool, ledger, options, plan_gather(graph, options, pool, ledger, watch)});
+  state_ = std::make_unique<State>(State{
+      graph, pool, ledger, options,
+      plan_gather(graph, options, pool, ledger, watch, /*with_cursor=*/false), stage_list,
+      /*staged=*/{}});
 }
 
 TriangleBuilder::~TriangleBuilder() = default;
@@ -489,6 +510,7 @@ ScoreTriangles TriangleBuilder::build(VertexId first, VertexId last) {
   const WeightedGraph& graph = state.graph;
   const SimilarityMapOptions& options = state.options;
   LC_CHECK_MSG(first <= last && last <= graph.vertex_count(), "k-range out of bounds");
+  LC_CHECK_MSG(!state.plan.scratch.empty(), "no pass runs after take_list()");
 
   ScoreTriangles out;
   out.first = first;
@@ -507,6 +529,8 @@ ScoreTriangles TriangleBuilder::build(VertexId first, VertexId last) {
   // Walk 1 recognises a live candidate by its epoch u+1, which an earlier
   // pass left on every candidate of u: clear them.
   for (GatherScratch& s : plan.scratch) std::fill(s.mark.begin(), s.mark.end(), 0);
+  const bool stage = state.stage_list && state.staged.empty();  // the first pass
+  if (stage) state.staged = staged_blocks(plan, options.ctx);
   const GatherJob job{graph, plan.h1, plan.h2, options.measure};
   struct Counts {
     std::uint64_t keys = 0;
@@ -517,17 +541,24 @@ ScoreTriangles TriangleBuilder::build(VertexId first, VertexId last) {
     fault::maybe_fire("build.gather");
     PollTicker ticker(options.ctx);
     GatherScratch& s = plan.scratch[t];
+    StagedBlock* const block = stage ? &state.staged[t] : nullptr;
     Counts count;  // local: the blocks' slots share cache lines
     std::uint64_t work = 0;
     for (std::size_t ui = plan.bounds[t]; ui < plan.bounds[t + 1]; ++ui) {
       ticker.checkpoint(1 + plan.wedges[ui]);
       const auto u = static_cast<VertexId>(ui);
+      const std::size_t staged = block != nullptr ? block->entries.size() : 0;
       gather_vertex(job, u, s, [&](VertexId v, std::uint32_t c, double score) {
         s.acc[v] = score;
+        if (block != nullptr) block->stage(u, v, c, score, options.min_score);
         if (score < options.min_score) return;
         ++count.keys;
         count.pairs += c;
       });
+      if (block != nullptr) {
+        block->charge.grow((block->entries.size() - staged) * sizeof(SimilarityEntry),
+                           "sim.gather.staged");
+      }
       fill_triangles(graph, u, s, out);
       work += 1 + 2 * plan.wedges[ui];
     }
@@ -540,6 +571,37 @@ ScoreTriangles TriangleBuilder::build(VertexId first, VertexId last) {
     out.incident_pairs += count.pairs;
   }
   return out;
+}
+
+SimilarityMap TriangleBuilder::take_list() {
+  State& state = *state_;
+  LC_CHECK_MSG(!state.staged.empty(), "take_list() needs a staging pass");
+  // No pass follows: the gather scratch goes before the list is copied.
+  state.plan.scratch.clear();
+  state.plan.scratch_charge.release();
+  const std::vector<StagedBlock>& blocks = state.staged;
+  std::vector<std::uint64_t> entry_base(blocks.size() + 1, 0);
+  std::vector<std::uint64_t> arena_base(blocks.size() + 1, 0);
+  for (std::size_t t = 0; t < blocks.size(); ++t) {
+    entry_base[t + 1] = entry_base[t] + blocks[t].entries.size();
+    arena_base[t + 1] = arena_base[t] + blocks[t].pairs;
+  }
+  SimilarityMap list;
+  MemoryCharge charge(state.options.ctx, entry_base.back() * sizeof(SimilarityEntry),
+                      "sim.list");
+  list.entries.resize(static_cast<std::size_t>(entry_base.back()));
+  run_blocks(state.pool, state.ledger, "init.list", [&](std::size_t t) {
+    SimilarityEntry* dst = list.entries.data() + entry_base[t];
+    for (SimilarityEntry e : blocks[t].entries) {
+      e.offset += arena_base[t];  // the map's offset, though no arena is built
+      *dst++ = e;
+    }
+    return blocks[t].entries.size();
+  });
+  state.staged.clear();
+  charge.commit();
+  list.set_keys_sorted(true);
+  return list;
 }
 
 void SimilarityMap::sort_by_score() {
@@ -582,11 +644,11 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
 }
 
 std::uint64_t gather_scratch_bytes(std::size_t n, std::size_t t_count) {
-  // mark, ccount, acc and cursor over n vertices, at most n candidates, and
-  // an n-bit bitmap.
+  // mark, ccount and acc over n vertices, at most n candidates, and an n-bit
+  // bitmap. The map build's cursor is charged beside it.
   const std::uint64_t per_worker =
-      static_cast<std::uint64_t>(n) * (2 * sizeof(std::uint32_t) + sizeof(double) +
-                                       sizeof(std::uint64_t) + sizeof(VertexId)) +
+      static_cast<std::uint64_t>(n) *
+          (2 * sizeof(std::uint32_t) + sizeof(double) + sizeof(VertexId)) +
       (static_cast<std::uint64_t>(n) + 63) / 64 * sizeof(std::uint64_t);
   return t_count * per_worker;
 }

@@ -44,9 +44,9 @@
 // entries there and walk 2 writes every pair once, straight into the final
 // arena.
 //
-// Fine mode needs no map: TriangleBuilder runs the same pass 1, walk 1 and
-// scoring, and its walk 2 writes each key's score into the triangle of every
-// common neighbor k in one k-range (ScoreTriangles), from which
+// LinkClusterer builds no map: TriangleBuilder runs the same pass 1, walk 1
+// and scoring, and its walk 2 writes each key's score into the triangle of
+// every common neighbor k in one k-range (ScoreTriangles), from which
 // core/forest.hpp keeps one maximum spanning forest per k (DESIGN.md §16).
 #pragma once
 
@@ -231,8 +231,10 @@ SimilarityMap build_similarity_map_parallel(const graph::WeightedGraph& graph,
                                             sim::WorkLedger* ledger = nullptr,
                                             const SimilarityMapOptions& options = {});
 
-/// Heap bytes of the per-worker gather scratch a build on T = `t_count`
-/// blocks charges for an n-vertex graph: T sets of n-sized arrays.
+/// Heap bytes of the per-worker gather scratch a triangle build on
+/// T = `t_count` blocks charges for an n-vertex graph: T sets of n-sized
+/// arrays. The map build charges T · n · 8 B more, for walk 2's arena
+/// cursors.
 [[nodiscard]] std::uint64_t gather_scratch_bytes(std::size_t n, std::size_t t_count);
 
 /// Fine mode's score store for the vertices k in [first, last): one strict
@@ -267,8 +269,8 @@ struct ScoreTriangles {
   }
 };
 
-/// The fine mode's build: pass 1, walk 1 and scoring exactly as the map
-/// builds run them (the same score bits), with walk 2 writing each score
+/// The spanning forests' build: pass 1, walk 1 and scoring exactly as the
+/// map builds run them (the same score bits), with walk 2 writing each score
 /// into ScoreTriangles. Construction runs pass 1 and the wedge counts and
 /// charges the gather scratch (gather_scratch_bytes) to options.ctx; each
 /// build() then runs pass 2 over every u again and fills the triangles of
@@ -277,11 +279,13 @@ struct ScoreTriangles {
 /// needed for the spanning forests. T = pool->thread_count() blocks, one
 /// without a pool; the output is the same at every T. options.stats gets
 /// pass1_ms only.
+/// With `stage_list` (coarse mode), the first build() also stages every key
+/// at or above min_score as the map build's phase A does, for take_list().
 class TriangleBuilder {
  public:
   TriangleBuilder(const graph::WeightedGraph& graph, parallel::ThreadPool* pool = nullptr,
                   sim::WorkLedger* ledger = nullptr,
-                  const SimilarityMapOptions& options = {});
+                  const SimilarityMapOptions& options = {}, bool stage_list = false);
   ~TriangleBuilder();
   TriangleBuilder(const TriangleBuilder&) = delete;
   TriangleBuilder& operator=(const TriangleBuilder&) = delete;
@@ -290,6 +294,10 @@ class TriangleBuilder {
   /// before they are allocated. Walk 2 of u writes only the k of row u in
   /// the range, one contiguous sub-span of the sorted row.
   [[nodiscard]] ScoreTriangles build(graph::VertexId first, graph::VertexId last);
+
+  /// Ends the builder: frees the gather scratch and returns the staged keys
+  /// as coarse mode's L — the map build's `entries` byte for byte, no arena.
+  [[nodiscard]] SimilarityMap take_list();
 
  private:
   struct State;

@@ -42,14 +42,15 @@ class SweepSource;       // core/sweep_source.hpp
 ///     coarse mode, each visited pair reads two slots and each union writes
 ///     one: c_accesses = 2 * pairs + unions and c_changes = unions.
 ///   - coarse (core/coarse.hpp): what the paper's array C would read and
-///     write for the same merges. Each applied incident pair reads two slots
-///     (one per edge), and each union (a cluster the chunk removes, one
-///     sorted journal loser) writes one slot. So c_accesses = 2 * pairs +
-///     unions and c_changes = unions, summed over every applied chunk and
-///     reuse replay, rolled-back ones included. Both come from the chunk's
-///     pair list and its union losers only, never from the concurrent DSU's
-///     CAS retries or path-halving writes, so they are identical at every
-///     thread count.
+///     write for the same merges. Each applied pair reads two slots (one per
+///     edge), and each union (a cluster the chunk removes, one sorted
+///     journal loser) writes one slot. So c_accesses = 2 * pairs + unions
+///     and c_changes = unions, summed over every applied chunk and reuse
+///     replay, rolled-back ones included. Both come from the chunk's pair
+///     count and its union losers only, never from the DSU's path
+///     compression. The production sweep applies a chunk's spanning-forest
+///     pairs, the reference sweep all its incident pairs, so their counts
+///     differ while their merges do not.
 struct SweepStats {
   std::uint64_t pairs_processed = 0;  ///< incident edge pairs visited
   std::uint64_t merges_effective = 0; ///< dendrogram events (levels in fine mode)

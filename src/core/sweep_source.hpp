@@ -127,8 +127,8 @@ class BucketSweepSource final : public SweepSource {
     /// larger buckets. Any value produces the identical consumed order.
     std::size_t bucket_count = 0;
     /// Parallelizes the scatter pass (not owned, may be null). Never used
-    /// after construction — bucket sorts must not touch the pool, which the
-    /// coarse sweep keeps busy applying chunks.
+    /// after construction: bucket sorts run on the caller and the prefetch
+    /// thread only.
     parallel::ThreadPool* pool = nullptr;
   };
 

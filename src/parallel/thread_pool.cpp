@@ -113,22 +113,4 @@ void parallel_for_blocks(ThreadPool& pool, std::size_t n,
   pool.run_batch(tasks);
 }
 
-void parallel_for_blocks_indexed(
-    ThreadPool& pool, std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-    std::size_t min_grain) {
-  std::size_t parts = pool.thread_count();
-  if (min_grain > 0) parts = std::clamp(n / min_grain, std::size_t{1}, parts);
-  const std::vector<std::size_t> bounds = split_range(n, parts);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(parts);
-  for (std::size_t t = 0; t < parts; ++t) {
-    const std::size_t begin = bounds[t];
-    const std::size_t end = bounds[t + 1];
-    if (begin == end) continue;
-    tasks.push_back([&fn, t, begin, end] { fn(t, begin, end); });
-  }
-  pool.run_batch(tasks);
-}
-
 }  // namespace lc::parallel

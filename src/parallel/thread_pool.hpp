@@ -110,15 +110,6 @@ void parallel_for_blocks(ThreadPool& pool, std::size_t n,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t min_grain = 0);
 
-/// parallel_for_blocks with the block ordinal passed through:
-/// fn(block, begin, end) with block < pool.thread_count(). The ordinal lets
-/// callers keep per-block state (journals, work counters, ledger slots)
-/// without sharing — the coarse sweep's chunk application uses it.
-void parallel_for_blocks_indexed(
-    ThreadPool& pool, std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-    std::size_t min_grain = 0);
-
 /// Worker count that is actually worth using for CPU-bound block work: the
 /// pool width clamped to std::thread::hardware_concurrency(). Pools wider
 /// than the machine (a T=8 run on a 2-core container) oversubscribe block

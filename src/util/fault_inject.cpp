@@ -59,7 +59,7 @@ const std::vector<SiteInfo>& registry_storage() {
       {"sweep.entry", SiteClass::kCall, "fine sweep: forest pair / entry boundary"},
       {"sweep.bucket", SiteClass::kCall, "bucketed sweep source: bucket sort"},
       {"coarse.chunk", SiteClass::kCall, "coarse chunk boundary"},
-      {"coarse.apply", SiteClass::kCall, "coarse chunk apply task"},
+      {"coarse.apply", SiteClass::kCall, "coarse chunk apply"},
       {"coarse.journal", SiteClass::kCall, "coarse merge journal"},
       {"coarse.snapshot", SiteClass::kCall, "coarse rollback snapshot"},
       {"baseline.matrix", SiteClass::kCall, "baseline similarity matrix"},

@@ -63,7 +63,7 @@ TEST(Cli, GenerateThenStats) {
 
 TEST(Cli, GenerateAllTypes) {
   for (const char* type : {"er", "ba", "ws", "complete", "regular"}) {
-    const std::string path = temp_path(std::string("cli_") + type + ".edges");
+    const std::string path = temp_path(std::string("cli_all_") + type + ".edges");
     EXPECT_EQ(run({"generate", "--type", type, "--n", "20", "--k", "4", "--output",
                    path.c_str()}),
               0)

@@ -163,25 +163,6 @@ TEST(CoarseSweep, EpochKindsPartitionTheLog) {
   EXPECT_EQ(accepted, result.levels.size());
 }
 
-TEST(CoarseSweep, ParallelMatchesSerial) {
-  const Prepared p = prepare(medium_graph(31));
-  CoarseOptions options;
-  options.phi = 6;
-  options.delta0 = 40;
-  const CoarseResult serial = coarse_sweep(p.graph, p.map, p.index, options);
-  for (std::size_t threads : {2u, 4u}) {
-    parallel::ThreadPool pool(threads);
-    const CoarseResult par = coarse_sweep(p.graph, p.map, p.index, options, &pool);
-    EXPECT_EQ(par.final_labels, serial.final_labels) << "T=" << threads;
-    ASSERT_EQ(par.levels.size(), serial.levels.size()) << "T=" << threads;
-    for (std::size_t i = 0; i < serial.levels.size(); ++i) {
-      EXPECT_EQ(par.levels[i].clusters, serial.levels[i].clusters);
-      EXPECT_EQ(par.levels[i].pairs_processed, serial.levels[i].pairs_processed);
-    }
-    EXPECT_EQ(par.pairs_processed, serial.pairs_processed);
-  }
-}
-
 TEST(CoarseSweep, LedgerRecordsWork) {
   const Prepared p = prepare(medium_graph(37));
   parallel::ThreadPool pool(3);

@@ -4,8 +4,9 @@
 // full sorted list L, core/sweep.hpp) byte for byte, on seeded random graphs
 // and on tie-heavy ones, for both measures, every thread count and a
 // similarity floor. Also here: the forest's size and shape, checkpoint and
-// resume on the forest path, its memory charges, and the passes a memory
-// budget splits the score triangles into.
+// resume on the forest path, its memory charges, the passes a memory budget
+// splits the score triangles into, and coarse mode on the forest, checked
+// against the reference coarse sweep.
 #include "core/forest.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <bit>
 #include <cstddef>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/coarse.hpp"
 #include "core/dendrogram_io.hpp"
 #include "core/dsu.hpp"
 #include "core/link_clusterer.hpp"
@@ -610,6 +613,255 @@ TEST_F(ForestCheckpoint, SnapshotWrittenInOnePassResumesUnderMany) {
   EXPECT_EQ(to_merge_list(resumed->dendrogram), to_merge_list(reference.dendrogram));
   EXPECT_EQ(resumed->final_labels, reference.final_labels);
   EXPECT_EQ(resumed->stats.pairs_processed, reference.stats.pairs_processed);
+}
+
+TEST(ForestMemory, TrianglePassChargesNoArenaCursors) {
+  // Only the map build's walk 2 reads the per-worker arena cursors, so a
+  // triangle pass charges T · n · 8 B less gather scratch. With a 1-byte
+  // budget the scratch is the first charge of either build, and the error
+  // names the bytes it tried to hold.
+  const WeightedGraph graph =
+      graph::erdos_renyi(300, 0.05, {11, graph::WeightPolicy::kUniform});
+  const std::uint64_t n = graph.vertex_count();
+  const auto scratch_charged = [](const std::function<void(SimilarityMapOptions&)>& build) {
+    RunContext ctx;
+    ctx.set_memory_budget(1);
+    SimilarityMapOptions options;
+    options.ctx = &ctx;
+    try {
+      build(options);
+    } catch (const StoppedError& stopped) {
+      const std::string& message = stopped.status().message();
+      EXPECT_NE(message.find("sim.gather.scratch"), std::string::npos) << message;
+      return std::stoull(message.substr(message.find('(') + 1));
+    }
+    ADD_FAILURE() << "the 1-byte budget did not trip";
+    return 0ull;
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    parallel::ThreadPool pool(threads);
+    const std::uint64_t map_scratch = scratch_charged([&](SimilarityMapOptions& options) {
+      (void)build_similarity_map_parallel(graph, pool, nullptr, options);
+    });
+    const std::uint64_t triangle_scratch = scratch_charged([&](SimilarityMapOptions& options) {
+      const TriangleBuilder builder(graph, &pool, nullptr, options);
+    });
+    EXPECT_EQ(triangle_scratch, gather_scratch_bytes(n, threads));
+    EXPECT_EQ(map_scratch - triangle_scratch, threads * n * sizeof(std::uint64_t));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Coarse mode: the §V sweep over L uniting only each chunk's forest pairs
+// must reproduce the reference coarse sweep (every incident pair of each
+// chunk, from the map's arena, over sort_by_score()) in every field but the
+// pair-count stats.
+
+/// The reference coarse sweep over the map built with `floor`, with
+/// LinkClusterer's edge enumeration.
+CoarseResult reference_coarse(const WeightedGraph& graph, const CoarseOptions& options,
+                              double floor) {
+  SimilarityMapOptions map_options;
+  map_options.min_score = floor;
+  SimilarityMap map = build_similarity_map(graph, map_options);
+  map.sort_by_score();
+  const LinkClusterer::Config defaults;
+  const EdgeIndex index(graph.edge_count(), defaults.edge_order, defaults.seed);
+  return coarse_sweep(graph, map, index, options);
+}
+
+void expect_same_coarse(const CoarseResult& got, const CoarseResult& want) {
+  EXPECT_EQ(to_merge_list(got.dendrogram), to_merge_list(want.dendrogram));
+  expect_same_events(got.dendrogram, want.dendrogram);
+  ASSERT_EQ(got.levels.size(), want.levels.size());
+  for (std::size_t i = 0; i < want.levels.size(); ++i) {
+    EXPECT_EQ(got.levels[i].level, want.levels[i].level) << "level " << i;
+    EXPECT_EQ(got.levels[i].clusters, want.levels[i].clusters) << "level " << i;
+    EXPECT_EQ(got.levels[i].pairs_processed, want.levels[i].pairs_processed) << "level " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.levels[i].threshold_score),
+              std::bit_cast<std::uint64_t>(want.levels[i].threshold_score))
+        << "level " << i;
+  }
+  ASSERT_EQ(got.epochs.size(), want.epochs.size());
+  for (std::size_t i = 0; i < want.epochs.size(); ++i) {
+    EXPECT_EQ(got.epochs[i].kind, want.epochs[i].kind) << "epoch " << i;
+    EXPECT_EQ(got.epochs[i].chunk_size, want.epochs[i].chunk_size) << "epoch " << i;
+    EXPECT_EQ(got.epochs[i].beta_before, want.epochs[i].beta_before) << "epoch " << i;
+    EXPECT_EQ(got.epochs[i].beta_after, want.epochs[i].beta_after) << "epoch " << i;
+    EXPECT_EQ(got.epochs[i].pairs_end, want.epochs[i].pairs_end) << "epoch " << i;
+  }
+  EXPECT_EQ(got.rollback_count, want.rollback_count);
+  EXPECT_EQ(got.reuse_count, want.reuse_count);
+  EXPECT_EQ(got.soundness_violations, want.soundness_violations);
+  EXPECT_EQ(got.pairs_processed, want.pairs_processed);
+  EXPECT_EQ(got.pairs_total, want.pairs_total);
+  EXPECT_EQ(got.final_labels, want.final_labels);
+  EXPECT_EQ(got.stats.merges_effective, want.stats.merges_effective);
+}
+
+/// Small chunks and a tight gamma: many levels, rollbacks and reuse jumps.
+CoarseOptions tight_coarse(std::size_t phi) {
+  CoarseOptions options;
+  options.delta0 = 16;
+  options.gamma = 1.2;
+  options.phi = phi;
+  return options;
+}
+
+TEST(CoarseForest, MatchesTheReferenceCoarseSweep) {
+  std::size_t rollbacks = 0;
+  std::size_t reuses = 0;
+  for (const NamedGraph& named : oracle_graphs()) {
+    for (const double floor :
+         {kNoFloor, median_score(named.graph, SimilarityMeasure::kTanimoto)}) {
+      for (const std::size_t phi : {std::size_t{1}, std::size_t{100}}) {
+        const CoarseOptions options = tight_coarse(phi);
+        const CoarseResult want = reference_coarse(named.graph, options, floor);
+        rollbacks += want.rollback_count;
+        reuses += want.reuse_count;
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+          SCOPED_TRACE(testing::Message() << named.name << " floor=" << floor
+                                          << " phi=" << phi << " threads=" << threads);
+          LinkClusterer::Config config;
+          config.mode = ClusterMode::kCoarse;
+          config.coarse = options;
+          config.threads = threads;
+          config.min_similarity = floor;
+          const ClusterResult got = LinkClusterer(config).cluster(named.graph);
+          ASSERT_TRUE(got.coarse.has_value());
+          expect_same_coarse(*got.coarse, want);
+          EXPECT_EQ(got.final_labels, want.final_labels);
+          EXPECT_EQ(got.k2, want.pairs_total);
+        }
+      }
+    }
+  }
+  // The settings really drove the mode machine through both of its jumps.
+  EXPECT_GT(rollbacks, 0u);
+  EXPECT_GT(reuses, 0u);
+}
+
+TEST(CoarseForest, ListIsTheMapsEntries) {
+  // The first triangle pass stages L exactly as the map build's phase A:
+  // the same entries, offsets included, in build order, at every T.
+  const WeightedGraph graph = rmat(9, 6, 8, false);
+  for (const double floor : {kNoFloor, median_score(graph, SimilarityMeasure::kTanimoto)}) {
+    SimilarityMapOptions options;
+    options.min_score = floor;
+    const SimilarityMap map = build_similarity_map(graph, options);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "floor=" << floor << " threads=" << threads);
+      std::unique_ptr<parallel::ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
+      SimilarityMap list;
+      const SpanningForest forest =
+          spanning_forest(graph, even_ranges(graph.vertex_count(), 3), pool.get(), nullptr,
+                          options, &list);
+      EXPECT_TRUE(list.keys_sorted());
+      EXPECT_TRUE(list.pair_arena.empty());
+      EXPECT_EQ(forest.key_count, list.key_count());
+      ASSERT_EQ(list.entries.size(), map.entries.size());
+      for (std::size_t i = 0; i < map.entries.size(); ++i) {
+        const SimilarityEntry& a = list.entries[i];
+        const SimilarityEntry& b = map.entries[i];
+        ASSERT_TRUE(a.u == b.u && a.v == b.v && a.count == b.count && a.offset == b.offset &&
+                    std::bit_cast<std::uint64_t>(a.score) ==
+                        std::bit_cast<std::uint64_t>(b.score))
+            << "entry " << i;
+      }
+    }
+  }
+}
+
+/// A coarse budget: the fine one plus twice the bound K1 <= min(K2, C(n, 2))
+/// on L's bytes.
+std::uint64_t coarse_budget_with_room(const WeightedGraph& graph, std::size_t threads,
+                                      std::uint64_t room) {
+  const std::uint64_t n = graph.vertex_count();
+  const std::uint64_t keys = std::min(graph::compute_stats(graph).k2, n * (n - 1) / 2);
+  return budget_with_room(graph, threads, room) + 2 * keys * sizeof(SimilarityEntry);
+}
+
+TEST(CoarseForest, BudgetPassesGiveTheReferenceSweep) {
+  std::vector<NamedGraph> graphs;
+  graphs.push_back({"er", graph::erdos_renyi(300, 0.04, {5, graph::WeightPolicy::kUniform})});
+  graphs.push_back({"rmat_hubs", rmat(10, 8, 3, false)});
+  graphs.push_back({"er_unit", graph::erdos_renyi(300, 0.04, {6})});
+  for (const NamedGraph& named : graphs) {
+    const WeightedGraph& graph = named.graph;
+    const CoarseOptions options = tight_coarse(10);
+    const CoarseResult want = reference_coarse(graph, options, kNoFloor);
+    const std::uint64_t all = graph::compute_stats(graph).k2 * sizeof(double);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << named.name << " threads=" << threads);
+      RunContext ctx;
+      const std::uint64_t budget = coarse_budget_with_room(
+          graph, threads, std::max(all / 3, largest_triangle_bytes(graph)));
+      ctx.set_memory_budget(budget);
+      LinkClusterer::Config config;
+      config.mode = ClusterMode::kCoarse;
+      config.coarse = options;
+      config.threads = threads;
+      config.ctx = &ctx;
+      const StatusOr<ClusterResult> run = LinkClusterer(config).run(graph);
+      ASSERT_TRUE(run.ok()) << run.status().to_string();
+      EXPECT_GE(run->passes, 2u);
+      EXPECT_LE(ctx.memory_peak(), budget);
+      expect_same_coarse(*run->coarse, want);
+    }
+  }
+}
+
+TEST_F(ForestCheckpoint, CoarseKillAtChunkThenResumeReproducesTheRun) {
+  // Snapshot at every chunk boundary, die at a chunk head in mid-sweep, and
+  // resume under another thread count: the forest cursor is found again
+  // from the stored position in L.
+  const WeightedGraph& graph = checkpoint_graph();
+  LinkClusterer::Config config;
+  config.mode = ClusterMode::kCoarse;
+  config.coarse = tight_coarse(10);
+  const ClusterResult reference = LinkClusterer(config).cluster(graph);
+  ASSERT_TRUE(reference.coarse.has_value());
+  const std::size_t chunks = reference.coarse->epochs.size();
+  ASSERT_GT(chunks, 4u);
+  ASSERT_GT(reference.coarse->rollback_count, 0u);
+  const std::size_t thread_counts[] = {1, 2, 8};
+  for (std::size_t w = 0; w < 3; ++w) {
+    const std::size_t write_threads = thread_counts[w];
+    const std::size_t resume_threads = thread_counts[(w + 1) % 3];
+    SCOPED_TRACE(testing::Message() << "write T=" << write_threads
+                                    << " resume T=" << resume_threads);
+    std::filesystem::remove_all(dir_);
+    LinkClusterer::Config writing = config;
+    writing.threads = write_threads;
+    writing.checkpoint.directory = dir_.string();
+    writing.checkpoint.interval_ms = 0;
+    fault::arm("coarse.chunk", fault::FaultKind::kThrow, chunks / 2);
+    const StatusOr<ClusterResult> killed = LinkClusterer(writing).run(graph);
+    fault::disarm();
+    ASSERT_FALSE(killed.ok());
+    EXPECT_EQ(killed.status().code(), StatusCode::kInternal);
+
+    const StatusOr<LoadedCheckpoint> loaded = load_checkpoint(
+        dir_.string(), LinkClusterer::fingerprint(graph, writing), graph.edge_count());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+    ASSERT_TRUE(loaded->coarse.has_value());
+    EXPECT_GT(loaded->coarse->p, 0u);
+
+    LinkClusterer::Config resuming = config;
+    resuming.threads = resume_threads;
+    resuming.checkpoint.directory = dir_.string();
+    resuming.checkpoint.interval_ms = 3600000;
+    resuming.resume = true;
+    const StatusOr<ClusterResult> resumed = LinkClusterer(resuming).run(graph);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+    ASSERT_TRUE(resumed->coarse.has_value());
+    expect_same_coarse(*resumed->coarse, *reference.coarse);
+    EXPECT_EQ(resumed->stats.pairs_processed, reference.stats.pairs_processed);
+    EXPECT_EQ(resumed->stats.c_accesses, reference.stats.c_accesses);
+    EXPECT_EQ(resumed->stats.c_changes, reference.stats.c_changes);
+  }
 }
 
 }  // namespace

@@ -235,11 +235,10 @@ TEST_F(FaultInjectionTest, GatherFaultDisarmedRerunReproducesDendrogramExactly) 
 
 TEST_F(FaultInjectionTest, DisarmedRerunReproducesCoarseDendrogramExactly) {
   // Same round trip through the coarse mode. coarse.apply is hit once per
-  // apply block: the sweep applies 12 chunks, each as one block at T = 1 and
-  // as 8 blocks at T = 8, so skipping 6·T hits throws in the seventh chunk,
-  // after six chunks' unions are in the shared concurrent DSU (and at T = 8
-  // beside the chunk's other blocks). A fresh run afterwards reproduces the
-  // exact coarse dendrogram at both thread counts.
+  // chunk at every thread count: the sweep applies 12 chunks, so skipping 6
+  // hits throws in the seventh chunk, after six chunks' unions are in the
+  // DSU. A fresh run afterwards reproduces the exact coarse dendrogram at
+  // both thread counts.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     const LinkClusterer clusterer(
@@ -248,8 +247,7 @@ TEST_F(FaultInjectionTest, DisarmedRerunReproducesCoarseDendrogramExactly) {
     ASSERT_TRUE(before.ok());
     const std::uint64_t reference = dendrogram_digest(before.value().dendrogram);
 
-    fault::arm("coarse.apply", fault::FaultKind::kThrow,
-               /*skip_hits=*/6 * threads);
+    fault::arm("coarse.apply", fault::FaultKind::kThrow, /*skip_hits=*/6);
     EXPECT_FALSE(clusterer.run(test_graph()).ok());
     fault::disarm();
 

@@ -4,8 +4,8 @@
 # legs then build the default tree under ASan and then UBSan and run the
 # full test suite (the fault-injection suite included — every fault
 # site is live in every build) under each. A third leg builds under TSan and
-# runs just the concurrency suites: the lock-free union-find stress test, the
-# thread pool, the coarse/parallel determinism tests, the thread-invariance
+# runs just the concurrency suites: the thread pool, the coarse and
+# parallel determinism tests, the thread-invariance
 # suite, whose parallel similarity build has pool workers write disjoint
 # slices of the shared final arrays, the forest suite, whose pool workers
 # write disjoint slots of the shared score triangles and run Prim on
@@ -21,7 +21,8 @@
 # through LC_FAULT_PLAN: a fault-injected sleep parks a checkpointing run
 # mid-sweep, SIGKILL (fine and coarse) or SIGTERM tears it down, and a
 # --resume run must reproduce the uninterrupted dendrogram byte for byte; a
-# fine run under a small memory budget must write the unbudgeted merge list;
+# fine and a coarse run under a small memory budget must write the
+# unbudgeted merge lists;
 # a serve session is contained and autorecovered the same way; and a pinned
 # block of `lc chaos` schedules runs last.
 #
@@ -68,7 +69,7 @@ cmake -B "${build_dir}" -S . \
   -DLC_BUILD_EXAMPLES=OFF
 echo "== thread: build =="
 cmake --build "${build_dir}" -j "${jobs}" \
-  --target core_concurrent_dsu_test parallel_thread_pool_test \
+  --target parallel_thread_pool_test \
            core_coarse_test core_similarity_determinism_test \
            core_similarity_gather_test core_thread_invariance_test \
            core_forest_sweep_test core_checkpoint_test \
@@ -81,7 +82,7 @@ echo "== thread: test (concurrency suites) =="
 # the fault suite: its T = 8 cases unwind exceptions out of pool workers and
 # the bucket-prefetch thread.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-  -R 'ConcurrentDsu|ThreadPool|Coarse|Determinism|Gather|ThreadInvariance|Forest|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
+  -R 'ThreadPool|Coarse|Determinism|Gather|ThreadInvariance|Forest|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
 
 # ---- Kill/resume smoke: crash a checkpointing run with SIGKILL, resume it,
 # and demand the dendrogram the crash interrupted. Uses the ASan binary so
@@ -174,19 +175,27 @@ sigterm_smoke
 # ---- Budget smoke: a memory budget far below the score triangles must buy
 # more passes over them, never a different dendrogram. At 4 MiB the fine run
 # of ER(3000, 0.01) builds its triangles in several k-ranges and must write
-# the unbudgeted merge list byte for byte.
+# the unbudgeted merge list byte for byte. Coarse mode also holds its list L
+# (about 1.17M keys here) beside the passes, and plans for twice a bound on
+# its bytes (86 MB here), so its leg runs at 88 MiB: four passes.
 budget_smoke() {
   local work
   work="$(mktemp -d)"
   local bin="${prefix}-address/tools/linkcluster"
-  echo "== smoke: fine run under a 4 MiB budget (${work}) =="
+  echo "== smoke: fine and coarse runs under a memory budget (${work}) =="
   "${bin}" generate --type er --n 3000 --p 0.01 --seed 7 --output "${work}/g.edges"
   "${bin}" cluster --input "${work}/g.edges" --merges "${work}/ref.merges"
   "${bin}" cluster --input "${work}/g.edges" --max-memory-mb 4 \
     --merges "${work}/budget.merges" | tee "${work}/budget.out"
   grep -q 'passes over the score triangles' "${work}/budget.out"
   cmp "${work}/ref.merges" "${work}/budget.merges"
-  echo "budget smoke: the budgeted run reproduced the unbudgeted merge list"
+  "${bin}" cluster --input "${work}/g.edges" --mode coarse \
+    --merges "${work}/coarse_ref.merges"
+  "${bin}" cluster --input "${work}/g.edges" --mode coarse --max-memory-mb 88 \
+    --merges "${work}/coarse_budget.merges" | tee "${work}/coarse_budget.out"
+  grep -q 'passes over the score triangles' "${work}/coarse_budget.out"
+  cmp "${work}/coarse_ref.merges" "${work}/coarse_budget.merges"
+  echo "budget smoke: the budgeted runs reproduced the unbudgeted merge lists"
   rm -rf "${work}"
 }
 budget_smoke
