@@ -7,6 +7,7 @@
 
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -25,13 +26,14 @@ int main(int argc, char** argv) {
 
   lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
 
   std::printf("== Ablation: edge enumeration order (paper: random) ==\n");
   lc::Table table({"order", "C accesses", "C changes", "accesses/pair", "time"});
   auto run = [&](const char* name, lc::core::EdgeOrder order, std::uint64_t seed) {
     const lc::core::EdgeIndex index(w.graph.edge_count(), order, seed);
     lc::Stopwatch watch;
-    const lc::core::SweepResult result = lc::core::sweep(w.graph, map, index);
+    const lc::core::SweepResult result = lc::core::sweep(w.graph, map, source, index);
     const double seconds = watch.seconds();
     table.add_row({name, lc::with_commas(result.stats.c_accesses),
                    lc::with_commas(result.stats.c_changes),

@@ -6,6 +6,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep_source.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -24,6 +25,7 @@ int main(int argc, char** argv) {
 
   lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
   const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
 
   std::printf("== Ablation: head-mode growth factor eta0 (paper: 8) ==\n");
@@ -34,7 +36,8 @@ int main(int argc, char** argv) {
     coarse.delta0 = w.delta0;
     coarse.eta0 = eta0;
     lc::Stopwatch watch;
-    const lc::core::CoarseResult result = lc::core::coarse_sweep(w.graph, map, index, coarse);
+    const lc::core::CoarseResult result =
+        lc::core::coarse_sweep(w.graph, map, source, index, coarse);
     const double seconds = watch.seconds();
     table.add_row({lc::strprintf("%g", eta0), std::to_string(result.levels.size()),
                    std::to_string(result.epochs.size()),

@@ -8,6 +8,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep_source.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -26,6 +27,7 @@ int main(int argc, char** argv) {
 
   lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
   const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
 
   std::printf("== Ablation: L_rollback state reuse (paper §V-A) ==\n");
@@ -39,7 +41,7 @@ int main(int argc, char** argv) {
       coarse.rollback_capacity = reuse ? 64 : 0;
       lc::Stopwatch watch;
       const lc::core::CoarseResult result =
-          lc::core::coarse_sweep(w.graph, map, index, coarse);
+          lc::core::coarse_sweep(w.graph, map, source, index, coarse);
       const double seconds = watch.seconds();
       table.add_row({lc::strprintf("%g", gamma), reuse ? "on" : "off",
                      std::to_string(result.levels.size()),

@@ -8,6 +8,7 @@
 
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -31,8 +32,9 @@ int main(int argc, char** argv) {
         lc::graph::complete_graph(n, {3, lc::graph::WeightPolicy::kUniform});
     lc::core::SimilarityMap map = lc::core::build_similarity_map(graph);
     map.sort_by_score();
+    lc::core::BucketSweepSource source(map);
     const lc::core::EdgeIndex index(graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
-    const lc::core::SweepResult result = lc::core::sweep(graph, map, index);
+    const lc::core::SweepResult result = lc::core::sweep(graph, map, source, index);
 
     const double nd = static_cast<double>(n);
     if (first_accesses == 0) {

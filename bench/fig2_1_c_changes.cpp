@@ -8,6 +8,7 @@
 
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "numeric/series.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -30,10 +31,11 @@ int main(int argc, char** argv) {
 
   lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
   const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
 
   std::vector<std::uint64_t> changes_per_chunk;
-  lc::core::sweep(w.graph, map, index,
+  lc::core::sweep(w.graph, map, source, index,
                   [&](std::uint64_t ordinal, std::uint32_t changes) {
                     const std::size_t level = static_cast<std::size_t>(ordinal / chunk);
                     if (changes_per_chunk.size() <= level) changes_per_chunk.resize(level + 1, 0);

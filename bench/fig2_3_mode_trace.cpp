@@ -8,6 +8,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep_source.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -47,13 +48,15 @@ int main(int argc, char** argv) {
 
   lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
   const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
 
   lc::core::CoarseOptions coarse;
   coarse.gamma = flags.get_double("gamma");
   coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
   coarse.delta0 = static_cast<std::uint64_t>(flags.get_int("delta0"));
-  const lc::core::CoarseResult result = lc::core::coarse_sweep(w.graph, map, index, coarse);
+  const lc::core::CoarseResult result =
+      lc::core::coarse_sweep(w.graph, map, source, index, coarse);
 
   const std::size_t edges = w.graph.edge_count();
   std::printf("== Fig. 2(3): mode transition machine trace (alpha=%g, gamma=%g, phi=%zu) ==\n",

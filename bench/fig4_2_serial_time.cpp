@@ -11,6 +11,7 @@
 #include "bench_json.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "util/memory.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -41,11 +42,12 @@ int main(int argc, char** argv) {
     lc::Stopwatch watch;
     lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
     map.sort_by_score();
+    lc::core::BucketSweepSource source(map);
     const double init_seconds = watch.lap();
 
     const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
     watch.reset();
-    const lc::core::SweepResult sweep_result = lc::core::sweep(w.graph, map, index);
+    const lc::core::SweepResult sweep_result = lc::core::sweep(w.graph, map, source, index);
     const double sweep_seconds = watch.lap();
     (void)sweep_result;
 

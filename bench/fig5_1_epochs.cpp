@@ -7,6 +7,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep_source.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -30,12 +31,14 @@ int main(int argc, char** argv) {
   for (const auto& w : workloads) {
     lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
     map.sort_by_score();
+    lc::core::BucketSweepSource source(map);
     const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
     lc::core::CoarseOptions coarse;
     coarse.gamma = flags.get_double("gamma");
     coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
     coarse.delta0 = w.delta0;
-    const lc::core::CoarseResult result = lc::core::coarse_sweep(w.graph, map, index, coarse);
+    const lc::core::CoarseResult result =
+        lc::core::coarse_sweep(w.graph, map, source, index, coarse);
 
     std::size_t head = 0;
     std::size_t tail = 0;

@@ -8,6 +8,7 @@
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -31,10 +32,11 @@ int main(int argc, char** argv) {
   for (const auto& w : workloads) {
     lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
     map.sort_by_score();
+    lc::core::BucketSweepSource source(map);
     const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
 
     lc::Stopwatch watch;
-    const lc::core::SweepResult fine = lc::core::sweep(w.graph, map, index);
+    const lc::core::SweepResult fine = lc::core::sweep(w.graph, map, source, index);
     const double fine_seconds = watch.lap();
     (void)fine;
 
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
     coarse_options.delta0 = w.delta0;
     watch.reset();
     const lc::core::CoarseResult coarse =
-        lc::core::coarse_sweep(w.graph, map, index, coarse_options);
+        lc::core::coarse_sweep(w.graph, map, source, index, coarse_options);
     const double coarse_seconds = watch.lap();
 
     if (coarse_seconds <= fine_seconds) ++coarse_wins;

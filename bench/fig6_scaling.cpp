@@ -19,6 +19,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 #include "parallel/thread_pool.hpp"
@@ -82,6 +83,7 @@ int main(int argc, char** argv) {
           lc::core::build_similarity_map_parallel(w.graph, pool, &init_ledger);
       const double init_wall = watch.lap();
       map.sort_by_score();
+      lc::core::BucketSweepSource source(map);
 
       const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled,
                                       42);
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
       lc::sim::WorkLedger sweep_ledger;
       watch.reset();
       const lc::core::CoarseResult coarse = lc::core::coarse_sweep(
-          w.graph, map, index, coarse_options, &pool, &sweep_ledger);
+          w.graph, map, source, index, coarse_options, &pool, &sweep_ledger);
       const double sweep_wall = watch.lap();
       (void)coarse;
 

@@ -11,6 +11,7 @@
 #include "core/edge_index.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 #include "text/porter.hpp"
@@ -36,9 +37,10 @@ void BM_SweepFull(benchmark::State& state) {
   const auto graph = lc::graph::erdos_renyi(n, 0.1, {3, lc::graph::WeightPolicy::kUniform});
   auto map = lc::core::build_similarity_map(graph);
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
   const lc::core::EdgeIndex index(graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lc::core::sweep(graph, map, index));
+    benchmark::DoNotOptimize(lc::core::sweep(graph, map, source, index));
   }
 }
 BENCHMARK(BM_SweepFull)->Arg(200)->Arg(600);

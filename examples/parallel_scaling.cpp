@@ -57,9 +57,10 @@ int main(int argc, char** argv) {
               " the work/span prediction for a machine with that many cores)\n");
 
   map.sort_by_score();
+  lc::core::BucketSweepSource source(map);
   lc::sim::WorkLedger sweep_ledger;
-  const lc::core::CoarseResult coarse = lc::core::coarse_sweep(graph, map, index, {}, nullptr,
-                                                                &sweep_ledger);
+  const lc::core::CoarseResult coarse =
+      lc::core::coarse_sweep(graph, map, source, index, {}, nullptr, &sweep_ledger);
   std::printf("coarse sweep: serial at every thread count, %llu work units, %zu levels\n",
               static_cast<unsigned long long>(sweep_ledger.total_work()),
               coarse.levels.size());

@@ -330,6 +330,8 @@ void scenario_cluster_faults(const ChaosEnv& env, Rng& rng,
 
 /// A fatal runtime fault must exit through the taxonomy (bad_alloc → 3,
 /// generic throw → 2), and a clean rerun must produce the reference bytes.
+/// Every memory charge lies on the run's own path, so the fault always
+/// lands: a clean exit is a violation.
 void scenario_cluster_fatal(const ChaosEnv& env, Rng& rng,
                             const std::string& dir, Violations& bad) {
   const std::string mode = pick_mode(rng);
@@ -338,15 +340,7 @@ void scenario_cluster_fatal(const ChaosEnv& env, Rng& rng,
       plan_seed(rng) + ";memory.charge:" + (oom ? "bad_alloc" : "throw") +
       ":skip=" + std::to_string(rng.next_below(3)) + ":max=1";
   const ExitInfo fatal = run_cluster(env, plan, dir, mode, false, "fatal");
-  if (!fatal.signaled && !fatal.timed_out && fatal.code == 0) {
-    // The fault landed in speculative work the sweep never consumed (see
-    // scenario_serve_faults); a clean exit is only acceptable with a
-    // byte-correct result.
-    expect_merges(bad, env, mode, dir + "/merges.txt",
-                  "cluster_fatal absorbed fault");
-  } else {
-    expect_exit(bad, fatal, oom ? 3 : 2, "cluster_fatal");
-  }
+  expect_exit(bad, fatal, oom ? 3 : 2, "cluster_fatal");
   const ExitInfo recover = run_cluster(env, "", dir, mode, false, "recover");
   expect_exit(bad, recover, 0, "cluster_fatal recovery");
   expect_merges(bad, env, mode, dir + "/merges.txt", "cluster_fatal recovery");
@@ -487,20 +481,16 @@ void scenario_serve_faults(const ChaosEnv& env, Rng& rng,
     expect(bad, out.find("checkpoint_degraded=1") != std::string::npos,
            "serve_faults: checkpointing never reported degradation");
   } else {
-    // The injected bad_alloc may land in speculative work the sweep never
-    // consumes (a prefetched bucket past the stop), in which case the run
-    // legitimately absorbs it. The invariant: either a structured
-    // resource-class failure, or a byte-correct result — never a crash,
-    // never a wrong answer.
-    if (out.find("state=failed") != std::string::npos) {
-      expect(bad, out.find("class=resource") != std::string::npos,
-             "serve_faults: injected allocation failure was not reported as a "
-             "resource-class error");
-      expect(bad, out.find("runs_failed=1") != std::string::npos,
-             "serve_faults: health does not count the failed run");
-    } else {
-      expect_merges(bad, env, mode, merges, "serve_faults absorbed fault");
-    }
+    // The run does no speculative work, so the injected bad_alloc always
+    // lands on its path: the run fails with a resource-class error, and the
+    // server stays up to report it.
+    expect(bad, out.find("state=failed") != std::string::npos,
+           "serve_faults: the injected allocation failure did not fail the run");
+    expect(bad, out.find("class=resource") != std::string::npos,
+           "serve_faults: injected allocation failure was not reported as a "
+           "resource-class error");
+    expect(bad, out.find("runs_failed=1") != std::string::npos,
+           "serve_faults: health does not count the failed run");
   }
 }
 

@@ -130,6 +130,14 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
     err << "error: --phi must not be negative\n";
     return 1;
   }
+  if (flags.get_int("seed") < 0) {
+    err << "error: --seed must not be negative\n";
+    return 1;
+  }
+  if (flags.get_int("delta0") < 1) {
+    err << "error: --delta0 must be at least 1\n";
+    return 1;
+  }
   const auto graph = load_graph(flags.get_string("input"), err);
   if (!graph.has_value()) return 2;
 
@@ -139,7 +147,7 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.coarse.gamma = flags.get_double("gamma");
   config.coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
-  config.coarse.delta0 = static_cast<std::uint64_t>(std::max<std::int64_t>(1, flags.get_int("delta0")));
+  config.coarse.delta0 = static_cast<std::uint64_t>(flags.get_int("delta0"));
 
   config.checkpoint.directory = flags.get_string("checkpoint-dir");
   config.checkpoint.interval_ms =

@@ -87,7 +87,7 @@ SimilarityEntry key_of(const ForestPair& pair) { return {pair.u, pair.v, pair.sc
 /// The §V mode machine over `source`; chunk_pairs(first, last, visit) calls
 /// visit(a, b) for the pairs to unite for L positions [first, last).
 template <typename ChunkPairs>
-CoarseResult run_coarse(const graph::WeightedGraph& graph, SweepSource& source,
+CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& source,
                         const EdgeIndex& index, std::uint64_t pairs_total,
                         ChunkPairs chunk_pairs,
                         const CoarseOptions& options, sim::WorkLedger* ledger,
@@ -551,7 +551,7 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, SweepSource& source,
 }  // namespace
 
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
-                          SweepSource& source, const EdgeIndex& index,
+                          BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options, sim::WorkLedger* ledger,
                           lc::RunContext* ctx, Checkpointer* checkpointer,
                           const CoarseCheckpoint* resume) {
@@ -582,7 +582,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningFores
 }
 
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          SweepSource& source, const EdgeIndex& index,
+                          BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options, parallel::ThreadPool* pool,
                           sim::WorkLedger* ledger, lc::RunContext* ctx,
                           Checkpointer* checkpointer, const CoarseCheckpoint* resume) {
@@ -599,16 +599,6 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
   };
   return run_coarse(graph, source, index, map.incident_pair_count(), chunk_pairs, options,
                     ledger, ctx, checkpointer, resume);
-}
-
-CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          const EdgeIndex& index, const CoarseOptions& options,
-                          parallel::ThreadPool* pool, sim::WorkLedger* ledger,
-                          lc::RunContext* ctx, Checkpointer* checkpointer,
-                          const CoarseCheckpoint* resume) {
-  SortedSweepSource source(map);
-  return coarse_sweep(graph, map, source, index, options, pool, ledger, ctx,
-                      checkpointer, resume);
 }
 
 }  // namespace lc::core

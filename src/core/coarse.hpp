@@ -60,7 +60,7 @@ namespace lc::core {
 class Checkpointer;        // core/checkpoint.hpp
 struct CoarseCheckpoint;   // core/checkpoint.hpp
 struct SpanningForest;     // core/forest.hpp
-class SweepSource;         // core/sweep_source.hpp
+class BucketSweepSource;   // core/sweep_source.hpp
 
 struct CoarseOptions {
   double gamma = 2.0;        ///< max cluster-count ratio between levels
@@ -123,7 +123,7 @@ struct CoarseResult {
 /// machine from a stored boundary. Both are output-neutral: the stored
 /// (p, xi) are coordinates into L, and the forest cursor follows from p.
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
-                          SweepSource& source, const EdgeIndex& index,
+                          BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options = {},
                           sim::WorkLedger* ledger = nullptr,
                           lc::RunContext* ctx = nullptr,
@@ -135,19 +135,8 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningFores
 /// SweepStats, which count the pairs applied, differ from the production
 /// sweep's. `pool` is unused; it stays for bench/suite/trace.cpp's call.
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          SweepSource& source, const EdgeIndex& index,
+                          BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options = {},
-                          parallel::ThreadPool* pool = nullptr,
-                          sim::WorkLedger* ledger = nullptr,
-                          lc::RunContext* ctx = nullptr,
-                          Checkpointer* checkpointer = nullptr,
-                          const CoarseCheckpoint* resume = nullptr);
-
-/// The reference sweep over a map already ordered by sort_by_score():
-/// equivalent to passing a SortedSweepSource, and asserts sortedness like
-/// that source's constructor does.
-CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          const EdgeIndex& index, const CoarseOptions& options = {},
                           parallel::ThreadPool* pool = nullptr,
                           sim::WorkLedger* ledger = nullptr,
                           lc::RunContext* ctx = nullptr,

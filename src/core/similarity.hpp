@@ -187,8 +187,8 @@ class SimilarityMap {
   /// ascending) with one serial std::sort, producing the paper's list L in
   /// full. Coarse mode orders L lazily through BucketSweepSource
   /// (core/sweep_source.hpp) instead, and fine mode never builds L; this is
-  /// the reference order for the baselines, the figure benches, the tests,
-  /// SortedSweepSource and the reference fine sweep (core/sweep.hpp).
+  /// the reference order for the baselines, and the figure benches and
+  /// tests sort with it before timing or inspecting the reference sweeps.
   void sort_by_score();
 
   /// Approximate heap bytes held (entries + arena).

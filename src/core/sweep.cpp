@@ -10,7 +10,7 @@
 namespace lc::core {
 
 SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                  SweepSource& source, const EdgeIndex& index,
+                  BucketSweepSource& source, const EdgeIndex& index,
                   const PairObserver& observer, double min_similarity,
                   lc::RunContext* ctx, Checkpointer* checkpointer,
                   const FineCheckpoint* resume) {
@@ -152,15 +152,6 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
   result.stats.c_accesses = base_accesses + clusters.accesses();
   result.stats.c_changes = base_changes + clusters.total_changes();
   return result;
-}
-
-SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                  const EdgeIndex& index, const PairObserver& observer,
-                  double min_similarity, lc::RunContext* ctx,
-                  Checkpointer* checkpointer, const FineCheckpoint* resume) {
-  SortedSweepSource source(map);
-  return sweep(graph, map, source, index, observer, min_similarity, ctx,
-               checkpointer, resume);
 }
 
 }  // namespace lc::core

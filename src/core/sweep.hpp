@@ -29,9 +29,9 @@ class RunContext;  // util/run_context.hpp
 
 namespace lc::core {
 
-class Checkpointer;      // core/checkpoint.hpp
-struct FineCheckpoint;   // core/checkpoint.hpp
-class SweepSource;       // core/sweep_source.hpp
+class BucketSweepSource;  // core/sweep_source.hpp
+class Checkpointer;       // core/checkpoint.hpp
+struct FineCheckpoint;    // core/checkpoint.hpp
 
 /// Work counters of a sweep. The C-traffic pair is defined per sweep:
 ///   - reference fine sweep (Algorithm 2 over ClusterArray, this header):
@@ -89,18 +89,8 @@ struct SweepResult {
 /// kills, and resumes yields the bitwise-identical SweepResult of one
 /// uninterrupted run.
 SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                  SweepSource& source, const EdgeIndex& index,
+                  BucketSweepSource& source, const EdgeIndex& index,
                   const PairObserver& observer = {},
-                  double min_similarity = -std::numeric_limits<double>::infinity(),
-                  lc::RunContext* ctx = nullptr,
-                  Checkpointer* checkpointer = nullptr,
-                  const FineCheckpoint* resume = nullptr);
-
-/// Convenience overload for a map already ordered by sort_by_score():
-/// equivalent to passing a SortedSweepSource, and asserts sortedness like
-/// that source's constructor does.
-SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                  const EdgeIndex& index, const PairObserver& observer = {},
                   double min_similarity = -std::numeric_limits<double>::infinity(),
                   lc::RunContext* ctx = nullptr,
                   Checkpointer* checkpointer = nullptr,

@@ -21,39 +21,26 @@ std::size_t score_bin(const SimilarityEntry& entry) {
   return static_cast<std::size_t>(flipped_score_key(entry.score) >> kBinShift);
 }
 
-/// Requested bucket count: the explicit option, else auto-sized so buckets
-/// hold ~16Ki entries — large enough that scatter bookkeeping is noise, small
-/// enough that the first bucket sorts in a fraction of a global sort.
-std::size_t resolve_bucket_count(std::size_t requested, std::size_t n) {
-  const std::size_t count =
-      requested != 0 ? requested : std::clamp<std::size_t>(n >> 14, 8, 256);
-  return std::min(count, kBinCount);
+/// The bucket target, sized so buckets hold ~16Ki entries: large enough that
+/// scatter bookkeeping is noise, small enough that the first bucket sorts in
+/// a fraction of a global sort. The realized count can be lower: a bucket
+/// never splits a radix bin, so heavily tied score distributions yield
+/// fewer, larger buckets.
+std::size_t bucket_target(std::size_t n) {
+  return std::clamp<std::size_t>(n >> 14, 8, 256);
 }
 
 }  // namespace
 
-SortedSweepSource::SortedSweepSource(const SimilarityMap& map)
-    : SweepSource(map.entries.data(), map.entries.size(), map.entries.size()) {
-  for (std::size_t i = 1; i < map.entries.size(); ++i) {
-    LC_CHECK_MSG(map.entries[i - 1].score >= map.entries[i].score,
-                 "similarity map must be sorted (call sort_by_score())");
-  }
-}
-
-void SortedSweepSource::materialize(std::size_t i) {
-  (void)i;
-  LC_CHECK_MSG(false, "sweep source position out of range");
-}
-
 BucketSweepSource::BucketSweepSource(SimilarityMap& map, const Options& options)
-    : SweepSource(map.entries.data(), map.entries.size(), 0), map_(map) {
+    : map_(map), data_(map.entries.data()) {
   const std::size_t n = map_.entries.size();
   Stopwatch watch;
   if (n == 0) {
     bounds_ = {0};
     return;
   }
-  const std::size_t target_buckets = resolve_bucket_count(options.bucket_count, n);
+  const std::size_t target_buckets = bucket_target(n);
   radix_ok_ = map_.keys_sorted();
 
   // Bin histogram on the top flipped-key bits (one linear read of L),
@@ -85,9 +72,9 @@ BucketSweepSource::BucketSweepSource(SimilarityMap& map, const Options& options)
   }
 
   // Greedy grouping of contiguous bins (ascending key = descending score)
-  // into <= target_buckets near-balanced buckets. Depends only on scores and
-  // the bucket count — never on thread count — so bucket boundaries are
-  // deterministic coordinates into L.
+  // into <= target_buckets near-balanced buckets. Depends only on scores —
+  // never on thread count — so bucket boundaries are deterministic
+  // coordinates into L.
   const std::size_t target_fill = (n + target_buckets - 1) / target_buckets;
   std::vector<std::uint32_t> bin_bucket(kBinCount, 0);
   std::size_t open_fill = 0;
@@ -116,19 +103,6 @@ BucketSweepSource::BucketSweepSource(SimilarityMap& map, const Options& options)
   data_ = map_.entries.data();
   map_.set_keys_sorted(false);
   partition_ms_ = watch.seconds() * 1e3;
-
-  // Prefetch-sort bucket k+1 on a helper thread while the caller sweeps k.
-  pipeline_ = bucket_count() > 1;
-  if (pipeline_) prefetcher_ = std::thread([this] { prefetch_loop(); });
-}
-
-BucketSweepSource::~BucketSweepSource() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  task_ready_.notify_all();
-  if (prefetcher_.joinable()) prefetcher_.join();
 }
 
 void BucketSweepSource::sort_bucket(std::size_t bucket) {
@@ -179,112 +153,32 @@ void BucketSweepSource::sort_bucket(std::size_t bucket) {
   if (src != first) std::copy(src, src + n, first);
 }
 
-void BucketSweepSource::ensure_sorted(std::size_t bucket) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (task_ != kNoTask) {
-      // The prefetcher holds (or finished) a bucket — for a position-monotone
-      // consumer it is exactly `bucket`. Wait for it; the stall is the
-      // non-overlapped share of that sort.
-      Stopwatch stall;
-      task_done_cv_.wait(lock, [this] { return task_done_; });
-      blocked_ms_ += stall.seconds() * 1e3;
-      const std::size_t done = task_;
-      task_ = kNoTask;
-      task_done_ = false;
-      if (task_error_ != nullptr) {
-        std::exception_ptr error = task_error_;
-        task_error_ = nullptr;
-        std::rethrow_exception(error);
-      }
-      if (done == bucket) return;
-    }
-  }
-  Stopwatch watch;
-  sort_bucket(bucket);  // may throw (fault injection): unwinds the sweep
-  const double ms = watch.seconds() * 1e3;
-  std::lock_guard<std::mutex> lock(mutex_);
-  bucket_sort_ms_ += ms;
-  blocked_ms_ += ms;
-  ++buckets_sorted_;
-}
-
 void BucketSweepSource::materialize(std::size_t i) {
-  LC_CHECK_MSG(i < size_, "sweep source position out of range");
+  LC_CHECK_MSG(i < size(), "sweep source position out of range");
   while (ready_end_ <= i) {
     const std::size_t bucket = next_bucket_;
-    if (bounds_[bucket + 1] <= i) {
-      // The bucket lies wholly before the first requested position (a
-      // checkpoint resume): its entries are never read, so the sort is
-      // skipped — bucket boundaries depend only on scores, so later
-      // positions are unaffected. Consume a stale prefetch if one exists.
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (task_ == bucket) {
-        task_done_cv_.wait(lock, [this] { return task_done_; });
-        task_ = kNoTask;
-        task_done_ = false;
-        task_error_ = nullptr;  // a failed sort of a skipped bucket is moot
-      }
-    } else {
-      ensure_sorted(bucket);
+    // A bucket wholly before the first requested position (a checkpoint
+    // resume) is never read, so its sort is skipped — bucket boundaries
+    // depend only on scores, so later positions are unaffected.
+    if (bounds_[bucket + 1] > i) {
+      Stopwatch watch;
+      sort_bucket(bucket);  // may throw (fault injection): unwinds the sweep
+      bucket_sort_ms_ += watch.seconds() * 1e3;
+      ++buckets_sorted_;
     }
     ready_end_ = bounds_[bucket + 1];
     next_bucket_ = bucket + 1;
   }
-  if (pipeline_) maybe_prefetch();
 }
 
-void BucketSweepSource::maybe_prefetch() {
-  if (next_bucket_ >= bucket_count()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (task_ != kNoTask) return;
-  task_ = next_bucket_;
-  task_done_ = false;
-  task_ready_.notify_one();
-}
-
-void BucketSweepSource::prefetch_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    task_ready_.wait(lock, [this] { return shutdown_ || (task_ != kNoTask && !task_done_); });
-    if (shutdown_) return;
-    const std::size_t bucket = task_;
-    lock.unlock();
-    std::exception_ptr error;
-    Stopwatch watch;
-    try {
-      sort_bucket(bucket);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const double ms = watch.seconds() * 1e3;
-    lock.lock();
-    bucket_sort_ms_ += ms;
-    if (error == nullptr) ++buckets_sorted_;
-    task_error_ = error;
-    task_done_ = true;
-    task_done_cv_.notify_all();
-  }
-}
-
-SweepSourceStats BucketSweepSource::stats() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (task_ != kNoTask) {
-    // Let an in-flight prefetch settle so the tally is complete; its result
-    // (sorted one bucket past the stop) is kept but was never consumed.
-    task_done_cv_.wait(lock, [this] { return task_done_; });
-    task_ = kNoTask;
-    task_done_ = false;
-    task_error_ = nullptr;
-  }
+SweepSourceStats BucketSweepSource::stats() const {
   SweepSourceStats stats;
   stats.partition_ms = partition_ms_;
   stats.bucket_sort_ms = bucket_sort_ms_;
-  stats.blocked_ms = blocked_ms_;
+  stats.blocked_ms = bucket_sort_ms_;
   stats.bucket_count = bucket_count();
   stats.buckets_sorted = buckets_sorted_;
-  stats.buckets_skipped =
-      stats.bucket_count > stats.buckets_sorted ? stats.bucket_count - stats.buckets_sorted : 0;
+  stats.buckets_skipped = stats.bucket_count - stats.buckets_sorted;
   return stats;
 }
 

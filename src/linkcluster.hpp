@@ -40,6 +40,7 @@
 #include "core/partition_density.hpp"           // IWYU pragma: export
 #include "core/similarity.hpp"                  // IWYU pragma: export
 #include "core/sweep.hpp"                       // IWYU pragma: export
+#include "core/sweep_source.hpp"                // IWYU pragma: export
 #include "graph/components.hpp"                 // IWYU pragma: export
 #include "graph/generators.hpp"                 // IWYU pragma: export
 #include "graph/graph.hpp"                      // IWYU pragma: export

@@ -243,7 +243,9 @@ std::string Server::cmd_cut(const Request& request) {
     labels = dendrogram.labels_at_threshold(f64);
   } else if (request.has("level")) {
     if (!parse_i64(request.get("level"), &i64) || i64 < 0) return bad_arg("level");
-    labels = dendrogram.labels_at_level(static_cast<std::uint32_t>(i64));
+    // Clamped, not wrapped: a level past the height cuts at the top.
+    labels = dendrogram.labels_at_level(static_cast<std::uint32_t>(
+        std::min<std::int64_t>(i64, std::numeric_limits<std::uint32_t>::max())));
   } else {
     return err_line(Status::invalid_argument(
         "cut needs one of k=, threshold=, level="));

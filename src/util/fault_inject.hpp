@@ -7,8 +7,7 @@
 //     snapshot and serve boundaries (and inside RunContext::charge_memory).
 //     An armed site can throw std::runtime_error, throw std::bad_alloc, or
 //     sleep — proving every unwind path (ThreadPool capture/rethrow,
-//     prefetch rethrow, StoppedError conversion, CLI exit codes) without a
-//     process death. Nothing armed costs one atomic load per call.
+//     StoppedError conversion, CLI exit codes) without a process death. Nothing armed costs one atomic load per call.
 //
 //   * I/O sites — the snapshot file-ops seam of util/snapshot_io.hpp
 //     (io.write / io.fsync / io.rename / io.corrupt, consumed through

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 
 namespace lc::baseline {
@@ -41,14 +42,20 @@ TEST(MstSingleLinkage, Figure1ForestStructure) {
   EXPECT_NEAR(heights[6], 2.0 / 3.0, 1e-12);
 }
 
+/// The paper's sweep over p's map, read through a bucket source.
+core::SweepResult reference_sweep(Prepared& p) {
+  core::BucketSweepSource source(p.map);
+  return core::sweep(p.graph, p.map, source, p.index);
+}
+
 TEST(MstSingleLinkage, HeightsMatchSweepExactly) {
   // Gower & Ross: the maximum-spanning-forest weights are the single-linkage
   // merge heights — so Kruskal and the paper's sweep must agree exactly.
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const Prepared p =
+    Prepared p =
         prepare(graph::erdos_renyi(40, 0.2, {seed, graph::WeightPolicy::kUniform}), seed);
     const MstResult mst = mst_single_linkage(p.graph, p.map, p.index);
-    const core::SweepResult sweep = core::sweep(p.graph, p.map, p.index);
+    const core::SweepResult sweep = reference_sweep(p);
     std::vector<double> mst_heights;
     for (const MstLink& link : mst.forest) mst_heights.push_back(link.similarity);
     std::vector<double> sweep_heights;
@@ -63,19 +70,19 @@ TEST(MstSingleLinkage, HeightsMatchSweepExactly) {
 
 TEST(MstSingleLinkage, FinalPartitionMatchesSweep) {
   for (std::uint64_t seed : {5u, 6u}) {
-    const Prepared p =
+    Prepared p =
         prepare(graph::barabasi_albert(30, 2, {seed, graph::WeightPolicy::kUniform}), seed);
     const MstResult mst = mst_single_linkage(p.graph, p.map, p.index);
-    const core::SweepResult sweep = core::sweep(p.graph, p.map, p.index);
+    const core::SweepResult sweep = reference_sweep(p);
     EXPECT_EQ(mst.final_labels, sweep.final_labels) << "seed " << seed;
   }
 }
 
 TEST(MstSingleLinkage, ThresholdCutsMatchSweep) {
-  const Prepared p =
+  Prepared p =
       prepare(graph::planted_partition(20, 2, 0.7, 0.1, {9, graph::WeightPolicy::kUniform}), 9);
   const MstResult mst = mst_single_linkage(p.graph, p.map, p.index);
-  const core::SweepResult sweep = core::sweep(p.graph, p.map, p.index);
+  const core::SweepResult sweep = reference_sweep(p);
   for (double threshold : {0.9, 0.51, 0.27, 0.13}) {
     EXPECT_EQ(mst.dendrogram.labels_at_threshold(threshold),
               sweep.dendrogram.labels_at_threshold(threshold))

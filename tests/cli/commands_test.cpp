@@ -121,7 +121,8 @@ TEST(Cli, ClusterRejectsOutOfRangeArguments) {
   const std::string too_many = std::to_string(parallel::kMaxThreads + 1);
   const std::vector<std::vector<const char*>> cases = {
       {"--gamma", "0.5"}, {"--gamma", "nan"}, {"--phi", "-1"},
-      {"--threads", too_many.c_str()}, {"--threads", "1000000000"}};
+      {"--threads", too_many.c_str()}, {"--threads", "1000000000"},
+      {"--seed", "-1"}, {"--delta0", "0"}};
   for (const std::vector<const char*>& flag : cases) {
     std::vector<const char*> argv{"linkcluster", "cluster", "--input", "/no/such/file.edges",
                                   "--mode", "coarse", flag[0], flag[1]};

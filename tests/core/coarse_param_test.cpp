@@ -8,6 +8,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 
 namespace lc::core {
@@ -24,6 +25,7 @@ TEST_P(CoarseGrid, StructuralInvariantsHold) {
       graph::erdos_renyi(45, 0.25, {seed, graph::WeightPolicy::kUniform});
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
+  BucketSweepSource source(map);
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, seed);
 
   CoarseOptions options;
@@ -31,7 +33,7 @@ TEST_P(CoarseGrid, StructuralInvariantsHold) {
   options.phi = phi;
   options.delta0 = delta0;
   options.eta0 = eta0;
-  const CoarseResult result = coarse_sweep(graph, map, index, options);
+  const CoarseResult result = coarse_sweep(graph, map, source, index, options);
 
   // (1) Termination: stopped at phi, or exhausted the pair list.
   const std::set<EdgeIdx> final_clusters(result.final_labels.begin(),

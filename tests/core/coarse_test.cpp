@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "sim/work_ledger.hpp"
 #include "graph/generators.hpp"
 
@@ -28,16 +29,29 @@ Prepared prepare(WeightedGraph graph, std::uint64_t seed = 42) {
   return p;
 }
 
+/// The reference sweeps over p's map, read through a bucket source.
+CoarseResult reference_coarse(Prepared& p, const CoarseOptions& options = {},
+                              parallel::ThreadPool* pool = nullptr,
+                              sim::WorkLedger* ledger = nullptr) {
+  BucketSweepSource source(p.map);
+  return coarse_sweep(p.graph, p.map, source, p.index, options, pool, ledger);
+}
+
+SweepResult reference_fine(Prepared& p) {
+  BucketSweepSource source(p.map);
+  return sweep(p.graph, p.map, source, p.index);
+}
+
 WeightedGraph medium_graph(std::uint64_t seed = 3) {
   return graph::erdos_renyi(60, 0.25, {seed, graph::WeightPolicy::kUniform});
 }
 
 TEST(CoarseSweep, TerminatesAtPhiOrExhaustion) {
-  const Prepared p = prepare(medium_graph());
+  Prepared p = prepare(medium_graph());
   CoarseOptions options;
   options.phi = 10;
   options.delta0 = 50;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   const std::set<EdgeIdx> clusters(result.final_labels.begin(), result.final_labels.end());
   EXPECT_TRUE(clusters.size() <= options.phi || result.pairs_processed == result.pairs_total)
       << "clusters=" << clusters.size() << " processed=" << result.pairs_processed << "/"
@@ -47,12 +61,12 @@ TEST(CoarseSweep, TerminatesAtPhiOrExhaustion) {
 TEST(CoarseSweep, SoundnessRatioHolds) {
   // Every consecutive accepted-level pair must satisfy beta/beta' <= gamma,
   // except explicitly counted unsplittable violations.
-  const Prepared p = prepare(medium_graph(7));
+  Prepared p = prepare(medium_graph(7));
   CoarseOptions options;
   options.gamma = 2.0;
   options.phi = 5;
   options.delta0 = 20;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   std::size_t violations = 0;
   std::size_t prev = p.graph.edge_count();
   for (const CoarseLevel& level : result.levels) {
@@ -66,11 +80,11 @@ TEST(CoarseSweep, SoundnessRatioHolds) {
 }
 
 TEST(CoarseSweep, LevelsConsistentWithDendrogram) {
-  const Prepared p = prepare(medium_graph(11));
+  Prepared p = prepare(medium_graph(11));
   CoarseOptions options;
   options.phi = 8;
   options.delta0 = 30;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   for (const CoarseLevel& level : result.levels) {
     const auto labels = result.dendrogram.labels_at_level(level.level);
     std::set<EdgeIdx> distinct(labels.begin(), labels.end());
@@ -79,18 +93,18 @@ TEST(CoarseSweep, LevelsConsistentWithDendrogram) {
 }
 
 TEST(CoarseSweep, FinalLabelsMatchLastLevel) {
-  const Prepared p = prepare(medium_graph(13));
+  Prepared p = prepare(medium_graph(13));
   CoarseOptions options;
   options.phi = 4;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   ASSERT_FALSE(result.levels.empty());
   EXPECT_EQ(result.final_labels,
             result.dendrogram.labels_at_level(result.levels.back().level));
 }
 
 TEST(CoarseSweep, RootLevelMergesEverything) {
-  const Prepared p = prepare(medium_graph(17));
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index);
+  Prepared p = prepare(medium_graph(17));
+  const CoarseResult result = reference_coarse(p);
   const auto root_labels = result.dendrogram.labels_at_level(result.dendrogram.height());
   const std::set<EdgeIdx> distinct(root_labels.begin(), root_labels.end());
   EXPECT_EQ(distinct.size(), 1u);
@@ -99,12 +113,12 @@ TEST(CoarseSweep, RootLevelMergesEverything) {
 TEST(CoarseSweep, WithPhiOneMatchesFineSweepPartition) {
   // Processing everything coarse-grained must end in the same partition as
   // the fine sweep (merging is order-independent as a set of equivalences).
-  const Prepared p = prepare(medium_graph(19));
-  const SweepResult fine = sweep(p.graph, p.map, p.index);
+  Prepared p = prepare(medium_graph(19));
+  const SweepResult fine = reference_fine(p);
   CoarseOptions options;
   options.phi = 1;
   options.gamma = 1e9;  // never roll back
-  const CoarseResult coarse = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult coarse = reference_coarse(p, options);
   EXPECT_EQ(coarse.final_labels, fine.final_labels);
   // With phi = 1 the sweep may stop as soon as a single cluster forms; if it
   // stopped early, the clustering must indeed be a single cluster already.
@@ -117,23 +131,23 @@ TEST(CoarseSweep, WithPhiOneMatchesFineSweepPartition) {
 TEST(CoarseSweep, EarlyStopSkipsTailPairs) {
   // The paper's headline observation (Fig. 5(2)): stopping at phi clusters
   // leaves a large share of the incident pairs unprocessed.
-  const Prepared p = prepare(medium_graph(23));
+  Prepared p = prepare(medium_graph(23));
   CoarseOptions options;
   options.phi = std::max<std::size_t>(4, p.graph.edge_count() / 20);
   options.delta0 = 10;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   EXPECT_LT(result.pairs_processed, result.pairs_total);
 }
 
 TEST(CoarseSweep, RollbacksOccurAndAreBookkept) {
   // A large initial chunk with a strict gamma must trigger Case II at least
   // once on a dense graph.
-  const Prepared p = prepare(graph::complete_graph(20, {5, graph::WeightPolicy::kUniform}));
+  Prepared p = prepare(graph::complete_graph(20, {5, graph::WeightPolicy::kUniform}));
   CoarseOptions options;
   options.gamma = 1.3;
   options.delta0 = 500;
   options.phi = 3;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   EXPECT_GT(result.rollback_count, 0u);
   std::size_t rollback_epochs = 0;
   for (const EpochRecord& epoch : result.epochs) {
@@ -143,12 +157,12 @@ TEST(CoarseSweep, RollbacksOccurAndAreBookkept) {
 }
 
 TEST(CoarseSweep, EpochKindsPartitionTheLog) {
-  const Prepared p = prepare(medium_graph(29));
+  Prepared p = prepare(medium_graph(29));
   CoarseOptions options;
   options.gamma = 1.5;
   options.delta0 = 200;
   options.phi = 5;
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   std::size_t reused = 0;
   for (const EpochRecord& epoch : result.epochs) {
     if (epoch.kind == EpochKind::kReused) ++reused;
@@ -164,12 +178,12 @@ TEST(CoarseSweep, EpochKindsPartitionTheLog) {
 }
 
 TEST(CoarseSweep, LedgerRecordsWork) {
-  const Prepared p = prepare(medium_graph(37));
+  Prepared p = prepare(medium_graph(37));
   parallel::ThreadPool pool(3);
   sim::WorkLedger ledger;
   CoarseOptions options;
   options.phi = 6;
-  coarse_sweep(p.graph, p.map, p.index, options, &pool, &ledger);
+  reference_coarse(p, options, &pool, &ledger);
   EXPECT_GT(ledger.total_work(), 0u);
   EXPECT_LE(ledger.critical_path(), ledger.total_work());
 }
@@ -179,7 +193,7 @@ TEST(CoarseSweep, LedgerChargesCTrafficInClosedForm) {
   // a rollback rewinds — never the DSU's CAS retries or path-halving steps —
   // so its total is c_accesses plus the rolled-back unions, and identical
   // runs record identical critical paths.
-  const Prepared p = prepare(medium_graph(29));
+  Prepared p = prepare(medium_graph(29));
   CoarseOptions options;
   options.gamma = 1.5;
   options.delta0 = 200;
@@ -189,8 +203,8 @@ TEST(CoarseSweep, LedgerChargesCTrafficInClosedForm) {
     sim::WorkLedger first;
     sim::WorkLedger second;
     const CoarseResult result =
-        coarse_sweep(p.graph, p.map, p.index, options, &pool, &first);
-    coarse_sweep(p.graph, p.map, p.index, options, &pool, &second);
+        reference_coarse(p, options, &pool, &first);
+    reference_coarse(p, options, &pool, &second);
     ASSERT_GT(result.rollback_count, 0u);
     ASSERT_GT(result.reuse_count, 0u);
     std::uint64_t rewound = 0;
@@ -209,9 +223,9 @@ TEST(CoarseSweep, LedgerChargesCTrafficInClosedForm) {
 TEST(CoarseSweep, SerialLedgerIsPureCriticalPath) {
   // Without a pool every recorded round has width 1, so the critical path
   // equals the total work — the serial baseline the Fig. 6 bench divides by.
-  const Prepared p = prepare(medium_graph(41));
+  Prepared p = prepare(medium_graph(41));
   sim::WorkLedger ledger;
-  coarse_sweep(p.graph, p.map, p.index, {}, nullptr, &ledger);
+  reference_coarse(p, {}, nullptr, &ledger);
   EXPECT_GT(ledger.total_work(), 0u);
   EXPECT_EQ(ledger.critical_path(), ledger.total_work());
   for (const sim::Phase& phase : ledger.phases()) {
@@ -224,14 +238,14 @@ TEST(CoarseSweep, SerialLedgerIsPureCriticalPath) {
 TEST(CoarseSweep, ReuseDisabledStillSound) {
   // rollback_capacity = 0 turns off saved-state reuse; the invariants and the
   // final partition are unaffected (only recomputation cost changes).
-  const Prepared p = prepare(medium_graph(43));
+  Prepared p = prepare(medium_graph(43));
   CoarseOptions with_reuse;
   with_reuse.gamma = 1.5;
   with_reuse.phi = 5;
   CoarseOptions without_reuse = with_reuse;
   without_reuse.rollback_capacity = 0;
-  const CoarseResult a = coarse_sweep(p.graph, p.map, p.index, with_reuse);
-  const CoarseResult b = coarse_sweep(p.graph, p.map, p.index, without_reuse);
+  const CoarseResult a = reference_coarse(p, with_reuse);
+  const CoarseResult b = reference_coarse(p, without_reuse);
   EXPECT_EQ(b.reuse_count, 0u);
   const std::set<EdgeIdx> ca(a.final_labels.begin(), a.final_labels.end());
   const std::set<EdgeIdx> cb(b.final_labels.begin(), b.final_labels.end());
@@ -240,8 +254,8 @@ TEST(CoarseSweep, ReuseDisabledStillSound) {
 
 TEST(CoarseSweep, EmptyGraphIsTrivial) {
   graph::GraphBuilder builder(0);
-  const Prepared p = prepare(builder.build());
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index);
+  Prepared p = prepare(builder.build());
+  const CoarseResult result = reference_coarse(p);
   EXPECT_TRUE(result.levels.empty());
   EXPECT_TRUE(result.final_labels.empty());
   EXPECT_EQ(result.pairs_processed, 0u);
@@ -250,13 +264,13 @@ TEST(CoarseSweep, EmptyGraphIsTrivial) {
 TEST(CoarseSweep, HeadEpochsGrowExponentially) {
   // In head mode each fresh epoch's chunk grows by eta until C1 flips; check
   // the first few fresh chunks are nondecreasing.
-  const Prepared p = prepare(graph::erdos_renyi(80, 0.3, {41, graph::WeightPolicy::kUniform}));
+  Prepared p = prepare(graph::erdos_renyi(80, 0.3, {41, graph::WeightPolicy::kUniform}));
   CoarseOptions options;
   options.delta0 = 5;
   options.eta0 = 4.0;
   options.phi = 5;
   options.gamma = 1e9;  // no rollbacks, so growth is monotone
-  const CoarseResult result = coarse_sweep(p.graph, p.map, p.index, options);
+  const CoarseResult result = reference_coarse(p, options);
   ASSERT_EQ(result.rollback_count, 0u);
   std::vector<std::uint64_t> head_chunks;
   for (const EpochRecord& epoch : result.epochs) {
@@ -268,13 +282,13 @@ TEST(CoarseSweep, HeadEpochsGrowExponentially) {
 }
 
 TEST(CoarseSweepDeathTest, RejectsBadOptions) {
-  const Prepared p = prepare(medium_graph(43));
+  Prepared p = prepare(medium_graph(43));
   CoarseOptions options;
   options.gamma = 0.5;
-  EXPECT_DEATH(coarse_sweep(p.graph, p.map, p.index, options), "gamma");
+  EXPECT_DEATH(reference_coarse(p, options), "gamma");
   options = CoarseOptions{};
   options.eta0 = 1.0;
-  EXPECT_DEATH(coarse_sweep(p.graph, p.map, p.index, options), "growth factor");
+  EXPECT_DEATH(reference_coarse(p, options), "growth factor");
 }
 
 }  // namespace

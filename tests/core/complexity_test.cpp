@@ -8,6 +8,7 @@
 
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 
@@ -44,8 +45,9 @@ TEST_P(ComplexityBound, SweepArrayTrafficWithinTheoremTwo) {
     const graph::GraphStats stats = graph::compute_stats(graph);
     SimilarityMap map = build_similarity_map(graph);
     map.sort_by_score();
+    BucketSweepSource source(map);
     const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
-    const SweepResult result = sweep(graph, map, index);
+    const SweepResult result = sweep(graph, map, source, index);
 
     const double k2 = static_cast<double>(stats.k2);
     const double edges = static_cast<double>(stats.edges);
@@ -82,8 +84,9 @@ TEST_P(ComplexityBound, EffectiveMergesEqualEdgeDeficit) {
   if (graph.edge_count() == 0) return;
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
+  BucketSweepSource source(map);
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kNatural);
-  const SweepResult result = sweep(graph, map, index);
+  const SweepResult result = sweep(graph, map, source, index);
   std::set<EdgeIdx> clusters(result.final_labels.begin(), result.final_labels.end());
   EXPECT_EQ(result.stats.merges_effective, graph.edge_count() - clusters.size());
 }
@@ -107,8 +110,9 @@ TEST(ComplexityScaling, SweepBeatsQuadraticOnGrowingCompleteGraphs) {
     const WeightedGraph graph = graph::complete_graph(n, {3, graph::WeightPolicy::kUniform});
     SimilarityMap map = build_similarity_map(graph);
     map.sort_by_score();
+    BucketSweepSource source(map);
     const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
-    const SweepResult result = sweep(graph, map, index);
+    const SweepResult result = sweep(graph, map, source, index);
     if (prev_accesses > 0) {
       const double access_growth = static_cast<double>(result.stats.c_accesses) / prev_accesses;
       const double quadratic_growth =

@@ -135,7 +135,7 @@ SweepResult reference_sweep(const WeightedGraph& graph, SimilarityMeasure measur
   options.measure = measure;
   SimilarityMap map = build_similarity_map(graph, options);
   map.sort_by_score();
-  SortedSweepSource source(map);
+  BucketSweepSource source(map);
   const LinkClusterer::Config defaults;
   const EdgeIndex index(graph.edge_count(), defaults.edge_order, defaults.seed);
   return sweep(graph, map, source, index, {}, min_similarity);
@@ -365,9 +365,10 @@ TEST_F(ForestCheckpoint, RefusesASnapshotOfTheFullPairList) {
   {
     SimilarityMap map = build_similarity_map(graph);
     map.sort_by_score();
+    BucketSweepSource source(map);
     const EdgeIndex index(graph.edge_count(), config.edge_order, config.seed);
     Checkpointer checkpointer(config.checkpoint, fp);
-    (void)sweep(graph, map, index, {}, kNoFloor, nullptr, &checkpointer);
+    (void)sweep(graph, map, source, index, {}, kNoFloor, nullptr, &checkpointer);
     ASSERT_EQ(checkpointer.snapshots_written(), 1u);
   }
   const StatusOr<LoadedCheckpoint> loaded =
@@ -666,9 +667,10 @@ CoarseResult reference_coarse(const WeightedGraph& graph, const CoarseOptions& o
   map_options.min_score = floor;
   SimilarityMap map = build_similarity_map(graph, map_options);
   map.sort_by_score();
+  BucketSweepSource source(map);
   const LinkClusterer::Config defaults;
   const EdgeIndex index(graph.edge_count(), defaults.edge_order, defaults.seed);
-  return coarse_sweep(graph, map, index, options);
+  return coarse_sweep(graph, map, source, index, options);
 }
 
 void expect_same_coarse(const CoarseResult& got, const CoarseResult& want) {

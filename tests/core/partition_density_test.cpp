@@ -4,6 +4,7 @@
 
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 
 namespace lc::core {
@@ -79,8 +80,9 @@ TEST(BestPartitionDensityCut, FindsTheTriangleCut) {
   const WeightedGraph graph = builder.build();
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
+  BucketSweepSource source(map);
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kNatural);
-  const SweepResult result = sweep(graph, map, index);
+  const SweepResult result = sweep(graph, map, source, index);
   const DensityCut cut = best_partition_density_cut(graph, index, result.dendrogram);
   const std::vector<EdgeIdx> split{0, 0, 0, 3, 4, 4, 4};
   EXPECT_GE(cut.density, partition_density(graph, index, split) - 1e-12);
@@ -96,8 +98,9 @@ TEST(BestPartitionDensityCut, IncrementalMatchesDirectEvaluation) {
     if (graph.edge_count() < 3) continue;
     SimilarityMap map = build_similarity_map(graph);
     map.sort_by_score();
+    BucketSweepSource source(map);
     const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, seed);
-    const SweepResult result = sweep(graph, map, index);
+    const SweepResult result = sweep(graph, map, source, index);
     const DensityCut cut = best_partition_density_cut(graph, index, result.dendrogram);
     EXPECT_NEAR(cut.density, partition_density(graph, index, cut.labels), 1e-9)
         << "seed " << seed;

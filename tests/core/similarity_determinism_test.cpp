@@ -18,6 +18,7 @@
 #include "core/edge_index.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
@@ -114,9 +115,10 @@ TEST(SimilarityArena, SweepPerformsZeroFindEdgeCalls) {
   const WeightedGraph graph = er_graph();
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
+  BucketSweepSource source(map);
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
   graph::reset_find_edge_calls();
-  const SweepResult result = sweep(graph, map, index);
+  const SweepResult result = sweep(graph, map, source, index);
   EXPECT_EQ(graph::find_edge_calls(), 0u);
   EXPECT_GT(result.stats.merges_effective, 0u);
 }
@@ -125,11 +127,12 @@ TEST(SimilarityArena, CoarseSweepPerformsZeroFindEdgeCalls) {
   const WeightedGraph graph = er_graph();
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
+  BucketSweepSource source(map);
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
   graph::reset_find_edge_calls();
   // Serial application path: every operation runs on this thread, so the
   // thread-local counter sees the whole sweep.
-  const CoarseResult result = coarse_sweep(graph, map, index, {});
+  const CoarseResult result = coarse_sweep(graph, map, source, index, {});
   EXPECT_EQ(graph::find_edge_calls(), 0u);
   EXPECT_GT(result.stats.merges_effective, 0u);
 }

@@ -1,10 +1,10 @@
-// Equivalence suite for the sweep sources (core/sweep_source.hpp):
+// Equivalence suite for the sorted-L source (core/sweep_source.hpp):
 //   - property: materializing every bucket of a BucketSweepSource leaves
-//     map.entries byte-identical to the full sort_by_score() order, for
-//     every bucket count — concatenated sorted buckets ARE the global sort;
-//   - fine and coarse sweeps driven through BucketSweepSource produce
-//     byte-identical merges, labels, and stats to SortedSweepSource across
-//     T in {1, 2, 8} x bucket counts {1, 16, 256} x ER/barbell/hub graphs;
+//     map.entries byte-identical to the full sort_by_score() order, with the
+//     scatter serial or pool-parallel — concatenated sorted buckets ARE the
+//     global sort;
+//   - a bucket is sorted on the caller's thread when a position in it is
+//     first read, and no sooner;
 //   - runs that stop early (coarse phi, fine min_similarity) and resumes
 //     that start late never sort the buckets they never read
 //     (buckets_skipped > 0), and a checkpoint resume mid-list reproduces
@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,20 @@ SimilarityMap build_map(const WeightedGraph& graph, parallel::ThreadPool* pool) 
                          : build_similarity_map(graph);
 }
 
+void expect_same_entries(const SimilarityMap& got, const SimilarityMap& want) {
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (std::size_t i = 0; i < want.entries.size(); ++i) {
+    const SimilarityEntry& a = got.entries[i];
+    const SimilarityEntry& b = want.entries[i];
+    ASSERT_EQ(a.u, b.u) << "entry " << i;
+    ASSERT_EQ(a.v, b.v) << "entry " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.score), std::bit_cast<std::uint64_t>(b.score))
+        << "entry " << i;
+    ASSERT_EQ(a.offset, b.offset) << "entry " << i;
+    ASSERT_EQ(a.count, b.count) << "entry " << i;
+  }
+}
+
 void expect_same_sweep(const SweepResult& got, const SweepResult& want) {
   ASSERT_EQ(got.dendrogram.events().size(), want.dendrogram.events().size());
   for (std::size_t i = 0; i < want.dendrogram.events().size(); ++i) {
@@ -100,46 +115,19 @@ void expect_same_sweep(const SweepResult& got, const SweepResult& want) {
   EXPECT_EQ(got.stats.c_changes, want.stats.c_changes);
 }
 
-void expect_same_coarse(const CoarseResult& got, const CoarseResult& want) {
-  ASSERT_EQ(got.dendrogram.events().size(), want.dendrogram.events().size());
-  for (std::size_t i = 0; i < want.dendrogram.events().size(); ++i) {
-    const MergeEvent& a = got.dendrogram.events()[i];
-    const MergeEvent& b = want.dendrogram.events()[i];
-    EXPECT_EQ(a.level, b.level) << "event " << i;
-    EXPECT_EQ(a.from, b.from) << "event " << i;
-    EXPECT_EQ(a.into, b.into) << "event " << i;
-    EXPECT_EQ(a.similarity, b.similarity) << "event " << i;
-  }
-  EXPECT_EQ(got.final_labels, want.final_labels);
-  EXPECT_EQ(got.pairs_processed, want.pairs_processed);
-  EXPECT_EQ(got.rollback_count, want.rollback_count);
-  EXPECT_EQ(got.reuse_count, want.reuse_count);
-  ASSERT_EQ(got.levels.size(), want.levels.size());
-  for (std::size_t i = 0; i < want.levels.size(); ++i) {
-    EXPECT_EQ(got.levels[i].clusters, want.levels[i].clusters) << "level " << i;
-    EXPECT_EQ(got.levels[i].pairs_processed, want.levels[i].pairs_processed) << i;
-    EXPECT_EQ(got.levels[i].threshold_score, want.levels[i].threshold_score) << i;
-  }
-  ASSERT_EQ(got.epochs.size(), want.epochs.size());
-  for (std::size_t i = 0; i < want.epochs.size(); ++i) {
-    EXPECT_EQ(got.epochs[i].kind, want.epochs[i].kind) << "epoch " << i;
-    EXPECT_EQ(got.epochs[i].beta_after, want.epochs[i].beta_after) << "epoch " << i;
-    EXPECT_EQ(got.epochs[i].pairs_end, want.epochs[i].pairs_end) << "epoch " << i;
-  }
-}
-
-constexpr std::size_t kBucketCounts[] = {1, 16, 256};
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
 TEST(SweepSource, ConcatenatedSortedBucketsEqualFullStableSort) {
   for (const WeightedGraph& graph : all_graphs()) {
     SimilarityMap sorted = build_map(graph, nullptr);
     sorted.sort_by_score();
-    for (const std::size_t buckets : kBucketCounts) {
-      SCOPED_TRACE(testing::Message() << "buckets=" << buckets);
-      SimilarityMap lazy_map = build_map(graph, nullptr);
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      std::unique_ptr<parallel::ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
+      SimilarityMap lazy_map = build_map(graph, pool.get());
       BucketSweepSource::Options options;
-      options.bucket_count = buckets;
+      options.pool = pool.get();
       BucketSweepSource source(lazy_map, options);
       // Materialize everything through the public window API.
       for (std::size_t i = 0; i < source.size();) {
@@ -147,23 +135,33 @@ TEST(SweepSource, ConcatenatedSortedBucketsEqualFullStableSort) {
         ASSERT_GT(ready.size(), 0u);
         i += ready.size();
       }
-      ASSERT_EQ(lazy_map.entries.size(), sorted.entries.size());
-      for (std::size_t i = 0; i < sorted.entries.size(); ++i) {
-        const SimilarityEntry& a = lazy_map.entries[i];
-        const SimilarityEntry& b = sorted.entries[i];
-        ASSERT_EQ(a.u, b.u) << "entry " << i;
-        ASSERT_EQ(a.v, b.v) << "entry " << i;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.score),
-                  std::bit_cast<std::uint64_t>(b.score)) << "entry " << i;
-        ASSERT_EQ(a.offset, b.offset) << "entry " << i;
-        ASSERT_EQ(a.count, b.count) << "entry " << i;
-      }
+      expect_same_entries(lazy_map, sorted);
       const SweepSourceStats stats = source.stats();
       EXPECT_EQ(stats.buckets_sorted, stats.bucket_count);
       EXPECT_EQ(stats.buckets_skipped, 0u);
-      EXPECT_LE(stats.bucket_count, buckets);
     }
   }
+}
+
+TEST(SweepSource, FirstReadSortsOnlyItsBucket) {
+  // Bucket 0 is sorted when position 0 is first read, on this thread; no
+  // other bucket is touched until a position in it is read.
+  const WeightedGraph graph = er_graph();
+  SimilarityMap map = build_map(graph, nullptr);
+  BucketSweepSource source(map);
+  ASSERT_GE(source.bucket_count(), 2u);
+  (void)source.at(0);
+  SweepSourceStats stats = source.stats();
+  EXPECT_EQ(stats.buckets_sorted, 1u);
+  EXPECT_EQ(stats.buckets_skipped, stats.bucket_count - 1);
+  EXPECT_EQ(stats.blocked_ms, stats.bucket_sort_ms);
+  const std::size_t ready = source.window(0).size();
+  ASSERT_LT(ready, source.size());
+  EXPECT_EQ(source.stats().buckets_sorted, 1u);
+  (void)source.at(ready);
+  stats = source.stats();
+  EXPECT_EQ(stats.buckets_sorted, 2u);
+  EXPECT_EQ(stats.blocked_ms, stats.bucket_sort_ms);
 }
 
 TEST(SweepSource, RadixBucketSortMatchesComparatorOnLargeBuckets) {
@@ -174,75 +172,13 @@ TEST(SweepSource, RadixBucketSortMatchesComparatorOnLargeBuckets) {
       graph::erdos_renyi(400, 0.05, {13, graph::WeightPolicy::kUniform});
   SimilarityMap sorted = build_map(graph, nullptr);
   sorted.sort_by_score();
-  ASSERT_GT(sorted.entries.size(), 4u * 4096u) << "graph too small for radix buckets";
   SimilarityMap lazy_map = build_map(graph, nullptr);
-  BucketSweepSource::Options options;
-  options.bucket_count = 4;
-  BucketSweepSource source(lazy_map, options);
+  BucketSweepSource source(lazy_map);
+  // The mean bucket is past the cutoff, so the largest one is too.
+  ASSERT_GT(source.size(), 4096u * source.bucket_count())
+      << "graph too small for radix buckets";
   for (std::size_t i = 0; i < source.size();) i += source.window(i).size();
-  ASSERT_EQ(lazy_map.entries.size(), sorted.entries.size());
-  for (std::size_t i = 0; i < sorted.entries.size(); ++i) {
-    const SimilarityEntry& a = lazy_map.entries[i];
-    const SimilarityEntry& b = sorted.entries[i];
-    ASSERT_EQ(a.u, b.u) << "entry " << i;
-    ASSERT_EQ(a.v, b.v) << "entry " << i;
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.score),
-              std::bit_cast<std::uint64_t>(b.score)) << "entry " << i;
-    ASSERT_EQ(a.offset, b.offset) << "entry " << i;
-    ASSERT_EQ(a.count, b.count) << "entry " << i;
-  }
-}
-
-TEST(SweepSource, FineSweepMatchesSortedBackend) {
-  for (const WeightedGraph& graph : all_graphs()) {
-    const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
-    SimilarityMap sorted = build_map(graph, nullptr);
-    sorted.sort_by_score();
-    const SweepResult reference = sweep(graph, sorted, index);
-    for (const std::size_t threads : kThreadCounts) {
-      std::unique_ptr<parallel::ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
-      for (const std::size_t buckets : kBucketCounts) {
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads << " buckets=" << buckets);
-        SimilarityMap lazy_map = build_map(graph, pool.get());
-        BucketSweepSource::Options options;
-        options.bucket_count = buckets;
-        options.pool = pool.get();
-        BucketSweepSource source(lazy_map, options);
-        const SweepResult lazy = sweep(graph, lazy_map, source, index);
-        expect_same_sweep(lazy, reference);
-      }
-    }
-  }
-}
-
-TEST(SweepSource, CoarseSweepMatchesSortedBackend) {
-  CoarseOptions coarse;
-  coarse.delta0 = 64;  // small chunks: rollbacks, reuse jumps, many epochs
-  coarse.phi = 10;
-  for (const WeightedGraph& graph : all_graphs()) {
-    const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
-    SimilarityMap sorted = build_map(graph, nullptr);
-    sorted.sort_by_score();
-    const CoarseResult reference = coarse_sweep(graph, sorted, index, coarse);
-    for (const std::size_t threads : kThreadCounts) {
-      std::unique_ptr<parallel::ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
-      for (const std::size_t buckets : kBucketCounts) {
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads << " buckets=" << buckets);
-        SimilarityMap lazy_map = build_map(graph, pool.get());
-        BucketSweepSource::Options options;
-        options.bucket_count = buckets;
-        options.pool = pool.get();
-        BucketSweepSource source(lazy_map, options);
-        const CoarseResult lazy =
-            coarse_sweep(graph, lazy_map, source, index, coarse, pool.get());
-        expect_same_coarse(lazy, reference);
-      }
-    }
-  }
+  expect_same_entries(lazy_map, sorted);
 }
 
 TEST(SweepSource, CoarsePhiStopSkipsTailBuckets) {
@@ -252,9 +188,7 @@ TEST(SweepSource, CoarsePhiStopSkipsTailBuckets) {
   coarse.delta0 = 64;
   coarse.phi = 30;  // stop well before the tail of L
   SimilarityMap map = build_map(graph, nullptr);
-  BucketSweepSource::Options options;
-  options.bucket_count = 64;
-  BucketSweepSource source(map, options);
+  BucketSweepSource source(map);
   (void)coarse_sweep(graph, map, source, index, coarse);
   const SweepSourceStats stats = source.stats();
   EXPECT_GT(stats.buckets_skipped, 0u);
@@ -269,11 +203,10 @@ TEST(SweepSource, FineThresholdSkipsTailBuckets) {
   SimilarityMap probe = build_map(graph, nullptr);
   probe.sort_by_score();
   const double cut = probe.entries[probe.entries.size() / 2].score;
-  BucketSweepSource::Options options;
-  options.bucket_count = 64;
-  BucketSweepSource source(map, options);
+  BucketSweepSource source(map);
+  BucketSweepSource probe_source(probe);
   const SweepResult lazy = sweep(graph, map, source, index, {}, cut);
-  const SweepResult reference = sweep(graph, probe, index, {}, cut);
+  const SweepResult reference = sweep(graph, probe, probe_source, index, {}, cut);
   expect_same_sweep(lazy, reference);
   EXPECT_GT(source.stats().buckets_skipped, 0u);
 }
@@ -324,7 +257,7 @@ TEST(SweepSource, EmptyMapYieldsEmptySource) {
   const WeightedGraph graph = builder.build();
   SimilarityMap map = build_map(graph, nullptr);
   ASSERT_TRUE(map.entries.empty());
-  BucketSweepSource source(map, BucketSweepSource::Options{});
+  BucketSweepSource source(map);
   EXPECT_EQ(source.size(), 0u);
   EXPECT_EQ(source.stats().buckets_sorted, 0u);
 }

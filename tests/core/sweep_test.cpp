@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/dsu.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 
@@ -18,7 +19,8 @@ SweepResult run_sweep(const WeightedGraph& graph, EdgeOrder order = EdgeOrder::k
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
   const EdgeIndex index(graph.edge_count(), order, seed);
-  return sweep(graph, map, index);
+  BucketSweepSource source(map);
+  return sweep(graph, map, source, index);
 }
 
 /// Ground truth for single-linkage flat clusters: connected components of the
@@ -92,11 +94,12 @@ TEST(Sweep, ObserverSeesEveryPair) {
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kNatural);
+  BucketSweepSource source(map);
   std::uint64_t calls = 0;
   std::uint64_t total_changes = 0;
   std::uint64_t last_ordinal = 0;
   const SweepResult result =
-      sweep(graph, map, index, [&](std::uint64_t ordinal, std::uint32_t changes) {
+      sweep(graph, map, source, index, [&](std::uint64_t ordinal, std::uint32_t changes) {
         EXPECT_EQ(ordinal, calls);
         last_ordinal = ordinal;
         ++calls;
@@ -118,7 +121,8 @@ TEST_P(SweepProperty, MatchesComponentOracleAtAllThresholds) {
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, GetParam());
-  const SweepResult result = sweep(graph, map, index);
+  BucketSweepSource source(map);
+  const SweepResult result = sweep(graph, map, source, index);
 
   // Thresholds straddling every distinct similarity value.
   std::vector<double> thresholds{0.0};
@@ -141,9 +145,10 @@ TEST_P(SweepProperty, PartitionInvariantToEdgeOrder) {
       graph::barabasi_albert(25, 2, {GetParam(), graph::WeightPolicy::kUniform});
   SimilarityMap map = build_similarity_map(graph);
   map.sort_by_score();
+  BucketSweepSource source(map);
 
   const EdgeIndex natural(graph.edge_count(), EdgeOrder::kNatural);
-  const SweepResult base = sweep(graph, map, natural);
+  const SweepResult base = sweep(graph, map, source, natural);
   // Compare partitions in *edge-id space* (labels are index-space).
   auto to_edge_space = [](const std::vector<EdgeIdx>& labels, const EdgeIndex& index) {
     // Canonical form: each edge id maps to the minimum edge id of its cluster.
@@ -163,7 +168,7 @@ TEST_P(SweepProperty, PartitionInvariantToEdgeOrder) {
   const auto base_canon = to_edge_space(base.final_labels, natural);
   for (std::uint64_t seed : {1u, 7u, 13u}) {
     const EdgeIndex shuffled(graph.edge_count(), EdgeOrder::kShuffled, seed);
-    const SweepResult other = sweep(graph, map, shuffled);
+    const SweepResult other = sweep(graph, map, source, shuffled);
     EXPECT_EQ(to_edge_space(other.final_labels, shuffled), base_canon) << "seed=" << seed;
     EXPECT_EQ(other.stats.merges_effective, base.stats.merges_effective);
   }
@@ -171,14 +176,32 @@ TEST_P(SweepProperty, PartitionInvariantToEdgeOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepProperty, testing::Values(1, 2, 3, 4, 5));
 
-TEST(SweepDeathTest, RequiresSortedMap) {
+TEST(Sweep, AnyEntryOrderGivesTheSortedMapsSweep) {
+  // The source orders the list itself: a map in ascending score order
+  // sweeps exactly like the sort_by_score() map, and is left sorted.
   const WeightedGraph graph = graph::paper_figure1_graph();
-  SimilarityMap map = build_similarity_map(graph);
-  // Force a misordering if not already misordered.
-  std::sort(map.entries.begin(), map.entries.end(),
-            [](const SimilarityEntry& a, const SimilarityEntry& b) { return a.score < b.score; });
+  SimilarityMap sorted = build_similarity_map(graph);
+  sorted.sort_by_score();
+  SimilarityMap reversed = sorted;
+  std::reverse(reversed.entries.begin(), reversed.entries.end());
   const EdgeIndex index(graph.edge_count(), EdgeOrder::kNatural);
-  EXPECT_DEATH(sweep(graph, map, index), "sorted");
+  BucketSweepSource sorted_source(sorted);
+  BucketSweepSource reversed_source(reversed);
+  const SweepResult want = sweep(graph, sorted, sorted_source, index);
+  const SweepResult got = sweep(graph, reversed, reversed_source, index);
+  ASSERT_EQ(got.dendrogram.events().size(), want.dendrogram.events().size());
+  for (std::size_t i = 0; i < want.dendrogram.events().size(); ++i) {
+    EXPECT_EQ(got.dendrogram.events()[i].from, want.dendrogram.events()[i].from) << i;
+    EXPECT_EQ(got.dendrogram.events()[i].into, want.dendrogram.events()[i].into) << i;
+    EXPECT_EQ(got.dendrogram.events()[i].similarity, want.dendrogram.events()[i].similarity)
+        << i;
+  }
+  EXPECT_EQ(got.final_labels, want.final_labels);
+  ASSERT_EQ(reversed.entries.size(), sorted.entries.size());
+  for (std::size_t i = 0; i < sorted.entries.size(); ++i) {
+    EXPECT_EQ(reversed.entries[i].u, sorted.entries[i].u) << "entry " << i;
+    EXPECT_EQ(reversed.entries[i].v, sorted.entries[i].v) << "entry " << i;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "baseline/slink.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 #include "text/association.hpp"
 #include "text/corpus.hpp"
@@ -66,9 +67,10 @@ TEST_P(Equivalence, SweepNbmSlinkAgree) {
     if (graph.edge_count() < 3) continue;
     core::SimilarityMap map = core::build_similarity_map(graph);
     map.sort_by_score();
+    core::BucketSweepSource source(map);
     const core::EdgeIndex index(graph.edge_count(), core::EdgeOrder::kShuffled, seed);
 
-    const core::SweepResult sweep_result = core::sweep(graph, map, index);
+    const core::SweepResult sweep_result = core::sweep(graph, map, source, index);
     const auto matrix = baseline::EdgeSimilarityMatrix::build(graph, map, index);
     ASSERT_TRUE(matrix.has_value());
     const baseline::NbmResult nbm = baseline::nbm_cluster(*matrix, {/*stop_at_zero=*/true});

@@ -92,8 +92,8 @@ const SiteCase kThrowCases[] = {
     {"forest.prim", 1, ClusterMode::kFine},
     {"forest.prim", 8, ClusterMode::kFine},
     // sweep.bucket sits inside BucketSweepSource::sort_bucket, which only the
-    // coarse sweep reads — it reaches it on the caller thread (first bucket)
-    // and on the prefetch thread (later buckets, rethrown at the handoff).
+    // coarse sweep reads. Every bucket sort runs on the sweep's own thread,
+    // so the fault unwinds the sweep at the first bucket it reaches.
     {"sweep.bucket", 1, ClusterMode::kCoarse},
     {"sweep.bucket", 8, ClusterMode::kCoarse},
     {"coarse.chunk", 1, ClusterMode::kCoarse},

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -159,6 +160,16 @@ TEST_F(ServerTest, RunWaitCutMemberRoundTrip) {
                         std::to_string(served->final_labels[position]));
   // Out-of-range edge is an input error, not a crash.
   EXPECT_EQ(ask(server, "member edge=999999").rfind("err ", 0), 0u);
+
+  // cut level=: a level past the height cuts at the top, 2^32 included.
+  const std::string top = ask(server, "cut level=99999999999");
+  const std::set<core::EdgeIdx> roots(served->final_labels.begin(),
+                                      served->final_labels.end());
+  EXPECT_EQ(top, "ok clusters=" + std::to_string(roots.size()) +
+                     " leaves=" + std::to_string(served->final_labels.size()));
+  EXPECT_EQ(ask(server, "cut level=4294967295"), top);
+  EXPECT_EQ(ask(server, "cut level=4294967296"), top);
+  EXPECT_NE(ask(server, "cut level=0"), top);
 }
 
 TEST_F(ServerTest, CutWithoutRunIsAnError) {

@@ -11,9 +11,9 @@
 # write disjoint slots of the shared score triangles and run Prim on
 # disjoint k ranges, the checkpoint resume
 # tests, which cross thread counts, the sweep-source suite, whose bucketed
-# source hands bucket sorts to a prefetch thread, the serve suite, and the
-# fault-injection suite, whose multi-thread cases throw inside pool workers
-# and on the prefetch thread. The full suite under TSan is prohibitively slow
+# source scatters L on the pool, the serve suite, and the
+# fault-injection suite, whose multi-thread cases throw inside pool workers.
+# The full suite under TSan is prohibitively slow
 # and the serial tests cannot race. Any sanitizer report fails the build
 # because CMakeLists.txt sets -fno-sanitize-recover=all.
 #
@@ -79,8 +79,7 @@ echo "== thread: test (concurrency suites) =="
 # The serve suite rides along: every test crosses the RunSupervisor's
 # worker-thread handoff (launch/report/wait/cancel from the protocol thread
 # against the run on the worker), which is exactly what TSan is for. So does
-# the fault suite: its T = 8 cases unwind exceptions out of pool workers and
-# the bucket-prefetch thread.
+# the fault suite: its T = 8 cases unwind exceptions out of pool workers.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
   -R 'ThreadPool|Coarse|Determinism|Gather|ThreadInvariance|Forest|Checkpoint|SweepSource|ServerTest|Signals|RunSupervisor|FaultInjection|SnapshotFault|ServeFault'
 
