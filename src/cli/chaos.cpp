@@ -274,15 +274,19 @@ void expect_no_orphan_tmp(Violations& bad, const std::string& ckpt_dir,
   }
 }
 
+/// A fine run snapshots at every boundary into `ckpt_dir`; a coarse run
+/// writes no snapshots.
 std::vector<std::string> cluster_args(const ChaosEnv& env,
                                       const std::string& mode,
                                       const std::string& ckpt_dir,
                                       const std::string& merges, bool resume) {
   std::vector<std::string> args = {
-      "cluster",          "--input", env.graph, "--mode",
-      mode,               "--threads", "2",     "--seed",
-      std::to_string(kClusterSeed), "--checkpoint-dir", ckpt_dir,
-      "--checkpoint-every-ms", "0", "--merges", merges};
+      "cluster", "--input",  env.graph, "--mode", mode, "--threads", "2",
+      "--seed",  std::to_string(kClusterSeed), "--merges", merges};
+  if (mode == "fine") {
+    args.insert(args.end(),
+                {"--checkpoint-dir", ckpt_dir, "--checkpoint-every-ms", "0"});
+  }
   if (resume) args.push_back("--resume");
   return args;
 }
@@ -308,14 +312,15 @@ std::string plan_seed(Rng& rng) {
 
 // --- scenarios ------------------------------------------------------------
 
-/// Bounded disk faults: at most two injected I/O failures in total, which
-/// the default --snapshot-retries 2 must absorb without surfacing anything.
+/// Bounded disk faults on a fine run's snapshots: at most two injected I/O
+/// failures in total, which the default two retries per commit must absorb
+/// without surfacing anything.
 void scenario_cluster_faults(const ChaosEnv& env, Rng& rng,
                              const std::string& dir, Violations& bad) {
   static const char* kFaults[] = {"io.write:write_error:max=1",
                                   "io.write:short_write:max=1",
                                   "io.fsync:fsync_error:max=1"};
-  const std::string mode = pick_mode(rng);
+  const std::string mode = "fine";
   std::string plan = plan_seed(rng);
   const std::size_t clauses = 1 + rng.next_below(2);
   for (std::size_t i = 0; i < clauses; ++i) {
@@ -347,12 +352,13 @@ void scenario_cluster_fatal(const ChaosEnv& env, Rng& rng,
   expect_no_orphan_tmp(bad, dir + "/ckpt", "cluster_fatal recovery");
 }
 
-/// SIGKILL once a snapshot exists, then --resume: the recovered merge list
-/// must be byte-identical and the crash's ".tmp" must be cleaned up.
+/// SIGKILL a fine run once a snapshot exists, then --resume: the recovered
+/// merge list must be byte-identical and the crash's ".tmp" must be cleaned
+/// up.
 void scenario_cluster_kill(const ChaosEnv& env, Rng& rng,
                            const std::string& dir, Violations& bad,
                            bool corrupt_after) {
-  const std::string mode = pick_mode(rng);
+  const std::string mode = "fine";
   const std::string ckpt = dir + "/ckpt";
   const std::string primary = core::snapshot_path(ckpt);
   // The sleep clause widens the kill window without changing any output.
@@ -418,20 +424,8 @@ void scenario_cluster_kill(const ChaosEnv& env, Rng& rng,
   expect_no_orphan_tmp(bad, ckpt, "cluster_kill recovery");
 }
 
-std::vector<std::string> serve_args(const std::string& ckpt_dir,
-                                    std::int64_t retries,
-                                    std::int64_t degrade_after) {
-  return {"serve",
-          "--checkpoint-dir",
-          ckpt_dir,
-          "--checkpoint-every-ms",
-          "0",
-          "--threads",
-          "2",
-          "--snapshot-retries",
-          std::to_string(retries),
-          "--degrade-after",
-          std::to_string(degrade_after)};
+std::vector<std::string> serve_args(const std::string& state_dir) {
+  return {"serve", "--state-dir", state_dir, "--threads", "2"};
 }
 
 std::string serve_script(const ChaosEnv& env, const std::string& mode,
@@ -442,30 +436,16 @@ std::string serve_script(const ChaosEnv& env, const std::string& mode,
          std::to_string(kChildTimeoutMs) + "\nhealth\nshutdown\n";
 }
 
-/// A scripted serve session under a fault plan. The server must survive
-/// every one of these plans and acknowledge shutdown, whatever happened to
-/// the run inside it.
+/// A scripted serve session whose run hits an injected allocation failure.
+/// The server must survive it, report it and acknowledge shutdown.
 void scenario_serve_faults(const ChaosEnv& env, Rng& rng,
                            const std::string& dir, Violations& bad) {
   const std::string mode = pick_mode(rng);
-  const std::string ckpt = dir + "/ckpt";
   const std::string merges = dir + "/merges.txt";
-  const int variant = static_cast<int>(rng.next_below(3));
-  std::string plan = plan_seed(rng);
-  std::int64_t retries = 2;
-  std::int64_t degrade_after = 5;
-  if (variant == 0) {
-    plan += ";io.fsync:fsync_error:max=2";  // heals inside the retry ring
-  } else if (variant == 1) {
-    plan += ";io.write:write_error";  // every commit fails: must degrade
-    retries = 0;
-    degrade_after = 1;
-  } else {
-    plan += ";memory.charge:bad_alloc:skip=" +
-            std::to_string(rng.next_below(3)) + ":max=1";  // the run fails
-  }
-  Child child = spawn_child(env, serve_args(ckpt, retries, degrade_after),
-                            plan, dir, "serve", /*want_stdin=*/true);
+  const std::string plan = plan_seed(rng) + ";memory.charge:bad_alloc:skip=" +
+                           std::to_string(rng.next_below(3)) + ":max=1";
+  Child child = spawn_child(env, serve_args(dir + "/state"), plan, dir, "serve",
+                            /*want_stdin=*/true);
   write_stdin(child, serve_script(env, mode, merges));
   close_stdin(child);
   const ExitInfo info = await_child(child, kChildTimeoutMs);
@@ -473,42 +453,30 @@ void scenario_serve_faults(const ChaosEnv& env, Rng& rng,
   const std::string out = read_file(child.stdout_path);
   expect(bad, out.find("ok bye=1") != std::string::npos,
          "serve_faults: server never acknowledged shutdown");
-  if (variant == 0) {
-    expect_merges(bad, env, mode, merges, "serve_faults retry-heal");
-    expect_no_orphan_tmp(bad, ckpt, "serve_faults retry-heal");
-  } else if (variant == 1) {
-    expect_merges(bad, env, mode, merges, "serve_faults degraded");
-    expect(bad, out.find("checkpoint_degraded=1") != std::string::npos,
-           "serve_faults: checkpointing never reported degradation");
-  } else {
-    // The run does no speculative work, so the injected bad_alloc always
-    // lands on its path: the run fails with a resource-class error, and the
-    // server stays up to report it.
-    expect(bad, out.find("state=failed") != std::string::npos,
-           "serve_faults: the injected allocation failure did not fail the run");
-    expect(bad, out.find("class=resource") != std::string::npos,
-           "serve_faults: injected allocation failure was not reported as a "
-           "resource-class error");
-    expect(bad, out.find("runs_failed=1") != std::string::npos,
-           "serve_faults: health does not count the failed run");
-  }
+  // The run does no speculative work, so the injected bad_alloc always
+  // lands on its path: the run fails with a resource-class error, and the
+  // server stays up to report it.
+  expect(bad, out.find("state=failed") != std::string::npos,
+         "serve_faults: the injected allocation failure did not fail the run");
+  expect(bad, out.find("class=resource") != std::string::npos,
+         "serve_faults: injected allocation failure was not reported as a "
+         "resource-class error");
+  expect(bad, out.find("runs_failed=1") != std::string::npos,
+         "serve_faults: health does not count the failed run");
 }
 
 /// SIGKILL a serving process mid-run, then restart it: autorecovery must
-/// replay the manifest and leave a byte-identical merge list — unless we
-/// also corrupt every snapshot file first, in which case the restarted
-/// server must refuse recovery, flag health, and keep serving.
+/// rerun the manifest's run from scratch, leave a byte-identical merge list
+/// and write no snapshot into the state directory.
 void scenario_serve_kill(const ChaosEnv& env, Rng& rng,
-                         const std::string& dir, Violations& bad,
-                         bool corrupt_after) {
+                         const std::string& dir, Violations& bad) {
   const std::string mode = pick_mode(rng);
-  const std::string ckpt = dir + "/ckpt";
+  const std::string state = dir + "/state";
   const std::string merges = dir + "/merges.txt";
-  const std::string manifest = serve::RunSupervisor::manifest_path(ckpt);
-  const std::string primary = core::snapshot_path(ckpt);
+  const std::string manifest = serve::RunSupervisor::manifest_path(state);
   const std::string plan =
       plan_seed(rng) + ";memory.charge:sleep:sleep=15:p=0.5:max=100";
-  Child victim = spawn_child(env, serve_args(ckpt, 2, 5), plan, dir, "victim",
+  Child victim = spawn_child(env, serve_args(state), plan, dir, "victim",
                              /*want_stdin=*/true);
   write_stdin(victim, "load path=" + env.graph + "\nrun mode=" + mode +
                           " threads=2 seed=" + std::to_string(kClusterSeed) +
@@ -522,16 +490,7 @@ void scenario_serve_kill(const ChaosEnv& env, Rng& rng,
 
   std::error_code ec;
   const bool manifest_left = std::filesystem::exists(manifest, ec);
-  const bool has_primary = std::filesystem::exists(primary, ec);
-  const bool has_prev = std::filesystem::exists(primary + ".prev", ec);
-  const bool corrupting =
-      corrupt_after && manifest_left && (has_primary || has_prev);
-  if (corrupting) {
-    if (has_primary) (void)flip_byte(primary, rng.next_u64());
-    if (has_prev) (void)flip_byte(primary + ".prev", rng.next_u64());
-  }
-
-  Child revived = spawn_child(env, serve_args(ckpt, 2, 5), "", dir, "revived",
+  Child revived = spawn_child(env, serve_args(state), "", dir, "revived",
                               /*want_stdin=*/true);
   write_stdin(revived, "wait timeout_ms=" + std::to_string(kChildTimeoutMs) +
                            "\nhealth\nshutdown\n");
@@ -541,27 +500,24 @@ void scenario_serve_kill(const ChaosEnv& env, Rng& rng,
   const std::string out = read_file(revived.stdout_path);
   expect(bad, out.find("ok bye=1") != std::string::npos,
          "serve_kill: restarted server never acknowledged shutdown");
-  if (corrupting) {
-    expect(bad, out.find("checkpoint_corrupt=1") != std::string::npos,
-           "serve_kill: double corruption did not flag checkpoint_corrupt=1");
-    expect(bad, out.find("recovered=1") == std::string::npos,
-           "serve_kill: server claims recovery despite corrupt snapshots");
-    expect(bad,
-           read_file(revived.stderr_path).find("warning:") != std::string::npos,
-           "serve_kill: refused recovery produced no operator warning");
-  } else if (manifest_left) {
+  if (manifest_left) {
     expect(bad, out.find("recovered=1") != std::string::npos,
            "serve_kill: manifest was present but health shows recovered=0");
+    expect(bad, read_file(revived.stderr_path).find("re-running") != std::string::npos,
+           "serve_kill: autorecovery did not rerun the interrupted run");
     expect_merges(bad, env, mode, merges, "serve_kill autorecovery");
     expect(bad, !std::filesystem::exists(manifest, ec),
            "serve_kill: manifest survived a completed recovery");
-    expect_no_orphan_tmp(bad, ckpt, "serve_kill autorecovery");
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(state, ec)) {
+    expect(bad, entry.path().string().find(".lcsnap") == std::string::npos,
+           "serve_kill: the server wrote " + entry.path().string());
   }
 }
 
 constexpr const char* kScenarioNames[] = {
-    "cluster_faults", "cluster_fatal", "cluster_kill",  "cluster_corrupt",
-    "serve_faults",   "serve_kill",    "serve_corrupt",
+    "cluster_faults", "cluster_fatal", "cluster_kill",
+    "cluster_corrupt", "serve_faults", "serve_kill",
 };
 constexpr std::size_t kScenarioCount =
     sizeof(kScenarioNames) / sizeof(kScenarioNames[0]);
@@ -574,8 +530,7 @@ void run_scenario(std::size_t which, const ChaosEnv& env, Rng& rng,
     case 2: scenario_cluster_kill(env, rng, dir, bad, false); break;
     case 3: scenario_cluster_kill(env, rng, dir, bad, true); break;
     case 4: scenario_serve_faults(env, rng, dir, bad); break;
-    case 5: scenario_serve_kill(env, rng, dir, bad, false); break;
-    default: scenario_serve_kill(env, rng, dir, bad, true); break;
+    default: scenario_serve_kill(env, rng, dir, bad); break;
   }
 }
 

@@ -58,6 +58,14 @@ bool threads_in_range(std::int64_t threads, std::ostream& err) {
   return false;
 }
 
+/// Integer flags that a cast to an unsigned type would wrap (a --seed of -1
+/// would run with seed 2^64 - 1).
+bool not_negative(const CliFlags& flags, const char* name, std::ostream& err) {
+  if (flags.get_int(name) >= 0) return true;
+  err << "error: --" << name << " must not be negative\n";
+  return false;
+}
+
 int cmd_stats(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
   CliFlags flags;
   flags.add_string("input", "", "edge-list file");
@@ -97,12 +105,10 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
                 "first poll; negative = off)");
   flags.add_int("max-memory-mb", 0, "major-allocation budget in MiB (0 = off)");
   flags.add_string("checkpoint-dir", "",
-                   "write crash-consistent snapshots of sweep progress here");
+                   "fine mode: write crash-consistent snapshots of sweep progress "
+                   "here (coarse mode reruns an interrupted run instead)");
   flags.add_int("checkpoint-every-ms", 30000,
                 "minimum milliseconds between snapshots (0 = every chunk)");
-  flags.add_int("snapshot-retries", 2,
-                "transient snapshot-write failures retried per commit "
-                "(exponential backoff)");
   flags.add_bool("resume", false, "continue from the snapshot in --checkpoint-dir");
   flags.add_string("min-similarity", "",
                    "drop merges below this similarity; coarse mode keeps only "
@@ -120,18 +126,18 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
     err << "error: --resume requires --checkpoint-dir\n";
     return 1;
   }
+  if (mode == "coarse" && !flags.get_string("checkpoint-dir").empty()) {
+    err << "error: coarse mode does not checkpoint; rerun an interrupted run instead\n";
+    return 1;
+  }
   if (!threads_in_range(flags.get_int("threads"), err)) return 1;
   // !(>= 1) also rejects NaN.
   if (!(flags.get_double("gamma") >= 1.0)) {
     err << "error: --gamma must be at least 1\n";
     return 1;
   }
-  if (flags.get_int("phi") < 0) {
-    err << "error: --phi must not be negative\n";
-    return 1;
-  }
-  if (flags.get_int("seed") < 0) {
-    err << "error: --seed must not be negative\n";
+  if (!not_negative(flags, "phi", err) || !not_negative(flags, "seed", err) ||
+      !not_negative(flags, "checkpoint-every-ms", err)) {
     return 1;
   }
   if (flags.get_int("delta0") < 1) {
@@ -150,10 +156,7 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   config.coarse.delta0 = static_cast<std::uint64_t>(flags.get_int("delta0"));
 
   config.checkpoint.directory = flags.get_string("checkpoint-dir");
-  config.checkpoint.interval_ms =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, flags.get_int("checkpoint-every-ms")));
-  config.checkpoint.write_retries =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("snapshot-retries")));
+  config.checkpoint.interval_ms = static_cast<std::uint64_t>(flags.get_int("checkpoint-every-ms"));
   config.resume = flags.get_bool("resume");
   const std::string min_similarity = flags.get_string("min-similarity");
   if (!min_similarity.empty()) {
@@ -174,7 +177,7 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
     ctx.set_memory_budget(static_cast<std::uint64_t>(max_memory_mb) * 1024 * 1024);
   }
   // The context is always attached: SIGTERM/SIGINT land as a cooperative
-  // cancel, so an interrupted batch run flushes a final checkpoint and exits
+  // cancel, so an interrupted fine run flushes a final checkpoint and exits
   // through the same stop-report path as a tripped deadline or budget.
   config.ctx = &ctx;
   serve::install_stop_handlers();
@@ -270,35 +273,23 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
 int cmd_serve(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
   CliFlags flags;
   flags.add_string("input", "", "edge-list file to preload (optional)");
-  flags.add_string("checkpoint-dir", "",
-                   "snapshot + autorecovery state for supervised runs");
-  flags.add_int("checkpoint-every-ms", 30000,
-                "minimum milliseconds between snapshots (0 = every chunk)");
-  flags.add_int("snapshot-retries", 2,
-                "transient snapshot-write failures retried per commit");
-  flags.add_int("degrade-after", 5,
-                "consecutive snapshot failures before checkpointing gives up "
-                "(0 = never)");
+  flags.add_string("state-dir", "",
+                   "keep the run manifest here, so a restart reruns an "
+                   "interrupted run");
   flags.add_bool("autorecover", true,
-                 "resume the interrupted run --checkpoint-dir describes "
+                 "rerun the interrupted run --state-dir describes "
                  "(disable with --no-autorecover)");
   flags.add_int("threads", 1, "default worker threads per run");
   flags.add_int("listen", 0,
                 "also accept line-protocol TCP clients on 127.0.0.1:PORT");
   if (!flags.parse(argc, argv)) {
-    err << "usage: linkcluster serve [--checkpoint-dir DIR] [--listen PORT] ...\n";
+    err << "usage: linkcluster serve [--state-dir DIR] [--listen PORT] ...\n";
     return 1;
   }
   if (!threads_in_range(flags.get_int("threads"), err)) return 1;
 
   serve::ServerOptions options;
-  options.checkpoint_dir = flags.get_string("checkpoint-dir");
-  options.checkpoint_every_ms =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, flags.get_int("checkpoint-every-ms")));
-  options.snapshot_retries =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("snapshot-retries")));
-  options.degrade_after =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(0, flags.get_int("degrade-after")));
+  options.state_dir = flags.get_string("state-dir");
   options.autorecover = flags.get_bool("autorecover");
   options.threads =
       static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("threads")));
@@ -341,6 +332,7 @@ int cmd_communities(int argc, const char* const* argv, std::ostream& out, std::o
     err << "usage: linkcluster communities --input graph.edges [--top N]\n";
     return 1;
   }
+  if (!not_negative(flags, "seed", err)) return 1;
   const auto graph = load_graph(flags.get_string("input"), err);
   if (!graph.has_value()) return 2;
   if (graph->edge_count() == 0) {
@@ -401,6 +393,7 @@ int cmd_generate(int argc, const char* const* argv, std::ostream& out, std::ostr
     err << "usage: linkcluster generate --type er --n 100 --p 0.1 --output g.edges\n";
     return 1;
   }
+  if (!not_negative(flags, "seed", err)) return 1;
   graph::GeneratorOptions options;
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   options.weights =
@@ -494,7 +487,7 @@ void print_usage(std::ostream& out) {
          "  stats        graph statistics (|V|, |E|, K1, K2, K3, density)\n"
          "  cluster      run link clustering; optionally export the dendrogram\n"
          "  serve        long-lived supervised server (line protocol on stdin,\n"
-         "               optional --listen TCP; retries, degradation, autorecovery)\n"
+         "               optional --listen TCP; containment, autorecovery)\n"
          "  communities  maximum-partition-density link communities\n"
          "  generate     write a synthetic benchmark graph\n"
          "  assoc        build a word-association graph from a corpus file (§III)\n"

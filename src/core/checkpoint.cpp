@@ -12,10 +12,10 @@ namespace lc::core {
 namespace {
 
 // Section ids inside the snapshot container. A fine snapshot's id names
-// the list its position indexes (FineList).
+// the list its position indexes (FineList). Id 3 held coarse state in
+// older builds' snapshots: do not reuse it.
 constexpr std::uint32_t kFingerprintSection = 1;
 constexpr std::uint32_t kPairListSection = 2;
-constexpr std::uint32_t kCoarseSection = 3;
 constexpr std::uint32_t kForestSection = 4;
 
 void write_fingerprint(snapshot::SectionWriter& out, const RunFingerprint& fp) {
@@ -144,149 +144,6 @@ Status read_fine_section(snapshot::SectionReader& in, FineCheckpoint* state,
     return s;
   }
   if (Status s = read_events(in, &state->events, edge_count); !s.ok()) return s;
-  return in.expect_end();
-}
-
-void write_coarse_section(snapshot::SectionWriter& out, const CoarseCheckpoint& state) {
-  out.u64(state.xi);
-  out.u64(state.p);
-  out.u64(state.beta);
-  out.u32(state.level);
-  out.f64(state.delta);
-  out.f64(state.eta);
-  out.u8(state.head_mode);
-  out.u64(state.consecutive_rollbacks);
-  out.u64(state.xi_prev2);
-  out.u64(state.beta_prev2);
-  out.u8(state.have_prev2);
-  out.u64(state.snapshot_seq);
-  out.u64(state.rollback_count);
-  out.u64(state.reuse_count);
-  out.u64(state.soundness_violations);
-  write_stats(out, state.stats);
-  out.pod_vector(state.parents);
-  write_events(out, state.events);
-  out.u64(state.epochs.size());
-  for (const EpochRecord& epoch : state.epochs) {
-    out.u8(static_cast<std::uint8_t>(epoch.kind));
-    out.u64(epoch.chunk_size);
-    out.u64(epoch.beta_before);
-    out.u64(epoch.beta_after);
-    out.u64(epoch.pairs_end);
-  }
-  out.u64(state.levels.size());
-  for (const CoarseLevel& lvl : state.levels) {
-    out.u32(lvl.level);
-    out.u64(lvl.clusters);
-    out.u64(lvl.pairs_processed);
-    out.f64(lvl.threshold_score);
-  }
-  out.u64(state.rollback_list.size());
-  for (const CoarseSavedState& saved : state.rollback_list) {
-    out.pod_vector(saved.losers);
-    out.pod_vector(saved.targets);
-    out.u64(saved.beta);
-    out.u64(saved.xi);
-    out.u64(saved.p);
-    out.u64(saved.seq);
-  }
-}
-
-Status read_coarse_section(snapshot::SectionReader& in, CoarseCheckpoint* state,
-                           std::size_t edge_count) {
-  if (Status s = in.u64(&state->xi); !s.ok()) return s;
-  if (Status s = in.u64(&state->p); !s.ok()) return s;
-  if (Status s = in.u64(&state->beta); !s.ok()) return s;
-  if (Status s = in.u32(&state->level); !s.ok()) return s;
-  if (Status s = in.f64(&state->delta); !s.ok()) return s;
-  if (Status s = in.f64(&state->eta); !s.ok()) return s;
-  if (Status s = in.u8(&state->head_mode); !s.ok()) return s;
-  if (Status s = in.u64(&state->consecutive_rollbacks); !s.ok()) return s;
-  if (Status s = in.u64(&state->xi_prev2); !s.ok()) return s;
-  if (Status s = in.u64(&state->beta_prev2); !s.ok()) return s;
-  if (Status s = in.u8(&state->have_prev2); !s.ok()) return s;
-  if (Status s = in.u64(&state->snapshot_seq); !s.ok()) return s;
-  if (Status s = in.u64(&state->rollback_count); !s.ok()) return s;
-  if (Status s = in.u64(&state->reuse_count); !s.ok()) return s;
-  if (Status s = in.u64(&state->soundness_violations); !s.ok()) return s;
-  if (Status s = read_stats(in, &state->stats); !s.ok()) return s;
-  if (Status s = in.pod_vector(&state->parents, edge_count); !s.ok()) return s;
-  if (Status s = check_monotone_labels(state->parents, edge_count, "parent array");
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = read_events(in, &state->events, edge_count); !s.ok()) return s;
-  if (state->beta > edge_count) {
-    return Status::invalid_argument("checkpoint: beta exceeds the edge count");
-  }
-  std::uint64_t count = 0;
-  if (Status s = in.u64(&count); !s.ok()) return s;
-  if (count > in.remaining()) {
-    return Status::invalid_argument("checkpoint: implausible epoch count");
-  }
-  state->epochs.clear();
-  state->epochs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    EpochRecord epoch;
-    std::uint8_t kind = 0;
-    if (Status s = in.u8(&kind); !s.ok()) return s;
-    if (kind > static_cast<std::uint8_t>(EpochKind::kReused)) {
-      return Status::invalid_argument("checkpoint: unknown epoch kind");
-    }
-    epoch.kind = static_cast<EpochKind>(kind);
-    if (Status s = in.u64(&epoch.chunk_size); !s.ok()) return s;
-    std::uint64_t beta_before = 0;
-    std::uint64_t beta_after = 0;
-    if (Status s = in.u64(&beta_before); !s.ok()) return s;
-    if (Status s = in.u64(&beta_after); !s.ok()) return s;
-    epoch.beta_before = static_cast<std::size_t>(beta_before);
-    epoch.beta_after = static_cast<std::size_t>(beta_after);
-    if (Status s = in.u64(&epoch.pairs_end); !s.ok()) return s;
-    state->epochs.push_back(epoch);
-  }
-  if (Status s = in.u64(&count); !s.ok()) return s;
-  if (count > in.remaining()) {
-    return Status::invalid_argument("checkpoint: implausible level count");
-  }
-  state->levels.clear();
-  state->levels.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CoarseLevel lvl;
-    if (Status s = in.u32(&lvl.level); !s.ok()) return s;
-    std::uint64_t clusters = 0;
-    if (Status s = in.u64(&clusters); !s.ok()) return s;
-    lvl.clusters = static_cast<std::size_t>(clusters);
-    if (Status s = in.u64(&lvl.pairs_processed); !s.ok()) return s;
-    if (Status s = in.f64(&lvl.threshold_score); !s.ok()) return s;
-    state->levels.push_back(lvl);
-  }
-  if (Status s = in.u64(&count); !s.ok()) return s;
-  if (count > in.remaining()) {
-    return Status::invalid_argument("checkpoint: implausible rollback count");
-  }
-  state->rollback_list.clear();
-  state->rollback_list.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CoarseSavedState saved;
-    if (Status s = in.pod_vector(&saved.losers, edge_count); !s.ok()) return s;
-    if (Status s = in.pod_vector(&saved.targets, edge_count); !s.ok()) return s;
-    if (saved.losers.size() != saved.targets.size()) {
-      return Status::invalid_argument(
-          "checkpoint: rollback state loser/target length mismatch");
-    }
-    for (std::size_t e = 0; e < saved.losers.size(); ++e) {
-      // Targets are component minima, strictly below their loser.
-      if (saved.losers[e] >= edge_count || saved.targets[e] >= saved.losers[e]) {
-        return Status::invalid_argument(
-            "checkpoint: rollback state references an out-of-range edge");
-      }
-    }
-    if (Status s = in.u64(&saved.beta); !s.ok()) return s;
-    if (Status s = in.u64(&saved.xi); !s.ok()) return s;
-    if (Status s = in.u64(&saved.p); !s.ok()) return s;
-    if (Status s = in.u64(&saved.seq); !s.ok()) return s;
-    state->rollback_list.push_back(std::move(saved));
-  }
   return in.expect_end();
 }
 
@@ -434,14 +291,6 @@ Status Checkpointer::write_fine(const FineCheckpoint& state) {
                std::move(body));
 }
 
-Status Checkpointer::write_coarse(const CoarseCheckpoint& state) {
-  Stopwatch watch;
-  snapshot::SectionWriter body;
-  write_coarse_section(body, state);
-  write_seconds_ += watch.seconds();
-  return write(kCoarseSection, std::move(body));
-}
-
 StatusOr<LoadedCheckpoint> load_checkpoint(const std::string& directory,
                                            const RunFingerprint& expected,
                                            std::size_t edge_count) {
@@ -450,7 +299,7 @@ StatusOr<LoadedCheckpoint> load_checkpoint(const std::string& directory,
   std::string source = primary;
   if (!loaded.ok()) {
     // Torn or missing primary: the previous good snapshot is still a valid
-    // resume point (it just replays a little more of L).
+    // resume point (it just replays a little more of the sorted list).
     const std::string prev = primary + ".prev";
     StatusOr<snapshot::Snapshot> fallback = snapshot::Snapshot::load(prev);
     if (!fallback.ok()) {
@@ -462,8 +311,8 @@ StatusOr<LoadedCheckpoint> load_checkpoint(const std::string& directory,
                                  std::filesystem::exists(prev, ec);
       if (files_present) {
         // Snapshot files are on disk but none validates: storage-level
-        // corruption, not a caller mistake. Resource-class so serve-mode
-        // recovery degrades loudly instead of silently starting fresh.
+        // corruption, not a caller mistake. Resource-class so a --resume
+        // stops loudly (exit 3) instead of silently starting fresh.
         return Status::resource_exhausted(
             "checkpoint storage corrupt in " + directory + detail);
       }
@@ -492,27 +341,15 @@ StatusOr<LoadedCheckpoint> load_checkpoint(const std::string& directory,
     return Status::invalid_argument(what);
   }
 
+  // The section id names the list the stored position indexes.
+  const bool forest = snapshot.has_section(kForestSection);
+  StatusOr<snapshot::SectionReader> reader =
+      snapshot.section(forest ? kForestSection : kPairListSection);
+  if (!reader.ok()) return reader.status();
   LoadedCheckpoint result;
   result.source_path = source;
-  if (stored.mode == 0) {
-    if (!snapshot.has_section(kForestSection) && snapshot.has_section(kPairListSection)) {
-      return Status::invalid_argument(
-          "checkpoint (" + source +
-          ") indexes the reference sweep's full pair list, not the spanning-forest "
-          "pairs a fine run resumes from; refusing to resume");
-    }
-    StatusOr<snapshot::SectionReader> reader = snapshot.section(kForestSection);
-    if (!reader.ok()) return reader.status();
-    FineCheckpoint fine;
-    if (Status s = read_fine_section(*reader, &fine, edge_count); !s.ok()) return s;
-    result.fine = std::move(fine);
-  } else {
-    StatusOr<snapshot::SectionReader> reader = snapshot.section(kCoarseSection);
-    if (!reader.ok()) return reader.status();
-    CoarseCheckpoint coarse;
-    if (Status s = read_coarse_section(*reader, &coarse, edge_count); !s.ok()) return s;
-    result.coarse = std::move(coarse);
-  }
+  result.fine.list = forest ? FineList::kForest : FineList::kPairs;
+  if (Status s = read_fine_section(*reader, &result.fine, edge_count); !s.ok()) return s;
   return result;
 }
 

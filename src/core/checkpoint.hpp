@@ -1,15 +1,16 @@
-// Crash-consistent checkpoint/resume for the sweeping phases (DESIGN.md §11).
+// Crash-consistent checkpoint/resume for fine-mode batch runs (DESIGN.md §11).
 //
-// Both sweeps advance through one deterministic coordinate — a position in
-// a sorted pair list (an index into the sorted spanning-forest pairs for the
-// fine merge pass, the (p, xi) cursor into L for the coarse machine). A
-// checkpoint is everything the algorithm carries across that coordinate:
-// the cluster array / DSU parent labels, the dendrogram event prefix, the
-// level and beta counters, and (coarse) the mode-machine registers plus the
-// compact rollback snapshots. Because the builds and sorts are bitwise
-// deterministic at every thread count, a resumed run rebuilds its list,
-// seeks to the stored coordinate, restores the state, and continues to a
-// dendrogram identical to an uninterrupted run's — at any thread count.
+// The fine merge pass advances through one deterministic coordinate: a
+// position in a sorted pair list (an index into the sorted spanning-forest
+// pairs, or into the reference sweep's full list L). A checkpoint is
+// everything the pass carries across that coordinate: the cluster array /
+// DSU labels, the dendrogram event prefix and the level counter. Because
+// the builds and sorts are bitwise deterministic at every thread count, a
+// resumed run rebuilds its list, seeks to the stored coordinate, restores
+// the state, and continues to a dendrogram identical to an uninterrupted
+// run's — at any thread count. Coarse mode and `lc serve` do not
+// checkpoint: a resume reruns the whole build, which dominates the run, so
+// they rerun an interrupted run from scratch instead.
 //
 // Snapshots ride the container of util/snapshot_io.hpp: checksummed sections,
 // a trailing commit marker, atomic tmp -> .prev -> primary replacement. A
@@ -23,11 +24,9 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/coarse.hpp"
 #include "core/dendrogram.hpp"
 #include "core/sweep.hpp"
 #include "graph/graph.hpp"
@@ -117,42 +116,6 @@ struct FineCheckpoint {
   std::vector<MergeEvent> events;
 };
 
-/// One saved rollback state, exactly core/coarse.cpp's compact journal form.
-struct CoarseSavedState {
-  std::vector<EdgeIdx> losers;   ///< union losers, ascending
-  std::vector<EdgeIdx> targets;  ///< target root per loser
-  std::uint64_t beta = 0;
-  std::uint64_t xi = 0;
-  std::uint64_t p = 0;
-  std::uint64_t seq = 0;
-};
-
-/// Coarse-sweep state at a chunk boundary (the mode machine sits at the safe
-/// state Q*, the merge journal is empty).
-struct CoarseCheckpoint {
-  std::uint64_t xi = 0;
-  std::uint64_t p = 0;
-  std::uint64_t beta = 0;
-  std::uint32_t level = 0;
-  double delta = 0.0;
-  double eta = 0.0;
-  std::uint8_t head_mode = 1;
-  std::uint64_t consecutive_rollbacks = 0;
-  std::uint64_t xi_prev2 = 0;
-  std::uint64_t beta_prev2 = 0;
-  std::uint8_t have_prev2 = 0;
-  std::uint64_t snapshot_seq = 0;
-  std::uint64_t rollback_count = 0;
-  std::uint64_t reuse_count = 0;
-  std::uint64_t soundness_violations = 0;
-  SweepStats stats;
-  std::vector<EdgeIdx> parents;  ///< MinDsu labels, the set minima (parents[i] <= i)
-  std::vector<MergeEvent> events;
-  std::vector<EpochRecord> epochs;
-  std::vector<CoarseLevel> levels;
-  std::vector<CoarseSavedState> rollback_list;
-};
-
 /// Writes snapshots per a CheckpointPolicy. The sweeps ask due() at chunk
 /// boundaries and hand over their state; a failed write is retried with
 /// bounded backoff, then recorded (see recent_errors()) but never stops the
@@ -171,7 +134,6 @@ class Checkpointer {
   [[nodiscard]] bool due() const;
 
   Status write_fine(const FineCheckpoint& state);
-  Status write_coarse(const CoarseCheckpoint& state);
 
   [[nodiscard]] const CheckpointPolicy& policy() const { return policy_; }
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -219,12 +181,9 @@ class Checkpointer {
   bool degraded_ = false;
 };
 
-/// A validated snapshot: exactly one of `fine` / `coarse` is set, matching
-/// the fingerprint's mode. A fine snapshot always indexes the forest
-/// (FineList::kForest): one of the reference sweep's full list L is refused.
+/// A validated fine snapshot of either list (`fine.list` says which).
 struct LoadedCheckpoint {
-  std::optional<FineCheckpoint> fine;
-  std::optional<CoarseCheckpoint> coarse;
+  FineCheckpoint fine;
   std::string source_path;  ///< the file that validated (primary or .prev)
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/checkpoint.hpp"
 #include "core/dsu.hpp"
 #include "core/forest.hpp"
 #include "core/sweep_source.hpp"
@@ -91,8 +90,7 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& so
                         const EdgeIndex& index, std::uint64_t pairs_total,
                         ChunkPairs chunk_pairs,
                         const CoarseOptions& options, sim::WorkLedger* ledger,
-                        lc::RunContext* ctx, Checkpointer* checkpointer,
-                        const CoarseCheckpoint* resume) {
+                        lc::RunContext* ctx) {
   LC_CHECK_MSG(index.size() == graph.edge_count(), "edge index must match the graph");
   LC_CHECK_MSG(options.gamma >= 1.0, "gamma must be >= 1");
   LC_CHECK_MSG(options.delta0 >= 1, "initial chunk size must be positive");
@@ -155,109 +153,6 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& so
     }
   };
 
-  // ---- Resume: reload a chunk-boundary state written by a Checkpointer.
-  // Every snapshot is taken at a loop head, where the machine sits at the
-  // safe state Q* (safe == {beta, xi, p}) and the merge journal is empty, so
-  // restoring the registers plus the parent array re-creates the exact
-  // mid-sweep configuration; the deterministic map/sort make (p, xi) stable
-  // coordinates into L.
-  if (resume != nullptr) {
-    LC_CHECK_MSG(resume->parents.size() == edge_count,
-                 "resume state must match the graph");
-    LC_CHECK_MSG(resume->p <= entry_count,
-                 "resume position must lie within the sorted list");
-    dsu = MinDsu(resume->parents);
-    xi = resume->xi;
-    p = static_cast<std::size_t>(resume->p);
-    beta = static_cast<std::size_t>(resume->beta);
-    level = resume->level;
-    delta = resume->delta;
-    eta = resume->eta;
-    head_mode = resume->head_mode != 0;
-    consecutive_rollbacks = static_cast<std::size_t>(resume->consecutive_rollbacks);
-    safe = SafeState{beta, xi, p};
-    xi_prev2 = resume->xi_prev2;
-    beta_prev2 = static_cast<std::size_t>(resume->beta_prev2);
-    have_prev2 = resume->have_prev2 != 0;
-    snapshot_seq = resume->snapshot_seq;
-    rollback_list.reserve(resume->rollback_list.size());
-    for (const CoarseSavedState& stored : resume->rollback_list) {
-      SavedState saved;
-      saved.beta = static_cast<std::size_t>(stored.beta);
-      saved.xi = stored.xi;
-      saved.p = static_cast<std::size_t>(stored.p);
-      saved.seq = stored.seq;
-      saved.edges.reserve(stored.losers.size());
-      for (std::size_t e = 0; e < stored.losers.size(); ++e) {
-        saved.edges.push_back(ChunkPair{stored.losers[e], stored.targets[e]});
-      }
-      if (ctx != nullptr) {
-        saved.charged_bytes =
-            static_cast<std::uint64_t>(saved.edges.size()) * sizeof(ChunkPair);
-        ctx->charge_memory(saved.charged_bytes, "coarse.rollback_snapshot");
-      }
-      rollback_list.push_back(std::move(saved));
-    }
-    for (const MergeEvent& event : resume->events) {
-      result.dendrogram.add_event(event.level, event.from, event.into,
-                                  event.similarity);
-    }
-    result.epochs = resume->epochs;
-    result.levels = resume->levels;
-    result.rollback_count = static_cast<std::size_t>(resume->rollback_count);
-    result.reuse_count = static_cast<std::size_t>(resume->reuse_count);
-    result.soundness_violations =
-        static_cast<std::size_t>(resume->soundness_violations);
-    result.stats.pairs_processed = resume->stats.pairs_processed;
-    total_accesses = resume->stats.c_accesses;
-    total_changes = resume->stats.c_changes;
-  }
-
-  auto capture_checkpoint = [&]() {
-    CoarseCheckpoint state;
-    state.xi = xi;
-    state.p = p;
-    state.beta = beta;
-    state.level = level;
-    state.delta = delta;
-    state.eta = eta;
-    state.head_mode = head_mode ? 1 : 0;
-    state.consecutive_rollbacks = consecutive_rollbacks;
-    state.xi_prev2 = xi_prev2;
-    state.beta_prev2 = beta_prev2;
-    state.have_prev2 = have_prev2 ? 1 : 0;
-    state.snapshot_seq = snapshot_seq;
-    state.rollback_count = result.rollback_count;
-    state.reuse_count = result.reuse_count;
-    state.soundness_violations = result.soundness_violations;
-    state.stats = result.stats;
-    state.stats.c_accesses = total_accesses;
-    state.stats.c_changes = total_changes;
-    state.stats.merges_effective = result.dendrogram.events().size();
-    // The canonical labels, not the raw parents: the labels depend on the
-    // partition alone.
-    state.parents = dsu.labels();
-    state.events = result.dendrogram.events();
-    state.epochs = result.epochs;
-    state.levels = result.levels;
-    state.rollback_list.reserve(rollback_list.size());
-    for (const SavedState& saved : rollback_list) {
-      CoarseSavedState stored;
-      stored.beta = saved.beta;
-      stored.xi = saved.xi;
-      stored.p = saved.p;
-      stored.seq = saved.seq;
-      stored.losers.reserve(saved.edges.size());
-      stored.targets.reserve(saved.edges.size());
-      for (const ChunkPair& edge : saved.edges) {
-        stored.losers.push_back(edge.a);
-        stored.targets.push_back(edge.b);
-      }
-      state.rollback_list.push_back(std::move(stored));
-    }
-    return state;
-  };
-
   if (ledger != nullptr) ledger->begin_phase("sweep.coarse");
 
   // Unites the pairs of L positions [first, last) into the DSU, serially,
@@ -303,22 +198,7 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& so
   };
 
   while (p < entry_count && beta > options.phi) {
-    // The loop head is the coarse machine's safe state Q*: the journal is
-    // empty and every register is consistent, so a cooperative stop landing
-    // here can flush a final checkpoint before unwinding (bypassing due() —
-    // it is the run's last chance to persist progress). Stops raised
-    // mid-chunk by the inner tickers unwind without one; the last timed
-    // snapshot still covers them.
-    if (ctx != nullptr && ctx->stop_requested() && checkpointer != nullptr &&
-        checkpointer->policy().enabled() && !checkpointer->degraded()) {
-      (void)checkpointer->write_coarse(capture_checkpoint());
-    }
     check_stop(ctx);
-    if (checkpointer != nullptr && checkpointer->due()) {
-      // A failed snapshot is recorded on the checkpointer but never aborts
-      // the sweep it was protecting.
-      (void)checkpointer->write_coarse(capture_checkpoint());
-    }
     fault::maybe_fire("coarse.chunk");
     // ---- Collect and process one chunk. At least one entry always enters
     // the chunk so the sweep makes progress even when delta < |l|.
@@ -553,12 +433,11 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& so
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
                           BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options, sim::WorkLedger* ledger,
-                          lc::RunContext* ctx, Checkpointer* checkpointer,
-                          const CoarseCheckpoint* resume) {
+                          lc::RunContext* ctx) {
   // The forest pairs whose key falls inside the chunk: sweep_order extends
   // score_order, so they are one slice of forest.pairs, read at a cursor f
-  // at the first pair whose key is not before L[next]. When a rollback, a
-  // reuse jump or a resume moves p, f is found again by binary search.
+  // at the first pair whose key is not before L[next]. When a rollback or a
+  // reuse jump moves p, f is found again by binary search.
   const auto& pairs = forest.pairs;
   std::size_t f = 0;
   std::size_t next = 0;
@@ -578,15 +457,17 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningFores
     next = last;
   };
   return run_coarse(graph, source, index, forest.incident_pairs, chunk_pairs, options, ledger,
-                    ctx, checkpointer, resume);
+                    ctx);
 }
 
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
                           BucketSweepSource& source, const EdgeIndex& index,
-                          const CoarseOptions& options, parallel::ThreadPool* pool,
+                          const CoarseOptions& options, parallel::ThreadPool* /*pool*/,
                           sim::WorkLedger* ledger, lc::RunContext* ctx,
-                          Checkpointer* checkpointer, const CoarseCheckpoint* resume) {
-  (void)pool;  // serial; the parameter stays for bench/suite/trace.cpp
+                          Checkpointer* checkpointer, std::nullptr_t /*resume*/) {
+  // The pool, checkpointer and resume parameters stay for
+  // bench/suite/trace.cpp's call: the sweep is serial and never checkpoints.
+  LC_CHECK_MSG(checkpointer == nullptr, "the coarse sweep does not checkpoint");
   LC_CHECK_MSG(source.size() == map.entries.size(),
                "sweep source must cover the similarity map");
   // Every incident pair of every entry of the chunk, from the map's arena.
@@ -598,7 +479,7 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
     }
   };
   return run_coarse(graph, source, index, map.incident_pair_count(), chunk_pairs, options,
-                    ledger, ctx, checkpointer, resume);
+                    ledger, ctx);
 }
 
 }  // namespace lc::core

@@ -35,12 +35,17 @@
 // pairs, so every beta, event and label is the reference sweep's (DESIGN.md
 // §10, §16). Each parent write is appended to a *merge journal*; the epoch
 // boundary reads the dendrogram events, the rollback undo, and the compact
-// reuse snapshots from that journal and the cluster count from the DSU, so
-// epoch bookkeeping costs O(changes) instead of O(|E|) scans and copies.
+// saved states of L_rollback from that journal and the cluster count from
+// the DSU, so epoch bookkeeping costs O(changes) instead of O(|E|) scans and
+// copies.
+//
+// Nothing here is written to disk. The sweep is a small share of a coarse
+// run, and a resume would rerun the whole build, so an interrupted coarse
+// run reruns from scratch and gives the same dendrogram (DESIGN.md §11).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/dendrogram.hpp"
@@ -58,7 +63,6 @@ class RunContext;  // util/run_context.hpp
 namespace lc::core {
 
 class Checkpointer;        // core/checkpoint.hpp
-struct CoarseCheckpoint;   // core/checkpoint.hpp
 struct SpanningForest;     // core/forest.hpp
 class BucketSweepSource;   // core/sweep_source.hpp
 
@@ -113,27 +117,19 @@ struct CoarseResult {
 /// source never sorts the tail of L — the two speedups compound. `ledger`
 /// (optional) records the sweep's serial work. `ctx` (optional, not owned)
 /// is polled at chunk granularity and charged for the parent array, per-chunk
-/// merge journals, and the compact rollback snapshots; a pending stop
+/// merge journals, and the compact saved rollback states; a pending stop
 /// unwinds via lc::StoppedError. Null has zero effect on the result.
-///
-/// `checkpointer` (optional, not owned) is asked at every chunk boundary —
-/// where the mode machine sits at the safe state Q* and the merge journal is
-/// empty — and given a CoarseCheckpoint when a snapshot is due; `resume`
-/// (optional, not owned, pre-validated by load_checkpoint) restarts the
-/// machine from a stored boundary. Both are output-neutral: the stored
-/// (p, xi) are coordinates into L, and the forest cursor follows from p.
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
                           BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options = {},
                           sim::WorkLedger* ledger = nullptr,
-                          lc::RunContext* ctx = nullptr,
-                          Checkpointer* checkpointer = nullptr,
-                          const CoarseCheckpoint* resume = nullptr);
+                          lc::RunContext* ctx = nullptr);
 
 /// The reference coarse sweep over `source`, the descending-score view of
 /// `map`'s entries: each chunk unites all its incident pairs. Only its
 /// SweepStats, which count the pairs applied, differ from the production
-/// sweep's. `pool` is unused; it stays for bench/suite/trace.cpp's call.
+/// sweep's. `pool` is unused, and `checkpointer` and `resume` must be null
+/// (LC_CHECK): all three stay only for bench/suite/trace.cpp's call.
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
                           BucketSweepSource& source, const EdgeIndex& index,
                           const CoarseOptions& options = {},
@@ -141,6 +137,6 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap
                           sim::WorkLedger* ledger = nullptr,
                           lc::RunContext* ctx = nullptr,
                           Checkpointer* checkpointer = nullptr,
-                          const CoarseCheckpoint* resume = nullptr);
+                          std::nullptr_t resume = nullptr);
 
 }  // namespace lc::core

@@ -43,11 +43,15 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
   ClusterResult result;
   result.edge_index = EdgeIndex(graph.edge_count(), config_.edge_order, config_.seed);
 
-  // Checkpoint/resume plumbing. The snapshot is loaded before the (costly)
-  // similarity build so a mismatched fingerprint fails fast; the build
-  // itself always reruns — it is deterministic, and re-deriving the sorted
-  // list (the forest pairs, or coarse mode's L) is what makes the stored
-  // position meaningful.
+  // Checkpoint/resume plumbing, fine mode only. The snapshot is loaded
+  // before the (costly) build so a mismatched fingerprint fails fast; the
+  // build itself always reruns — it is deterministic, and re-deriving the
+  // forest pairs is what makes the stored position meaningful.
+  const bool coarse = config_.mode == ClusterMode::kCoarse;
+  if (coarse && (config_.resume || config_.checkpoint.enabled())) {
+    throw StoppedError(Status::invalid_argument(
+        "coarse mode does not checkpoint: an interrupted run reruns from scratch"));
+  }
   std::optional<LoadedCheckpoint> loaded;
   std::optional<Checkpointer> checkpointer;
   if (config_.resume || config_.checkpoint.enabled()) {
@@ -60,6 +64,12 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
       StatusOr<LoadedCheckpoint> loaded_or = load_checkpoint(
           config_.checkpoint.directory, fp, graph.edge_count());
       if (!loaded_or.ok()) throw StoppedError(loaded_or.status());
+      if (loaded_or->fine.list != FineList::kForest) {
+        throw StoppedError(Status::invalid_argument(
+            "checkpoint (" + loaded_or->source_path +
+            ") indexes the reference sweep's full pair list, not the spanning-forest "
+            "pairs a fine run resumes from; refusing to resume"));
+      }
       loaded = std::move(loaded_or).value();
     }
     if (config_.checkpoint.enabled()) checkpointer.emplace(config_.checkpoint, fp);
@@ -74,17 +84,8 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
   // the fine merge pass stops at the same score.
   if (std::isfinite(config_.min_similarity)) map_options.min_score = config_.min_similarity;
   Checkpointer* ckpt = checkpointer.has_value() ? &*checkpointer : nullptr;
-  // The fingerprint matched, so the rebuilt list is the one the snapshot
-  // indexed; a position beyond it means the snapshot lies about its origin.
-  const auto check_position = [](std::uint64_t position, std::size_t list_size) {
-    if (position > list_size) {
-      throw StoppedError(Status::invalid_argument(
-          "checkpoint position lies beyond the sorted pair list"));
-    }
-  };
 
   Stopwatch watch;
-  const bool coarse = config_.mode == ClusterMode::kCoarse;
   // A memory budget only adds passes: the forest and L do not depend on them.
   const std::vector<graph::VertexId> ranges =
       triangle_ranges(graph, config_.threads, config_.ctx, coarse);
@@ -98,8 +99,14 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     result.timings.initialization_seconds = watch.lap();
     const FineCheckpoint* fine_resume = nullptr;
     if (loaded.has_value()) {
-      fine_resume = &*loaded->fine;
-      check_position(fine_resume->entry_pos, forest.pairs.size());
+      // The fingerprint matched, so the rebuilt forest is the one the
+      // snapshot indexed; a position beyond it means the snapshot lies about
+      // its origin.
+      fine_resume = &loaded->fine;
+      if (fine_resume->entry_pos > forest.pairs.size()) {
+        throw StoppedError(Status::invalid_argument(
+            "checkpoint position lies beyond the sorted pair list"));
+      }
     }
     check_stop(config_.ctx);
     SweepResult sweep_result = forest_sweep(forest, result.edge_index, config_.min_similarity,
@@ -116,15 +123,9 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     source_options.pool = pool.get();
     BucketSweepSource source(list, source_options);
     result.timings.initialization_seconds = watch.lap();
-    const CoarseCheckpoint* coarse_resume = nullptr;
-    if (loaded.has_value()) {
-      coarse_resume = &*loaded->coarse;
-      check_position(coarse_resume->p, list.entries.size());
-    }
     check_stop(config_.ctx);
-    CoarseResult coarse_result =
-        coarse_sweep(graph, forest, source, result.edge_index, config_.coarse,
-                     config_.ledger, config_.ctx, ckpt, coarse_resume);
+    CoarseResult coarse_result = coarse_sweep(graph, forest, source, result.edge_index,
+                                              config_.coarse, config_.ledger, config_.ctx);
     result.timings.sweeping_seconds = watch.lap();
     result.dendrogram = coarse_result.dendrogram;  // copy; full detail kept below
     result.final_labels = coarse_result.final_labels;

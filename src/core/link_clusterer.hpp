@@ -54,8 +54,8 @@ struct ClusterTimings {
   }
 };
 
-/// What checkpointing cost (and lost) during one run — the Checkpointer's
-/// counters, surfaced so callers (the serve health command) can see silent
+/// What checkpointing cost (and lost) during one fine run — the
+/// Checkpointer's counters, surfaced so the batch CLI can warn about silent
 /// snapshot loss.
 struct CheckpointRunStats {
   std::uint64_t snapshots_written = 0;
@@ -104,14 +104,16 @@ class LinkClusterer {
     /// and memory budget (see util/run_context.hpp). Checked at chunk
     /// granularity in both phases; null = uncontrolled.
     lc::RunContext* ctx = nullptr;
-    /// Crash-consistent snapshots of sweep progress (core/checkpoint.hpp).
-    /// An empty directory disables checkpointing; snapshots never change the
-    /// result.
+    /// Crash-consistent snapshots of fine-mode sweep progress
+    /// (core/checkpoint.hpp). An empty directory disables checkpointing;
+    /// snapshots never change the result. Coarse mode does not checkpoint:
+    /// run() refuses a directory or `resume` in coarse mode with
+    /// kInvalidArgument.
     CheckpointPolicy checkpoint;
     /// Load the snapshot in checkpoint.directory and continue from it
-    /// instead of sweeping from scratch. The snapshot's fingerprint must
-    /// match this config and the input graph; run() reports a mismatch (or a
-    /// missing/corrupt snapshot) as kInvalidArgument.
+    /// instead of sweeping from scratch (fine mode). The snapshot's
+    /// fingerprint must match this config and the input graph; run() reports
+    /// a mismatch (or a missing snapshot) as kInvalidArgument.
     bool resume = false;
   };
 

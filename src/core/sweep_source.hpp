@@ -6,8 +6,8 @@
 // order *in place* in map.entries — position i of the source is position i
 // of the fully sorted list — and guarantees that everything before the
 // ready prefix's end is already in final order. Keeping the storage in place
-// is what preserves every invariant downstream: checkpoint positions
-// (FineCheckpoint::entry_pos, CoarseCheckpoint::p) index the same list,
+// is what preserves every invariant downstream: the reference sweep's
+// checkpoint position (FineCheckpoint::entry_pos) indexes the same list,
 // map.pairs()/common() keep working (arena offsets travel with the entries),
 // and a completed sweep leaves the map fully sorted.
 //

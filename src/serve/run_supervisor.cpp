@@ -17,7 +17,7 @@ namespace lc::serve {
 namespace {
 
 /// Doubles round-trip through the manifest as bit patterns: decimal text
-/// would perturb the checkpoint fingerprint and refuse every resume.
+/// could perturb a parameter, and the rerun would be a different run.
 std::string f64_hex(double value) {
   return strprintf("0x%016llx",
                    static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(value)));
@@ -275,16 +275,13 @@ void RunSupervisor::worker(RunSpec spec, std::uint64_t run_id) {
   report.id = run_id;
   report.state = RunState::kRunning;
 
-  const bool checkpointing = spec.config.checkpoint.enabled();
   const std::string manifest =
-      checkpointing ? manifest_path(spec.config.checkpoint.directory) : "";
-  if (checkpointing && !spec.graph_path.empty()) {
-    // Persist the manifest the startup autorecovery replays; failure to
-    // write it must not fail the run. The checkpointer only creates its
-    // directory on the first snapshot, which lands after this write — make
-    // it exist now.
+      spec.state_dir.empty() || spec.graph_path.empty() ? "" : manifest_path(spec.state_dir);
+  if (!manifest.empty()) {
+    // Persist the manifest the startup autorecovery reruns; failure to
+    // write it must not fail the run.
     std::error_code ec;
-    std::filesystem::create_directories(spec.config.checkpoint.directory, ec);
+    std::filesystem::create_directories(spec.state_dir, ec);
     RunManifest m;
     m.fingerprint = core::LinkClusterer::fingerprint(*spec.graph, spec.config);
     m.threads = spec.config.threads;
@@ -319,11 +316,6 @@ void RunSupervisor::worker(RunSpec spec, std::uint64_t run_id) {
   std::shared_ptr<const core::ClusterResult> success;
   if (run.ok()) {
     auto result = std::make_shared<core::ClusterResult>(std::move(run).value());
-    if (result->ckpt.has_value()) {
-      report.checkpoint_failures = result->ckpt->write_failures;
-      report.checkpoint_retries = result->ckpt->retries_used;
-      report.checkpoint_degraded = result->ckpt->degraded;
-    }
     report.passes = result->passes;
     report.events = result->dendrogram.events().size();
     report.height = result->dendrogram.height();

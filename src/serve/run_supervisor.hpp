@@ -10,10 +10,11 @@
 // budget too small for even one pass fails the run with kResourceExhausted
 // and the bytes it needed.
 //
-// When the spec carries a checkpoint directory and a graph path, launch()
-// persists a run manifest (atomic tmp → rename) next to the snapshot; the
-// server's startup autorecovery reads it back to resume interrupted runs
-// after a crash. The manifest is removed once a run succeeds.
+// When the spec carries a state directory and a graph path, the worker
+// persists a run manifest there (atomic tmp → rename) before the run starts;
+// the server's startup autorecovery reads it back and reruns an interrupted
+// run from scratch after a crash. The manifest is removed once a run
+// succeeds. Supervised runs write no snapshots.
 #pragma once
 
 #include <condition_variable>
@@ -41,8 +42,8 @@ enum class RunState : std::uint8_t {
 
 [[nodiscard]] const char* run_state_name(RunState state);
 
-/// Everything launch() needs; the config carries mode/threads/budgets/
-/// checkpointing exactly as the batch CLI would set them. `config.ctx` is
+/// Everything launch() needs; the config carries mode/threads/coarse
+/// parameters exactly as the batch CLI would set them. `config.ctx` is
 /// ignored — the supervisor owns the RunContext.
 struct RunSpec {
   core::LinkClusterer::Config config;
@@ -51,6 +52,7 @@ struct RunSpec {
   std::uint64_t max_memory_mb = 0;    ///< memory budget (0 = none)
   std::string merges_path;            ///< write the merge list here on success
   std::string graph_path;             ///< recorded in the manifest (autorecovery)
+  std::string state_dir;              ///< write run.manifest here (empty = none)
 };
 
 /// Snapshot of a run, safe to take at any time from any thread.
@@ -62,9 +64,6 @@ struct RunReport {
   double elapsed_seconds = 0.0;
   std::uint64_t events = 0;                ///< dendrogram merges (on success)
   std::uint32_t height = 0;
-  std::uint64_t checkpoint_failures = 0;   ///< failed snapshots (post-retry)
-  std::uint64_t checkpoint_retries = 0;    ///< commit retries across snapshots
-  bool checkpoint_degraded = false;        ///< snapshots gave up (in-memory only)
   std::uint64_t memory_peak = 0;           ///< RunContext high-water bytes
 };
 
@@ -98,7 +97,8 @@ class RunSupervisor {
   [[nodiscard]] std::uint64_t runs_total() const;
   [[nodiscard]] std::uint64_t runs_failed() const;
 
-  /// The manifest file a checkpointing spec persists for autorecovery.
+  /// The manifest file a spec with a state directory persists for
+  /// autorecovery.
   [[nodiscard]] static std::string manifest_path(const std::string& directory);
 
  private:
@@ -119,8 +119,8 @@ class RunSupervisor {
 };
 
 /// Serialized form of a RunSpec that a crashed server left behind:
-/// everything needed to rebuild the config with an identical checkpoint
-/// fingerprint (doubles round-trip as hex bit patterns).
+/// everything needed to rebuild the config with an identical fingerprint
+/// (doubles round-trip as hex bit patterns), so the rerun is the same run.
 struct RunManifest {
   core::RunFingerprint fingerprint;
   std::uint64_t threads = 1;

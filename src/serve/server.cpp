@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <utility>
@@ -91,8 +92,6 @@ std::string Server::report_line(const RunReport& report) const {
     line += status_is_retryable(report.status.code()) ? '1' : '0';
     line += " msg=" + quote_value(report.status.message());
   }
-  line += " checkpoint_failures=" + std::to_string(report.checkpoint_failures);
-  if (report.checkpoint_degraded) line += " checkpoint_degraded=1";
   if (report.memory_peak > 0) {
     line += " memory_peak=" + std::to_string(report.memory_peak);
   }
@@ -127,10 +126,21 @@ std::string Server::cmd_run(const Request& request) {
   if (graph_ == nullptr) {
     return err_line(Status::invalid_argument("no graph loaded (use: load path=...)"));
   }
+  // A key this command does not read would launch a run the client did not
+  // ask for (a typo, or an option an older server took).
+  static constexpr const char* kRunKeys[] = {
+      "mode", "threads", "seed", "gamma", "phi", "delta0", "min_similarity",
+      "deadline_ms", "max_memory_mb", "merges"};
+  for (const auto& arg : request.args) {
+    if (std::find(std::begin(kRunKeys), std::end(kRunKeys), arg.first) == std::end(kRunKeys)) {
+      return err_line(Status::invalid_argument("unknown argument '" + arg.first + "'"));
+    }
+  }
   RunSpec spec;
   spec.graph = graph_;
   spec.graph_path = graph_path_;
   spec.merges_path = request.get("merges");
+  spec.state_dir = options_.state_dir;
 
   core::LinkClusterer::Config& config = spec.config;
   const std::string mode = request.get("mode", "fine");
@@ -181,15 +191,6 @@ std::string Server::cmd_run(const Request& request) {
       return bad_arg("max_memory_mb");
     }
     spec.max_memory_mb = static_cast<std::uint64_t>(i64);
-  }
-  config.checkpoint.directory = options_.checkpoint_dir;
-  config.checkpoint.interval_ms = options_.checkpoint_every_ms;
-  config.checkpoint.write_retries = options_.snapshot_retries;
-  config.checkpoint.degrade_after = options_.degrade_after;
-  config.resume = request.get("resume") == "1";
-  if (config.resume && options_.checkpoint_dir.empty()) {
-    return err_line(
-        Status::invalid_argument("resume requires --checkpoint-dir"));
   }
 
   if (Status launched = supervisor_.launch(std::move(spec)); !launched.ok()) {
@@ -297,20 +298,14 @@ std::string Server::cmd_member(const Request& request) {
 }
 
 std::string Server::cmd_health(const Request&) {
-  const RunReport report = supervisor_.report();
   std::string line = "ok state=";
   line += supervisor_.running() ? "running" : "idle";
   line += " graph_loaded=";
   line += graph_ != nullptr ? '1' : '0';
   line += " runs_total=" + std::to_string(supervisor_.runs_total());
   line += " runs_failed=" + std::to_string(supervisor_.runs_failed());
-  line += " checkpoint_failures=" + std::to_string(report.checkpoint_failures);
-  line += " checkpoint_degraded=";
-  line += report.checkpoint_degraded ? '1' : '0';
   line += " recovered=";
   line += recovered_ ? '1' : '0';
-  line += " checkpoint_corrupt=";
-  line += checkpoint_corrupt_ ? '1' : '0';
   return line;
 }
 
@@ -344,9 +339,8 @@ bool Server::handle_line(const std::string& line, std::string* response) {
   } else if (request.command == "health") {
     reply = cmd_health(request);
   } else if (request.command == "shutdown") {
-    // Drain before acknowledging: cancel the in-flight run (its sweep
-    // flushes a final checkpoint while unwinding) and wait it out, so the
-    // reply line is also the promise that the process owns no more work.
+    // Drain before acknowledging: cancel the in-flight run and wait it
+    // out, so the reply line is also the promise that the process owns no more work.
     supervisor_.cancel();
     supervisor_.wait(0);
     reply = "ok bye=1";
@@ -371,9 +365,8 @@ void Server::serve(std::istream& in, std::ostream& out) {
 }
 
 Status Server::autorecover() {
-  if (options_.checkpoint_dir.empty() || !options_.autorecover) return Status();
-  const std::string manifest_file =
-      RunSupervisor::manifest_path(options_.checkpoint_dir);
+  if (options_.state_dir.empty() || !options_.autorecover) return Status();
+  const std::string manifest_file = RunSupervisor::manifest_path(options_.state_dir);
   if (!std::filesystem::exists(manifest_file)) return Status();
 
   StatusOr<RunManifest> manifest_or = RunManifest::read(manifest_file);
@@ -392,7 +385,7 @@ Status Server::autorecover() {
     return Status::invalid_argument(
         "autorecovery: " + manifest.graph_path +
         " no longer matches the interrupted run's graph digest; refusing to "
-        "resume (remove " + manifest_file + " to discard the run)");
+        "rerun it (remove " + manifest_file + " to discard the run)");
   }
   graph_ = graph;
   graph_path_ = manifest.graph_path;
@@ -402,6 +395,7 @@ Status Server::autorecover() {
   spec.graph = graph;
   spec.graph_path = manifest.graph_path;
   spec.merges_path = manifest.merges_path;
+  spec.state_dir = options_.state_dir;
   core::LinkClusterer::Config& config = spec.config;
   config.mode = manifest.fingerprint.mode == 0 ? core::ClusterMode::kFine
                                                : core::ClusterMode::kCoarse;
@@ -419,39 +413,13 @@ Status Server::autorecover() {
   config.coarse.max_rollbacks_per_level =
       static_cast<std::size_t>(manifest.fingerprint.max_rollbacks_per_level);
   config.threads = static_cast<std::size_t>(std::max<std::uint64_t>(1, manifest.threads));
-  config.checkpoint.directory = options_.checkpoint_dir;
-  config.checkpoint.interval_ms = options_.checkpoint_every_ms;
-  config.checkpoint.write_retries = options_.snapshot_retries;
-  config.checkpoint.degrade_after = options_.degrade_after;
 
-  // Resume from the snapshot when one validates against the manifest's
-  // fingerprint; a torn pair of files (or a crash before the first commit)
-  // falls back to re-running from scratch — recovery must not be weaker
-  // than a fresh submission of the same run.
-  const std::string snapshot = core::snapshot_path(options_.checkpoint_dir);
-  bool resume = false;
-  if (std::filesystem::exists(snapshot) ||
-      std::filesystem::exists(snapshot + ".prev")) {
-    StatusOr<core::LoadedCheckpoint> resumed = core::load_checkpoint(
-        options_.checkpoint_dir, manifest.fingerprint, graph->edge_count());
-    if (!resumed.ok() &&
-        status_error_class(resumed.status().code()) == ErrorClass::kResource) {
-      // Both the primary and ".prev" are on disk yet neither validates:
-      // storage-level double corruption. Quietly re-running from scratch
-      // would destroy the evidence (the next commit overwrites the files),
-      // so refuse, flag health (checkpoint_corrupt=1), and keep serving —
-      // the operator decides whether to clear the directory.
-      checkpoint_corrupt_ = true;
-      return resumed.status();
-    }
-    resume = resumed.ok();
-  }
-  config.resume = resume;
-
+  // The run is deterministic, so rerunning it from scratch writes exactly
+  // the merge list the crash cost.
   if (log_ != nullptr) {
-    *log_ << "autorecovery: " << (resume ? "resuming" : "re-running")
-          << " interrupted " << (config.mode == core::ClusterMode::kFine ? "fine" : "coarse")
-          << " run on " << manifest.graph_path << "\n";
+    *log_ << "autorecovery: re-running interrupted "
+          << (config.mode == core::ClusterMode::kFine ? "fine" : "coarse") << " run on "
+          << manifest.graph_path << "\n";
   }
   if (Status launched = supervisor_.launch(std::move(spec)); !launched.ok()) {
     return launched;
@@ -538,8 +506,7 @@ int serve_fds(Server& server, int listen_fd, bool use_stdin, std::ostream& log) 
   while (!shutting_down) {
     if (stop_signal() != 0) {
       // The signal handler only set a flag; the real SIGTERM semantics live
-      // here: cancel the run (its sweep flushes a final checkpoint while
-      // unwinding) and exit cleanly once it drained.
+      // here: cancel the run and exit cleanly once it has unwound.
       drain("stop signal");
       break;
     }

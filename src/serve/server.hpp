@@ -15,9 +15,10 @@
 //
 // Containment is the point: a failed, over-budget, or cancelled run answers
 // with a structured `err code=... class=... retryable=...` line and the
-// server keeps serving. Startup autorecovery replays the run.manifest a
-// crashed server left in --checkpoint-dir, resuming from the snapshot when
-// one validates.
+// server keeps serving. Startup autorecovery reads the run.manifest a
+// crashed server left in --state-dir and reruns the interrupted run from
+// scratch; the run is deterministic, so it writes the merge list the crash
+// cost. Serve runs write no snapshots.
 //
 // handle_line()/serve() run the protocol over any iostream pair (that is
 // what the unit tests drive); serve_fds() is the production loop — poll()
@@ -37,11 +38,8 @@
 namespace lc::serve {
 
 struct ServerOptions {
-  std::string checkpoint_dir;              ///< empty = no snapshots, no recovery
-  std::uint64_t checkpoint_every_ms = 30000;
-  std::uint32_t snapshot_retries = 2;      ///< CheckpointPolicy::write_retries
-  std::uint32_t degrade_after = 5;         ///< CheckpointPolicy::degrade_after
-  bool autorecover = true;                 ///< replay run.manifest on startup
+  std::string state_dir;                   ///< holds run.manifest; empty = no recovery
+  bool autorecover = true;                 ///< rerun run.manifest's run on startup
   std::size_t threads = 1;                 ///< default worker threads per run
 };
 
@@ -60,19 +58,15 @@ class Server {
   /// EOF. Flushes after every response so a pipe-driven client can pipeline.
   void serve(std::istream& in, std::ostream& out);
 
-  /// Scans options_.checkpoint_dir for a run manifest and relaunches the
-  /// interrupted run (resuming its snapshot when one validates). OK when
-  /// there was nothing to recover; an error Status reports *why* recovery
-  /// was refused (mismatched graph, unreadable manifest) — the server still
-  /// serves.
+  /// Scans options_.state_dir for a run manifest and relaunches the
+  /// interrupted run from scratch. OK when there was nothing to recover; an
+  /// error Status reports *why* recovery was refused (mismatched graph,
+  /// unreadable manifest) — the server still serves.
   Status autorecover();
 
   [[nodiscard]] RunSupervisor& supervisor() { return supervisor_; }
   [[nodiscard]] const ServerOptions& options() const { return options_; }
   [[nodiscard]] bool graph_loaded() const { return graph_ != nullptr; }
-  /// True when autorecovery found snapshot files that all failed checksum
-  /// validation (also surfaced as health's checkpoint_corrupt=1).
-  [[nodiscard]] bool checkpoint_corrupt() const { return checkpoint_corrupt_; }
 
  private:
   std::string cmd_ping(const Request& request);
@@ -92,8 +86,7 @@ class Server {
   std::shared_ptr<const graph::WeightedGraph> graph_;
   std::string graph_path_;
   std::uint64_t graph_digest_ = 0;
-  bool recovered_ = false;           ///< autorecover() relaunched a run
-  bool checkpoint_corrupt_ = false;  ///< autorecover() hit double corruption
+  bool recovered_ = false;  ///< autorecover() relaunched a run
 };
 
 /// Binds a TCP listener on 127.0.0.1:`port`. Returns the listening fd.
@@ -107,7 +100,7 @@ class Server {
 /// `listen_fd` (>= 0 accepts line-protocol TCP clients), dispatching into
 /// `server`. Returns the process exit code. A SIGTERM/SIGINT (via
 /// serve/signals.hpp — the caller installs the handlers) cancels the active
-/// run, waits for the final checkpoint to flush, and drains cleanly.
+/// run, waits for it to unwind, and drains cleanly.
 int serve_fds(Server& server, int listen_fd, bool use_stdin, std::ostream& log);
 
 }  // namespace lc::serve

@@ -2,17 +2,17 @@
 //
 // The handlers do the only async-signal-safe thing possible: store the
 // signal number in a process-wide atomic. Everything meaningful — the
-// cooperative cancel through RunContext, the final checkpoint the sweep
-// flushes while unwinding, the clean drain — happens on ordinary threads
+// cooperative cancel through RunContext, the final checkpoint a fine batch
+// sweep flushes while unwinding, the clean drain — happens on ordinary threads
 // that poll the flag. SA_RESETHAND restores the default action after the
 // first delivery, so a second Ctrl-C kills a process that is too wedged to
 // drain (the operator always wins).
 //
 // Both `lc serve` and the batch `lc cluster` command use this: a signal
 // turns into ctx->request_cancel(), the sweep unwinds with kCancelled at a
-// safe boundary, flushes a final snapshot if checkpointing is armed, and the
-// process exits through the normal stop-reason report instead of dying
-// snapshotless mid-merge.
+// safe boundary (a checkpointing fine batch run flushes a final snapshot
+// there), and the process exits through the normal stop-reason report
+// instead of dying mid-merge.
 #pragma once
 
 #include <atomic>

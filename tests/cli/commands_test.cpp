@@ -122,7 +122,7 @@ TEST(Cli, ClusterRejectsOutOfRangeArguments) {
   const std::vector<std::vector<const char*>> cases = {
       {"--gamma", "0.5"}, {"--gamma", "nan"}, {"--phi", "-1"},
       {"--threads", too_many.c_str()}, {"--threads", "1000000000"},
-      {"--seed", "-1"}, {"--delta0", "0"}};
+      {"--seed", "-1"}, {"--delta0", "0"}, {"--checkpoint-every-ms", "-5"}};
   for (const std::vector<const char*>& flag : cases) {
     std::vector<const char*> argv{"linkcluster", "cluster", "--input", "/no/such/file.edges",
                                   "--mode", "coarse", flag[0], flag[1]};
@@ -131,6 +131,51 @@ TEST(Cli, ClusterRejectsOutOfRangeArguments) {
     EXPECT_EQ(run_command(static_cast<int>(argv.size()), argv.data(), out, err), 1)
         << flag[0] << " " << flag[1];
     EXPECT_NE(err.str().find(flag[0]), std::string::npos) << err.str();
+  }
+}
+
+TEST(Cli, GenerateAndCommunitiesRejectANegativeSeed) {
+  // A cast to uint64 would run them with seed 2^64 - 1.
+  const std::string path = temp_path("cli_negative_seed.edges");
+  std::remove(path.c_str());
+  std::string err;
+  EXPECT_EQ(run({"generate", "--type", "er", "--n", "50", "--p", "0.1", "--seed", "-1",
+                 "--output", path.c_str()},
+                nullptr, &err),
+            1);
+  EXPECT_NE(err.find("--seed must not be negative"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(path));
+  err.clear();
+  EXPECT_EQ(run({"communities", "--input", "/no/such/file.edges", "--seed", "-1"}, nullptr,
+                &err),
+            1);
+  EXPECT_NE(err.find("--seed must not be negative"), std::string::npos) << err;
+}
+
+TEST(Cli, ClusterCoarseRefusesACheckpointDir) {
+  // Refused before the input is read: coarse mode reruns an interrupted run.
+  const std::string dir = temp_path("cli_coarse_ckpt_dir");
+  std::string err;
+  EXPECT_EQ(run({"cluster", "--input", "/no/such/file.edges", "--mode", "coarse",
+                 "--checkpoint-dir", dir.c_str()},
+                nullptr, &err),
+            1);
+  EXPECT_NE(err.find("coarse mode does not checkpoint"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(Cli, RemovedSnapshotFlagsAreUnknown) {
+  for (const std::vector<const char*>& argv :
+       std::vector<std::vector<const char*>>{
+           {"linkcluster", "cluster", "--input", "x.edges", "--snapshot-retries", "2"},
+           {"linkcluster", "serve", "--checkpoint-dir", "d"},
+           {"linkcluster", "serve", "--checkpoint-every-ms", "0"},
+           {"linkcluster", "serve", "--snapshot-retries", "2"},
+           {"linkcluster", "serve", "--degrade-after", "5"}}) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_command(static_cast<int>(argv.size()), argv.data(), out, err), 1)
+        << argv[1] << " " << argv[argv.size() - 2];
   }
 }
 

@@ -91,8 +91,7 @@ TEST_F(CheckpointChaos, WriteErrorHealsWithinRetryBudget) {
   const StatusOr<LoadedCheckpoint> loaded =
       load_checkpoint(dir_.string(), RunFingerprint{}, 3);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  ASSERT_TRUE(loaded->fine.has_value());
-  EXPECT_EQ(loaded->fine->entry_pos, 1u);
+  EXPECT_EQ(loaded->fine.entry_pos, 1u);
 }
 
 TEST_F(CheckpointChaos, ShortWriteIsDetectedAndRetried) {
@@ -153,8 +152,7 @@ TEST_F(CheckpointChaos, InjectedCorruptionFallsBackToPrev) {
       load_checkpoint(dir_.string(), RunFingerprint{}, 3);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   EXPECT_NE(loaded->source_path.find(".prev"), std::string::npos);
-  ASSERT_TRUE(loaded->fine.has_value());
-  EXPECT_EQ(loaded->fine->entry_pos, 1u);
+  EXPECT_EQ(loaded->fine.entry_pos, 1u);
 }
 
 TEST_F(CheckpointChaos, DoubleCorruptionIsAResourceClassError) {

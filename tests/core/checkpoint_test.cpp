@@ -38,17 +38,8 @@ graph::WeightedGraph fine_graph() {
   return graph::erdos_renyi(60, 0.15, {5, graph::WeightPolicy::kUniform});
 }
 
-graph::WeightedGraph coarse_graph() {
+graph::WeightedGraph larger_graph() {
   return graph::erdos_renyi(120, 0.08, {9, graph::WeightPolicy::kUniform});
-}
-
-LinkClusterer::Config coarse_config(std::size_t threads = 1) {
-  LinkClusterer::Config config;
-  config.mode = ClusterMode::kCoarse;
-  config.threads = threads;
-  config.coarse.delta0 = 64;  // small chunks -> many boundaries to snapshot
-  config.coarse.phi = 10;
-  return config;
 }
 
 /// Bitwise comparison of everything a resumed run must reproduce.
@@ -68,29 +59,11 @@ void expect_identical(const ClusterResult& got, const ClusterResult& want) {
   EXPECT_EQ(got.stats.merges_effective, want.stats.merges_effective);
   EXPECT_EQ(got.stats.c_accesses, want.stats.c_accesses);
   EXPECT_EQ(got.stats.c_changes, want.stats.c_changes);
-  ASSERT_EQ(got.coarse.has_value(), want.coarse.has_value());
-  if (want.coarse.has_value()) {
-    EXPECT_EQ(got.coarse->pairs_processed, want.coarse->pairs_processed);
-    EXPECT_EQ(got.coarse->rollback_count, want.coarse->rollback_count);
-    EXPECT_EQ(got.coarse->reuse_count, want.coarse->reuse_count);
-    ASSERT_EQ(got.coarse->levels.size(), want.coarse->levels.size());
-    for (std::size_t i = 0; i < want.coarse->levels.size(); ++i) {
-      EXPECT_EQ(got.coarse->levels[i].clusters, want.coarse->levels[i].clusters) << i;
-      EXPECT_EQ(got.coarse->levels[i].pairs_processed,
-                want.coarse->levels[i].pairs_processed) << i;
-    }
-    ASSERT_EQ(got.coarse->epochs.size(), want.coarse->epochs.size());
-    for (std::size_t i = 0; i < want.coarse->epochs.size(); ++i) {
-      EXPECT_EQ(got.coarse->epochs[i].kind, want.coarse->epochs[i].kind) << i;
-      EXPECT_EQ(got.coarse->epochs[i].beta_after, want.coarse->epochs[i].beta_after) << i;
-      EXPECT_EQ(got.coarse->epochs[i].pairs_end, want.coarse->epochs[i].pairs_end) << i;
-    }
-  }
 }
 
 TEST_F(Checkpoint, GraphFingerprintSeesEveryEdge) {
   const graph::WeightedGraph a = fine_graph();
-  const graph::WeightedGraph b = coarse_graph();
+  const graph::WeightedGraph b = larger_graph();
   EXPECT_NE(graph_fingerprint(a), graph_fingerprint(b));
   EXPECT_EQ(graph_fingerprint(a), graph_fingerprint(fine_graph()));
 }
@@ -120,47 +93,26 @@ TEST_F(Checkpoint, FineResumeReproducesUninterruptedRun) {
   }
 }
 
-TEST_F(Checkpoint, CoarseResumeReproducesUninterruptedRun) {
-  const graph::WeightedGraph graph = coarse_graph();
-  const ClusterResult reference = LinkClusterer(coarse_config()).cluster(graph);
-  ASSERT_TRUE(reference.coarse.has_value());
-  ASSERT_GT(reference.coarse->epochs.size(), 2u) << "graph too easy to exercise resume";
-
-  LinkClusterer::Config writing = coarse_config();
-  writing.checkpoint.directory = dir_.string();
-  writing.checkpoint.interval_ms = 0;
-  writing.checkpoint.max_snapshots = 3;  // leaves the snapshot two chunks in
-  const ClusterResult with_checkpoints = LinkClusterer(writing).cluster(graph);
-  expect_identical(with_checkpoints, reference);
-  ASSERT_TRUE(fs::exists(snapshot_file()));
-
-  LinkClusterer::Config resuming = coarse_config();
-  resuming.checkpoint.directory = dir_.string();
-  resuming.checkpoint.interval_ms = 3600000;
-  resuming.resume = true;
-  StatusOr<ClusterResult> resumed = LinkClusterer(resuming).run(graph);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
-  expect_identical(resumed.value(), reference);
-}
-
 TEST_F(Checkpoint, ResumeIsThreadCountInvariant) {
   // Snapshot under T=1, resume under T=8 (and the reverse): the fingerprint
   // deliberately omits the thread count because outputs are invariant to it.
-  const graph::WeightedGraph graph = coarse_graph();
-  const ClusterResult reference = LinkClusterer(coarse_config()).cluster(graph);
+  const graph::WeightedGraph graph = larger_graph();
+  const ClusterResult reference = LinkClusterer().cluster(graph);
 
   for (const auto& [write_threads, resume_threads] :
        std::vector<std::pair<std::size_t, std::size_t>>{{1, 8}, {8, 1}}) {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    LinkClusterer::Config writing = coarse_config(write_threads);
+    LinkClusterer::Config writing;
+    writing.threads = write_threads;
     writing.checkpoint.directory = dir_.string();
     writing.checkpoint.interval_ms = 0;
     writing.checkpoint.max_snapshots = 3;
     (void)LinkClusterer(writing).cluster(graph);
     ASSERT_TRUE(fs::exists(snapshot_file()));
 
-    LinkClusterer::Config resuming = coarse_config(resume_threads);
+    LinkClusterer::Config resuming;
+    resuming.threads = resume_threads;
     resuming.checkpoint.directory = dir_.string();
     resuming.checkpoint.interval_ms = 3600000;
     resuming.resume = true;
@@ -170,31 +122,22 @@ TEST_F(Checkpoint, ResumeIsThreadCountInvariant) {
   }
 }
 
-TEST_F(Checkpoint, CoarseFinalSnapshotIsThreadCountInvariant) {
-  // A coarse snapshot stores the union-find's root labels, a function of the
-  // partition alone, so the last snapshot of one run is byte-identical at
-  // every thread count. The graph is dense enough (~4.5k edges) that the
-  // raw parent arrays of T=1 and T=4 runs differ; three T=4 runs give the
-  // interleavings three chances to.
-  const graph::WeightedGraph graph =
-      graph::erdos_renyi(300, 0.1, {3, graph::WeightPolicy::kUniform});
-  std::vector<std::string> snapshots;
-  for (const std::size_t threads : {1u, 4u, 4u, 4u}) {
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    LinkClusterer::Config writing = coarse_config(threads);
-    writing.checkpoint.directory = dir_.string();
-    writing.checkpoint.interval_ms = 0;
-    (void)LinkClusterer(writing).cluster(graph);
-    ASSERT_TRUE(fs::exists(snapshot_file()));
-    std::ifstream in(snapshot_file(), std::ios::binary);
-    snapshots.emplace_back(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
+TEST_F(Checkpoint, CoarseModeRefusesCheckpointingAndResume) {
+  // A coarse resume would rerun the whole build to save a short sweep, so
+  // coarse mode has no snapshots: an interrupted run reruns from scratch.
+  LinkClusterer::Config writing;
+  writing.mode = ClusterMode::kCoarse;
+  writing.checkpoint.directory = dir_.string();
+  LinkClusterer::Config resuming = writing;
+  resuming.resume = true;
+  for (const LinkClusterer::Config& config : {writing, resuming}) {
+    StatusOr<ClusterResult> run = LinkClusterer(config).run(fine_graph());
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find("coarse mode does not checkpoint"),
+              std::string::npos);
   }
-  ASSERT_FALSE(snapshots[0].empty());
-  for (std::size_t run = 1; run < snapshots.size(); ++run) {
-    EXPECT_TRUE(snapshots[run] == snapshots[0]) << "T=4 run " << run;
-  }
+  EXPECT_TRUE(fs::is_empty(dir_));
 }
 
 TEST_F(Checkpoint, FineResumeAtEightThreadsMatches) {
@@ -239,7 +182,7 @@ TEST_F(Checkpoint, ResumeRefusesMismatchedFingerprint) {
 
   // Different graph -> the digest catches it and says so.
   resuming.seed = 42;
-  StatusOr<ClusterResult> other = LinkClusterer(resuming).run(coarse_graph());
+  StatusOr<ClusterResult> other = LinkClusterer(resuming).run(larger_graph());
   ASSERT_FALSE(other.ok());
   EXPECT_EQ(other.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(other.status().message().find("different graph"), std::string::npos);

@@ -333,9 +333,8 @@ TEST_F(ForestCheckpoint, KillAtEntryThenResumeReproducesTheRun) {
     const StatusOr<LoadedCheckpoint> loaded = load_checkpoint(
         dir_.string(), LinkClusterer::fingerprint(graph, writing), graph.edge_count());
     ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-    ASSERT_TRUE(loaded->fine.has_value());
-    EXPECT_EQ(loaded->fine->list, FineList::kForest);
-    EXPECT_EQ(loaded->fine->entry_pos, kill_at);
+    EXPECT_EQ(loaded->fine.list, FineList::kForest);
+    EXPECT_EQ(loaded->fine.entry_pos, kill_at);
 
     LinkClusterer::Config resuming = config;
     resuming.checkpoint.directory = dir_.string();
@@ -373,15 +372,15 @@ TEST_F(ForestCheckpoint, RefusesASnapshotOfTheFullPairList) {
   }
   const StatusOr<LoadedCheckpoint> loaded =
       load_checkpoint(dir_.string(), fp, graph.edge_count());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("full pair list"), std::string::npos)
-      << loaded.status().message();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->fine.list, FineList::kPairs);
 
   config.resume = true;
   const StatusOr<ClusterResult> resumed = LinkClusterer(config).run(graph);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("full pair list"), std::string::npos)
+      << resumed.status().message();
 }
 
 /// Bytes of k's score triangle: C(d_k, 2) doubles.
@@ -812,57 +811,6 @@ TEST(CoarseForest, BudgetPassesGiveTheReferenceSweep) {
       EXPECT_LE(ctx.memory_peak(), budget);
       expect_same_coarse(*run->coarse, want);
     }
-  }
-}
-
-TEST_F(ForestCheckpoint, CoarseKillAtChunkThenResumeReproducesTheRun) {
-  // Snapshot at every chunk boundary, die at a chunk head in mid-sweep, and
-  // resume under another thread count: the forest cursor is found again
-  // from the stored position in L.
-  const WeightedGraph& graph = checkpoint_graph();
-  LinkClusterer::Config config;
-  config.mode = ClusterMode::kCoarse;
-  config.coarse = tight_coarse(10);
-  const ClusterResult reference = LinkClusterer(config).cluster(graph);
-  ASSERT_TRUE(reference.coarse.has_value());
-  const std::size_t chunks = reference.coarse->epochs.size();
-  ASSERT_GT(chunks, 4u);
-  ASSERT_GT(reference.coarse->rollback_count, 0u);
-  const std::size_t thread_counts[] = {1, 2, 8};
-  for (std::size_t w = 0; w < 3; ++w) {
-    const std::size_t write_threads = thread_counts[w];
-    const std::size_t resume_threads = thread_counts[(w + 1) % 3];
-    SCOPED_TRACE(testing::Message() << "write T=" << write_threads
-                                    << " resume T=" << resume_threads);
-    std::filesystem::remove_all(dir_);
-    LinkClusterer::Config writing = config;
-    writing.threads = write_threads;
-    writing.checkpoint.directory = dir_.string();
-    writing.checkpoint.interval_ms = 0;
-    fault::arm("coarse.chunk", fault::FaultKind::kThrow, chunks / 2);
-    const StatusOr<ClusterResult> killed = LinkClusterer(writing).run(graph);
-    fault::disarm();
-    ASSERT_FALSE(killed.ok());
-    EXPECT_EQ(killed.status().code(), StatusCode::kInternal);
-
-    const StatusOr<LoadedCheckpoint> loaded = load_checkpoint(
-        dir_.string(), LinkClusterer::fingerprint(graph, writing), graph.edge_count());
-    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-    ASSERT_TRUE(loaded->coarse.has_value());
-    EXPECT_GT(loaded->coarse->p, 0u);
-
-    LinkClusterer::Config resuming = config;
-    resuming.threads = resume_threads;
-    resuming.checkpoint.directory = dir_.string();
-    resuming.checkpoint.interval_ms = 3600000;
-    resuming.resume = true;
-    const StatusOr<ClusterResult> resumed = LinkClusterer(resuming).run(graph);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
-    ASSERT_TRUE(resumed->coarse.has_value());
-    expect_same_coarse(*resumed->coarse, *reference.coarse);
-    EXPECT_EQ(resumed->stats.pairs_processed, reference.stats.pairs_processed);
-    EXPECT_EQ(resumed->stats.c_accesses, reference.stats.c_accesses);
-    EXPECT_EQ(resumed->stats.c_changes, reference.stats.c_changes);
   }
 }
 

@@ -7,26 +7,28 @@
 //     first read, and no sooner;
 //   - runs that stop early (coarse phi, fine min_similarity) and resumes
 //     that start late never sort the buckets they never read
-//     (buckets_skipped > 0), and a checkpoint resume mid-list reproduces
-//     the uninterrupted run bit for bit.
+//     (buckets_skipped > 0), and the reference sweep's checkpoint resume
+//     mid-list reproduces the uninterrupted run bit for bit.
 #include "core/sweep_source.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/coarse.hpp"
 #include "core/edge_index.hpp"
-#include "core/link_clusterer.hpp"
 #include "core/similarity.hpp"
 #include "core/sweep.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/run_context.hpp"
 
 namespace lc::core {
 namespace {
@@ -218,36 +220,49 @@ TEST(SweepSource, LazyResumeMidListReproducesUninterruptedRun) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  const WeightedGraph graph =
-      graph::erdos_renyi(60, 0.15, {5, graph::WeightPolicy::kUniform});
-  // Coarse mode: the fine mode reads spanning forests, not this source.
-  LinkClusterer::Config config;
-  config.mode = ClusterMode::kCoarse;
-  config.coarse.delta0 = 32;
-  config.coarse.phi = 2;
-  const ClusterResult reference = LinkClusterer(config).cluster(graph);
+  // The reference fine sweep over L: cancel it halfway, let its stop flush
+  // write the one kPairs snapshot, and resume it over a fresh source, which
+  // must skip the buckets wholly before the stored position and land inside
+  // one.
+  const WeightedGraph graph = er_graph();
+  const EdgeIndex index(graph.edge_count(), EdgeOrder::kShuffled, 42);
+  SimilarityMap probe = build_map(graph, nullptr);
+  BucketSweepSource probe_source(probe);
+  const SweepResult reference = sweep(graph, probe, probe_source, index);
 
-  // interval 0 snapshots at every chunk boundary; the cap strands the last
-  // snapshot mid-list, a few buckets in, so the resume must skip the sorted
-  // prefix's buckets and land inside one.
-  LinkClusterer::Config writing = config;
-  writing.checkpoint.directory = dir.string();
-  writing.checkpoint.interval_ms = 0;
-  writing.checkpoint.max_snapshots = 6;
-  (void)LinkClusterer(writing).cluster(graph);
+  CheckpointPolicy policy;
+  policy.directory = dir.string();
+  policy.interval_ms = 3600000;  // only the stop flush writes
+  RunFingerprint fingerprint;
+  fingerprint.graph_digest = graph_fingerprint(graph);
+  {
+    SimilarityMap map = build_map(graph, nullptr);
+    BucketSweepSource source(map);
+    Checkpointer checkpointer(policy, fingerprint);
+    RunContext ctx;
+    const std::uint64_t halfway = reference.stats.pairs_processed / 2;
+    const PairObserver cancel_halfway = [&](std::uint64_t ordinal, std::uint32_t) {
+      if (ordinal == halfway) ctx.request_cancel();
+    };
+    EXPECT_THROW((void)sweep(graph, map, source, index, cancel_halfway,
+                             -std::numeric_limits<double>::infinity(), &ctx, &checkpointer),
+                 StoppedError);
+    ASSERT_EQ(checkpointer.snapshots_written(), 1u);
+  }
+  const StatusOr<LoadedCheckpoint> loaded =
+      load_checkpoint(dir.string(), fingerprint, graph.edge_count());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->fine.list, FineList::kPairs);
+  ASSERT_GT(loaded->fine.entry_pos, 0u);
 
-  LinkClusterer::Config resuming = config;
-  resuming.checkpoint.directory = dir.string();
-  resuming.checkpoint.interval_ms = 3600000;  // no further writes
-  resuming.resume = true;
-  const StatusOr<ClusterResult> resumed = LinkClusterer(resuming).run(graph);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
-  expect_same_sweep(
-      SweepResult{resumed.value().dendrogram, resumed.value().final_labels,
-                  resumed.value().stats},
-      SweepResult{reference.dendrogram, reference.final_labels, reference.stats});
+  SimilarityMap map = build_map(graph, nullptr);
+  BucketSweepSource source(map);
+  const SweepResult resumed =
+      sweep(graph, map, source, index, {}, -std::numeric_limits<double>::infinity(),
+            nullptr, nullptr, &loaded->fine);
+  expect_same_sweep(resumed, reference);
   // Buckets wholly before the resume position were never sorted.
-  EXPECT_GT(resumed.value().sweep_source.buckets_skipped, 0u);
+  EXPECT_GT(source.stats().buckets_skipped, 0u);
   fs::remove_all(dir);
 }
 

@@ -540,7 +540,7 @@ TEST_F(ServeFaultTest, WorkerSpawnFaultIsContainedAndTheNextRunLaunches) {
 TEST_F(ServeFaultTest, ManifestWriteFaultNeverFailsTheRun) {
   // The manifest is recovery insurance; losing it must not lose the run.
   serve::ServerOptions options;
-  options.checkpoint_dir = (dir_ / "ckpt").string();
+  options.state_dir = (dir_ / "state").string();
   serve::Server server(options);
   ASSERT_EQ(ask(server, "load path=" + graph_path_).substr(0, 2), "ok");
 
@@ -549,7 +549,7 @@ TEST_F(ServeFaultTest, ManifestWriteFaultNeverFailsTheRun) {
   EXPECT_NE(ask(server, "wait").find("state=done"), std::string::npos);
   EXPECT_GE(fault::fire_count(), 1u);
   EXPECT_FALSE(std::filesystem::exists(
-      serve::RunSupervisor::manifest_path(options.checkpoint_dir)));
+      serve::RunSupervisor::manifest_path(options.state_dir)));
 }
 
 TEST_F(ServeFaultTest, AcceptFaultDropsOneClientNotTheListener) {

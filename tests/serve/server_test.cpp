@@ -115,6 +115,28 @@ TEST_F(ServerTest, RunRejectsOutOfRangeArguments) {
   EXPECT_FALSE(server.supervisor().running());
 }
 
+TEST_F(ServerTest, RunRefusesAnUnknownKey) {
+  // A key `run` does not read would launch a run the client did not ask
+  // for: a typo, or an option the server no longer takes.
+  Server server({});
+  const std::string path = write_graph(small_graph());
+  ASSERT_EQ(ask(server, "load path=" + path).rfind("ok ", 0), 0u);
+  for (const std::string& args : {std::string("resume=1"), std::string("treads=4"),
+                                  std::string("mode=coarse phi=5 delta=10")}) {
+    const std::string reply = ask(server, "run " + args);
+    EXPECT_EQ(reply.rfind("err code=invalid_argument", 0), 0u) << args << ": " << reply;
+    EXPECT_NE(reply.find("unknown argument"), std::string::npos) << args << ": " << reply;
+  }
+  EXPECT_EQ(server.supervisor().runs_total(), 0u);
+  // Every key the command reads is still accepted.
+  const std::string merges = (dir_ / "merges.txt").string();
+  const std::string all_keys =
+      "run mode=coarse threads=2 seed=7 gamma=2 phi=10 delta0=100 "
+      "min_similarity=0 deadline_ms=60000 max_memory_mb=0 merges=" + merges;
+  EXPECT_EQ(ask(server, all_keys).rfind("ok run=1 ", 0), 0u);
+  EXPECT_NE(ask(server, "wait").find("state=done"), std::string::npos);
+}
+
 TEST_F(ServerTest, RunWithoutGraphIsAnError) {
   Server server({});
   EXPECT_EQ(ask(server, "run").rfind("err ", 0), 0u);
@@ -360,86 +382,63 @@ TEST_F(ServerTest, ManifestReadRejectsGarbage) {
 TEST_F(ServerTest, AutorecoveryReRunsAnInterruptedRun) {
   const std::string graph_path = write_graph(small_graph());
   const std::string merges_path = (dir_ / "merges.txt").string();
+  const fs::path state = dir_ / "state";
 
-  // A crashed server's leftovers: the manifest alone (it died before the
-  // first snapshot committed). Recovery must re-run from scratch.
-  core::LinkClusterer::Config config;
-  RunManifest manifest;
-  manifest.fingerprint = core::LinkClusterer::fingerprint(small_graph(), config);
-  manifest.threads = 2;
-  manifest.graph_path = graph_path;
-  manifest.merges_path = merges_path;
-  ASSERT_TRUE(manifest.write(RunSupervisor::manifest_path(dir_.string())).ok());
+  for (const core::ClusterMode mode : {core::ClusterMode::kFine, core::ClusterMode::kCoarse}) {
+    SCOPED_TRACE(mode == core::ClusterMode::kFine ? "fine" : "coarse");
+    fs::remove_all(state);
+    fs::remove(merges_path);
+    // A crashed server's leftovers: the manifest alone. Recovery reruns the
+    // run from scratch.
+    core::LinkClusterer::Config config;
+    config.mode = mode;
+    RunManifest manifest;
+    manifest.fingerprint = core::LinkClusterer::fingerprint(small_graph(), config);
+    manifest.threads = 2;
+    manifest.graph_path = graph_path;
+    manifest.merges_path = merges_path;
+    fs::create_directories(state);
+    ASSERT_TRUE(manifest.write(RunSupervisor::manifest_path(state.string())).ok());
 
-  ServerOptions options;
-  options.checkpoint_dir = dir_.string();
-  Server server(options);
-  ASSERT_TRUE(server.autorecover().ok());
-  const std::string report = ServerTest::ask(server, "wait");
-  EXPECT_NE(report.find("state=done"), std::string::npos) << report;
-  EXPECT_NE(ServerTest::ask(server, "health").find("recovered=1"),
-            std::string::npos);
+    ServerOptions options;
+    options.state_dir = state.string();
+    Server server(options);
+    ASSERT_TRUE(server.autorecover().ok());
+    const std::string report = ServerTest::ask(server, "wait");
+    EXPECT_NE(report.find("state=done"), std::string::npos) << report;
+    EXPECT_NE(ServerTest::ask(server, "health").find("recovered=1"),
+              std::string::npos);
 
-  // The recovered run produced the exact merge list the original would have.
-  config.threads = 2;
-  StatusOr<core::ClusterResult> direct =
-      core::LinkClusterer(config).run(small_graph());
-  ASSERT_TRUE(direct.ok());
-  std::ifstream merges(merges_path);
-  std::stringstream written;
-  written << merges.rdbuf();
-  EXPECT_EQ(written.str(), core::to_merge_list(direct->dendrogram));
+    // The recovered run produced the exact merge list the original would have.
+    config.threads = 2;
+    StatusOr<core::ClusterResult> direct =
+        core::LinkClusterer(config).run(small_graph());
+    ASSERT_TRUE(direct.ok());
+    std::ifstream merges(merges_path);
+    std::stringstream written;
+    written << merges.rdbuf();
+    EXPECT_EQ(written.str(), core::to_merge_list(direct->dendrogram));
 
-  // Success removed the manifest: a restart has nothing left to recover.
-  EXPECT_FALSE(fs::exists(RunSupervisor::manifest_path(dir_.string())));
-  Server second(options);
-  ASSERT_TRUE(second.autorecover().ok());
-  EXPECT_EQ(second.supervisor().report().state, RunState::kIdle);
-}
-
-TEST_F(ServerTest, AutorecoveryResumesFromAValidSnapshot) {
-  const std::string graph_path = write_graph(small_graph());
-  const std::string merges_path = (dir_ / "merges.txt").string();
-
-  // Produce a genuine snapshot: a full run with snapshots at every chunk.
-  core::LinkClusterer::Config config;
-  config.checkpoint.directory = dir_.string();
-  config.checkpoint.interval_ms = 0;
-  StatusOr<core::ClusterResult> seeded =
-      core::LinkClusterer(config).run(small_graph());
-  ASSERT_TRUE(seeded.ok());
-  ASSERT_TRUE(fs::exists(core::snapshot_path(dir_.string())));
-
-  // Pretend the server died after that snapshot: manifest + snapshot left.
-  RunManifest manifest;
-  manifest.fingerprint = core::LinkClusterer::fingerprint(small_graph(), config);
-  manifest.threads = 1;
-  manifest.graph_path = graph_path;
-  manifest.merges_path = merges_path;
-  ASSERT_TRUE(manifest.write(RunSupervisor::manifest_path(dir_.string())).ok());
-
-  ServerOptions options;
-  options.checkpoint_dir = dir_.string();
-  Server server(options);
-  ASSERT_TRUE(server.autorecover().ok());
-  EXPECT_NE(ServerTest::ask(server, "wait").find("state=done"), std::string::npos);
-
-  // Byte-identical to the uninterrupted run.
-  std::ifstream merges(merges_path);
-  std::stringstream written;
-  written << merges.rdbuf();
-  EXPECT_EQ(written.str(), core::to_merge_list(seeded->dendrogram));
+    // Success removed the manifest, and the rerun wrote no snapshot: a
+    // restart has nothing left to recover.
+    EXPECT_FALSE(fs::exists(RunSupervisor::manifest_path(state.string())));
+    for (const fs::directory_entry& entry : fs::directory_iterator(state)) {
+      EXPECT_EQ(entry.path().string().find(".lcsnap"), std::string::npos)
+          << entry.path();
+    }
+    Server second(options);
+    ASSERT_TRUE(second.autorecover().ok());
+    EXPECT_EQ(second.supervisor().report().state, RunState::kIdle);
+  }
 }
 
 TEST_F(ServerTest, ManifestLandsInACheckpointDirThatDoesNotExistYet) {
-  // The manifest write precedes the checkpointer's first snapshot — the
-  // only other thing that creates the directory — so the supervisor must
-  // create it itself or a crash before snapshot one leaves no recovery
-  // state at all.
+  // Nothing else creates the state directory, so the supervisor must create
+  // it itself or a crash mid-run leaves no recovery state at all.
   const std::string graph_path = write_graph(small_graph());
-  const fs::path nested = dir_ / "state" / "ckpt";
+  const fs::path nested = dir_ / "state" / "nested";
   ServerOptions options;
-  options.checkpoint_dir = nested.string();
+  options.state_dir = nested.string();
   Server server(options);
   ASSERT_EQ(ask(server, "load path=" + graph_path).substr(0, 2), "ok");
   ask(server, "run deadline_ms=0");
@@ -461,64 +460,12 @@ TEST_F(ServerTest, AutorecoveryRefusesAMismatchedGraph) {
   ASSERT_TRUE(manifest.write(RunSupervisor::manifest_path(dir_.string())).ok());
 
   ServerOptions options;
-  options.checkpoint_dir = dir_.string();
+  options.state_dir = dir_.string();
   Server server(options);
   const Status refused = server.autorecover();
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
   // Refusal is not a crash: the server still serves fresh requests.
   EXPECT_EQ(ServerTest::ask(server, "ping"), "ok pong=1");
-}
-
-TEST_F(ServerTest, AutorecoveryRefusesDoubleCorruption) {
-  const std::string graph_path = write_graph(small_graph());
-  const std::string merges_path = (dir_ / "merges.txt").string();
-
-  // Seed real snapshots (interval 0 writes one per boundary, so both the
-  // primary and the rotated ".prev" exist), then leave a manifest behind.
-  core::LinkClusterer::Config config;
-  config.checkpoint.directory = dir_.string();
-  config.checkpoint.interval_ms = 0;
-  ASSERT_TRUE(core::LinkClusterer(config).run(small_graph()).ok());
-  const std::string snapshot = core::snapshot_path(dir_.string());
-  ASSERT_TRUE(fs::exists(snapshot));
-  ASSERT_TRUE(fs::exists(snapshot + ".prev"));
-
-  RunManifest manifest;
-  manifest.fingerprint = core::LinkClusterer::fingerprint(small_graph(), config);
-  manifest.graph_path = graph_path;
-  manifest.merges_path = merges_path;
-  ASSERT_TRUE(manifest.write(RunSupervisor::manifest_path(dir_.string())).ok());
-
-  // Flip one byte in BOTH files: no loadable state is left, and silently
-  // re-running from scratch would hide real storage rot.
-  for (const std::string& path : {snapshot, snapshot + ".prev"}) {
-    std::string bytes;
-    {
-      std::ifstream in(path, std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    }
-    ASSERT_GT(bytes.size(), 0u);
-    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xFF);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  ServerOptions options;
-  options.checkpoint_dir = dir_.string();
-  Server server(options);
-  const Status refused = server.autorecover();
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(status_error_class(refused.code()), ErrorClass::kResource);
-  EXPECT_TRUE(server.checkpoint_corrupt());
-
-  // Refusal is a health signal, not a crash: the server keeps serving and
-  // reports the corruption; the manifest survives for a later repair.
-  EXPECT_EQ(ask(server, "ping"), "ok pong=1");
-  const std::string health = ask(server, "health");
-  EXPECT_NE(health.find("checkpoint_corrupt=1"), std::string::npos) << health;
-  EXPECT_NE(health.find("recovered=0"), std::string::npos) << health;
-  EXPECT_TRUE(fs::exists(RunSupervisor::manifest_path(dir_.string())));
 }
 
 /// Blocking localhost connect to `port`; returns the socket fd.
@@ -613,7 +560,7 @@ TEST_F(ServerTest, AutorecoveryDisabledLeavesTheManifestAlone) {
   ASSERT_TRUE(manifest.write(RunSupervisor::manifest_path(dir_.string())).ok());
 
   ServerOptions options;
-  options.checkpoint_dir = dir_.string();
+  options.state_dir = dir_.string();
   options.autorecover = false;
   Server server(options);
   ASSERT_TRUE(server.autorecover().ok());

@@ -18,13 +18,14 @@
 # because CMakeLists.txt sets -fno-sanitize-recover=all.
 #
 # The smoke legs then drive the ASan CLI binary end to end, arming faults
-# through LC_FAULT_PLAN: a fault-injected sleep parks a checkpointing run
-# mid-sweep, SIGKILL (fine and coarse) or SIGTERM tears it down, and a
-# --resume run must reproduce the uninterrupted dendrogram byte for byte; a
-# fine and a coarse run under a small memory budget must write the
-# unbudgeted merge lists;
-# a serve session is contained and autorecovered the same way; and a pinned
-# block of `lc chaos` schedules runs last.
+# through LC_FAULT_PLAN: a fault-injected sleep parks a run mid-sweep and
+# SIGKILL or SIGTERM tears it down. A checkpointing fine run is resumed with
+# --resume; a coarse run, which writes no snapshots, is rerun from scratch;
+# either way the merge list must match the uninterrupted run's byte for
+# byte. A fine and a coarse run under a small memory budget must write the
+# unbudgeted merge lists; a serve session is contained, and a killed server
+# restarted on its --state-dir reruns the interrupted run (fine and coarse)
+# to the same bytes; and a pinned block of `lc chaos` schedules runs last.
 #
 # Usage: tools/ci_check.sh [build-dir-prefix]
 #   build-dir-prefix defaults to "build-san"; the trees land in
@@ -123,12 +124,50 @@ smoke() {
 # Fine: the merge pass visits one spanning-forest pair per entry boundary
 # (about 6.6k on this graph), so sleeping after 400 parks it inside the pass
 # with hundreds of snapshots already on disk; the resume rebuilds the forest
-# and continues from the stored pair. Coarse: the loop head commits a
-# snapshot before each coarse.chunk hit, so three skips guarantee one; the
-# coarse leg kills and resumes a bucketed lazy-sort run — the resume lands
-# mid-bucket and must skip the sorts of every bucket before it.
+# and continues from the stored pair.
 smoke fine  "sweep.entry:sleep:skip=400:sleep=60000"
-smoke coarse "coarse.chunk:sleep:skip=3:sleep=60000" --delta0 32
+
+# ---- Coarse kill/rerun smoke: coarse mode writes no snapshots (a resume
+# would rerun the build, which dominates the run), so an interrupted coarse
+# run is rerun from scratch and must give the uninterrupted merge list. The
+# park holds the sweep at its fourth chunk for a minute; the unparked run
+# takes well under the 2 s before the kill, so the kill lands while it is
+# held, and the killed run must have written neither a merge list nor a
+# snapshot.
+coarse_rerun_smoke() {
+  local work
+  work="$(mktemp -d)"
+  local bin="${prefix}-address/tools/linkcluster"
+  echo "== smoke: coarse kill/rerun (${work}) =="
+  "${bin}" generate --type er --n 600 --p 0.02 --seed 7 --output "${work}/g.edges"
+  "${bin}" cluster --input "${work}/g.edges" --mode coarse --delta0 32 \
+    --merges "${work}/ref.merges"
+  LC_FAULT_PLAN="coarse.chunk:sleep:skip=3:sleep=60000" \
+    "${bin}" cluster --input "${work}/g.edges" --mode coarse --delta0 32 \
+      --merges "${work}/killed.merges" &
+  local pid=$!
+  sleep 2
+  if ! kill -0 "${pid}" 2>/dev/null; then
+    echo "coarse smoke: the parked run was gone before the kill" >&2
+    exit 1
+  fi
+  kill -9 "${pid}" 2>/dev/null || true
+  wait "${pid}" 2>/dev/null || true
+  if [ -f "${work}/killed.merges" ]; then
+    echo "coarse smoke: the killed run finished before the kill" >&2
+    exit 1
+  fi
+  "${bin}" cluster --input "${work}/g.edges" --mode coarse --delta0 32 \
+    --merges "${work}/rerun.merges"
+  cmp "${work}/ref.merges" "${work}/rerun.merges"
+  if [ -n "$(find "${work}" -name '*.lcsnap*')" ]; then
+    echo "coarse smoke: a coarse run wrote a snapshot" >&2
+    exit 1
+  fi
+  echo "smoke: coarse rerun reproduced the uninterrupted dendrogram"
+  rm -rf "${work}"
+}
+coarse_rerun_smoke
 
 # ---- Batch SIGTERM smoke: a termination signal must turn into a cooperative
 # cancel (exit 3), leave a final checkpoint behind, and --resume must finish
@@ -200,10 +239,11 @@ budget_smoke() {
 budget_smoke
 
 # ---- Serve chaos: the scripted sequence from DESIGN.md §14. One server
-# takes a failed run (deadline trips) and must keep serving; a second is
-# SIGKILLed mid-sweep and a restart on the same --checkpoint-dir must
-# autorecover the interrupted run and write the byte-identical merge list.
-# Uses the ASan binary throughout so both server lifetimes are sanitized.
+# takes a failed run (deadline trips) and must keep serving; then, in each
+# mode, a server is SIGKILLed mid-sweep and a restart on the same
+# --state-dir must rerun the interrupted run from scratch and write the
+# byte-identical merge list. Uses the ASan binary throughout so both server
+# lifetimes are sanitized.
 serve_chaos() {
   local work
   work="$(mktemp -d)"
@@ -222,51 +262,73 @@ serve_chaos() {
   cmp "${work}/ref.merges" "${work}/ok.merges"
   echo "serve smoke: failed run contained, server kept serving"
 
-  # Leg 2 — crash autorecovery: park the supervised run mid-sweep (snapshots
-  # already on disk), SIGKILL the server, restart it on the same checkpoint
-  # dir, and let startup autorecovery finish the run. The fifo keeps the
-  # first server's stdin open while it is parked.
-  mkfifo "${work}/in"
-  LC_FAULT_PLAN="sweep.entry:sleep:skip=400:sleep=60000" \
-    "${bin}" serve --checkpoint-dir "${work}/ckpt" --checkpoint-every-ms 0 \
-      < "${work}/in" > "${work}/serve1.out" 2> "${work}/serve1.err" &
-  local pid=$!
-  exec 9> "${work}/in"
-  printf 'load path=%s\nrun merges=%s\n' \
-    "${work}/g.edges" "${work}/recovered.merges" >&9
-  local snapshot="${work}/ckpt/checkpoint.lcsnap"
-  for _ in $(seq 1 300); do
-    [ -f "${snapshot}" ] && break
-    sleep 0.1
+  # Leg 2 — crash autorecovery, once per mode: the supervisor writes
+  # run.manifest before the run starts; park the run mid-sweep, SIGKILL the
+  # server 2 s after the manifest appears, restart it on the same state dir,
+  # and let startup autorecovery rerun the run. The fifo keeps the first
+  # server's stdin open while it is parked.
+  "${bin}" cluster --input "${work}/g.edges" --mode coarse --delta0 32 \
+    --merges "${work}/coarse_ref.merges"
+  local mode plan run_args ref state
+  for mode in fine coarse; do
+    if [ "${mode}" = fine ]; then
+      plan="sweep.entry:sleep:skip=400:sleep=60000"
+      run_args="mode=fine"
+      ref="${work}/ref.merges"
+    else
+      plan="coarse.chunk:sleep:skip=3:sleep=60000"
+      run_args="mode=coarse delta0=32"
+      ref="${work}/coarse_ref.merges"
+    fi
+    state="${work}/state-${mode}"
+    rm -f "${work}/in"
+    mkfifo "${work}/in"
+    LC_FAULT_PLAN="${plan}" \
+      "${bin}" serve --state-dir "${state}" \
+        < "${work}/in" > "${work}/serve1-${mode}.out" 2> "${work}/serve1-${mode}.err" &
+    local pid=$!
+    exec 9> "${work}/in"
+    printf 'load path=%s\nrun %s merges=%s\n' \
+      "${work}/g.edges" "${run_args}" "${work}/recovered-${mode}.merges" >&9
+    for _ in $(seq 1 300); do
+      [ -f "${state}/run.manifest" ] && break
+      sleep 0.1
+    done
+    sleep 2
+    kill -9 "${pid}" 2>/dev/null || true
+    wait "${pid}" 2>/dev/null || true
+    exec 9>&-
+    if [ ! -f "${state}/run.manifest" ]; then
+      echo "serve smoke: the killed ${mode} server left no run manifest" >&2
+      exit 1
+    fi
+    if [ -f "${work}/recovered-${mode}.merges" ]; then
+      echo "serve smoke: the ${mode} run finished before the kill" >&2
+      exit 1
+    fi
+    printf 'wait\nhealth\nshutdown\n' \
+      | "${bin}" serve --state-dir "${state}" \
+          > "${work}/serve2-${mode}.out" 2> "${work}/serve2-${mode}.err"
+    grep -q 'recovered=1' "${work}/serve2-${mode}.out"
+    grep -q 'autorecovery: re-running' "${work}/serve2-${mode}.err"
+    cmp "${ref}" "${work}/recovered-${mode}.merges"
+    if [ -f "${state}/run.manifest" ]; then
+      echo "serve smoke: autorecovery left the manifest behind after success" >&2
+      exit 1
+    fi
+    if [ -n "$(find "${state}" -name '*.lcsnap*')" ]; then
+      echo "serve smoke: the ${mode} server wrote a snapshot" >&2
+      exit 1
+    fi
+    echo "serve smoke: ${mode} SIGKILL mid-sweep autorecovered byte-identically"
   done
-  kill -9 "${pid}" 2>/dev/null || true
-  wait "${pid}" 2>/dev/null || true
-  exec 9>&-
-  if [ ! -f "${snapshot}" ]; then
-    echo "serve smoke: no snapshot appeared before the kill" >&2
-    exit 1
-  fi
-  if [ ! -f "${work}/ckpt/run.manifest" ]; then
-    echo "serve smoke: the killed server left no run manifest" >&2
-    exit 1
-  fi
-  printf 'wait\nhealth\nshutdown\n' \
-    | "${bin}" serve --checkpoint-dir "${work}/ckpt" \
-        > "${work}/serve2.out" 2> "${work}/serve2.err"
-  grep -q 'recovered=1' "${work}/serve2.out"
-  cmp "${work}/ref.merges" "${work}/recovered.merges"
-  if [ -f "${work}/ckpt/run.manifest" ]; then
-    echo "serve smoke: autorecovery left the manifest behind after success" >&2
-    exit 1
-  fi
-  echo "serve smoke: SIGKILL mid-sweep autorecovered byte-identically"
   rm -rf "${work}"
 }
 serve_chaos
 
 # ---- Randomized chaos leg: the built-in torture harness (`lc chaos`) runs a
 # fixed block of seeded schedules — randomized fault plans against cluster and
-# serve children, including SIGKILL mid-run and snapshot corruption — with the
+# serve children, including SIGKILL mid-run and fine snapshot corruption — with the
 # ASan binary, so every recovery path the schedules reach is sanitized. The
 # seed is pinned: a failure here replays exactly with
 #   linkcluster chaos --seed <N> --schedules 1 --keep
@@ -277,4 +339,4 @@ chaos_leg() {
 }
 chaos_leg
 
-echo "ci_check: werror build, all sanitizer suites, kill/resume, SIGTERM, budget, serve chaos, and seeded chaos schedules passed"
+echo "ci_check: werror build, all sanitizer suites, kill/resume, kill/rerun, SIGTERM, budget, serve chaos, and seeded chaos schedules passed"
