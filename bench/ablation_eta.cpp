@@ -4,10 +4,7 @@
 // up. This sweep shows the trade-off on one workload.
 #include <cstdio>
 
-#include "core/coarse.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep_source.hpp"
-#include "util/stopwatch.hpp"
+#include "core/link_clusterer.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -23,22 +20,17 @@ int main(int argc, char** argv) {
   const auto workloads = lc::bench::build_workloads(options);
   const auto& w = workloads.front();
 
-  lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
-  map.sort_by_score();
-  lc::core::BucketSweepSource source(map);
-  const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
-
   std::printf("== Ablation: head-mode growth factor eta0 (paper: 8) ==\n");
   lc::Table table({"eta0", "levels", "epochs", "rollbacks", "reused", "pairs processed",
                    "time"});
   for (double eta0 : {2.0, 4.0, 8.0, 16.0}) {
-    lc::core::CoarseOptions coarse;
-    coarse.delta0 = w.delta0;
-    coarse.eta0 = eta0;
-    lc::Stopwatch watch;
-    const lc::core::CoarseResult result =
-        lc::core::coarse_sweep(w.graph, map, source, index, coarse);
-    const double seconds = watch.seconds();
+    lc::core::LinkClusterer::Config config;
+    config.mode = lc::core::ClusterMode::kCoarse;
+    config.coarse.delta0 = w.delta0;
+    config.coarse.eta0 = eta0;
+    const lc::core::ClusterResult run = lc::core::LinkClusterer(config).cluster(w.graph);
+    const lc::core::CoarseResult& result = *run.coarse;
+    const double seconds = run.timings.sweeping_seconds;
     table.add_row({lc::strprintf("%g", eta0), std::to_string(result.levels.size()),
                    std::to_string(result.epochs.size()),
                    std::to_string(result.rollback_count), std::to_string(result.reuse_count),

@@ -6,10 +6,7 @@
 // means more rollbacks and more reuse opportunities).
 #include <cstdio>
 
-#include "core/coarse.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep_source.hpp"
-#include "util/stopwatch.hpp"
+#include "core/link_clusterer.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -25,24 +22,19 @@ int main(int argc, char** argv) {
   const auto workloads = lc::bench::build_workloads(options);
   const auto& w = workloads.front();
 
-  lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
-  map.sort_by_score();
-  lc::core::BucketSweepSource source(map);
-  const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
-
   std::printf("== Ablation: L_rollback state reuse (paper §V-A) ==\n");
   lc::Table table({"gamma", "reuse", "levels", "rollbacks", "reused", "pairs applied",
                    "time"});
   for (double gamma : {1.2, 1.5, 2.0}) {
     for (bool reuse : {true, false}) {
-      lc::core::CoarseOptions coarse;
-      coarse.gamma = gamma;
-      coarse.delta0 = w.delta0;
-      coarse.rollback_capacity = reuse ? 64 : 0;
-      lc::Stopwatch watch;
-      const lc::core::CoarseResult result =
-          lc::core::coarse_sweep(w.graph, map, source, index, coarse);
-      const double seconds = watch.seconds();
+      lc::core::LinkClusterer::Config config;
+      config.mode = lc::core::ClusterMode::kCoarse;
+      config.coarse.gamma = gamma;
+      config.coarse.delta0 = w.delta0;
+      config.coarse.rollback_capacity = reuse ? 64 : 0;
+      const lc::core::ClusterResult run = lc::core::LinkClusterer(config).cluster(w.graph);
+      const lc::core::CoarseResult& result = *run.coarse;
+      const double seconds = run.timings.sweeping_seconds;
       table.add_row({lc::strprintf("%g", gamma), reuse ? "on" : "off",
                      std::to_string(result.levels.size()),
                      std::to_string(result.rollback_count),
@@ -53,7 +45,7 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  std::printf("\n('pairs applied' counts merge work including rolled-back chunks, so the\n"
-              " reuse-on rows show the recomputation the saved states avoid)\n");
+  std::printf("\n('pairs applied' counts the spanning-forest pairs united, rolled-back chunks\n"
+              " included, so the reuse-on rows show the recomputation the saved states avoid)\n");
   return 0;
 }

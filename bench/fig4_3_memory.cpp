@@ -4,16 +4,18 @@
 // matrix) while sweeping uses 881.2 MB, and sweeping finishes even its
 // largest setting in 29 GB while the standard algorithm cannot run at all.
 //
-// We report three views per setting: the measured bytes held by the sweeping
-// algorithm's data structures (map M + array C + edge index), the
-// analytic/measured matrix footprint of the standard algorithm, and the
-// process VmPeak, plus the standard/sweeping ratio — the figure's shape.
+// We report three views per setting: the peak bytes LinkClusterer's fine
+// mode charges to its RunContext (the score triangles, the spanning-forest
+// pairs and the gather scratch), the analytic/measured matrix footprint of
+// the standard algorithm, and the process VmPeak, plus the standard/sweeping
+// ratio — the figure's shape.
 #include <cstdio>
 
 #include "baseline/edge_similarity_matrix.hpp"
 #include "baseline/memory_model.hpp"
-#include "core/similarity.hpp"
+#include "core/link_clusterer.hpp"
 #include "util/memory.hpp"
+#include "util/run_context.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -32,11 +34,12 @@ int main(int argc, char** argv) {
   bool ratio_grows = true;
   double prev_ratio = 0.0;
   for (const auto& w : workloads) {
-    lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
-    map.sort_by_score();
+    lc::RunContext ctx;
+    lc::core::LinkClusterer::Config config;
+    config.ctx = &ctx;
+    (void)lc::core::LinkClusterer(config).cluster(w.graph);
     const std::uint64_t edges = w.stats.edges;
-    // Sweeping structures: map M (+ common lists), array C, edge index.
-    const std::uint64_t sweep_bytes = map.memory_bytes() + edges * (4 + 8);
+    const std::uint64_t sweep_bytes = ctx.memory_peak();
     const std::uint64_t standard_bytes =
         lc::baseline::EdgeSimilarityMatrix::predicted_bytes(edges);
     const lc::baseline::MemoryModel model =

@@ -5,9 +5,7 @@
 // chunk growth ends the head phase quickly; most pairs live in the tail).
 #include <cstdio>
 
-#include "core/coarse.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep_source.hpp"
+#include "core/link_clusterer.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -29,16 +27,13 @@ int main(int argc, char** argv) {
   std::size_t total_head = 0;
   std::size_t total_epochs = 0;
   for (const auto& w : workloads) {
-    lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
-    map.sort_by_score();
-    lc::core::BucketSweepSource source(map);
-    const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
-    lc::core::CoarseOptions coarse;
-    coarse.gamma = flags.get_double("gamma");
-    coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
-    coarse.delta0 = w.delta0;
+    lc::core::LinkClusterer::Config config;
+    config.mode = lc::core::ClusterMode::kCoarse;
+    config.coarse.gamma = flags.get_double("gamma");
+    config.coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
+    config.coarse.delta0 = w.delta0;
     const lc::core::CoarseResult result =
-        lc::core::coarse_sweep(w.graph, map, source, index, coarse);
+        *lc::core::LinkClusterer(config).cluster(w.graph).coarse;
 
     std::size_t head = 0;
     std::size_t tail = 0;

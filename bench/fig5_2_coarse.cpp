@@ -1,15 +1,14 @@
 // Fig. 5(2): execution time and memory of coarse-grained sweeping vs the
-// fine-grained sweeping algorithm across the alpha sweep. The paper's
-// counter-intuitive observation to reproduce: the coarse algorithm is
-// *faster* despite its rollbacks, because stopping at phi clusters skips the
-// long tail of incident pairs (only 55.1% processed at its alpha = 0.005).
+// fine-grained sweeping algorithm across the alpha sweep, as LinkClusterer's
+// two modes run them (the times are each mode's sweep; "sweep mem" is the
+// peak bytes the fine run charges). The paper's counter-intuitive
+// observation to reproduce: the coarse algorithm is *faster* despite its
+// rollbacks, because stopping at phi clusters skips the long tail of
+// incident pairs (only 55.1% processed at its alpha = 0.005).
 #include <cstdio>
 
-#include "core/coarse.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep.hpp"
-#include "core/sweep_source.hpp"
-#include "util/stopwatch.hpp"
+#include "core/link_clusterer.hpp"
+#include "util/run_context.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -30,24 +29,20 @@ int main(int argc, char** argv) {
   std::size_t coarse_wins = 0;
   bool tail_skipped = false;
   for (const auto& w : workloads) {
-    lc::core::SimilarityMap map = lc::core::build_similarity_map(w.graph);
-    map.sort_by_score();
-    lc::core::BucketSweepSource source(map);
-    const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled, 42);
+    lc::RunContext ctx;
+    lc::core::LinkClusterer::Config config;
+    config.ctx = &ctx;
+    const double fine_seconds =
+        lc::core::LinkClusterer(config).cluster(w.graph).timings.sweeping_seconds;
 
-    lc::Stopwatch watch;
-    const lc::core::SweepResult fine = lc::core::sweep(w.graph, map, source, index);
-    const double fine_seconds = watch.lap();
-    (void)fine;
-
-    lc::core::CoarseOptions coarse_options;
-    coarse_options.gamma = flags.get_double("gamma");
-    coarse_options.phi = static_cast<std::size_t>(flags.get_int("phi"));
-    coarse_options.delta0 = w.delta0;
-    watch.reset();
-    const lc::core::CoarseResult coarse =
-        lc::core::coarse_sweep(w.graph, map, source, index, coarse_options);
-    const double coarse_seconds = watch.lap();
+    config.mode = lc::core::ClusterMode::kCoarse;
+    config.ctx = nullptr;
+    config.coarse.gamma = flags.get_double("gamma");
+    config.coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
+    config.coarse.delta0 = w.delta0;
+    const lc::core::ClusterResult coarse_run = lc::core::LinkClusterer(config).cluster(w.graph);
+    const lc::core::CoarseResult& coarse = *coarse_run.coarse;
+    const double coarse_seconds = coarse_run.timings.sweeping_seconds;
 
     if (coarse_seconds <= fine_seconds) ++coarse_wins;
     const double processed_pct =
@@ -58,7 +53,7 @@ int main(int argc, char** argv) {
     table.add_row({lc::strprintf("%g", w.alpha), lc::format_seconds(fine_seconds),
                    lc::format_seconds(coarse_seconds),
                    lc::strprintf("%.1f%%", processed_pct),
-                   lc::format_kb(static_cast<double>(map.memory_bytes()) / 1024.0),
+                   lc::format_kb(static_cast<double>(ctx.memory_peak()) / 1024.0),
                    std::to_string(coarse.levels.size()),
                    std::to_string(coarse.rollback_count)});
   }

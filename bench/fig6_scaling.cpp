@@ -1,30 +1,27 @@
 // Fig. 6: strong scaling of the multi-threaded initialization (panel 1) and
-// coarse-grained sweeping (panel 2) for T in {1, 2, 4, 6}. The paper measured
-// wall-clock speedups on a 6-core Xeon E5649: initialization ~2.0 at T=2,
-// 3.5-4.0 at T=4, 4.5-5.0 at T=6, with sweeping scaling somewhat lower.
+// coarse-grained sweeping (panel 2) for T in {1, 2, 4, 6}, as LinkClusterer's
+// coarse mode runs them. The paper measured wall-clock speedups on a 6-core
+// Xeon E5649: initialization ~2.0 at T=2, 3.5-4.0 at T=4, 4.5-5.0 at T=6,
+// with sweeping scaling somewhat lower.
 //
 // This reproduction reports BOTH:
-//   - wall-clock speedup (meaningful only when the host actually has cores;
-//     on a 1-core container it hovers near/below 1.0), and
-//   - simulated speedup from the work/span ledger: serial work divided by the
-//     instrumented critical path of the T-thread run — what this exact code
-//     would achieve with T real cores (see DESIGN.md §2 substitution table).
+//   - wall-clock speedup (meaningful only when the host has at least T free
+//     cores), and
+//   - simulated speedup from the run's work/span ledger: serial work divided
+//     by the instrumented critical path of the T-thread run — what this exact
+//     code would achieve with T real cores (see DESIGN.md §2 substitution
+//     table). Initialization is the ledger's "init." phases: the build
+//     passes, Prim, the forest sort and L's bucket partition, the last two
+//     charged as serial.
 //
-// Sweeping-phase note: the coarse sweep is serial here. Each chunk unites
-// only its spanning-forest pairs, fewer than 2|E| over a run (DESIGN.md §10),
-// so the reference sweep this bench times ignores its pool, and the sweep
-// rows read 1.00x simulated at every T. The "dense" rows (mean degree ~ |V|)
-// stay as the workload the chunk-parallel apply was once measured on.
+// Sweeping-phase note: the coarse sweep is serial. Each chunk unites only its
+// spanning-forest pairs, fewer than 2|E| over a run (DESIGN.md §10), so the
+// sweep rows read 1.00x simulated at every T.
+#include <algorithm>
 #include <cstdio>
 
-#include "core/coarse.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep_source.hpp"
-#include "graph/generators.hpp"
-#include "graph/stats.hpp"
-#include "parallel/thread_pool.hpp"
+#include "core/link_clusterer.hpp"
 #include "sim/work_ledger.hpp"
-#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workloads.hpp"
@@ -33,7 +30,6 @@ int main(int argc, char** argv) {
   lc::CliFlags flags;
   lc::bench::register_workload_flags(flags);
   flags.add_int("barrier", 0, "work units charged per parallel round (sync cost)");
-  flags.add_int("dense-n", 280, "vertex count of the dense sweep-panel graph");
   flags.add_string("csv", "", "also write the table to this CSV path");
   if (!flags.parse(argc, argv)) return 1;
 
@@ -43,19 +39,7 @@ int main(int argc, char** argv) {
   if (options.alphas.size() > 3) {
     options.alphas.erase(options.alphas.begin(), options.alphas.end() - 3);
   }
-  auto workloads = lc::bench::build_workloads(options);
-
-  // Dense sweep-panel workload: complete-ish graph, mean degree ~ |V|.
-  {
-    lc::bench::Workload dense;
-    dense.alpha = -1.0;  // printed as "dense"
-    dense.graph = lc::graph::erdos_renyi(
-        static_cast<std::size_t>(flags.get_int("dense-n")), 0.95,
-        {7, lc::graph::WeightPolicy::kUniform});
-    dense.stats = lc::graph::compute_stats(dense.graph);
-    dense.delta0 = 10000;
-    workloads.push_back(std::move(dense));
-  }
+  const auto workloads = lc::bench::build_workloads(options);
 
   const auto barrier = static_cast<std::uint64_t>(flags.get_int("barrier"));
   const std::size_t thread_counts[] = {1, 2, 4, 6};
@@ -67,8 +51,7 @@ int main(int argc, char** argv) {
   bool init_scales = true;
 
   for (const auto& w : workloads) {
-    const bool is_dense = w.alpha < 0;
-    const std::string name = is_dense ? "dense" : lc::strprintf("alpha=%g", w.alpha);
+    const std::string name = lc::strprintf("alpha=%g", w.alpha);
     std::uint64_t init_serial_work = 0;
     std::uint64_t sweep_serial_work = 0;
     double init_serial_wall = 0.0;
@@ -76,25 +59,18 @@ int main(int argc, char** argv) {
     double prev_init_sim = 0.0;
 
     for (std::size_t threads : thread_counts) {
-      lc::parallel::ThreadPool pool(threads);
-      lc::sim::WorkLedger init_ledger;
-      lc::Stopwatch watch;
-      lc::core::SimilarityMap map =
-          lc::core::build_similarity_map_parallel(w.graph, pool, &init_ledger);
-      const double init_wall = watch.lap();
-      map.sort_by_score();
-      lc::core::BucketSweepSource source(map);
-
-      const lc::core::EdgeIndex index(w.graph.edge_count(), lc::core::EdgeOrder::kShuffled,
-                                      42);
-      lc::core::CoarseOptions coarse_options;
-      coarse_options.delta0 = w.delta0;
-      lc::sim::WorkLedger sweep_ledger;
-      watch.reset();
-      const lc::core::CoarseResult coarse = lc::core::coarse_sweep(
-          w.graph, map, source, index, coarse_options, &pool, &sweep_ledger);
-      const double sweep_wall = watch.lap();
-      (void)coarse;
+      lc::sim::WorkLedger ledger;
+      lc::core::LinkClusterer::Config config;
+      config.mode = lc::core::ClusterMode::kCoarse;
+      config.coarse.delta0 = w.delta0;
+      config.threads = threads;
+      config.ledger = &ledger;
+      const lc::core::ClusterTimings timings =
+          lc::core::LinkClusterer(config).cluster(w.graph).timings;
+      const lc::sim::WorkLedger init_ledger = ledger.phases_with_prefix("init.");
+      const lc::sim::WorkLedger sweep_ledger = ledger.phases_with_prefix("sweep.");
+      const double init_wall = timings.initialization_seconds;
+      const double sweep_wall = timings.sweeping_seconds;
 
       if (threads == 1) {
         init_serial_work = init_ledger.total_work();

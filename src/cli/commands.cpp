@@ -3,6 +3,7 @@
 #include "cli/chaos.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -50,11 +51,11 @@ std::optional<graph::WeightedGraph> load_graph(const std::string& path, std::ost
   return loaded;
 }
 
-/// The --threads boundary: no request may ask for a pool wider than
-/// parallel::kMaxThreads.
+/// The --threads boundary: at least one thread, and no request may ask for
+/// a pool wider than parallel::kMaxThreads.
 bool threads_in_range(std::int64_t threads, std::ostream& err) {
-  if (threads <= static_cast<std::int64_t>(parallel::kMaxThreads)) return true;
-  err << "error: --threads must be at most " << parallel::kMaxThreads << "\n";
+  if (threads >= 1 && threads <= static_cast<std::int64_t>(parallel::kMaxThreads)) return true;
+  err << "error: --threads must be between 1 and " << parallel::kMaxThreads << "\n";
   return false;
 }
 
@@ -137,19 +138,31 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
     return 1;
   }
   if (!not_negative(flags, "phi", err) || !not_negative(flags, "seed", err) ||
-      !not_negative(flags, "checkpoint-every-ms", err)) {
+      !not_negative(flags, "checkpoint-every-ms", err) ||
+      !not_negative(flags, "max-memory-mb", err)) {
     return 1;
   }
   if (flags.get_int("delta0") < 1) {
     err << "error: --delta0 must be at least 1\n";
     return 1;
   }
+  core::LinkClusterer::Config config;
+  const std::string min_similarity = flags.get_string("min-similarity");
+  if (!min_similarity.empty()) {
+    char* end = nullptr;
+    const double floor = std::strtod(min_similarity.c_str(), &end);
+    // NaN would silently mean "no floor".
+    if (end == nullptr || *end != '\0' || std::isnan(floor)) {
+      err << "error: --min-similarity expects a number\n";
+      return 1;
+    }
+    config.min_similarity = floor;
+  }
   const auto graph = load_graph(flags.get_string("input"), err);
   if (!graph.has_value()) return 2;
 
-  core::LinkClusterer::Config config;
   config.mode = mode == "fine" ? core::ClusterMode::kFine : core::ClusterMode::kCoarse;
-  config.threads = static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("threads")));
+  config.threads = static_cast<std::size_t>(flags.get_int("threads"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.coarse.gamma = flags.get_double("gamma");
   config.coarse.phi = static_cast<std::size_t>(flags.get_int("phi"));
@@ -158,16 +171,6 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   config.checkpoint.directory = flags.get_string("checkpoint-dir");
   config.checkpoint.interval_ms = static_cast<std::uint64_t>(flags.get_int("checkpoint-every-ms"));
   config.resume = flags.get_bool("resume");
-  const std::string min_similarity = flags.get_string("min-similarity");
-  if (!min_similarity.empty()) {
-    char* end = nullptr;
-    const double floor = std::strtod(min_similarity.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      err << "error: --min-similarity expects a number\n";
-      return 1;
-    }
-    config.min_similarity = floor;
-  }
 
   RunContext ctx;
   const std::int64_t deadline_ms = flags.get_int("deadline-ms");
@@ -291,8 +294,7 @@ int cmd_serve(int argc, const char* const* argv, std::ostream& out, std::ostream
   serve::ServerOptions options;
   options.state_dir = flags.get_string("state-dir");
   options.autorecover = flags.get_bool("autorecover");
-  options.threads =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("threads")));
+  options.threads = static_cast<std::size_t>(flags.get_int("threads"));
 
   serve::Server server(options, &err);
   serve::install_stop_handlers();

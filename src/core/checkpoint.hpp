@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "core/dendrogram.hpp"
-#include "core/sweep.hpp"
+#include "core/forest.hpp"
 #include "graph/graph.hpp"
 #include "util/snapshot_io.hpp"
 #include "util/status.hpp"

@@ -15,9 +15,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace lc::core {
+#include "core/edge_index.hpp"
 
-using EdgeIdx = std::uint32_t;
+namespace lc::core {
 
 struct MergeOutcome {
   EdgeIdx c1 = 0;          ///< root (cluster id) of the first edge before merging

@@ -83,14 +83,14 @@ double rollback_estimate(std::uint64_t xi_prev2, std::size_t beta_prev2, bool ha
 /// score_order.
 SimilarityEntry key_of(const ForestPair& pair) { return {pair.u, pair.v, pair.score, 0, 0}; }
 
-/// The §V mode machine over `source`; chunk_pairs(first, last, visit) calls
-/// visit(a, b) for the pairs to unite for L positions [first, last).
-template <typename ChunkPairs>
+}  // namespace
+
+namespace detail {
+
 CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& source,
                         const EdgeIndex& index, std::uint64_t pairs_total,
-                        ChunkPairs chunk_pairs,
-                        const CoarseOptions& options, sim::WorkLedger* ledger,
-                        lc::RunContext* ctx) {
+                        const ChunkPairs& chunk_pairs, const CoarseOptions& options,
+                        sim::WorkLedger* ledger, lc::RunContext* ctx) {
   LC_CHECK_MSG(index.size() == graph.edge_count(), "edge index must match the graph");
   LC_CHECK_MSG(options.gamma >= 1.0, "gamma must be >= 1");
   LC_CHECK_MSG(options.delta0 >= 1, "initial chunk size must be positive");
@@ -132,7 +132,7 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& so
   // are read from it; no O(|E|) scan or copy.
   MinDsu::Journal chunk_journal;
 
-  // Instrumentation totals (Theorem 2 metrics, defined in core/sweep.hpp):
+  // Instrumentation totals (Theorem 2 metrics, defined in core/forest.hpp):
   // derived from each chunk's pair count and union count only, never from
   // the DSU's path-compression writes. Work later undone by a rollback is
   // included, as the paper's cost analysis does. The ledger charges the same
@@ -428,7 +428,7 @@ CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& so
   return result;
 }
 
-}  // namespace
+}  // namespace detail
 
 CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningForest& forest,
                           BucketSweepSource& source, const EdgeIndex& index,
@@ -441,7 +441,8 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningFores
   const auto& pairs = forest.pairs;
   std::size_t f = 0;
   std::size_t next = 0;
-  const auto chunk_pairs = [&](std::size_t first, std::size_t last, auto visit) {
+  const auto chunk_pairs = [&](std::size_t first, std::size_t last,
+                               const detail::UnitePair& visit) {
     if (first != next) {
       const SimilarityEntry& start = source.at(first);
       const auto before = [&start](const ForestPair& pair) {
@@ -456,30 +457,8 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningFores
     }
     next = last;
   };
-  return run_coarse(graph, source, index, forest.incident_pairs, chunk_pairs, options, ledger,
-                    ctx);
-}
-
-CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          BucketSweepSource& source, const EdgeIndex& index,
-                          const CoarseOptions& options, parallel::ThreadPool* /*pool*/,
-                          sim::WorkLedger* ledger, lc::RunContext* ctx,
-                          Checkpointer* checkpointer, std::nullptr_t /*resume*/) {
-  // The pool, checkpointer and resume parameters stay for
-  // bench/suite/trace.cpp's call: the sweep is serial and never checkpoints.
-  LC_CHECK_MSG(checkpointer == nullptr, "the coarse sweep does not checkpoint");
-  LC_CHECK_MSG(source.size() == map.entries.size(),
-               "sweep source must cover the similarity map");
-  // Every incident pair of every entry of the chunk, from the map's arena.
-  const auto chunk_pairs = [&](std::size_t first, std::size_t last, auto visit) {
-    for (std::size_t i = first; i < last; ++i) {
-      for (const EdgePairRef& pair : map.pairs(source.at(i))) {
-        visit(index.index_of(pair.first), index.index_of(pair.second));
-      }
-    }
-  };
-  return run_coarse(graph, source, index, map.incident_pair_count(), chunk_pairs, options,
-                    ledger, ctx);
+  return detail::run_coarse(graph, source, index, forest.incident_pairs, chunk_pairs, options,
+                            ledger, ctx);
 }
 
 }  // namespace lc::core

@@ -46,14 +46,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/dendrogram.hpp"
 #include "core/edge_index.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep.hpp"
+#include "core/forest.hpp"
 #include "graph/graph.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/work_ledger.hpp"
 
 namespace lc {
@@ -62,8 +61,6 @@ class RunContext;  // util/run_context.hpp
 
 namespace lc::core {
 
-class Checkpointer;        // core/checkpoint.hpp
-struct SpanningForest;     // core/forest.hpp
 class BucketSweepSource;   // core/sweep_source.hpp
 
 struct CoarseOptions {
@@ -125,18 +122,20 @@ CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SpanningFores
                           sim::WorkLedger* ledger = nullptr,
                           lc::RunContext* ctx = nullptr);
 
-/// The reference coarse sweep over `source`, the descending-score view of
-/// `map`'s entries: each chunk unites all its incident pairs. Only its
-/// SweepStats, which count the pairs applied, differ from the production
-/// sweep's. `pool` is unused, and `checkpointer` and `resume` must be null
-/// (LC_CHECK): all three stay only for bench/suite/trace.cpp's call.
-CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
-                          BucketSweepSource& source, const EdgeIndex& index,
-                          const CoarseOptions& options = {},
-                          parallel::ThreadPool* pool = nullptr,
-                          sim::WorkLedger* ledger = nullptr,
-                          lc::RunContext* ctx = nullptr,
-                          Checkpointer* checkpointer = nullptr,
-                          std::nullptr_t resume = nullptr);
+namespace detail {
 
+/// Internal, shared with the reference coarse sweep (core/sweep.hpp): the §V
+/// mode machine over `source`, where chunk_pairs(first, last, unite) calls
+/// unite(a, b) for every pair of edge indices a chunk over the L positions
+/// [first, last) unites, in the sweep order, and `pairs_total` is K2. The two
+/// coarse sweeps differ only in chunk_pairs.
+using UnitePair = std::function<void(EdgeIdx a, EdgeIdx b)>;
+using ChunkPairs =
+    std::function<void(std::size_t first, std::size_t last, const UnitePair& unite)>;
+CoarseResult run_coarse(const graph::WeightedGraph& graph, BucketSweepSource& source,
+                        const EdgeIndex& index, std::uint64_t pairs_total,
+                        const ChunkPairs& chunk_pairs, const CoarseOptions& options,
+                        sim::WorkLedger* ledger, lc::RunContext* ctx);
+
+}  // namespace detail
 }  // namespace lc::core

@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/cluster_array.hpp"
+#include "core/edge_index.hpp"
 
 namespace lc::core {
 

@@ -11,10 +11,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/cluster_array.hpp"
 #include "graph/graph.hpp"
 
 namespace lc::core {
+
+/// An edge's position in the enumeration: its slot in array C, and the
+/// cluster ids of the dendrogram (a cluster's id is its minimum index).
+using EdgeIdx = std::uint32_t;
 
 enum class EdgeOrder {
   kNatural,   ///< index = canonical edge id

@@ -1,10 +1,12 @@
 #include "core/forest.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <utility>
 
 #include "core/checkpoint.hpp"
 #include "core/dsu.hpp"
+#include "core/gather.hpp"
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
 #include "util/strings.hpp"
@@ -105,7 +107,7 @@ std::vector<VertexId> triangle_ranges(const graph::WeightedGraph& graph, std::si
   }
   const std::uint64_t scratch = gather_scratch_bytes(n, t_count);
   // Every key has a pair and a distinct (u, v), so K1 <= min(K2, C(n, 2)).
-  // The staged keys and their copy into one list are alive together.
+  // The staged keys and the sweep source's copy of them are alive together.
   const std::uint64_t list =
       with_list ? 2 * std::min<std::uint64_t>(k2, std::uint64_t{n} * (n - 1) / 2) *
                       sizeof(SimilarityEntry)
@@ -140,7 +142,7 @@ std::vector<VertexId> triangle_ranges(const graph::WeightedGraph& graph, std::si
 SpanningForest spanning_forest(const graph::WeightedGraph& graph,
                                std::span<const VertexId> ranges, parallel::ThreadPool* pool,
                                sim::WorkLedger* ledger, const SimilarityMapOptions& options,
-                               SimilarityMap* list) {
+                               bool stage_list) {
   const std::size_t n = graph.vertex_count();
   LC_CHECK_MSG(ranges.size() >= 2 && ranges.front() == 0 && ranges.back() == n,
                "the k-ranges must cover the vertex range");
@@ -157,7 +159,7 @@ SpanningForest spanning_forest(const graph::WeightedGraph& graph,
   forest.charge = MemoryCharge(ctx, base[n] * sizeof(ForestPair), "forest.pairs");
   forest.pairs.resize(static_cast<std::size_t>(base[n]));
 
-  TriangleBuilder builder(graph, pool, ledger, options, list != nullptr);
+  TriangleBuilder builder(graph, pool, ledger, options);
   const std::size_t t_count = (pool == nullptr) ? 1 : pool->thread_count();
   std::vector<PrimScratch> scratch(t_count);
   for (PrimScratch& s : scratch) {
@@ -167,37 +169,38 @@ SpanningForest spanning_forest(const graph::WeightedGraph& graph,
   }
   for (std::size_t r = 0; r + 1 < ranges.size(); ++r) {
     const VertexId first = ranges[r];
-    const ScoreTriangles triangles = builder.build(first, ranges[r + 1]);
+    ScoreTriangles triangles = builder.build(first, ranges[r + 1], stage_list && r == 0);
     if (r == 0) {
       forest.key_count = triangles.key_count;
       forest.incident_pairs = triangles.incident_pairs;
+      forest.list = std::move(triangles.list);
     }
     const std::vector<std::size_t> bounds =
         parallel::balanced_split_range(ranges[r + 1] - first, t_count, [&](std::size_t i) {
           const std::uint64_t d = graph.degree(static_cast<VertexId>(first + i));
           return 1 + d * d;
         });
-    const auto block = [&](std::size_t t) {
+    detail::run_blocks(pool, ledger, "init.prim", [&](std::size_t t) {
       fault::maybe_fire("forest.prim");
       PollTicker ticker(ctx);
+      std::uint64_t work = 0;
       for (std::size_t k = first + bounds[t]; k < first + bounds[t + 1]; ++k) {
         const auto vk = static_cast<VertexId>(k);
         const std::uint64_t d = graph.degree(vk);
         ticker.checkpoint(1 + d * d);
         prim(graph, vk, triangles.triangle(vk), scratch[t], forest.pairs.data() + base[k]);
+        work += 1 + d * d;
       }
-    };
-    if (pool == nullptr) {
-      block(0);
-    } else {
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t t = 0; t < t_count; ++t) tasks.push_back([&block, t] { block(t); });
-      pool->run_batch(tasks);
-    }
+      return work;
+    });
     check_stop(ctx);
   }  // each range's triangles are freed before the next range is built
-  if (list != nullptr) *list = builder.take_list();
   std::sort(forest.pairs.begin(), forest.pairs.end(), sweep_order);
+  if (ledger != nullptr) {
+    const std::uint64_t pairs = forest.pairs.size();  // |F| · ⌈log2(|F| + 1)⌉
+    ledger->begin_phase("init.forest.sort");
+    ledger->add_serial(pairs * static_cast<std::uint64_t>(std::bit_width(pairs)));
+  }
   return forest;
 }
 

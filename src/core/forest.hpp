@@ -20,7 +20,10 @@
 // spanning_forest() runs a dense Prim per k over the ScoreTriangles on the
 // pool and sorts the survivors into the sweep order; forest_sweep() is the
 // serial merge pass that emits the fine dendrogram. Under a memory budget
-// the triangles are built one k-range at a time (triangle_ranges()).
+// the triangles are built one k-range at a time (triangle_ranges()). In
+// coarse mode the first pass also stages the list L, one part per gather
+// block, which BucketSweepSource (core/sweep_source.hpp) scatters into its
+// own buffer.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +31,9 @@
 #include <span>
 #include <vector>
 
+#include "core/dendrogram.hpp"
 #include "core/edge_index.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep.hpp"
+#include "core/score_triangles.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/work_ledger.hpp"
@@ -40,6 +43,32 @@ namespace lc::core {
 
 class Checkpointer;     // core/checkpoint.hpp
 struct FineCheckpoint;  // core/checkpoint.hpp
+
+/// Work counters of a sweep. The C-traffic pair is defined per sweep:
+///   - reference fine sweep (Algorithm 2 over ClusterArray, core/sweep.hpp):
+///     c_accesses counts the chain elements MERGE visits (Theorem 2),
+///     c_changes the C entries it rewrites (Fig. 2(1)).
+///   - every other sweep, what the paper's array C would read and write for
+///     the same merges: each applied pair reads two slots and each union
+///     (one journal loser) writes one, so c_accesses = 2 * pairs + unions
+///     and c_changes = unions, never counting the DSU's path compression.
+///     Fine mode's pairs are the forest pairs visited, Σ_k (d_k − 1) on a
+///     full run; coarse mode's are every applied chunk and reuse replay,
+///     rolled-back ones included: the forest pairs in the production sweep,
+///     all incident pairs in the reference one (core/coarse.hpp).
+struct SweepStats {
+  std::uint64_t pairs_processed = 0;  ///< incident edge pairs visited
+  std::uint64_t merges_effective = 0; ///< dendrogram events (levels in fine mode)
+  std::uint64_t c_accesses = 0;       ///< C slots read/visited (Theorem 2 metric)
+  std::uint64_t c_changes = 0;        ///< C entries rewritten (Fig. 2(1) metric)
+};
+
+/// What a fine sweep returns, the merge pass below or the reference sweep.
+struct SweepResult {
+  Dendrogram dendrogram;
+  std::vector<EdgeIdx> final_labels;  ///< canonical label per edge index
+  SweepStats stats;
+};
 
 /// One surviving incident pair (e_uk, e_vk). No member initialisers: the
 /// forest is sized without being written, and Prim writes every slot once.
@@ -67,13 +96,17 @@ struct SpanningForest {
   MemoryCharge charge;               ///< the pairs, charged before allocation
   std::uint64_t key_count = 0;       ///< K1 at or above the build's min_score
   std::uint64_t incident_pairs = 0;  ///< K2 of those keys
+  /// Coarse mode's list L, as the first pass staged it: one part per gather
+  /// block, in build order. Empty unless spanning_forest() was asked to
+  /// stage it; the caller frees it once BucketSweepSource has copied it.
+  std::vector<StagedBlock> list;
 };
 
 /// The fewest contiguous k-ranges, as bounds 0 = b_0, ..., b_P = n, whose
 /// score triangles (Σ_{k∈R} C(d_k, 2) × 8 B each) fit in what the memory
 /// budget of `ctx` leaves once the forest pairs, the gather scratch of
 /// T = `t_count` blocks and, `with_list` (coarse mode), twice min(K2, C(n, 2))
-/// entries of L (the staged keys and their copy) are charged: a greedy
+/// entries of L (the staged keys and the sweep source's copy) are charged: a greedy
 /// packing over k. One range without a context or a budget, or when every
 /// triangle fits at once. Throws StoppedError (kResourceExhausted), naming the
 /// bytes needed, when those and the largest triangle exceed the budget.
@@ -89,15 +122,16 @@ struct SpanningForest {
 /// the survivors follows. Each k writes its d_k − 1 tree pairs at a
 /// prefix-sum offset, so the forest is the same at every thread count and
 /// for every choice of ranges. `options` is the build's (ctx, measure,
-/// min_score for K1/K2); its ctx is polled per k. A non-null `list`
-/// receives coarse mode's list L: the keys at or above min_score, staged by
-/// the first pass (TriangleBuilder::take_list()), in build order.
+/// min_score for K1/K2); its ctx is polled per k. With `stage_list` (coarse
+/// mode) the first pass also stages L, the keys at or above min_score, into
+/// SpanningForest::list. `ledger` (optional) gets Prim as one round of T
+/// slots per k-range, at 1 + d_k² units per k, and the sort as serial work.
 [[nodiscard]] SpanningForest spanning_forest(const graph::WeightedGraph& graph,
                                              std::span<const graph::VertexId> ranges,
                                              parallel::ThreadPool* pool = nullptr,
                                              sim::WorkLedger* ledger = nullptr,
                                              const SimilarityMapOptions& options = {},
-                                             SimilarityMap* list = nullptr);
+                                             bool stage_list = false);
 
 /// The merge pass: visits `forest` head to tail, stops at the first pair
 /// below `min_similarity`, and unites each pair's two clusters in a MinDsu
@@ -106,8 +140,9 @@ struct SpanningForest {
 /// pairs visited, merges_effective the events, and c_accesses / c_changes
 /// are 2 · pairs + unions and unions (see SweepStats).
 ///
-/// `ctx`, `checkpointer` and `resume` behave as in core::sweep(), with
-/// FineCheckpoint::entry_pos indexing `forest` (FineList::kForest).
+/// `ctx` (optional) is polled as the pass runs; `checkpointer` (optional)
+/// snapshots its progress, and `resume` continues from a snapshot whose
+/// FineCheckpoint::entry_pos indexes `forest` (FineList::kForest).
 SweepResult forest_sweep(const SpanningForest& forest, const EdgeIndex& index,
                          double min_similarity = -std::numeric_limits<double>::infinity(),
                          lc::RunContext* ctx = nullptr,

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <new>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/forest.hpp"
 #include "util/check.hpp"
@@ -90,9 +92,8 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
   const std::vector<graph::VertexId> ranges =
       triangle_ranges(graph, config_.threads, config_.ctx, coarse);
   result.passes = static_cast<std::uint32_t>(ranges.size() - 1);
-  SimilarityMap list;  // coarse mode's L, without the pair arena
-  const SpanningForest forest = spanning_forest(graph, ranges, pool.get(), config_.ledger,
-                                                map_options, coarse ? &list : nullptr);
+  SpanningForest forest = spanning_forest(graph, ranges, pool.get(), config_.ledger,
+                                          map_options, coarse);
   result.k1 = static_cast<std::size_t>(forest.key_count);
   result.k2 = forest.incident_pairs;
   if (!coarse) {
@@ -112,16 +113,32 @@ ClusterResult LinkClusterer::cluster(const graph::WeightedGraph& graph) const {
     SweepResult sweep_result = forest_sweep(forest, result.edge_index, config_.min_similarity,
                                             config_.ctx, ckpt, fine_resume);
     result.timings.sweeping_seconds = watch.lap();
+    if (config_.ledger != nullptr) {
+      // Each visited pair reads two labels and each union writes one.
+      config_.ledger->begin_phase("sweep.fine");
+      config_.ledger->add_serial(sweep_result.stats.c_accesses);
+    }
     result.dendrogram = std::move(sweep_result.dendrogram);
     result.final_labels = std::move(sweep_result.final_labels);
     result.stats = sweep_result.stats;
   } else {
-    // Order L: pay only the O(|L|) bucket partition here; each bucket is
-    // sorted as the sweep reaches it, and buckets past the phi stop never
-    // are.
+    // Order L: pay only the O(|L|) bucket partition that copies the staged
+    // parts into the source, then free them; each bucket is sorted as the
+    // sweep reaches it, and buckets past the phi stop never are.
+    MemoryCharge list_charge(config_.ctx, forest.key_count * sizeof(SimilarityEntry),
+                             "sim.list");
+    std::vector<std::span<const SimilarityEntry>> parts;
+    for (const StagedBlock& part : forest.list) parts.emplace_back(part.entries);
     BucketSweepSource::Options source_options;
     source_options.pool = pool.get();
-    BucketSweepSource source(list, source_options);
+    BucketSweepSource source(parts, source_options);
+    forest.list.clear();
+    if (config_.ledger != nullptr) {
+      // Two reads of each entry, as serial work: an upper bound on the span
+      // of the pool-parallel partition.
+      config_.ledger->begin_phase("init.list.partition");
+      config_.ledger->add_serial(2 * forest.key_count);
+    }
     result.timings.initialization_seconds = watch.lap();
     check_stop(config_.ctx);
     CoarseResult coarse_result = coarse_sweep(graph, forest, source, result.edge_index,

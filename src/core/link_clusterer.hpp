@@ -12,7 +12,9 @@
 // over all of L, from at most 2|E| pairs. Coarse mode also keeps L, without
 // its pair arena, and runs the §V coarse sweep over it, each chunk uniting
 // its forest pairs (core/coarse.hpp). threads > 1 parallelizes the build and
-// the forests per §VI-A; both sweeps are serial.
+// the forests per §VI-A; both sweeps are serial. Config::ledger, when set,
+// records the work of every layer: the build passes, Prim, the forest sort,
+// coarse mode's list partition, and the fine merge pass or the coarse sweep.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +26,8 @@
 #include "core/coarse.hpp"
 #include "core/dendrogram.hpp"
 #include "core/edge_index.hpp"
-#include "core/similarity.hpp"
-#include "core/sweep.hpp"
+#include "core/forest.hpp"
+#include "core/score_triangles.hpp"
 #include "core/sweep_source.hpp"
 #include "graph/graph.hpp"
 #include "sim/work_ledger.hpp"
@@ -44,9 +46,9 @@ enum class ClusterMode {
 
 struct ClusterTimings {
   /// The score triangles plus the spanning forests and their sort; coarse
-  /// mode adds L's copy out of the first pass and its O(|L|) bucket
-  /// partition, while the per-bucket sorts land in sweeping_seconds as the
-  /// sweep reaches them.
+  /// mode adds the O(|L|) bucket partition that copies the staged L into
+  /// its sweep source, while the per-bucket sorts land in sweeping_seconds
+  /// as the sweep reaches them.
   double initialization_seconds = 0.0;
   double sweeping_seconds = 0.0;        ///< fine merge pass or coarse sweep
   [[nodiscard]] double total_seconds() const {

@@ -1,5 +1,7 @@
 #include "core/sweep.hpp"
 
+#include <array>
+
 #include "core/checkpoint.hpp"
 #include "core/cluster_array.hpp"
 #include "core/sweep_source.hpp"
@@ -8,6 +10,9 @@
 #include "util/run_context.hpp"
 
 namespace lc::core {
+
+BucketSweepSource::BucketSweepSource(const SimilarityMap& map, const Options& options)
+    : BucketSweepSource(std::array{std::span<const SimilarityEntry>(map.entries)}, options) {}
 
 SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
                   BucketSweepSource& source, const EdgeIndex& index,
@@ -152,6 +157,27 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
   result.stats.c_accesses = base_accesses + clusters.accesses();
   result.stats.c_changes = base_changes + clusters.total_changes();
   return result;
+}
+
+CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
+                          BucketSweepSource& source, const EdgeIndex& index,
+                          const CoarseOptions& options, parallel::ThreadPool* /*pool*/,
+                          sim::WorkLedger* ledger, lc::RunContext* ctx,
+                          Checkpointer* checkpointer, std::nullptr_t /*resume*/) {
+  LC_CHECK_MSG(checkpointer == nullptr, "the coarse sweep does not checkpoint");
+  LC_CHECK_MSG(source.size() == map.entries.size(),
+               "sweep source must cover the similarity map");
+  // Every incident pair of every entry of the chunk, from the map's arena.
+  const auto chunk_pairs = [&](std::size_t first, std::size_t last,
+                               const detail::UnitePair& unite) {
+    for (std::size_t i = first; i < last; ++i) {
+      for (const EdgePairRef& pair : map.pairs(source.at(i))) {
+        unite(index.index_of(pair.first), index.index_of(pair.second));
+      }
+    }
+  };
+  return detail::run_coarse(graph, source, index, map.incident_pair_count(), chunk_pairs,
+                            options, ledger, ctx);
 }
 
 }  // namespace lc::core

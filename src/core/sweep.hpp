@@ -1,27 +1,31 @@
-// Phase II of the serial algorithm (Algorithm 2): fine-grained sweeping,
-// the reference sweep.
+// The reference sweeps (lc_reference): Algorithm 2, the paper's
+// fine-grained sweep over array C, and the §V coarse sweep over every
+// incident pair of L.
 //
 // The sorted list L of vertex pairs is processed head to tail; for every
 // common neighbor v_k of a pair (v_i, v_j), MERGE unifies the clusters of
 // edges (v_i, v_k) and (v_j, v_k) in array C. Every effective merge advances
 // the level counter r and emits a dendrogram event (Eq. 5).
 //
-// LinkClusterer's fine mode does not run this: it merges only the pairs of
-// one maximum spanning forest per common neighbor (core/forest.hpp), which
-// yields the identical merge list from at most 2|E| of the K2 pairs. This
-// sweep is the oracle it is checked against (tests/core/forest_sweep_test),
-// and what the paper-figure benches and the benchmark's trace rounds run to
-// count C traffic per pair.
+// LinkClusterer runs neither: its sweeps read one maximum spanning forest
+// per common neighbor (core/forest.hpp), with the identical merges. These
+// are the oracles it is checked against, and what the benches that count C
+// traffic per pair run. The reference coarse sweep runs the production mode
+// machine (core/coarse.hpp) on every incident pair of each chunk.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 
-#include "core/dendrogram.hpp"
+#include "core/coarse.hpp"
 #include "core/edge_index.hpp"
+#include "core/forest.hpp"
 #include "core/similarity.hpp"
 #include "graph/graph.hpp"
+#include "parallel/thread_pool.hpp"
+#include "sim/work_ledger.hpp"
 
 namespace lc {
 class RunContext;  // util/run_context.hpp
@@ -33,41 +37,10 @@ class BucketSweepSource;  // core/sweep_source.hpp
 class Checkpointer;       // core/checkpoint.hpp
 struct FineCheckpoint;    // core/checkpoint.hpp
 
-/// Work counters of a sweep. The C-traffic pair is defined per sweep:
-///   - reference fine sweep (Algorithm 2 over ClusterArray, this header):
-///     c_accesses counts the chain elements MERGE visits (Theorem 2),
-///     c_changes the C entries it rewrites (Fig. 2(1)).
-///   - production fine mode (core/forest.hpp): pairs_processed counts the
-///     spanning-forest pairs visited, Σ_k (d_k − 1) on a full run. As in
-///     coarse mode, each visited pair reads two slots and each union writes
-///     one: c_accesses = 2 * pairs + unions and c_changes = unions.
-///   - coarse (core/coarse.hpp): what the paper's array C would read and
-///     write for the same merges. Each applied pair reads two slots (one per
-///     edge), and each union (a cluster the chunk removes, one sorted
-///     journal loser) writes one slot. So c_accesses = 2 * pairs + unions
-///     and c_changes = unions, summed over every applied chunk and reuse
-///     replay, rolled-back ones included. Both come from the chunk's pair
-///     count and its union losers only, never from the DSU's path
-///     compression. The production sweep applies a chunk's spanning-forest
-///     pairs, the reference sweep all its incident pairs, so their counts
-///     differ while their merges do not.
-struct SweepStats {
-  std::uint64_t pairs_processed = 0;  ///< incident edge pairs visited
-  std::uint64_t merges_effective = 0; ///< dendrogram events (levels in fine mode)
-  std::uint64_t c_accesses = 0;       ///< C slots read/visited (Theorem 2 metric)
-  std::uint64_t c_changes = 0;        ///< C entries rewritten (Fig. 2(1) metric)
-};
-
 /// Optional per-pair instrumentation: called after each incident pair is
 /// merged with the ordinal of the pair (0-based) and the number of C-entry
 /// changes that merge caused. Drives the Fig. 2(1) bench.
 using PairObserver = std::function<void(std::uint64_t ordinal, std::uint32_t changes)>;
-
-struct SweepResult {
-  Dendrogram dendrogram;
-  std::vector<EdgeIdx> final_labels;  ///< canonical label per edge index
-  SweepStats stats;
-};
 
 /// Runs the sweep over `source`, the descending-score view of `map`'s
 /// entries (core/sweep_source.hpp — `map` itself supplies the pair arenas
@@ -95,5 +68,19 @@ SweepResult sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
                   lc::RunContext* ctx = nullptr,
                   Checkpointer* checkpointer = nullptr,
                   const FineCheckpoint* resume = nullptr);
+
+/// The reference coarse sweep over `source`, the descending-score view of
+/// `map`'s entries: each chunk unites all its incident pairs. Only its
+/// SweepStats, which count the pairs applied, differ from the production
+/// sweep's. `pool` is unused, and `checkpointer` and `resume` must be null
+/// (LC_CHECK): all three stay only for bench/suite/trace.cpp's call.
+CoarseResult coarse_sweep(const graph::WeightedGraph& graph, const SimilarityMap& map,
+                          BucketSweepSource& source, const EdgeIndex& index,
+                          const CoarseOptions& options = {},
+                          parallel::ThreadPool* pool = nullptr,
+                          sim::WorkLedger* ledger = nullptr,
+                          lc::RunContext* ctx = nullptr,
+                          Checkpointer* checkpointer = nullptr,
+                          std::nullptr_t resume = nullptr);
 
 }  // namespace lc::core

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
@@ -17,8 +19,15 @@ namespace {
 constexpr unsigned kBinShift = 48;        // top 16 bits of the flipped key
 constexpr std::size_t kBinCount = 1u << 16;
 
+/// Below this many entries the partition runs on the caller alone.
+constexpr std::size_t kSerialCutoff = 4096;
+
 std::size_t score_bin(const SimilarityEntry& entry) {
   return static_cast<std::size_t>(flipped_score_key(entry.score) >> kBinShift);
+}
+
+std::uint64_t packed_key(const SimilarityEntry& entry) {
+  return (static_cast<std::uint64_t>(entry.u) << 32) | entry.v;
 }
 
 /// The bucket target, sized so buckets hold ~16Ki entries: large enough that
@@ -32,50 +41,62 @@ std::size_t bucket_target(std::size_t n) {
 
 }  // namespace
 
-BucketSweepSource::BucketSweepSource(SimilarityMap& map, const Options& options)
-    : map_(map), data_(map.entries.data()) {
-  const std::size_t n = map_.entries.size();
+BucketSweepSource::BucketSweepSource(std::span<const std::span<const SimilarityEntry>> parts,
+                                     const Options& options) {
   Stopwatch watch;
-  if (n == 0) {
-    bounds_ = {0};
-    return;
-  }
-  const std::size_t target_buckets = bucket_target(n);
-  radix_ok_ = map_.keys_sorted();
+  std::size_t n = 0;
+  for (const std::span<const SimilarityEntry> part : parts) n += part.size();
+  bounds_ = {0};
+  if (n == 0) return;
 
-  // Bin histogram on the top flipped-key bits (one linear read of L),
-  // pool-parallel when a multi-core pool is available.
+  // L cut into pieces of about n / width entries, in concatenation order:
+  // each pass below runs one task per piece, on the pool when there is one.
+  const std::size_t width = (options.pool == nullptr || n <= kSerialCutoff)
+                                ? 1
+                                : parallel::clamped_parallelism(*options.pool);
+  const std::size_t grain = (n + width - 1) / width;
+  std::vector<std::span<const SimilarityEntry>> pieces;
+  for (const std::span<const SimilarityEntry> part : parts) {
+    for (std::size_t i = 0; i < part.size(); i += grain) {
+      pieces.push_back(part.subspan(i, std::min(grain, part.size() - i)));
+    }
+  }
+  const auto for_each_piece = [&](const std::function<void(std::size_t)>& task) {
+    if (width == 1) {
+      for (std::size_t g = 0; g < pieces.size(); ++g) task(g);
+      return;
+    }
+    std::vector<std::function<void()>> batch;
+    for (std::size_t g = 0; g < pieces.size(); ++g) batch.push_back([&task, g] { task(g); });
+    options.pool->run_batch(batch);
+  };
+
+  // Pass 1, one read of L: each piece's histogram over the top flipped-key
+  // bits, and whether it continues L in ascending packed key (build order;
+  // no key is 0, since u < v).
+  std::vector<std::vector<std::size_t>> piece_hist(pieces.size(),
+                                                   std::vector<std::size_t>(kBinCount, 0));
+  std::vector<char> ascending(pieces.size(), 1);
+  for_each_piece([&](std::size_t g) {
+    std::uint64_t prev = g == 0 ? 0 : packed_key(pieces[g - 1].back());
+    for (const SimilarityEntry& entry : pieces[g]) {
+      ++piece_hist[g][score_bin(entry)];
+      const std::uint64_t key = packed_key(entry);
+      if (key <= prev) ascending[g] = 0;
+      prev = key;
+    }
+  });
+  radix_ok_ = std::find(ascending.begin(), ascending.end(), 0) == ascending.end();
   std::vector<std::size_t> histogram(kBinCount, 0);
-  const std::size_t parts =
-      (options.pool == nullptr || n <= 4096)
-          ? 1
-          : parallel::clamped_parallelism(*options.pool);
-  if (parts <= 1) {
-    for (const SimilarityEntry& entry : map_.entries) ++histogram[score_bin(entry)];
-  } else {
-    const std::vector<std::size_t> blocks = parallel::split_range(n, parts);
-    std::vector<std::vector<std::size_t>> block_hist(
-        parts, std::vector<std::size_t>(kBinCount, 0));
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t b = 0; b < parts; ++b) {
-      tasks.push_back([&, b] {
-        std::vector<std::size_t>& h = block_hist[b];
-        for (std::size_t i = blocks[b]; i < blocks[b + 1]; ++i) {
-          ++h[score_bin(map_.entries[i])];
-        }
-      });
-    }
-    options.pool->run_batch(tasks);
-    for (std::size_t b = 0; b < parts; ++b) {
-      for (std::size_t d = 0; d < kBinCount; ++d) histogram[d] += block_hist[b][d];
-    }
+  for (const std::vector<std::size_t>& h : piece_hist) {
+    for (std::size_t bin = 0; bin < kBinCount; ++bin) histogram[bin] += h[bin];
   }
 
   // Greedy grouping of contiguous bins (ascending key = descending score)
-  // into <= target_buckets near-balanced buckets. Depends only on scores —
-  // never on thread count — so bucket boundaries are deterministic
+  // into <= bucket_target(n) near-balanced buckets. Depends only on scores —
+  // never on thread count or parts — so bucket boundaries are deterministic
   // coordinates into L.
-  const std::size_t target_fill = (n + target_buckets - 1) / target_buckets;
+  const std::size_t target_fill = (n + bucket_target(n) - 1) / bucket_target(n);
   std::vector<std::uint32_t> bin_bucket(kBinCount, 0);
   std::size_t open_fill = 0;
   std::size_t total = 0;
@@ -89,25 +110,42 @@ BucketSweepSource::BucketSweepSource(SimilarityMap& map, const Options& options)
       open_fill = 0;
     }
   }
-  const std::size_t bucket_total = static_cast<std::size_t>(bucket) + 1;
 
-  // Stable scatter into bucket order (one counting-sort pass); bounds_ are
-  // the realized bucket boundaries.
-  bounds_ = parallel::parallel_bucket_scatter(
-      options.pool, map_.entries, bucket_total,
-      [&bin_bucket](const SimilarityEntry& entry) {
-        return static_cast<std::size_t>(bin_bucket[score_bin(entry)]);
-      });
-  // The scatter's double buffer replaced the entries storage, and the
-  // entries are no longer in the build's packed-key order.
-  data_ = map_.entries.data();
-  map_.set_keys_sorted(false);
+  // Each piece's bucket counts follow from its bin histogram. An exclusive
+  // scan in (bucket, piece) order turns them into the pieces' write
+  // cursors, and its per-bucket running totals are the bucket boundaries.
+  std::vector<std::vector<std::size_t>> cursor(pieces.size(),
+                                               std::vector<std::size_t>(bucket + 1, 0));
+  for (std::size_t g = 0; g < pieces.size(); ++g) {
+    for (std::size_t bin = 0; bin < kBinCount; ++bin) {
+      cursor[g][bin_bucket[bin]] += piece_hist[g][bin];
+    }
+  }
+  bounds_.assign(bucket + 2, 0);
+  std::size_t running = 0;
+  for (std::size_t b = 0; b <= bucket; ++b) {
+    bounds_[b] = running;
+    for (std::vector<std::size_t>& c : cursor) running += std::exchange(c[b], running);
+  }
+  bounds_[bucket + 1] = running;
+
+  // Pass 2: the stable scatter into the source's own buffer. Pieces write
+  // disjoint slots, and piece order plus in-piece order are kept within
+  // every bucket, so the layout is the same for every pool and every cut of
+  // L into parts.
+  entries_.resize(n);
+  for_each_piece([&](std::size_t g) {
+    std::vector<std::size_t>& offsets = cursor[g];
+    for (const SimilarityEntry& entry : pieces[g]) {
+      entries_[offsets[bin_bucket[score_bin(entry)]]++] = entry;
+    }
+  });
   partition_ms_ = watch.seconds() * 1e3;
 }
 
 void BucketSweepSource::sort_bucket(std::size_t bucket) {
   fault::maybe_fire("sweep.bucket");
-  SimilarityEntry* const first = map_.entries.data() + bounds_[bucket];
+  SimilarityEntry* const first = entries_.data() + bounds_[bucket];
   const std::size_t n = bounds_[bucket + 1] - bounds_[bucket];
   if (!radix_ok_ || n <= 4096 || n > UINT32_MAX) {
     // Comparator fallback: always correct (score_order is a strict total

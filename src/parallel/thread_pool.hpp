@@ -121,75 +121,4 @@ inline std::size_t clamped_parallelism(const ThreadPool& pool) {
   return hw == 0 ? pool.thread_count() : std::min(pool.thread_count(), hw);
 }
 
-/// Pool-parallel *stable* scatter of `items` into `bucket_count` contiguous
-/// groups, ordered by bucket id ascending, where bucket_of(item) must return
-/// a value < bucket_count. Returns the group boundaries (bucket_count + 1
-/// offsets into the permuted vector). This is one stable counting-sort pass
-/// over a caller-defined bucket function: per-block histograms, a serial (bucket, block)-major exclusive scan, and
-/// an in-order scatter into a double buffer. Blocks write disjoint slices and
-/// block order + in-block order are preserved within every bucket, so the
-/// grouping is the unique stable one — byte-identical for every thread count,
-/// and identical to the serial path taken for null/1-wide pools and small
-/// inputs. Not reentrant (uses run_batch).
-template <typename T, typename Alloc, typename BucketFn>
-std::vector<std::size_t> parallel_bucket_scatter(ThreadPool* pool, std::vector<T, Alloc>& items,
-                                                 std::size_t bucket_count,
-                                                 BucketFn bucket_of) {
-  const std::size_t n = items.size();
-  std::vector<std::size_t> bounds(bucket_count + 1, 0);
-  if (bucket_count <= 1 || n == 0) {
-    // One bucket (or nothing) needs no permutation at all.
-    for (std::size_t b = 1; b <= bucket_count; ++b) bounds[b] = n;
-    return bounds;
-  }
-  constexpr std::size_t kSerialCutoff = 4096;
-  const std::size_t parts =
-      (pool == nullptr || n <= kSerialCutoff) ? 1 : clamped_parallelism(*pool);
-  const std::vector<std::size_t> blocks = split_range(n, parts);
-  std::vector<std::vector<std::size_t>> counts(parts,
-                                               std::vector<std::size_t>(bucket_count, 0));
-  const auto histogram_block = [&](std::size_t b) {
-    std::vector<std::size_t>& h = counts[b];
-    for (std::size_t i = blocks[b]; i < blocks[b + 1]; ++i) ++h[bucket_of(items[i])];
-  };
-  if (parts == 1) {
-    histogram_block(0);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t b = 0; b < parts; ++b) tasks.push_back([&, b] { histogram_block(b); });
-    pool->run_batch(tasks);
-  }
-  // Exclusive scan in (bucket, block) order: counts[b][d] becomes block b's
-  // write cursor for bucket d, and the per-bucket running totals are the
-  // returned boundaries.
-  std::size_t running = 0;
-  for (std::size_t d = 0; d < bucket_count; ++d) {
-    bounds[d] = running;
-    for (std::size_t b = 0; b < parts; ++b) {
-      const std::size_t c = counts[b][d];
-      counts[b][d] = running;
-      running += c;
-    }
-  }
-  bounds[bucket_count] = running;
-  // items' allocator: a default-initialising one leaves the buffer unwritten
-  // until the scatter fills every slot.
-  std::vector<T, Alloc> buffer(n);
-  const auto scatter_block = [&](std::size_t b) {
-    std::vector<std::size_t>& offsets = counts[b];
-    for (std::size_t i = blocks[b]; i < blocks[b + 1]; ++i) {
-      buffer[offsets[bucket_of(items[i])]++] = std::move(items[i]);
-    }
-  };
-  if (parts == 1) {
-    scatter_block(0);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t b = 0; b < parts; ++b) tasks.push_back([&, b] { scatter_block(b); });
-    pool->run_batch(tasks);
-  }
-  items.swap(buffer);
-  return bounds;
-}
-
 }  // namespace lc::parallel

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -179,7 +180,10 @@ std::string Server::cmd_run(const Request& request) {
     config.coarse.delta0 = static_cast<std::uint64_t>(i64);
   }
   if (request.has("min_similarity")) {
-    if (!parse_f64(request.get("min_similarity"), &f64)) return bad_arg("min_similarity");
+    // NaN would silently mean "no floor".
+    if (!parse_f64(request.get("min_similarity"), &f64) || std::isnan(f64)) {
+      return bad_arg("min_similarity");
+    }
     config.min_similarity = f64;
   }
   if (request.has("deadline_ms")) {

@@ -57,4 +57,12 @@ double WorkLedger::speedup_vs(std::uint64_t serial_work, std::uint64_t barrier_c
   return static_cast<double>(serial_work) / static_cast<double>(path);
 }
 
+WorkLedger WorkLedger::phases_with_prefix(std::string_view prefix) const {
+  WorkLedger subset;
+  for (const Phase& phase : phases_) {
+    if (phase.name.starts_with(prefix)) subset.phases_.push_back(phase);
+  }
+  return subset;
+}
+
 }  // namespace lc::sim

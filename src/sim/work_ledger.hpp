@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lc::sim {
@@ -63,6 +64,9 @@ class WorkLedger {
                                   std::uint64_t barrier_cost = 0) const;
 
   [[nodiscard]] const std::vector<Phase>& phases() const { return phases_; }
+  /// The phases whose names start with `prefix` (e.g. "init."), in order,
+  /// as a ledger of their own: one layer's work and span.
+  [[nodiscard]] WorkLedger phases_with_prefix(std::string_view prefix) const;
 
   void clear() { phases_.clear(); }
 

@@ -122,7 +122,9 @@ TEST(Cli, ClusterRejectsOutOfRangeArguments) {
   const std::vector<std::vector<const char*>> cases = {
       {"--gamma", "0.5"}, {"--gamma", "nan"}, {"--phi", "-1"},
       {"--threads", too_many.c_str()}, {"--threads", "1000000000"},
-      {"--seed", "-1"}, {"--delta0", "0"}, {"--checkpoint-every-ms", "-5"}};
+      {"--seed", "-1"}, {"--delta0", "0"}, {"--checkpoint-every-ms", "-5"},
+      {"--threads", "0"}, {"--threads", "-4"}, {"--max-memory-mb", "-7"},
+      {"--min-similarity", "nan"}};
   for (const std::vector<const char*>& flag : cases) {
     std::vector<const char*> argv{"linkcluster", "cluster", "--input", "/no/such/file.edges",
                                   "--mode", "coarse", flag[0], flag[1]};

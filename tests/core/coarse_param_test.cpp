@@ -8,6 +8,7 @@
 
 #include "core/coarse.hpp"
 #include "core/similarity.hpp"
+#include "core/sweep.hpp"
 #include "core/sweep_source.hpp"
 #include "graph/generators.hpp"
 

@@ -744,29 +744,33 @@ TEST(CoarseForest, MatchesTheReferenceCoarseSweep) {
 }
 
 TEST(CoarseForest, ListIsTheMapsEntries) {
-  // The first triangle pass stages L exactly as the map build's phase A:
-  // the same entries, offsets included, in build order, at every T.
+  // The first triangle pass stages L as the map build's phase A does: one
+  // part per gather block, and the parts concatenate to the map's entries
+  // (u, v, score, count), bit for bit, in build order, at every T.
   const WeightedGraph graph = rmat(9, 6, 8, false);
   for (const double floor : {kNoFloor, median_score(graph, SimilarityMeasure::kTanimoto)}) {
     SimilarityMapOptions options;
     options.min_score = floor;
     const SimilarityMap map = build_similarity_map(graph, options);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                      std::size_t{8}}) {
       SCOPED_TRACE(testing::Message() << "floor=" << floor << " threads=" << threads);
       std::unique_ptr<parallel::ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
-      SimilarityMap list;
       const SpanningForest forest =
           spanning_forest(graph, even_ranges(graph.vertex_count(), 3), pool.get(), nullptr,
-                          options, &list);
-      EXPECT_TRUE(list.keys_sorted());
-      EXPECT_TRUE(list.pair_arena.empty());
-      EXPECT_EQ(forest.key_count, list.key_count());
-      ASSERT_EQ(list.entries.size(), map.entries.size());
+                          options, /*stage_list=*/true);
+      ASSERT_EQ(forest.list.size(), threads);
+      std::vector<SimilarityEntry> list;
+      for (const StagedBlock& part : forest.list) {
+        list.insert(list.end(), part.entries.begin(), part.entries.end());
+      }
+      EXPECT_EQ(forest.key_count, list.size());
+      ASSERT_EQ(list.size(), map.entries.size());
       for (std::size_t i = 0; i < map.entries.size(); ++i) {
-        const SimilarityEntry& a = list.entries[i];
+        const SimilarityEntry& a = list[i];
         const SimilarityEntry& b = map.entries[i];
-        ASSERT_TRUE(a.u == b.u && a.v == b.v && a.count == b.count && a.offset == b.offset &&
+        ASSERT_TRUE(a.u == b.u && a.v == b.v && a.count == b.count &&
                     std::bit_cast<std::uint64_t>(a.score) ==
                         std::bit_cast<std::uint64_t>(b.score))
             << "entry " << i;

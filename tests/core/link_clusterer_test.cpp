@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
+#include "sim/work_ledger.hpp"
 
 namespace lc::core {
 namespace {
@@ -109,6 +114,59 @@ TEST(LinkClusterer, LedgerAttachedForThreadedRuns) {
   const ClusterResult result = LinkClusterer(config).cluster(graph);
   EXPECT_TRUE(result.coarse.has_value());
   EXPECT_GT(ledger.total_work(), 0u);
+}
+
+TEST(LinkClusterer, LedgerCoversEveryLayerAtEveryThreadCount) {
+  // Work is what a run does, not how it is split: the same total at T = 1
+  // and T = 4, in every phase a run times, and only the critical path of
+  // the parallel layers shrinks with T.
+  const WeightedGraph graph =
+      graph::erdos_renyi(120, 0.12, {5, graph::WeightPolicy::kUniform});
+  const auto phases_of = [](const sim::WorkLedger& ledger) {
+    std::map<std::string, std::uint64_t> work;
+    for (const sim::Phase& phase : ledger.phases()) {
+      for (const sim::Round& round : phase.rounds) {
+        for (const std::uint64_t units : round.slot_work) work[phase.name] += units;
+      }
+    }
+    return work;
+  };
+  for (const ClusterMode mode : {ClusterMode::kFine, ClusterMode::kCoarse}) {
+    const bool coarse = mode == ClusterMode::kCoarse;
+    SCOPED_TRACE(coarse ? "coarse" : "fine");
+    std::map<std::string, std::uint64_t> serial;
+    std::uint64_t serial_path = 0;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      sim::WorkLedger ledger;
+      LinkClusterer::Config config;
+      config.mode = mode;
+      config.threads = threads;
+      config.ledger = &ledger;
+      (void)LinkClusterer(config).cluster(graph);
+      const std::map<std::string, std::uint64_t> work = phases_of(ledger);
+      std::vector<std::string> expected = {"init.pass1", "init.pass2.wedges",
+                                           "init.pass2.gather", "init.prim",
+                                           "init.forest.sort"};
+      if (coarse) {
+        expected.insert(expected.end(), {"init.list.partition", "sweep.coarse"});
+      } else {
+        expected.push_back("sweep.fine");
+      }
+      for (const std::string& phase : expected) {
+        ASSERT_TRUE(work.contains(phase)) << phase;
+        EXPECT_GT(work.at(phase), 0u) << phase;
+      }
+      EXPECT_EQ(work.size(), expected.size());
+      if (threads == 1) {
+        serial = work;
+        serial_path = ledger.critical_path();
+        EXPECT_EQ(serial_path, ledger.total_work());
+      } else {
+        EXPECT_EQ(work, serial);
+        EXPECT_LT(ledger.critical_path(), serial_path);
+      }
+    }
+  }
 }
 
 TEST(LinkClusterer, JaccardMeasureConfig) {

@@ -12,6 +12,7 @@ namespace lc::core {
 namespace {
 
 using graph::WeightedGraph;
+using testing_reference::jaccard_similarity_bruteforce;
 
 SimilarityMapOptions jaccard_options() {
   SimilarityMapOptions options;

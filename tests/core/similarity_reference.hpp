@@ -11,11 +11,15 @@
 // w_uk * w_vk in ascending-common order, then the pass-3 term
 // (H1[u] + H1[v]) * w_uv (0.0 when u and v are not adjacent) added last.
 // Entries are in packed-key order and own consecutive arena slices.
+//
+// The brute-force similarities below build the full |V|-dimensional vectors
+// of Eq. (1) instead: the oracle for single scores.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/similarity.hpp"
@@ -124,6 +128,62 @@ inline std::vector<std::uint64_t> serialize_map(const SimilarityMap& map) {
   }
   out.push_back(map.pair_arena.size());
   return out;
+}
+
+/// Brute-force Eq. (1) for one incident edge pair (e_ik, e_jk), building the
+/// full |V|-dimensional vectors a_i, a_j. O(|V|) per call.
+inline double tanimoto_similarity_bruteforce(const graph::WeightedGraph& graph,
+                                             graph::VertexId i, graph::VertexId j,
+                                             graph::VertexId k) {
+  LC_CHECK_MSG(graph.has_edge(i, k) && graph.has_edge(j, k),
+               "edges (i,k) and (j,k) must exist for an incident pair");
+  const std::size_t n = graph.vertex_count();
+  auto vector_of = [&](graph::VertexId x) {
+    std::vector<double> a(n, 0.0);
+    const std::span<const graph::VertexId> adj = graph.neighbors(x);
+    const std::span<const double> weights = graph.neighbor_weights(x);
+    double sum = 0.0;
+    for (std::size_t p = 0; p < adj.size(); ++p) {
+      a[adj[p]] = weights[p];
+      sum += weights[p];
+    }
+    a[x] = adj.empty() ? 0.0 : sum / static_cast<double>(adj.size());
+    return a;
+  };
+  const std::vector<double> ai = vector_of(i);
+  const std::vector<double> aj = vector_of(j);
+  double dot = 0.0;
+  double ni = 0.0;
+  double nj = 0.0;
+  for (std::size_t p = 0; p < n; ++p) {
+    dot += ai[p] * aj[p];
+    ni += ai[p] * ai[p];
+    nj += aj[p] * aj[p];
+  }
+  return dot / (ni + nj - dot);
+}
+
+/// Brute-force Jaccard of inclusive neighborhoods for one incident pair.
+inline double jaccard_similarity_bruteforce(const graph::WeightedGraph& graph,
+                                            graph::VertexId i, graph::VertexId j,
+                                            graph::VertexId k) {
+  LC_CHECK_MSG(graph.has_edge(i, k) && graph.has_edge(j, k),
+               "edges (i,k) and (j,k) must exist for an incident pair");
+  auto inclusive = [&](graph::VertexId x) {
+    std::vector<bool> member(graph.vertex_count(), false);
+    for (graph::VertexId w : graph.neighbors(x)) member[w] = true;
+    member[x] = true;
+    return member;
+  };
+  const std::vector<bool> a = inclusive(i);
+  const std::vector<bool> b = inclusive(j);
+  std::size_t both = 0;
+  std::size_t either = 0;
+  for (std::size_t x = 0; x < a.size(); ++x) {
+    if (a[x] && b[x]) ++both;
+    if (a[x] || b[x]) ++either;
+  }
+  return static_cast<double>(both) / static_cast<double>(either);
 }
 
 }  // namespace lc::core::testing_reference

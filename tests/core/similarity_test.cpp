@@ -16,6 +16,7 @@ namespace {
 using graph::GeneratorOptions;
 using graph::VertexId;
 using graph::WeightedGraph;
+using testing_reference::tanimoto_similarity_bruteforce;
 
 TEST(SimilarityMap, PaperFigure1Values) {
   // K_{2,4} with unit weights: S(hub pair) = 2/3, S(leaf pair) = 1/2.

@@ -1,8 +1,8 @@
 // Equivalence suite for the sorted-L source (core/sweep_source.hpp):
-//   - property: materializing every bucket of a BucketSweepSource leaves
-//     map.entries byte-identical to the full sort_by_score() order, with the
-//     scatter serial or pool-parallel — concatenated sorted buckets ARE the
-//     global sort;
+//   - property: materializing every bucket of a BucketSweepSource reads
+//     entries byte-identical to the full sort_by_score() order, with L given
+//     as one part or as many uneven ones and the scatter serial or
+//     pool-parallel — concatenated sorted buckets ARE the global sort;
 //   - a bucket is sorted on the caller's thread when a position in it is
 //     first read, and no sooner;
 //   - runs that stop early (coarse phi, fine min_similarity) and resumes
@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,11 +87,13 @@ SimilarityMap build_map(const WeightedGraph& graph, parallel::ThreadPool* pool) 
                          : build_similarity_map(graph);
 }
 
-void expect_same_entries(const SimilarityMap& got, const SimilarityMap& want) {
-  ASSERT_EQ(got.entries.size(), want.entries.size());
-  for (std::size_t i = 0; i < want.entries.size(); ++i) {
-    const SimilarityEntry& a = got.entries[i];
-    const SimilarityEntry& b = want.entries[i];
+/// Reads every position of `source` and compares it with `sorted`'s entry
+/// there, every field bit for bit.
+void expect_reads_sorted(BucketSweepSource& source, const SimilarityMap& sorted) {
+  ASSERT_EQ(source.size(), sorted.entries.size());
+  for (std::size_t i = 0; i < sorted.entries.size(); ++i) {
+    const SimilarityEntry& a = source.at(i);
+    const SimilarityEntry& b = sorted.entries[i];
     ASSERT_EQ(a.u, b.u) << "entry " << i;
     ASSERT_EQ(a.v, b.v) << "entry " << i;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(a.score), std::bit_cast<std::uint64_t>(b.score))
@@ -98,6 +101,20 @@ void expect_same_entries(const SimilarityMap& got, const SimilarityMap& want) {
     ASSERT_EQ(a.offset, b.offset) << "entry " << i;
     ASSERT_EQ(a.count, b.count) << "entry " << i;
   }
+}
+
+/// `entries` cut at `cuts` (ascending positions in [0, n], repeats allowed):
+/// parts of uneven size, the empty ones included.
+std::vector<std::span<const SimilarityEntry>> cut_into_parts(
+    std::span<const SimilarityEntry> entries, const std::vector<std::size_t>& cuts) {
+  std::vector<std::span<const SimilarityEntry>> parts;
+  std::size_t begin = 0;
+  for (const std::size_t cut : cuts) {
+    parts.push_back(entries.subspan(begin, cut - begin));
+    begin = cut;
+  }
+  parts.push_back(entries.subspan(begin));
+  return parts;
 }
 
 void expect_same_sweep(const SweepResult& got, const SweepResult& want) {
@@ -123,24 +140,34 @@ TEST(SweepSource, ConcatenatedSortedBucketsEqualFullStableSort) {
   for (const WeightedGraph& graph : all_graphs()) {
     SimilarityMap sorted = build_map(graph, nullptr);
     sorted.sort_by_score();
-    for (const std::size_t threads : kThreadCounts) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads);
-      std::unique_ptr<parallel::ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
-      SimilarityMap lazy_map = build_map(graph, pool.get());
-      BucketSweepSource::Options options;
-      options.pool = pool.get();
-      BucketSweepSource source(lazy_map, options);
-      // Materialize everything through the public window API.
-      for (std::size_t i = 0; i < source.size();) {
-        const auto ready = source.window(i);
-        ASSERT_GT(ready.size(), 0u);
-        i += ready.size();
+    const SimilarityMap map = build_map(graph, nullptr);
+    const std::size_t n = map.entries.size();
+    ASSERT_GT(n, 8u);
+    // One part (the map), then uneven parts with empty ones at the front,
+    // in the middle and at the back, and a one-entry part.
+    const std::vector<std::vector<std::size_t>> cut_sets = {
+        {}, {0, 0, n / 7, n / 7, n / 2, n - 1, n, n}};
+    for (const std::vector<std::size_t>& cuts : cut_sets) {
+      const std::vector<std::span<const SimilarityEntry>> parts =
+          cut_into_parts(map.entries, cuts);
+      for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(testing::Message() << "parts=" << parts.size() << " threads=" << threads);
+        std::unique_ptr<parallel::ThreadPool> pool;
+        if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
+        BucketSweepSource::Options options;
+        options.pool = pool.get();
+        BucketSweepSource source(parts, options);
+        // Materialize everything through the public window API.
+        for (std::size_t i = 0; i < source.size();) {
+          const auto ready = source.window(i);
+          ASSERT_GT(ready.size(), 0u);
+          i += ready.size();
+        }
+        expect_reads_sorted(source, sorted);
+        const SweepSourceStats stats = source.stats();
+        EXPECT_EQ(stats.buckets_sorted, stats.bucket_count);
+        EXPECT_EQ(stats.buckets_skipped, 0u);
       }
-      expect_same_entries(lazy_map, sorted);
-      const SweepSourceStats stats = source.stats();
-      EXPECT_EQ(stats.buckets_sorted, stats.bucket_count);
-      EXPECT_EQ(stats.buckets_skipped, 0u);
     }
   }
 }
@@ -174,13 +201,21 @@ TEST(SweepSource, RadixBucketSortMatchesComparatorOnLargeBuckets) {
       graph::erdos_renyi(400, 0.05, {13, graph::WeightPolicy::kUniform});
   SimilarityMap sorted = build_map(graph, nullptr);
   sorted.sort_by_score();
-  SimilarityMap lazy_map = build_map(graph, nullptr);
-  BucketSweepSource source(lazy_map);
-  // The mean bucket is past the cutoff, so the largest one is too.
-  ASSERT_GT(source.size(), 4096u * source.bucket_count())
-      << "graph too small for radix buckets";
-  for (std::size_t i = 0; i < source.size();) i += source.window(i).size();
-  expect_same_entries(lazy_map, sorted);
+  const SimilarityMap map = build_map(graph, nullptr);
+  const std::size_t n = map.entries.size();
+  parallel::ThreadPool pool(2);
+  // Build order survives a cut into parts, so the radix path stays open.
+  for (const std::vector<std::size_t>& cuts :
+       std::vector<std::vector<std::size_t>>{{}, {n / 3, n / 3, 2 * n / 3}}) {
+    SCOPED_TRACE(testing::Message() << "cuts=" << cuts.size());
+    BucketSweepSource::Options options;
+    options.pool = &pool;
+    BucketSweepSource source(cut_into_parts(map.entries, cuts), options);
+    // The mean bucket is past the cutoff, so the largest one is too.
+    ASSERT_GT(source.size(), 4096u * source.bucket_count())
+        << "graph too small for radix buckets";
+    expect_reads_sorted(source, sorted);
+  }
 }
 
 TEST(SweepSource, CoarsePhiStopSkipsTailBuckets) {

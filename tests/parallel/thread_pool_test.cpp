@@ -2,14 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <functional>
-#include <memory>
-#include <random>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace lc::parallel {
@@ -189,39 +184,6 @@ TEST(ParallelForBlocks, MinGrainLargerThanRangeStillRuns) {
       /*min_grain=*/1000);
   EXPECT_EQ(blocks.load(), 1);
   EXPECT_EQ(covered.load(), 10);
-}
-
-// The scatter must be the unique stable grouping: equal to std::stable_sort
-// by bucket id (duplicate buckets keep their input order), with boundaries
-// at the bucket starts, for every pool width and without a pool.
-TEST(ParallelBucketScatter, MatchesStableSortByBucketAcrossThreadCounts) {
-  constexpr std::size_t kBuckets = 37;
-  std::mt19937_64 rng(19);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> input(20000);  // (bucket, tag)
-  for (std::uint32_t i = 0; i < input.size(); ++i) {
-    input[i] = {static_cast<std::uint32_t>(rng() % kBuckets), i};
-  }
-  auto expected = input;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  const auto bucket_of = [](const std::pair<std::uint32_t, std::uint32_t>& item) {
-    return static_cast<std::size_t>(item.first);
-  };
-  for (const std::size_t threads : {0u, 1u, 2u, 3u, 8u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    auto items = input;
-    const std::vector<std::size_t> bounds =
-        parallel_bucket_scatter(pool.get(), items, kBuckets, bucket_of);
-    EXPECT_EQ(items, expected) << "threads=" << threads;
-    ASSERT_EQ(bounds.size(), kBuckets + 1);
-    EXPECT_EQ(bounds.back(), input.size());
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-        ASSERT_EQ(items[i].first, b) << "threads=" << threads << " i=" << i;
-      }
-    }
-  }
 }
 
 }  // namespace

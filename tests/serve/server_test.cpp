@@ -106,7 +106,9 @@ TEST_F(ServerTest, RunRejectsOutOfRangeArguments) {
   for (const std::string& args :
        {std::string("mode=coarse gamma=0.5"), std::string("mode=coarse gamma=nan"),
         std::string("mode=coarse phi=-1"), "threads=" + too_many,
-        std::string("threads=1000000000")}) {
+        std::string("threads=1000000000"), std::string("threads=0"),
+        std::string("threads=-4"), std::string("max_memory_mb=-7"),
+        std::string("min_similarity=nan"), std::string("mode=coarse min_similarity=nan")}) {
     const std::string reply = ask(server, "run " + args);
     EXPECT_EQ(reply.rfind("err code=invalid_argument", 0), 0u) << args << ": " << reply;
   }

@@ -77,6 +77,25 @@ TEST(WorkLedger, MultiplePhasesAccumulate) {
   EXPECT_EQ(ledger.total_work(), 10u);
 }
 
+TEST(WorkLedger, PhasesWithPrefixKeepOnlyThoseLayers) {
+  WorkLedger ledger;
+  ledger.begin_phase("init.a");
+  ledger.begin_round(2);
+  ledger.add_work(0, 7);
+  ledger.add_work(1, 5);
+  ledger.begin_phase("sweep.b");
+  ledger.add_serial(3);
+  ledger.begin_phase("init.c");
+  ledger.add_serial(4);
+  const WorkLedger init = ledger.phases_with_prefix("init.");
+  ASSERT_EQ(init.phases().size(), 2u);
+  EXPECT_EQ(init.phases()[1].name, "init.c");
+  EXPECT_EQ(init.total_work(), 16u);
+  EXPECT_EQ(init.critical_path(), 11u);
+  EXPECT_EQ(ledger.phases_with_prefix("sweep.").total_work(), 3u);
+  EXPECT_TRUE(ledger.phases_with_prefix("none").phases().empty());
+}
+
 TEST(WorkLedgerDeathTest, RoundBeforePhase) {
   WorkLedger ledger;
   EXPECT_DEATH(ledger.begin_round(2), "begin_phase");

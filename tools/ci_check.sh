@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI sweep. A warnings leg first builds every target — library, tools, tests,
-# benches and examples — with -DLC_WARNINGS_AS_ERRORS=ON. The sanitizer
+# benches and examples — with -DLC_WARNINGS_AS_ERRORS=ON, and checks that the
+# shipped binary links none of the reference pipeline. The benchmark suite
+# (bench/suite) is then built out of tree and its smoke pass run. The sanitizer
 # legs then build the default tree under ASan and then UBSan and run the
 # full test suite (the fault-injection suite included — every fault
 # site is live in every build) under each. A third leg builds under TSan and
@@ -29,8 +31,8 @@
 #
 # Usage: tools/ci_check.sh [build-dir-prefix]
 #   build-dir-prefix defaults to "build-san"; the trees land in
-#   <prefix>-werror/, <prefix>-address/, <prefix>-undefined/, and
-#   <prefix>-thread/.
+#   <prefix>-werror/, <prefix>-suite/, <prefix>-address/,
+#   <prefix>-undefined/, and <prefix>-thread/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,6 +48,26 @@ cmake -B "${build_dir}" -S . \
   -DLC_BUILD_EXAMPLES=ON
 echo "== werror: build (every target) =="
 cmake --build "${build_dir}" -j "${jobs}"
+
+# The shipped binary runs only lc_core: the reference pipeline (map M,
+# array C and the sweeps over them, in lc_reference) must not be linked in.
+echo "== werror: the shipped linkcluster links no reference pipeline =="
+if nm -C "${build_dir}/tools/linkcluster" \
+    | grep -E 'SimilarityMap\b|ClusterArray|build_similarity_map'; then
+  echo "ci_check: the shipped linkcluster links the reference pipeline" >&2
+  exit 1
+fi
+
+# ---- Benchmark suite leg: bench/suite is its own CMake project that calls
+# the library's public API from outside (lc_suite), so an API break there
+# fails here, before it fails the benchmark. Its ctest is `run.py --smoke`
+# with the suite's own binaries, which also checks the pinned digests.
+build_dir="${prefix}-suite"
+echo "== suite: configure + build (${build_dir}) =="
+cmake -S bench/suite -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
+cmake --build "${build_dir}" -j "${jobs}"
+echo "== suite: run.py --smoke =="
+ctest --test-dir "${build_dir}" --output-on-failure
 
 for san in address undefined; do
   build_dir="${prefix}-${san}"
@@ -339,4 +361,4 @@ chaos_leg() {
 }
 chaos_leg
 
-echo "ci_check: werror build, all sanitizer suites, kill/resume, kill/rerun, SIGTERM, budget, serve chaos, and seeded chaos schedules passed"
+echo "ci_check: werror build, reference-free binary, suite smoke, all sanitizer suites, kill/resume, kill/rerun, SIGTERM, budget, serve chaos, and seeded chaos schedules passed"
