@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
@@ -29,6 +28,7 @@
 #include "text/corpus.hpp"
 #include "text/tokenizer.hpp"
 #include "util/cli.hpp"
+#include "util/file_io.hpp"
 #include "util/run_context.hpp"
 #include "util/status.hpp"
 #include "util/stopwatch.hpp"
@@ -49,6 +49,18 @@ std::optional<graph::WeightedGraph> load_graph(const std::string& path, std::ost
     err << "warning: skipped " << io.lines_skipped << " malformed line(s)\n";
   }
   return loaded;
+}
+
+/// Writes an output file and reports it: "wrote PATH" on success, the
+/// write's error (which names the path) on failure.
+bool write_output(const std::string& path, std::string_view bytes, std::ostream& out,
+                  std::ostream& err) {
+  if (const Status written = write_text_file(path, bytes); !written.ok()) {
+    err << "error: " << written.message() << "\n";
+    return false;
+  }
+  out << "wrote " << path << "\n";
+  return true;
 }
 
 /// The --threads boundary: at least one thread, and no request may ask for
@@ -251,24 +263,14 @@ int cmd_cluster(int argc, const char* const* argv, std::ostream& out, std::ostre
   }
 
   const std::string newick_path = flags.get_string("newick");
-  if (!newick_path.empty()) {
-    std::ofstream file(newick_path);
-    if (!file) {
-      err << "error: cannot write " << newick_path << "\n";
-      return 2;
-    }
-    file << core::to_newick(result.dendrogram) << "\n";
-    out << "wrote " << newick_path << "\n";
+  if (!newick_path.empty() &&
+      !write_output(newick_path, core::to_newick(result.dendrogram) + "\n", out, err)) {
+    return 2;
   }
   const std::string merges_path = flags.get_string("merges");
-  if (!merges_path.empty()) {
-    std::ofstream file(merges_path);
-    if (!file) {
-      err << "error: cannot write " << merges_path << "\n";
-      return 2;
-    }
-    file << core::to_merge_list(result.dendrogram);
-    out << "wrote " << merges_path << "\n";
+  if (!merges_path.empty() &&
+      !write_output(merges_path, core::to_merge_list(result.dendrogram), out, err)) {
+    return 2;
   }
   return 0;
 }
@@ -467,15 +469,11 @@ int cmd_assoc(int argc, const char* const* argv, std::ostream& out, std::ostream
       << flags.get_string("output") << ")\n";
   const std::string words_path = flags.get_string("words");
   if (!words_path.empty()) {
-    std::ofstream file(words_path);
-    if (!file) {
-      err << "error: cannot write " << words_path << "\n";
-      return 2;
-    }
+    std::string words;
     for (std::size_t v = 0; v < ag.words.size(); ++v) {
-      file << v << ' ' << ag.words[v] << '\n';
+      words += std::to_string(v) + ' ' + ag.words[v] + '\n';
     }
-    out << "wrote " << words_path << "\n";
+    if (!write_output(words_path, words, out, err)) return 2;
   }
   return 0;
 }

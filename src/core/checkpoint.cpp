@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "util/fnv.hpp"
 #include "util/stopwatch.hpp"
 
 namespace lc::core {
@@ -165,9 +166,9 @@ std::uint64_t backoff_delay_ms(const CheckpointPolicy& policy,
 }
 
 std::uint64_t graph_fingerprint(const graph::WeightedGraph& graph) {
-  std::uint64_t hash = snapshot::fnv1a64(nullptr, 0);
+  std::uint64_t hash = fnv1a64(nullptr, 0);
   const auto mix = [&hash](std::uint64_t word) {
-    hash = snapshot::fnv1a64(&word, sizeof(word), hash);
+    hash = fnv1a64(&word, sizeof(word), hash);
   };
   mix(graph.vertex_count());
   mix(graph.edge_count());

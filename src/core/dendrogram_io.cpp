@@ -1,5 +1,6 @@
 #include "core/dendrogram_io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -8,7 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "util/snapshot_io.hpp"
+#include "util/fnv.hpp"
 #include "util/strings.hpp"
 
 namespace lc::core {
@@ -156,16 +157,31 @@ std::string to_newick(const Dendrogram& dendrogram, const LeafNamer& namer) {
 }
 
 std::string to_merge_list(const Dendrogram& dendrogram) {
-  std::string out;
-  out += strprintf("# leaves=%zu events=%zu\n", dendrogram.leaf_count(),
-                   dendrogram.events().size());
+  const std::vector<MergeEvent>& events = dendrogram.events();
+  // Per event: three u32 fields of at most 10 digits, a %.9g similarity of
+  // at most 16 bytes ("-1.23456789e-308"), three spaces and the newline.
+  constexpr std::size_t kMaxLineBytes = 3 * 10 + 16 + 3 + 1;
+  constexpr std::size_t kFooterBytes = kChecksumKey.size() + 16 + 1;
+  std::string out = strprintf("# leaves=%zu events=%zu\n", dendrogram.leaf_count(),
+                              events.size());
   const std::size_t body_begin = out.size();
-  for (const MergeEvent& event : dendrogram.events()) {
-    out += strprintf("%u %u %u %.9g\n", event.level, event.from, event.into,
-                     event.similarity);
+  out.resize(body_begin + events.size() * kMaxLineBytes + kFooterBytes);
+  char* p = out.data() + body_begin;
+  char* const end = out.data() + out.size();
+  std::uint64_t checksum = kFnv1a64Basis;
+  for (const MergeEvent& event : events) {
+    char* const line = p;
+    p = std::to_chars(p, end, event.level).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.from).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.into).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, event.similarity, std::chars_format::general, 9).ptr;
+    *p++ = '\n';
+    checksum = fnv1a64(line, static_cast<std::size_t>(p - line), checksum);
   }
-  const std::uint64_t checksum =
-      snapshot::fnv1a64(out.data() + body_begin, out.size() - body_begin);
+  out.resize(static_cast<std::size_t>(p - out.data()));
   out += strprintf("# fnv=%016llx\n", static_cast<unsigned long long>(checksum));
   return out;
 }
@@ -292,7 +308,7 @@ StatusOr<Dendrogram> parse_merge_list(std::string_view text) {
   }
   if (have_checksum) {
     const std::uint64_t actual =
-        snapshot::fnv1a64(text.data() + body_begin, body_end - body_begin);
+        fnv1a64(text.data() + body_begin, body_end - body_begin);
     if (actual != stored_checksum) return fail("checksum mismatch", body_end);
   }
   return dendrogram;

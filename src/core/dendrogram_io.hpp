@@ -25,7 +25,10 @@ std::string to_newick(const Dendrogram& dendrogram, const LeafNamer& namer = {})
 /// Flat text: a "# leaves=N events=M" header, one "level from into
 /// similarity" line per event, and a trailing "# fnv=<16 hex>" footer — the
 /// FNV-1a checksum of the event-line bytes, so a truncated or edited file is
-/// detected on load rather than silently reparsed.
+/// detected on load rather than silently reparsed. Each event line is the
+/// bytes of printf("%u %u %u %.9g\n"), and the footer is the checksum of
+/// exactly those bytes; the formatter writes them with std::to_chars into one
+/// buffer sized up front, hashing each line as it is written.
 std::string to_merge_list(const Dendrogram& dendrogram);
 
 /// Parses to_merge_list() output. Untrusted input is safe: every malformed

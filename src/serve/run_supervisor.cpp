@@ -10,6 +10,7 @@
 
 #include "core/dendrogram_io.hpp"
 #include "util/fault_inject.hpp"
+#include "util/file_io.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
@@ -44,13 +45,7 @@ bool parse_f64_hex(const std::string& text, double* out) {
 /// never observes a half-written file.
 Status write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return Status::internal("cannot open " + tmp + " for writing");
-    file << content;
-    file.flush();
-    if (!file) return Status::internal("write to " + tmp + " failed");
-  }
+  if (Status written = write_text_file(tmp, content); !written.ok()) return written;
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::internal("rename " + tmp + " -> " + path + " failed");
   }

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
@@ -27,6 +26,7 @@
 #include "parallel/thread_pool.hpp"
 #include "serve/signals.hpp"
 #include "util/fault_inject.hpp"
+#include "util/file_io.hpp"
 #include "util/strings.hpp"
 
 namespace lc::serve {
@@ -265,9 +265,8 @@ std::string Server::cmd_cut(const Request& request) {
       text += std::to_string(label);
       text += '\n';
     }
-    std::ofstream file(out_path, std::ios::binary | std::ios::trunc);
-    if (!file || !(file << text)) {
-      return err_line(Status::internal("cannot write " + out_path));
+    if (Status written = write_text_file(out_path, text); !written.ok()) {
+      return err_line(std::move(written));
     }
     line += " out=" + quote_value(out_path);
   }

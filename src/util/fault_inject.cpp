@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -38,15 +39,6 @@ std::vector<ArmedClause>& clauses() {
 
 std::uint64_t g_seed = 0;
 std::atomic<std::uint64_t> g_fired_total{0};
-
-std::uint64_t fnv1a64_str(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 // The single source of truth for site names. kCall entries mirror the
 // maybe_fire() calls; kIo entries are the consume_io() calls of the
@@ -119,7 +111,7 @@ bool parse_probability(std::string_view text, double* out) {
 /// always replays the identical fire pattern.
 Rng clause_rng(std::uint64_t plan_seed, const FaultClause& clause,
                std::size_t position) {
-  return Rng(plan_seed ^ fnv1a64_str(clause.site) ^
+  return Rng(plan_seed ^ fnv1a64(clause.site.data(), clause.site.size()) ^
              (0x9e3779b97f4a7c15ull * (position + 1)));
 }
 

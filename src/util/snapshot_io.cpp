@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "util/fault_inject.hpp"
+#include "util/fnv.hpp"
 
 namespace lc::snapshot {
 namespace {
@@ -132,16 +133,6 @@ FileOps& file_ops() {
 
 FileOps* set_file_ops(FileOps* ops) {
   return g_file_ops_override.exchange(ops, std::memory_order_acq_rel);
-}
-
-std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 void SectionWriter::u8(std::uint8_t value) {

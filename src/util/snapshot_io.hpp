@@ -78,12 +78,6 @@ class FileOps {
 /// override (nullptr when the default was active).
 FileOps* set_file_ops(FileOps* ops);
 
-/// FNV-1a over `size` bytes, seedable for incremental use. Shared with the
-/// dendrogram merge-list footer (core/dendrogram_io.cpp).
-[[nodiscard]] std::uint64_t fnv1a64(
-    const void* data, std::size_t size,
-    std::uint64_t seed = 14695981039346656037ull);
-
 /// Append-only serializer for one section's payload.
 class SectionWriter {
  public:

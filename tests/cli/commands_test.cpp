@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,6 +13,8 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+
+#include "../util/address_space_limit.hpp"
 
 namespace lc::cli {
 namespace {
@@ -414,6 +419,111 @@ TEST(Cli, CommunitiesEmptyGraph) {
   std::string out;
   EXPECT_EQ(run({"communities", "--input", path.c_str()}, &out), 0);
   EXPECT_NE(out.find("no edges"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// An ER graph written by `generate`, removed with the test.
+class CliWithGraph : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    graph_ = temp_path(std::string("cli_io_") +
+                       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                       ".edges");
+    ASSERT_EQ(run({"generate", "--type", "er", "--n", "40", "--p", "0.2", "--seed", "3",
+                   "--weighted", "--output", graph_.c_str()}),
+              0);
+  }
+  void TearDown() override { std::remove(graph_.c_str()); }
+
+  std::string graph_;
+};
+
+TEST_F(CliWithGraph, WritesToAFullDeviceExitTwoNamingThePath) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string corpus = temp_path("cli_full_corpus.txt");
+  std::ofstream(corpus) << "alpha bravo charlie\nalpha bravo\ncharlie delta\n";
+  const std::string edges = temp_path("cli_full_assoc.edges");
+  const std::vector<std::vector<const char*>> commands = {
+      {"cluster", "--input", graph_.c_str(), "--merges", "/dev/full"},
+      {"cluster", "--input", graph_.c_str(), "--newick", "/dev/full"},
+      {"cluster", "--input", graph_.c_str(), "--mode", "coarse", "--merges", "/dev/full"},
+      {"generate", "--type", "er", "--n", "6", "--p", "0.5", "--seed", "3", "--output",
+       "/dev/full"},
+      {"assoc", "--input", corpus.c_str(), "--alpha", "1.0", "--output", "/dev/full"},
+      {"assoc", "--input", corpus.c_str(), "--alpha", "1.0", "--output", edges.c_str(),
+       "--words", "/dev/full"},
+  };
+  for (const std::vector<const char*>& args : commands) {
+    std::vector<const char*> argv{"linkcluster"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_command(static_cast<int>(argv.size()), argv.data(), out, err), 2)
+        << args[0] << " " << args.back();
+    EXPECT_NE(err.str().find("'/dev/full': No space left on device"), std::string::npos)
+        << err.str();
+    EXPECT_EQ(out.str().find("wrote /dev/full"), std::string::npos) << out.str();
+  }
+  std::remove(corpus.c_str());
+  std::remove(edges.c_str());
+}
+
+TEST(Cli, ClusterOnADirectoryNamesTheErrno) {
+  const std::string dir = temp_path("cli_dir_input");
+  std::filesystem::create_directories(dir);
+  std::string err;
+  EXPECT_EQ(run({"cluster", "--input", dir.c_str()}, nullptr, &err), 2);
+  EXPECT_NE(err.find("cannot read '" + dir + "': Is a directory"), std::string::npos) << err;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliWithGraph, ClusterReadsAPipeThroughDevStdin) {
+  const std::string from_file = temp_path("cli_stdin_file.merges");
+  const std::string from_pipe = temp_path("cli_stdin_pipe.merges");
+  ASSERT_EQ(run({"cluster", "--input", graph_.c_str(), "--merges", from_file.c_str()}), 0);
+
+  // The edge list (a few KiB) fits in the pipe's buffer, so it is written
+  // whole and the write end closed before the pipe becomes stdin.
+  const std::string text = read_file(graph_);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], text.data(), text.size()), static_cast<ssize_t>(text.size()));
+  ::close(fds[1]);
+  const int saved_stdin = ::dup(STDIN_FILENO);
+  ASSERT_GE(saved_stdin, 0);
+  ASSERT_EQ(::dup2(fds[0], STDIN_FILENO), STDIN_FILENO);
+  ::close(fds[0]);
+  const int code = run({"cluster", "--input", "/dev/stdin", "--merges", from_pipe.c_str()});
+  ::dup2(saved_stdin, STDIN_FILENO);
+  ::close(saved_stdin);
+  ASSERT_EQ(code, 0);
+  EXPECT_EQ(read_file(from_pipe), read_file(from_file));
+  std::remove(from_file.c_str());
+  std::remove(from_pipe.c_str());
+}
+
+TEST(Cli, ClusterOnAGraphTooLargeToAllocateExitsTwo) {
+  if (testing_support::kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer reserves more address space than the limit";
+  }
+  // "4294967295 1" is an accepted edge that asks for 2^32 vertices.
+  const std::string path = temp_path("cli_huge_id.edges");
+  std::ofstream(path) << "4294967295 1\n";
+  EXPECT_EXIT(
+      {
+        if (!testing_support::limit_address_space(1ull << 30)) std::_Exit(3);
+        std::string err;
+        const int code = run({"cluster", "--input", path.c_str()}, nullptr, &err);
+        const bool named =
+            err.find("max vertex id 4294967295 needs 4294967296 vertices") != std::string::npos;
+        std::_Exit(code == 2 && named ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
   std::remove(path.c_str());
 }
 

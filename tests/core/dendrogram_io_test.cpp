@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 #include <string_view>
 
 #include "core/link_clusterer.hpp"
+#include "dendrogram_io_reference.hpp"
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace lc::core {
 namespace {
@@ -203,6 +209,77 @@ TEST(MergeList, RejectsContentAfterFooter) {
 TEST(MergeList, RejectsNonFiniteSimilarity) {
   EXPECT_FALSE(parse_merge_list("# leaves=3 events=1\n1 2 0 inf\n").ok());
   EXPECT_FALSE(parse_merge_list("# leaves=3 events=1\n1 2 0 nan\n").ok());
+}
+
+/// A random dendrogram over `leaves` leaves: each event merges a random live
+/// label into a smaller live one, at a nondecreasing level, with a
+/// similarity drawn from values %.9g rounds in every way: 0 and 1, the
+/// smallest subnormal, 0.1 + 0.2, carries at the ninth digit, exact ties at
+/// the tenth digit, and random doubles.
+Dendrogram random_dendrogram(std::size_t leaves, std::uint64_t seed) {
+  Rng rng(seed);
+  static const double kSpecial[] = {
+      0.0, 1.0, 5e-324, 0.1 + 0.2, 0.9999999995, 0.99999999949999, 0.999999999,
+      0.5, 0x1p-14, 3 * 0x1p-14, 123456789.5, 123456788.5, 1234567895.0, -0.0,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::denorm_min(), 1e-308 / 3, 2.0 / 3.0};
+  Dendrogram dendrogram(leaves);
+  std::vector<EdgeIdx> live(leaves);
+  for (std::size_t i = 0; i < leaves; ++i) live[i] = static_cast<EdgeIdx>(i);
+  std::uint32_t level = 0;
+  const std::size_t events = leaves == 0 ? 0 : rng.next_below(leaves);
+  for (std::size_t e = 0; e < events; ++e) {
+    const std::size_t a = rng.next_below(live.size());
+    std::size_t b = rng.next_below(live.size() - 1);
+    if (b >= a) ++b;
+    const EdgeIdx from = std::max(live[a], live[b]);
+    const EdgeIdx into = std::min(live[a], live[b]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(live[a] == from ? a : b));
+    if (rng.next_bool(0.3)) level += static_cast<std::uint32_t>(1 + rng.next_below(3));
+    double similarity = 0.0;
+    switch (rng.next_below(4)) {
+      case 0:
+        similarity = kSpecial[rng.next_below(std::size(kSpecial))];
+        break;
+      case 1: {
+        const double bits = std::bit_cast<double>(rng.next_u64());
+        similarity = std::isfinite(bits) ? bits : 0.25;
+        break;
+      }
+      case 2:
+        similarity = std::ldexp(static_cast<double>(rng.next_below(1u << 30)),
+                                -static_cast<int>(rng.next_below(60)));
+        break;
+      default:
+        similarity = rng.next_double();
+        break;
+    }
+    dendrogram.add_event(level, from, into, similarity);
+  }
+  return dendrogram;
+}
+
+TEST(MergeList, FormatterMatchesThePrintfFormatter) {
+  std::size_t lines = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::size_t leaves = seed == 1 ? 0 : seed == 2 ? 1 : 50 * seed;
+    const Dendrogram dendrogram = random_dendrogram(leaves, seed);
+    const std::string text = to_merge_list(dendrogram);
+    ASSERT_EQ(text, testing_reference::reference_to_merge_list(dendrogram)) << "seed " << seed;
+    lines += dendrogram.events().size();
+
+    StatusOr<Dendrogram> parsed = parse_merge_list(text);
+    ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << parsed.status().to_string();
+    ASSERT_EQ(parsed->events().size(), dendrogram.events().size());
+    for (std::size_t i = 0; i < dendrogram.events().size(); ++i) {
+      EXPECT_EQ(parsed->events()[i].level, dendrogram.events()[i].level);
+      EXPECT_EQ(parsed->events()[i].from, dendrogram.events()[i].from);
+      EXPECT_EQ(parsed->events()[i].into, dendrogram.events()[i].into);
+    }
+    // The parsed similarities are the printed ones, so they print the same.
+    EXPECT_EQ(to_merge_list(*parsed), text) << "seed " << seed;
+  }
+  EXPECT_GT(lines, 10000u);
 }
 
 }  // namespace

@@ -30,6 +30,8 @@
 #include "serve/run_supervisor.hpp"
 #include "serve/signals.hpp"
 
+#include "../util/address_space_limit.hpp"
+
 namespace lc::serve {
 namespace {
 
@@ -96,6 +98,36 @@ TEST_F(ServerTest, LoadFailureIsContained) {
   const std::string good = ask(server, "load path=" + path);
   EXPECT_EQ(good.rfind("ok vertices=120 ", 0), 0u) << good;
   EXPECT_TRUE(server.graph_loaded());
+}
+
+TEST_F(ServerTest, LoadOfAGraphTooLargeToAllocateRepliesErr) {
+  if (testing_support::kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer reserves more address space than the limit";
+  }
+  // "4294967295 1" is an accepted edge that asks for 2^32 vertices.
+  const std::string path = (dir_ / "huge_id.edges").string();
+  std::ofstream(path) << "4294967295 1\n";
+  EXPECT_EXIT(
+      {
+        if (!testing_support::limit_address_space(1ull << 30)) std::_Exit(3);
+        Server server({});
+        const std::string reply = ask(server, "load path=" + path);
+        const bool named = reply.rfind("err ", 0) == 0 &&
+                           reply.find("4294967296 vertices") != std::string::npos;
+        std::_Exit(named && !server.graph_loaded() ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+TEST_F(ServerTest, CutToAFullDeviceRepliesErr) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Server server({});
+  ASSERT_EQ(ask(server, "load path=" + write_graph(small_graph())).rfind("ok ", 0), 0u);
+  ASSERT_EQ(ask(server, "run").rfind("ok ", 0), 0u);
+  ASSERT_EQ(ask(server, "wait").rfind("ok ", 0), 0u);
+  const std::string reply = ask(server, "cut k=7 out=/dev/full");
+  EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("/dev/full"), std::string::npos) << reply;
 }
 
 TEST_F(ServerTest, RunRejectsOutOfRangeArguments) {

@@ -53,12 +53,6 @@ SnapshotWriter make_writer(std::uint32_t tag = 7) {
   return writer;
 }
 
-TEST_F(SnapshotIo, FnvMatchesReferenceVector) {
-  // Standard FNV-1a test vector: "a" -> af63dc4c8601ec8c.
-  EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(fnv1a64("", 0), 14695981039346656037ull);
-}
-
 TEST_F(SnapshotIo, RoundTrip) {
   SnapshotWriter writer = make_writer();
   ASSERT_TRUE(writer.commit(path_).ok());

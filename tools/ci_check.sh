@@ -24,7 +24,9 @@
 # SIGKILL or SIGTERM tears it down. A checkpointing fine run is resumed with
 # --resume; a coarse run, which writes no snapshots, is rerun from scratch;
 # either way the merge list must match the uninterrupted run's byte for
-# byte. A fine and a coarse run under a small memory budget must write the
+# byte. An edge list read through a pipe as /dev/stdin must give the merge
+# list the file gives, and a merge list sent to /dev/full must fail the
+# run. A fine and a coarse run under a small memory budget must write the
 # unbudgeted merge lists; a serve session is contained, and a killed server
 # restarted on its --state-dir reruns the interrupted run (fine and coarse)
 # to the same bytes; and a pinned block of `lc chaos` schedules runs last.
@@ -260,6 +262,37 @@ budget_smoke() {
 }
 budget_smoke
 
+# ---- I/O smoke: the edge-list reader reads its whole input to end of file,
+# so a pipe through /dev/stdin must cluster to the merge list of the file
+# itself; and an output write is checked through its flush and close, so a
+# merge list sent to /dev/full must exit 2 without claiming "wrote".
+io_smoke() {
+  local work
+  work="$(mktemp -d)"
+  local bin="${prefix}-address/tools/linkcluster"
+  echo "== smoke: /dev/stdin input and /dev/full output (${work}) =="
+  "${bin}" generate --type er --n 600 --p 0.02 --seed 7 --weighted --output "${work}/g.edges"
+  "${bin}" cluster --input "${work}/g.edges" --merges "${work}/file.merges"
+  cat "${work}/g.edges" \
+    | "${bin}" cluster --input /dev/stdin --merges "${work}/stdin.merges"
+  cmp "${work}/file.merges" "${work}/stdin.merges"
+  local rc=0
+  "${bin}" cluster --input "${work}/g.edges" --merges /dev/full \
+    > "${work}/full.out" 2> "${work}/full.err" || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "io smoke: --merges /dev/full exited ${rc}, expected 2" >&2
+    exit 1
+  fi
+  if grep -q '^wrote' "${work}/full.out"; then
+    echo "io smoke: --merges /dev/full claimed a write" >&2
+    exit 1
+  fi
+  grep -q "cannot write '/dev/full'" "${work}/full.err"
+  echo "io smoke: /dev/stdin reproduced the file's merge list; /dev/full exited 2"
+  rm -rf "${work}"
+}
+io_smoke
+
 # ---- Serve chaos: the scripted sequence from DESIGN.md §14. One server
 # takes a failed run (deadline trips) and must keep serving; then, in each
 # mode, a server is SIGKILLed mid-sweep and a restart on the same
@@ -361,4 +394,4 @@ chaos_leg() {
 }
 chaos_leg
 
-echo "ci_check: werror build, reference-free binary, suite smoke, all sanitizer suites, kill/resume, kill/rerun, SIGTERM, budget, serve chaos, and seeded chaos schedules passed"
+echo "ci_check: werror build, reference-free binary, suite smoke, all sanitizer suites, kill/resume, kill/rerun, SIGTERM, budget, I/O, serve chaos, and seeded chaos schedules passed"
